@@ -3,7 +3,7 @@
 
 .PHONY: all build check ci test test-props bench examples smoke chaos \
   trace-check health-check tail-check dir-check reconfig-check \
-  profile-check determinism clean help
+  profile-check host-smoke determinism clean help
 
 all: build
 
@@ -23,6 +23,7 @@ help:
 	@echo "make dir-check    - directory smoke: E23 scaling + dir trace invariant"
 	@echo "make reconfig-check - membership smoke: E24 join/drain/leave + reconfig chaos cmp"
 	@echo "make profile-check - profiler smoke: E25 attribution + same-seed profile cmp"
+	@echo "make host-smoke   - one round per stream of each benchmark workload, gates checked"
 	@echo "make determinism  - experiment output must be bit-reproducible"
 	@echo "make clean        - dune clean"
 
@@ -65,6 +66,7 @@ ci:
 	$(MAKE) dir-check
 	$(MAKE) reconfig-check
 	$(MAKE) profile-check
+	$(MAKE) host-smoke
 	for off in 0 271828 3141592; do \
 	  echo "props @ seed offset $$off"; \
 	  EDEN_PROP_SEED_OFFSET=$$off dune exec test/test_props.exe || exit 1; \
@@ -219,6 +221,17 @@ profile-check:
 	dune exec bin/edenctl.exe -- profile --nodes 5 --seed 11 --directory \
 	  --clone --hedge --check > /dev/null
 	@echo "profile-check: OK (bottlenecks named, attribution exact, deterministic)"
+
+# The host-time benchmark as a correctness smoke: --seconds 0 runs each
+# input stream once, and run.py exits non-zero unless every gate holds
+# (work echo, chunk provenance and final values, one active incarnation
+# per object, zero trace-invariant violations).  Streams repeat, and so
+# have their virtual-time results compared, only in longer runs.  The
+# host figures of a single round are not meant to be read.
+host-smoke:
+	python3 hostbench/run.py --workload hot_invoke --seed 1 --seconds 0
+	python3 hostbench/run.py --workload ckpt_local --seed 1 --seconds 0
+	@echo "host-smoke: OK (benchmark gates hold)"
 
 # The whole experiment suite must be bit-reproducible.
 determinism:

@@ -53,12 +53,12 @@ let m3_semaphore =
 let m4_pqueue =
   Test.make ~name:"M4 pqueue push/pop x256"
     (Staged.stage (fun () ->
-         let h = Pqueue.create ~cmp:Int.compare in
+         let h = Pqueue.create ~dummy:0 () in
          for i = 0 to 255 do
-           Pqueue.push h ((i * 7919) land 1023)
+           Pqueue.push h ((i * 7919) land 1023) i
          done;
          while not (Pqueue.is_empty h) do
-           ignore (Pqueue.pop h)
+           ignore (Pqueue.pop_exn h)
          done))
 
 (* M5: wire-size computation over a nested value. *)

@@ -182,6 +182,7 @@ type node = {
          crash) *)
   nd_types_loaded : (string, unit) Hashtbl.t;
   mutable nd_kprocs : Engine.Pid.t list;
+  mutable nd_n_kprocs : int;  (* [List.length nd_kprocs] *)
   mutable nd_ckpt_async : int;
       (* asynchronous checkpoint pipelines currently in flight from
          this node (the eden.ckpt.async_inflight gauge) *)
@@ -465,9 +466,12 @@ let spawn_kproc cl node ~name f =
   let pid = Engine.spawn cl.eng ~name f in
   Engine.set_daemon cl.eng pid;
   node.nd_kprocs <- pid :: node.nd_kprocs;
-  if List.length node.nd_kprocs > 256 then
+  node.nd_n_kprocs <- node.nd_n_kprocs + 1;
+  if node.nd_n_kprocs > 256 then begin
     node.nd_kprocs <-
       List.filter (fun p -> Engine.alive cl.eng p) node.nd_kprocs;
+    node.nd_n_kprocs <- List.length node.nd_kprocs
+  end;
   pid
 
 let jrecord cl node ?ctx kind =
@@ -484,7 +488,8 @@ let send_ctx cl node ?ctx msg ~dst =
 
 let send_msg ?ctx cl node ~dst msg =
   if node.nd_up && dst <> node.nd_id then begin
-    tracef cl Trace.Kern "%d->%d %s" node.nd_id dst (Message.describe msg);
+    if Trace.enabled cl.tr then
+      tracef cl Trace.Kern "%d->%d %s" node.nd_id dst (Message.describe msg);
     let ctx = send_ctx cl node ?ctx msg ~dst:(Some dst) in
     Transport.send node.nd_tp ~dst (Message.traced ~ctx msg)
   end
@@ -494,14 +499,16 @@ let send_msg ?ctx cl node ~dst msg =
    the same wire transfer as — the very work it retracts. *)
 let send_msg_now ?ctx cl node ~dst msg =
   if node.nd_up && dst <> node.nd_id then begin
-    tracef cl Trace.Kern "%d->%d! %s" node.nd_id dst (Message.describe msg);
+    if Trace.enabled cl.tr then
+      tracef cl Trace.Kern "%d->%d! %s" node.nd_id dst (Message.describe msg);
     let ctx = send_ctx cl node ?ctx msg ~dst:(Some dst) in
     Transport.send_now node.nd_tp ~dst (Message.traced ~ctx msg)
   end
 
 let bcast_msg ?ctx cl node msg =
   if node.nd_up then begin
-    tracef cl Trace.Kern "%d->* %s" node.nd_id (Message.describe msg);
+    if Trace.enabled cl.tr then
+      tracef cl Trace.Kern "%d->* %s" node.nd_id (Message.describe msg);
     let ctx = send_ctx cl node ?ctx msg ~dst:None in
     Transport.broadcast node.nd_tp (Message.traced ~ctx msg)
   end
@@ -3170,6 +3177,7 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
                  ~cap:dedup_cap ();
              nd_types_loaded = Hashtbl.create 16;
              nd_kprocs = [];
+             nd_n_kprocs = 0;
              nd_ckpt_async = 0;
              nd_journal =
                Journal.create jsink ~node:(Transport.address tp)
@@ -3648,6 +3656,7 @@ let crash_node cl i =
         ~bytes:(Machine.config node.nd_machine).Machine.memory_bytes;
     let kprocs = node.nd_kprocs in
     node.nd_kprocs <- [];
+    node.nd_n_kprocs <- 0;
     List.iter (fun p -> Engine.kill cl.eng p) kprocs
   end
 

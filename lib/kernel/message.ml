@@ -153,12 +153,12 @@ let size_bytes m =
 
 let describe = function
   | Inv_request { target; op; _ } ->
-    Printf.sprintf "inv_request %s.%s" (Name.to_string target) op
+    String.concat "" [ "inv_request "; Name.to_string target; "."; op ]
   (* Deliberately omits [inv_id.seq]: journals intern these strings,
      and a per-invocation sequence number would make every reply
      distinct.  Traces correlate request and reply through event
      parent ids, not the description. *)
-  | Inv_reply { inv_id; _ } -> Printf.sprintf "inv_reply n%d" inv_id.origin
+  | Inv_reply { inv_id; _ } -> "inv_reply n" ^ string_of_int inv_id.origin
   | Inv_nack { target; _ } -> "inv_nack " ^ Name.to_string target
   | Hint_update { target; at_node } ->
     Printf.sprintf "hint %s@%d" (Name.to_string target) at_node

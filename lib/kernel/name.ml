@@ -13,7 +13,9 @@ let compare a b =
 
 let hash n = (n.birth_node * 1_000_003) lxor n.serial
 let pp ppf n = Format.fprintf ppf "obj<%d.%d>" n.birth_node n.serial
-let to_string n = Format.asprintf "%a" pp n
+let to_string n =
+  String.concat ""
+    [ "obj<"; string_of_int n.birth_node; "."; string_of_int n.serial; ">" ]
 
 let of_string s =
   match Scanf.sscanf s "obj<%u.%u>%!" (fun b srl -> (b, srl)) with

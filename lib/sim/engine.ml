@@ -17,8 +17,6 @@ exception Stalled_waiting
 
 type wake = Woken | Timed_out
 
-type event = { ev_time : Time.t; ev_run : unit -> unit }
-
 (* The sampler is deliberately not a heap event: [run] drains the heap
    to completion, so a self-rescheduling sampler event would keep the
    simulation alive forever, and even a bounded one would perturb
@@ -32,10 +30,15 @@ type sampler = {
   smp_fn : unit -> unit;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
+(* The heap is keyed by event time in ns; equal times run in push
+   order.  [procs] holds only unfinished processes: a process leaves it
+   the moment it returns, raises, or is killed before it starts. *)
 type t = {
   mutable clock : Time.t;
-  heap : event Pqueue.t;
-  procs : (int, proc) Hashtbl.t;
+  heap : (unit -> unit) Pqueue.t;
+  procs : proc Itbl.t;
   pid_gen : Idgen.t;
   root_rng : Splitmix.t;
   mutable n_events : int;
@@ -46,6 +49,8 @@ type t = {
 
 and proc = {
   p_pid : Pid.t;
+  p_some_pid : Pid.t option;
+      (* [Some p_pid], built once rather than on every resume *)
   mutable p_state : proc_state;
   mutable p_killed : bool;
   mutable p_daemon : bool;
@@ -55,7 +60,6 @@ and proc_state =
   | Sched  (** a start/resume event for this process is in the heap *)
   | Run
   | Blocked of handle
-  | Done
 
 and handle = {
   h_proc : proc;
@@ -70,8 +74,8 @@ type _ Effect.t +=
 let create ?(seed = 1L) () =
   {
     clock = Time.zero;
-    heap = Pqueue.create ~cmp:(fun a b -> Time.compare a.ev_time b.ev_time);
-    procs = Hashtbl.create 64;
+    heap = Pqueue.create ~dummy:ignore ();
+    procs = Itbl.create 64;
     pid_gen = Idgen.create ();
     root_rng = Splitmix.create seed;
     n_events = 0;
@@ -83,43 +87,40 @@ let create ?(seed = 1L) () =
 let now eng = eng.clock
 let fork_rng eng = Splitmix.split eng.root_rng
 
-let push_event eng time run =
-  Pqueue.push eng.heap { ev_time = time; ev_run = run }
+let push_event eng time run = Pqueue.push eng.heap (Time.to_ns time) run
 
 let schedule eng ?(after = Time.zero) f =
   push_event eng (Time.add eng.clock after) f
 
-(* Resume a suspended/delayed process.  [go] performs the continue or
-   discontinue; the process's installed handler takes over from there. *)
-let reenter eng p go =
-  eng.running <- Some p.p_pid;
-  p.p_state <- Run;
-  go ();
-  (* The process has returned control: it either finished (state Done,
-     set by its handler) or suspended again (state updated by the
-     effect branch). *)
-  ()
+(* Mark [p] running before its continuation is resumed.  The process's
+   installed handler takes over from there: control comes back once it
+   has finished (removed from [procs]) or suspended again (state set by
+   the effect branch). *)
+let enter eng p =
+  eng.running <- p.p_some_pid;
+  p.p_state <- Run
 
 let resume_with eng p k v =
-  reenter eng p (fun () ->
-      if p.p_killed then discontinue k Killed else continue k v)
+  enter eng p;
+  if p.p_killed then discontinue k Killed else continue k v
 
 let resume_unit eng p (k : (unit, unit) continuation) =
-  reenter eng p (fun () ->
-      if p.p_killed then discontinue k Killed else continue k ())
+  enter eng p;
+  if p.p_killed then discontinue k Killed else continue k ()
+
+let finish eng p = Itbl.remove eng.procs (Pid.to_int p.p_pid)
 
 let exec_body eng p body =
-  eng.running <- Some p.p_pid;
-  p.p_state <- Run;
+  enter eng p;
   match_with body ()
     {
       retc =
         (fun () ->
-          p.p_state <- Done;
+          finish eng p;
           eng.running <- None);
       exnc =
         (fun e ->
-          p.p_state <- Done;
+          finish eng p;
           eng.running <- None;
           match e with Killed -> () | e -> raise e);
       effc =
@@ -156,22 +157,29 @@ let exec_body eng p body =
 let spawn eng ?(name = "proc") ?at body =
   let id = Idgen.next eng.pid_gen in
   let pid = { Pid.id; pname = name } in
-  let p = { p_pid = pid; p_state = Sched; p_killed = false; p_daemon = false } in
-  Hashtbl.replace eng.procs id p;
+  let p =
+    {
+      p_pid = pid;
+      p_some_pid = Some pid;
+      p_state = Sched;
+      p_killed = false;
+      p_daemon = false;
+    }
+  in
+  Itbl.replace eng.procs id p;
   eng.n_spawned <- eng.n_spawned + 1;
   let start = match at with None -> eng.clock | Some t -> Time.max t eng.clock in
   push_event eng start (fun () ->
-      if p.p_killed then p.p_state <- Done else exec_body eng p body);
+      if p.p_killed then finish eng p else exec_body eng p body);
   pid
 
-let find_proc eng pid = Hashtbl.find_opt eng.procs (Pid.to_int pid)
+let find_proc eng pid = Itbl.find_opt eng.procs (Pid.to_int pid)
 
 let kill eng pid =
   match find_proc eng pid with
   | None -> ()
   | Some p -> (
     match p.p_state with
-    | Done -> ()
     | Run ->
       p.p_killed <- true;
       (match eng.running with
@@ -194,12 +202,10 @@ let kill eng pid =
         h.h_k <- None;
         p.p_state <- Sched;
         push_event eng eng.clock (fun () ->
-            reenter eng p (fun () -> discontinue k Killed))))
+            enter eng p;
+            discontinue k Killed)))
 
-let alive eng pid =
-  match find_proc eng pid with
-  | None -> false
-  | Some p -> ( match p.p_state with Done -> false | Sched | Run | Blocked _ -> true)
+let alive eng pid = Itbl.mem eng.procs (Pid.to_int pid)
 
 let not_in_process what =
   invalid_arg (Printf.sprintf "Engine.%s: called outside a process" what)
@@ -229,13 +235,17 @@ let handle_pid h = h.h_proc.p_pid
 
 let set_daemon eng pid =
   match find_proc eng pid with
-  | None -> invalid_arg "Engine.set_daemon: unknown process"
   | Some p -> p.p_daemon <- true
+  | None ->
+    (* Pids below the generator's mark were spawned here and have
+       finished; marking a finished process is a no-op. *)
+    if Pid.to_int pid >= Idgen.peek eng.pid_gen then
+      invalid_arg "Engine.set_daemon: unknown process"
 
 let blocked_procs eng =
-  Hashtbl.fold
+  Itbl.fold
     (fun _ p acc ->
-      match p.p_state with Blocked _ -> p :: acc | Sched | Run | Done -> acc)
+      match p.p_state with Blocked _ -> p :: acc | Sched | Run -> acc)
     eng.procs []
   |> List.sort (fun a b -> Pid.compare a.p_pid b.p_pid)
 
@@ -256,9 +266,10 @@ let handle_idle eng =
       | None -> false
       | Some k ->
         h.h_k <- None;
-        reenter eng p (fun () -> discontinue k Stalled_waiting);
+        enter eng p;
+        discontinue k Stalled_waiting;
         true)
-    | Sched | Run | Done -> false)
+    | Sched | Run -> false)
 
 let every eng ~interval f =
   if Time.is_zero interval then invalid_arg "Engine.every: zero interval";
@@ -290,29 +301,30 @@ let run ?until eng =
     s.smp_fn ()
   in
   let rec loop () =
-    match Pqueue.peek eng.heap with
-    | None -> if handle_idle eng then loop ()
-    | Some ev when not (within_limit ev.ev_time) -> (
-      match until with
-      | None -> assert false
-      | Some l -> (
-        (* Catch up boundaries inside the limit before parking at it. *)
-        match sampler_due l with
+    if Pqueue.is_empty eng.heap then (if handle_idle eng then loop ())
+    else
+      let t = Time.ns (Pqueue.min_key eng.heap) in
+      if not (within_limit t) then (
+        match until with
+        | None -> assert false
+        | Some l -> (
+          (* Catch up boundaries inside the limit before parking at it. *)
+          match sampler_due l with
+          | Some s ->
+            fire s;
+            loop ()
+          | None -> eng.clock <- l))
+      else
+        match sampler_due t with
         | Some s ->
           fire s;
           loop ()
-        | None -> eng.clock <- l))
-    | Some ev -> (
-      match sampler_due ev.ev_time with
-      | Some s ->
-        fire s;
-        loop ()
-      | None ->
-        let ev = Pqueue.pop_exn eng.heap in
-        eng.clock <- ev.ev_time;
-        eng.n_events <- eng.n_events + 1;
-        ev.ev_run ();
-        loop ())
+        | None ->
+          let run = Pqueue.pop_exn eng.heap in
+          eng.clock <- t;
+          eng.n_events <- eng.n_events + 1;
+          run ();
+          loop ()
   in
   loop ()
 
@@ -322,14 +334,10 @@ let processes_spawned eng = eng.n_spawned
 let blocked_processes eng =
   List.map (fun p -> p.p_pid) (blocked_procs eng)
 
-let live_processes eng =
-  Hashtbl.fold
-    (fun _ p acc ->
-      match p.p_state with Done -> acc | Sched | Run | Blocked _ -> acc + 1)
-    eng.procs 0
+let live_processes eng = Itbl.length eng.procs
 
 let runnable_processes eng =
-  Hashtbl.fold
+  Itbl.fold
     (fun _ p acc ->
-      match p.p_state with Sched | Run -> acc + 1 | Blocked _ | Done -> acc)
+      match p.p_state with Sched | Run -> acc + 1 | Blocked _ -> acc)
     eng.procs 0

@@ -122,7 +122,8 @@ val set_daemon : t -> Pid.t -> unit
 (** Mark a process as expected to be blocked at end of run (server
     loops, coordinators).  Daemons are exempt from stall detection and
     stay suspended across successive {!run} calls, resuming when later
-    work wakes them. *)
+    work wakes them.  Marking a process that has already finished is a
+    no-op; a pid this engine never issued raises [Invalid_argument]. *)
 
 val events_processed : t -> int
 val processes_spawned : t -> int

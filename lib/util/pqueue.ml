@@ -1,100 +1,127 @@
 (* Entries carry an insertion sequence number so that equal keys pop in
-   FIFO order: determinism of the simulation depends on it. *)
-type 'a entry = { value : 'a; seq : int }
-
+   FIFO order: determinism of the simulation depends on it.  Heap
+   position [i] holds the entry ([keys.(i)], [seqs.(i)]) whose value
+   sits in [vals.(slots.(i))].  Sifting moves integers only: a store
+   into [vals] goes through the GC write barrier, so a value is written
+   once on push and cleared once on pop rather than at every level of
+   the heap.  The value slots not in use form a stack in
+   [free.(0 .. capacity - size - 1)]. *)
 type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a entry array;
+  dummy : 'a;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable vals : 'a array;
+  mutable free : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0; next_seq = 0 }
+let create ~dummy () =
+  {
+    dummy;
+    keys = [||];
+    seqs = [||];
+    slots = [||];
+    vals = [||];
+    free = [||];
+    size = 0;
+    next_seq = 0;
+  }
+
 let length h = h.size
 let is_empty h = h.size = 0
 
-let entry_cmp h a b =
-  let c = h.cmp a.value b.value in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
+(* Only called when full: every value slot is in use, so the free
+   stack becomes the new slots [cap .. ncap - 1], lowest on top. *)
 let grow h =
-  let cap = Array.length h.data in
-  if h.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    (* Element 0 of a non-empty heap seeds the new array; values beyond
-       [size] are never read. *)
-    let filler = h.data.(0) in
-    let ndata = Array.make ncap filler in
-    Array.blit h.data 0 ndata 0 h.size;
-    h.data <- ndata
-  end
+  let cap = Array.length h.keys in
+  let ncap = Int.max 16 (2 * cap) in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  h.keys <- extend h.keys 0;
+  h.seqs <- extend h.seqs 0;
+  h.slots <- extend h.slots 0;
+  h.vals <- extend h.vals h.dummy;
+  h.free <- Array.init ncap (fun i -> ncap - 1 - i)
 
-let rec sift_up h i =
-  if i > 0 then begin
+let[@inline] move (keys : int array) (seqs : int array) (slots : int array) ~src
+    ~dst =
+  Array.unsafe_set keys dst (Array.unsafe_get keys src);
+  Array.unsafe_set seqs dst (Array.unsafe_get seqs src);
+  Array.unsafe_set slots dst (Array.unsafe_get slots src)
+
+let[@inline] place (keys : int array) (seqs : int array) (slots : int array) i
+    (k : int) (s : int) (slot : int) =
+  Array.unsafe_set keys i k;
+  Array.unsafe_set seqs i s;
+  Array.unsafe_set slots i slot
+
+(* A new entry carries the largest sequence number so far, so it rises
+   past a parent only on a strictly smaller key. *)
+let rec sift_up keys seqs slots i k s slot =
+  if i = 0 then place keys seqs slots 0 k s slot
+  else
     let parent = (i - 1) / 2 in
-    if entry_cmp h h.data.(i) h.data.(parent) < 0 then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
+    if k < Array.unsafe_get keys parent then begin
+      move keys seqs slots ~src:parent ~dst:i;
+      sift_up keys seqs slots parent k s slot
     end
-  end
+    else place keys seqs slots i k s slot
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && entry_cmp h h.data.(l) h.data.(!smallest) < 0 then
-    smallest := l;
-  if r < h.size && entry_cmp h h.data.(r) h.data.(!smallest) < 0 then
-    smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+let[@inline] before (keys : int array) (seqs : int array) i j =
+  let ki : int = Array.unsafe_get keys i and kj = Array.unsafe_get keys j in
+  ki < kj
+  || (ki = kj && (Array.unsafe_get seqs i : int) < Array.unsafe_get seqs j)
 
-let push h v =
-  let e = { value = v; seq = h.next_seq } in
-  h.next_seq <- h.next_seq + 1;
-  if h.size = 0 && Array.length h.data = 0 then h.data <- Array.make 16 e;
-  grow h;
-  h.data.(h.size) <- e;
-  h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+let rec sift_down keys seqs slots size i k s slot =
+  let l = (2 * i) + 1 in
+  if l >= size then place keys seqs slots i k s slot
+  else
+    let r = l + 1 in
+    let c = if r < size && before keys seqs r l then r else l in
+    let kc : int = Array.unsafe_get keys c in
+    if kc < k || (kc = k && (Array.unsafe_get seqs c : int) < s) then begin
+      move keys seqs slots ~src:c ~dst:i;
+      sift_down keys seqs slots size c k s slot
+    end
+    else place keys seqs slots i k s slot
 
-let peek h = if h.size = 0 then None else Some h.data.(0).value
+let push h key v =
+  if h.size = Array.length h.keys then grow h;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let i = h.size in
+  h.size <- i + 1;
+  (* With [size] counting the new entry, the free stack's top is at
+     [capacity - size]. *)
+  let slot = Array.unsafe_get h.free (Array.length h.keys - h.size) in
+  Array.unsafe_set h.vals slot v;
+  sift_up h.keys h.seqs h.slots i key seq slot
+
+let min_key h =
+  if h.size = 0 then invalid_arg "Pqueue.min_key: empty heap";
+  Array.unsafe_get h.keys 0
+
+let pop_exn h =
+  if h.size = 0 then invalid_arg "Pqueue.pop_exn: empty heap";
+  let keys = h.keys and seqs = h.seqs and slots = h.slots in
+  let slot = Array.unsafe_get slots 0 in
+  let top = Array.unsafe_get h.vals slot in
+  Array.unsafe_set h.vals slot h.dummy;
+  Array.unsafe_set h.free (Array.length keys - h.size) slot;
+  let last = h.size - 1 in
+  h.size <- last;
+  if last > 0 then
+    sift_down keys seqs slots last 0 (Array.unsafe_get keys last)
+      (Array.unsafe_get seqs last) (Array.unsafe_get slots last);
+  top
 
 let pop h =
   if h.size = 0 then None
-  else begin
-    let top = h.data.(0).value in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
-    Some top
-  end
-
-let pop_exn h =
-  match pop h with
-  | Some v -> v
-  | None -> invalid_arg "Pqueue.pop_exn: empty heap"
-
-let clear h =
-  h.size <- 0;
-  h.data <- [||]
-
-let rec drain h f =
-  match pop h with
-  | None -> ()
-  | Some v ->
-    f v;
-    drain h f
-
-let to_list_unordered h =
-  let rec collect i acc =
-    if i < 0 then acc else collect (i - 1) (h.data.(i).value :: acc)
-  in
-  collect (h.size - 1) []
+  else
+    let k = Array.unsafe_get h.keys 0 in
+    Some (k, pop_exn h)

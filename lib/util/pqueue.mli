@@ -1,30 +1,32 @@
-(** Mutable binary min-heap priority queue.
+(** Mutable binary min-heap keyed by integers.
 
-    The heap is ordered by a comparison supplied at creation; ties are
-    broken by insertion order (FIFO among equal keys), which the event
-    loop relies on for determinism. *)
+    Entries are ordered by their [int] key, then by insertion order, so
+    entries with equal keys pop first-in first-out: the event loop
+    relies on this for determinism.  The heap is stored as parallel
+    integer arrays (key, insertion sequence, value slot) beside an
+    array of values, so pushing and popping compare and move plain
+    integers and allocate nothing beyond the occasional array growth. *)
 
 type 'a t
 
-val create : cmp:('a -> 'a -> int) -> 'a t
+val create : dummy:'a -> unit -> 'a t
+(** An empty heap.  [dummy] fills unused value slots, so a popped value
+    is not kept reachable by the heap. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> 'a -> unit
+val push : 'a t -> int -> 'a -> unit
+(** [push h key v] inserts [v] behind every entry whose key is [<= key]. *)
 
-val peek : 'a t -> 'a option
-(** Smallest element, if any, without removing it. *)
+val min_key : 'a t -> int
+(** Key of the entry {!pop_exn} would return next.  Raises
+    [Invalid_argument] on an empty heap. *)
 
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element. *)
+val pop : 'a t -> (int * 'a) option
+(** Remove and return the smallest entry with its key. *)
 
 val pop_exn : 'a t -> 'a
-(** Raises [Invalid_argument] on an empty heap. *)
-
-val clear : 'a t -> unit
-
-val drain : 'a t -> ('a -> unit) -> unit
-(** [drain h f] pops every element in order, applying [f] to each. *)
-
-val to_list_unordered : 'a t -> 'a list
-(** Snapshot of the contents, in unspecified order. *)
+(** Remove the smallest entry and return its value; read its key with
+    {!min_key} first when needed.  Raises [Invalid_argument] on an
+    empty heap. *)

@@ -5,6 +5,7 @@
 
 open Eden_kernel
 module Splitmix = Eden_util.Splitmix
+module Pqueue = Eden_util.Pqueue
 module Time = Eden_util.Time
 module Plan = Eden_fault.Plan
 
@@ -737,6 +738,69 @@ let topk_error_bounds =
                e.Eden_obs.Topk.e_err))
 
 (* ------------------------------------------------------------------ *)
+(* Event heap: (key, insertion order) against a sorted-list model *)
+
+(* Pushes and pops interleaved over a key space of four values, so most
+   entries tie with others.  The model is the list of live entries kept
+   sorted on (key, seq), where seq counts pushes; every pop — and the
+   final drain — must return the model's head.  Shrinking drops one
+   operation at a time. *)
+
+type heap_op = Push of int | Pop
+
+let show_heap_ops ops =
+  String.concat " "
+    (List.map (function Push k -> string_of_int k | Pop -> "pop") ops)
+
+let gen_heap_ops rng =
+  List.init
+    (1 + Splitmix.int rng 200)
+    (fun _ -> if Splitmix.int rng 3 = 0 then Pop else Push (Splitmix.int rng 4))
+
+let shrink_heap_ops ops =
+  List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) ops) ops
+
+let heap_matches_model =
+  Prop.case ~name:"Pqueue pops in (key, seq) order" ~base:0xA110_0010L
+    ~gen:gen_heap_ops ~shrink:shrink_heap_ops ~show:show_heap_ops (fun ops ->
+      let h = Pqueue.create ~dummy:(-1) () in
+      let model = ref [] and seq = ref 0 in
+      let err = ref None in
+      let fail fmt =
+        Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt
+      in
+      let expect_pop got =
+        match (!model, got) with
+        | [], None -> ()
+        | (k, s) :: rest, Some (k', s') when k = k' && s = s' -> model := rest
+        | (k, s) :: _, Some (k', s') ->
+          fail "popped (%d, %d), model head (%d, %d)" k' s' k s
+        | [], Some (k', s') -> fail "popped (%d, %d) from an empty model" k' s'
+        | (k, s) :: _, None -> fail "heap empty, model head (%d, %d)" k s
+      in
+      List.iter
+        (function
+          | Push k ->
+            (* The value is the push's seq, so a pop names its entry. *)
+            Pqueue.push h k !seq;
+            model :=
+              List.merge
+                (fun (k1, s1) (k2, s2) ->
+                  let c = Int.compare k1 k2 in
+                  if c <> 0 then c else Int.compare s1 s2)
+                !model [ (k, !seq) ];
+            incr seq
+          | Pop -> expect_pop (Pqueue.pop h))
+        ops;
+      if Pqueue.length h <> List.length !model then
+        fail "length %d, model %d" (Pqueue.length h) (List.length !model);
+      while not (Pqueue.is_empty h) do
+        expect_pop (Pqueue.pop h)
+      done;
+      expect_pop None;
+      match !err with Some m -> Error m | None -> Ok ())
+
+(* ------------------------------------------------------------------ *)
 (* Directory ring: placement balance and minimal remapping *)
 
 (* A random membership: 2..16 distinct node ids drawn from 0..63 —
@@ -908,6 +972,7 @@ let () =
       ("traced", [ traced_roundtrip ]);
       ("fault_plan", [ plan_roundtrip ]);
       ("health", [ window_merge_algebra; topk_error_bounds ]);
+      ("pqueue", [ heap_matches_model ]);
       ( "directory",
         [
           ring_balance;

@@ -206,6 +206,183 @@ let test_kill_then_wake_is_noop () =
   check_bool "not resumed" false !resumed
 
 (* ------------------------------------------------------------------ *)
+(* Schedule fingerprint *)
+
+(* A fixed-seed scenario that touches every way an event enters the
+   heap: process starts (one killed before it starts), delays including
+   zero, equal-time ties, timed waits that expire and timed waits woken
+   first, kills of a scheduled and of a blocked process, plain
+   callbacks, a stall at idle, and the periodic sampler.  Every piece of
+   code the engine dispatches folds (clock, who) into a hash, and the
+   final event count, clock and process counts are folded in last, so
+   any change to the order or timing of events changes the value.
+   [seen] counts the paths taken, so the test can check that each one
+   was exercised. *)
+let schedule_fingerprint () =
+  let seen = Hashtbl.create 8 in
+  let count what = Option.value ~default:0 (Hashtbl.find_opt seen what) in
+  let saw what = Hashtbl.replace seen what (1 + count what) in
+  let eng = Engine.create ~seed:7L () in
+  let rng = Engine.fork_rng eng in
+  let h = ref 0x5eed in
+  let mix x = h := ((!h * 1_000_003) lxor x) land max_int in
+  let note who =
+    mix (Time.to_ns (Engine.now eng));
+    mix who
+  in
+  let here () = note (Engine.Pid.to_int (Engine.self ())) in
+  let waiting = Queue.create () in
+  let sleeper () =
+    here ();
+    for _ = 1 to 8 do
+      let timeout = Time.us (1 + Splitmix.int rng 40) in
+      (match Engine.suspend ~timeout (fun hd -> Queue.push hd waiting) with
+      | Engine.Woken ->
+        saw "woken";
+        mix 1
+      | Engine.Timed_out ->
+        saw "timed out";
+        mix 2);
+      here ()
+    done
+  in
+  for _ = 1 to 4 do
+    ignore (Engine.spawn eng ~name:"sleeper" sleeper)
+  done;
+  let waker () =
+    for _ = 1 to 40 do
+      (* Zero delays included: a gap of 0 re-queues at the same instant. *)
+      let gap = Splitmix.int rng 12 in
+      if gap = 0 then saw "zero delay";
+      Engine.delay (Time.us gap);
+      (match Queue.take_opt waiting with
+      | Some hd -> Engine.wake eng hd
+      | None -> ());
+      here ()
+    done
+  in
+  ignore (Engine.spawn eng ~name:"waker" waker);
+  (* Equal-time ties: three tickers in lock step, plus callbacks queued
+     for the same instants. *)
+  for _ = 1 to 3 do
+    ignore
+      (Engine.spawn eng ~name:"ticker" ~at:(Time.us 10) (fun () ->
+           for _ = 1 to 6 do
+             here ();
+             Engine.delay (Time.us 5);
+             Engine.yield ()
+           done))
+  done;
+  for i = 1 to 5 do
+    Engine.schedule eng ~after:(Time.us (5 * i)) (fun () -> note (-1))
+  done;
+  (* Killed before it starts (Sched). *)
+  let unborn =
+    Engine.spawn eng ~name:"unborn" ~at:(Time.us 30) (fun () ->
+        saw "unborn ran";
+        here ())
+  in
+  (* Woken, then killed before its resume event runs (Sched again). *)
+  let cond = Condition.create eng in
+  let woken_victim =
+    Engine.spawn eng ~name:"woken" (fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            saw "sched killed";
+            note (-3))
+          (fun () ->
+            ignore (Condition.await cond);
+            saw "woken ran";
+            here ()))
+  in
+  (* Blocked with no timeout, killed while blocked. *)
+  let blocked_victim =
+    Engine.spawn eng ~name:"blocked" (fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            saw "blocked killed";
+            note (-4))
+          (fun () -> ignore (Engine.suspend (fun _ -> ()))))
+  in
+  (* Stalled at idle: resumed with [Stalled_waiting], which it catches. *)
+  ignore
+    (Engine.spawn eng ~name:"stalled" (fun () ->
+         match Engine.suspend (fun _ -> ()) with
+         | exception Engine.Stalled_waiting ->
+           saw "stalled";
+           note (-5)
+         | _ -> ()));
+  ignore
+    (Engine.spawn eng ~name:"killer" (fun () ->
+         Engine.delay (Time.us 20);
+         Engine.kill eng unborn;
+         Condition.signal cond;
+         Engine.kill eng woken_victim;
+         Engine.delay (Time.us 7);
+         Engine.kill eng blocked_victim;
+         here ()));
+  Engine.every eng ~interval:(Time.us 9) (fun () ->
+      saw "sampler";
+      note (-2));
+  Engine.run ~until:(Time.us 50) eng;
+  mix (Engine.live_processes eng);
+  mix (Engine.runnable_processes eng);
+  Engine.run eng;
+  mix (Engine.events_processed eng);
+  mix (Engine.processes_spawned eng);
+  mix (Engine.live_processes eng);
+  mix (Time.to_ns (Engine.now eng));
+  (!h, count)
+
+(* The expected value is pinned: a change to the engine's internals
+   must dispatch this scenario's exact schedule. *)
+let test_schedule_fingerprint () =
+  let fp, count = schedule_fingerprint () in
+  List.iter
+    (fun what -> check_bool what true (count what > 0))
+    [ "woken"; "timed out"; "zero delay"; "sched killed"; "blocked killed";
+      "stalled"; "sampler" ];
+  List.iter
+    (fun what -> check_int what 0 (count what))
+    [ "unborn ran"; "woken ran" ];
+  check_int "fingerprint" 2268230655879823216 fp;
+  check_int "repeatable" fp (fst (schedule_fingerprint ()))
+
+let test_finished_process_forgotten () =
+  let eng = Engine.create () in
+  let short = Engine.spawn eng (fun () -> Engine.delay (t_ms 1)) in
+  let long = Engine.spawn eng (fun () -> Engine.delay (t_ms 5)) in
+  let cond = Condition.create eng in
+  let daemon = Engine.spawn eng (fun () -> ignore (Condition.await cond)) in
+  Engine.set_daemon eng daemon;
+  let unborn = Engine.spawn eng ~at:(t_ms 3) (fun () -> ()) in
+  Engine.kill eng unborn;
+  check_int "live before run" 4 (Engine.live_processes eng);
+  Engine.run ~until:(t_ms 2) eng;
+  check_bool "finished not alive" false (Engine.alive eng short);
+  check_bool "running alive" true (Engine.alive eng long);
+  check_int "live mid-run" 3 (Engine.live_processes eng);
+  Engine.kill eng short;
+  check_int "kill of finished is a no-op" 3 (Engine.live_processes eng);
+  Engine.set_daemon eng short;
+  Engine.run eng;
+  check_bool "killed before start not alive" false (Engine.alive eng unborn);
+  check_int "only the daemon left" 1 (Engine.live_processes eng);
+  Alcotest.(check (list int))
+    "blocked" [ Engine.Pid.to_int daemon ]
+    (List.map Engine.Pid.to_int (Engine.blocked_processes eng));
+  check_int "spawned" 4 (Engine.processes_spawned eng);
+  (* A pid this engine never issued is still rejected. *)
+  let other = Engine.create () in
+  let foreign = ref short in
+  for _ = 1 to 10 do
+    foreign := Engine.spawn other (fun () -> ())
+  done;
+  Alcotest.check_raises "unknown pid"
+    (Invalid_argument "Engine.set_daemon: unknown process") (fun () ->
+      Engine.set_daemon eng !foreign)
+
+(* ------------------------------------------------------------------ *)
 (* Deadlock detection and daemons *)
 
 let test_stall_detected () =
@@ -790,6 +967,12 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_kill_idempotent;
           Alcotest.test_case "kill then wake" `Quick
             test_kill_then_wake_is_noop;
+        ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "fingerprint" `Quick test_schedule_fingerprint;
+          Alcotest.test_case "finished process forgotten" `Quick
+            test_finished_process_forgotten;
         ] );
       ( "stall",
         [

@@ -113,34 +113,41 @@ let test_splitmix_shuffle_permutes () =
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
 
+(* Every (key, value) in pop order, emptying the heap. *)
+let rec drain h =
+  match Pqueue.pop h with None -> [] | Some kv -> kv :: drain h
+
+let drain_values h = List.map snd (drain h)
+
 let test_pqueue_order () =
-  let h = Pqueue.create ~cmp:Int.compare in
-  List.iter (Pqueue.push h) [ 5; 1; 4; 1; 3 ];
-  let out = ref [] in
-  Pqueue.drain h (fun v -> out := v :: !out);
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (List.rev !out)
+  let h = Pqueue.create ~dummy:0 () in
+  List.iter (fun k -> Pqueue.push h k k) [ 5; 1; 4; 1; 3 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (drain_values h)
 
 let test_pqueue_fifo_ties () =
   (* Equal keys must pop in insertion order. *)
-  let h = Pqueue.create ~cmp:(fun (a, _) (b, _) -> Int.compare a b) in
-  List.iter (Pqueue.push h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  let labels = ref [] in
-  Pqueue.drain h (fun (_, l) -> labels := l :: !labels);
+  let h = Pqueue.create ~dummy:"" () in
+  List.iter
+    (fun (k, l) -> Pqueue.push h k l)
+    [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
   Alcotest.(check (list string))
     "fifo among equals"
     [ "z"; "a"; "b"; "c" ]
-    (List.rev !labels)
+    (drain_values h)
 
 let test_pqueue_basics () =
-  let h = Pqueue.create ~cmp:Int.compare in
+  let h = Pqueue.create ~dummy:"" () in
   check_bool "empty" true (Pqueue.is_empty h);
-  Alcotest.(check (option int)) "peek empty" None (Pqueue.peek h);
-  Alcotest.(check (option int)) "pop empty" None (Pqueue.pop h);
-  Pqueue.push h 9;
-  Alcotest.(check (option int)) "peek" (Some 9) (Pqueue.peek h);
+  Alcotest.(check (option (pair int string))) "pop empty" None (Pqueue.pop h);
+  Alcotest.check_raises "min_key empty"
+    (Invalid_argument "Pqueue.min_key: empty heap") (fun () ->
+      ignore (Pqueue.min_key h));
+  Pqueue.push h 9 "nine";
+  check_int "min_key" 9 (Pqueue.min_key h);
   check_int "length" 1 (Pqueue.length h);
-  Pqueue.clear h;
-  check_bool "cleared" true (Pqueue.is_empty h);
+  Alcotest.(check (option (pair int string)))
+    "pop" (Some (9, "nine")) (Pqueue.pop h);
+  check_bool "emptied" true (Pqueue.is_empty h);
   Alcotest.check_raises "pop_exn empty"
     (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
       ignore (Pqueue.pop_exn h))
@@ -149,11 +156,11 @@ let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains sorted" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Pqueue.create ~cmp:Int.compare in
-      List.iter (Pqueue.push h) xs;
-      let out = ref [] in
-      Pqueue.drain h (fun v -> out := v :: !out);
-      List.rev !out = List.sort Int.compare xs)
+      let h = Pqueue.create ~dummy:0 () in
+      List.iter (fun k -> Pqueue.push h k k) xs;
+      let out = drain h in
+      List.for_all (fun (k, v) -> k = v) out
+      && List.map fst out = List.sort Int.compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Fifo *)
