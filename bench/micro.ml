@@ -1,4 +1,4 @@
-(* M1-M6 — Bechamel microbenchmarks of the substrate itself: real
+(* M1-M9 — Bechamel microbenchmarks of the substrate itself: real
    wall-clock cost per operation of the simulator's hot paths.  These
    are not simulated-time experiments; they justify trusting the
    experiment harness to run large configurations. *)
@@ -103,12 +103,53 @@ let m7_full_stack =
          in
          Cluster.run cl))
 
+(* M8: one 256 B unicast frame through the MAC on an idle two-station
+   cable, engine drained.  The cable is rebuilt every 1024 frames,
+   because its latency statistics keep every sample. *)
+let m8_lan_unicast =
+  let open Eden_net in
+  let fresh () =
+    let eng = Engine.create () in
+    let lan = Lan.create eng in
+    let src = Lan.attach lan ~name:"a" in
+    Lan.on_receive (Lan.attach lan ~name:"b") ignore;
+    Engine.run eng;
+    (eng, src)
+  in
+  let cable = ref (fresh ()) and frames = ref 0 in
+  Test.make ~name:"M8 Lan unicast frame"
+    (Staged.stage (fun () ->
+         if !frames = 1024 then begin
+           cable := fresh ();
+           frames := 0
+         end;
+         incr frames;
+         let eng, src = !cable in
+         Lan.send src ~dest:(Lan.Unicast 1) ~bytes:256 ();
+         Engine.run eng))
+
+(* M9: an invocation span's lifecycle — start, four phase changes,
+   finish — on a collector retaining the default 4096 records. *)
+let m9_span =
+  let open Eden_obs in
+  let col = Span.create ~keep:4096 () in
+  Test.make ~name:"M9 span lifecycle"
+    (Staged.stage (fun () ->
+         let sp =
+           Span.start col ~op:"work" ~target:"obj" ~origin:0 ~at:Time.zero ()
+         in
+         Span.enter sp Span.Transport ~at:(Time.us 1);
+         Span.enter sp Span.Queue ~at:(Time.us 2);
+         Span.enter sp Span.Execute ~at:(Time.us 3);
+         Span.enter sp Span.Reply ~at:(Time.us 4);
+         Span.finish sp ~outcome:"ok" ~at:(Time.us 5)))
+
 let tests =
   [ m1_engine_event; m2_process; m3_semaphore; m4_pqueue; m5_value_size;
-    m6_splitmix; m7_full_stack ]
+    m6_splitmix; m7_full_stack; m8_lan_unicast; m9_span ]
 
 let run () =
-  Common.heading "M1-M6" "substrate microbenchmarks (real time, Bechamel)";
+  Common.heading "M1-M9" "substrate microbenchmarks (real time, Bechamel)";
   let cfg =
     Benchmark.cfg ~limit:500
       ~quota:(Bechamel.Time.second 0.25)

@@ -955,7 +955,7 @@ and start_invocation_admitted cl obj spec w =
   in
   let pid =
     Engine.spawn cl.eng
-      ~name:(Printf.sprintf "%s.%s" (Name.to_string obj.ob_name) w.w_op)
+      ~name:(Name.to_string obj.ob_name ^ "." ^ w.w_op)
       (fun () ->
         let self = Engine.self () in
         Fun.protect
@@ -1589,9 +1589,16 @@ let do_checkpoint_async cl obj =
     end
   end
 
-(* Collect every request the object is holding, in admission order. *)
+(* Collect every request the object is holding, in admission order.
+   In-flight works are ordered by pid, which is their start order: the
+   table's bucket order would tie the crash, move and drain paths to
+   how pids hash. *)
 let outstanding_works obj =
-  let inflight = Hashtbl.fold (fun _ w acc -> w :: acc) obj.ob_inflight [] in
+  let inflight =
+    Hashtbl.fold (fun pid w acc -> (pid, w) :: acc) obj.ob_inflight []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
   let queued =
     Hashtbl.fold (fun _ q acc -> Fifo.to_list q @ acc) obj.ob_class_queue []
   in

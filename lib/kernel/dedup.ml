@@ -11,6 +11,8 @@
    node's sequence counter starts at zero, so sequences collide across
    origins constantly; keying by sequence alone would let one
    requester's bookkeeping retract another requester's queued work.
+   The pair is packed into one int, origin above bit 40, so a key is
+   an immediate: no tuple per request and no polymorphic hash.
 
    The table is bounded: keys are remembered in arrival order and the
    oldest is evicted once the cap is reached.  Sequences are monotonic
@@ -37,18 +39,18 @@ type state =
   | Started
   | Cancelled
 
-type key = int * int
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
   cap : int;
   ttl : int;  (* lease for Cancelled-only entries, ns; 0 = never expire *)
   now : unit -> Eden_util.Time.t;
-  tbl : (key, state) Hashtbl.t;
-  order : key Queue.t;
+  tbl : state Itbl.t;
+  order : int Queue.t;
   (* Orphan-cancel leases, expiry order = push order (the clock is
      monotonic).  A key may appear here while its table entry has
      moved on; the state is re-checked at reclaim time. *)
-  tombs : (int * key) Queue.t;
+  tombs : (int * int) Queue.t;
 }
 
 let create ?(ttl = Eden_util.Time.zero) ?(now = fun () -> Eden_util.Time.zero)
@@ -60,12 +62,20 @@ let create ?(ttl = Eden_util.Time.zero) ?(now = fun () -> Eden_util.Time.zero)
     cap;
     ttl = Eden_util.Time.to_ns ttl;
     now;
-    tbl = Hashtbl.create (min cap 256);
+    tbl = Itbl.create (min cap 256);
     order = Queue.create ();
     tombs = Queue.create ();
   }
 
-let key (id : Message.request_id) = (id.Message.origin, id.Message.seq)
+let seq_bits = 40
+let origin_bits = Sys.int_size - 1 - seq_bits
+
+let key (id : Message.request_id) =
+  let { Message.origin; seq } = id in
+  if origin < 0 || origin lsr origin_bits <> 0 || seq < 0
+     || seq lsr seq_bits <> 0
+  then invalid_arg "Dedup: request id out of range";
+  (origin lsl seq_bits) lor seq
 
 (* Reclaim expired tombstones.  Amortised O(1): each lease is pushed
    once and popped once, and the queue is expiry-ordered, so the loop
@@ -77,8 +87,8 @@ let sweep t =
       match Queue.peek_opt t.tombs with
       | Some (expiry, k) when expiry <= now_ns ->
         ignore (Queue.pop t.tombs);
-        (match Hashtbl.find_opt t.tbl k with
-        | Some Cancelled -> Hashtbl.remove t.tbl k
+        (match Itbl.find_opt t.tbl k with
+        | Some Cancelled -> Itbl.remove t.tbl k
         | Some (Queued | Started) | None -> ());
         go ()
       | Some _ | None -> ()
@@ -98,22 +108,22 @@ let rec evict_one t =
   match Queue.take_opt t.order with
   | None -> ()
   | Some oldest ->
-    if Hashtbl.mem t.tbl oldest then Hashtbl.remove t.tbl oldest
+    if Itbl.mem t.tbl oldest then Itbl.remove t.tbl oldest
     else evict_one t
 
 (* [order] holds each live key at least once, oldest first: keys are
    enqueued on insertion and leave the table via eviction, or via a
    tombstone lease running out. *)
 let set t k st =
-  if not (Hashtbl.mem t.tbl k) then begin
-    if Hashtbl.length t.tbl >= t.cap then evict_one t;
+  if not (Itbl.mem t.tbl k) then begin
+    if Itbl.length t.tbl >= t.cap then evict_one t;
     Queue.push k t.order
   end;
-  Hashtbl.replace t.tbl k st
+  Itbl.replace t.tbl k st
 
 let find t id =
   sweep t;
-  Hashtbl.find_opt t.tbl (key id)
+  Itbl.find_opt t.tbl (key id)
 
 let note_queued t id =
   sweep t;
@@ -122,7 +132,7 @@ let note_queued t id =
 let start t id =
   sweep t;
   let k = key id in
-  match Hashtbl.find_opt t.tbl k with
+  match Itbl.find_opt t.tbl k with
   | Some Cancelled -> `Retracted
   | Some (Queued | Started) | None ->
     set t k Started;
@@ -131,7 +141,7 @@ let start t id =
 let cancel t id =
   sweep t;
   let k = key id in
-  match Hashtbl.find_opt t.tbl k with
+  match Itbl.find_opt t.tbl k with
   | Some Queued ->
     set t k Cancelled;
     lease t k;
@@ -147,9 +157,9 @@ let cancel t id =
 
 let size t =
   sweep t;
-  Hashtbl.length t.tbl
+  Itbl.length t.tbl
 
 let reset t =
-  Hashtbl.reset t.tbl;
+  Itbl.reset t.tbl;
   Queue.clear t.order;
   Queue.clear t.tombs

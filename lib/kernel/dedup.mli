@@ -17,7 +17,9 @@
     progressed past [Cancelled] are never touched.
 
     One table per node, volatile: {!reset} on crash.  All operations
-    are amortised O(1). *)
+    are amortised O(1).  Every operation taking a request id raises
+    [Invalid_argument] unless its origin lies in [0, 2{^22}) and its
+    sequence in [0, 2{^40}): the pair is packed into one int key. *)
 
 type t
 

@@ -23,24 +23,30 @@ type counters = {
   backoffs : int;
 }
 
+(* A station's transmit queue.  The MAC holds at most one of its frames
+   at a time, as an [attempt]; the rest wait here.  [st_parked] is set
+   when the station is powered on with nothing to send, so the next
+   {!send} must start the MAC itself. *)
 type 'a station = {
   st_lan : 'a t;
   st_addr : int;
   st_name : string;
-  st_tx : 'a frame Mailbox.t;
+  st_queue : 'a frame Fifo.t;
+  mutable st_parked : bool;
   mutable st_receive : ('a frame -> unit) option;
 }
 
-and 'a contender = { c_addr : int; mutable c_won : bool; c_h : Engine.handle }
+(* One frame inside the MAC: its station and the attempt number. *)
+and 'a attempt = { a_st : 'a station; a_frame : 'a frame; a_n : int }
 
 and 'a t = {
   eng : Engine.t;
   prm : Params.t;
   rng : Splitmix.t;
   mutable stations : 'a station array;
-  idle_cond : Condition.t;
+  waiters : 'a attempt Fifo.t;  (** sensed a busy medium, in arrival order *)
   mutable state : medium_state;
-  mutable window : 'a contender list;  (** contenders in the open window *)
+  mutable window : 'a attempt list;  (** contenders in the open window, newest first *)
   mutable busy : Time.t;
   mutable c_sent : int;
   mutable c_broadcast : int;
@@ -60,7 +66,7 @@ let create ?(params = Params.default) eng =
     prm = params;
     rng = Engine.fork_rng eng;
     stations = [||];
-    idle_cond = Condition.create eng;
+    waiters = Fifo.create ();
     state = Idle;
     window = [];
     busy = Time.zero;
@@ -104,93 +110,91 @@ let schedule_delivery lan frame =
           (fun st -> if st.st_addr <> frame.src then deliver lan frame st.st_addr)
           lan.stations)
 
-(* The window-close event: decide who owns the medium. *)
-let close_window lan =
-  let contenders = lan.window in
+(* The MAC is a state machine driven by engine events: every step
+   below runs as one event, and each step schedules the next, so a
+   frame's path through carrier sense, contention, backoff and
+   transmission costs exactly one event per step and no process. *)
+
+(* Carrier sense.  A busy medium queues the attempt until the medium
+   goes idle; otherwise it joins the contention window, opening one if
+   the medium was idle. *)
+let rec sense lan a =
+  match lan.state with
+  | Busy -> Fifo.push_exn lan.waiters a
+  | Idle ->
+    lan.state <- Contending;
+    Engine.schedule lan.eng ~after:lan.prm.slot (fun () -> close_window lan);
+    lan.window <- [ a ]
+  | Contending -> lan.window <- a :: lan.window
+
+(* The medium went idle: every waiter senses again, in arrival order,
+   one event each. *)
+and wake_waiters lan =
+  match Fifo.pop lan.waiters with
+  | None -> ()
+  | Some a ->
+    Engine.schedule lan.eng (fun () -> sense lan a);
+    wake_waiters lan
+
+(* The window-close event: decide who owns the medium.  The station
+   that opened the window joined it in the same event, so it is never
+   empty. *)
+and close_window lan =
+  let newest_first = lan.window in
   lan.window <- [];
-  match contenders with
-  | [] ->
-    (* All contenders were killed before the window closed. *)
-    lan.state <- Idle;
-    Condition.broadcast lan.idle_cond
-  | [ c ] ->
-    c.c_won <- true;
-    lan.state <- Busy;
-    Engine.wake lan.eng c.c_h
-  | several ->
+  lan.state <- Busy;
+  match newest_first with
+  | [ a ] -> Engine.schedule lan.eng (fun () -> transmit lan a)
+  | _ ->
+    let several = List.rev newest_first in
     lan.c_collisions <- lan.c_collisions + 1;
     tracef lan "collision among %d stations" (List.length several);
-    lan.state <- Busy;
     Engine.schedule lan.eng ~after:lan.prm.jam (fun () ->
         lan.state <- Idle;
-        Condition.broadcast lan.idle_cond);
-    List.iter (fun c -> Engine.wake lan.eng c.c_h) several
+        wake_waiters lan);
+    List.iter
+      (fun a -> Engine.schedule lan.eng (fun () -> collided lan a))
+      several
 
-(* The MAC protocol, run by a station's transmitter process for one
-   frame.  Returns [true] on successful transmission. *)
-let rec mac_transmit lan st frame ~attempt =
-  (* Carrier sense. *)
-  (match lan.state with
-  | Busy ->
-    ignore (Condition.await lan.idle_cond);
-    ()
-  | Idle | Contending -> ());
-  match lan.state with
-  | Busy -> mac_transmit lan st frame ~attempt (* lost the race; sense again *)
-  | Idle | Contending ->
-    if lan.state = Idle then begin
-      lan.state <- Contending;
-      Engine.schedule lan.eng ~after:lan.prm.slot (fun () -> close_window lan)
-    end;
-    let cell = ref None in
-    (match
-       Engine.suspend (fun h ->
-           let c = { c_addr = st.st_addr; c_won = false; c_h = h } in
-           cell := Some c;
-           lan.window <- lan.window @ [ c ])
-     with
-    | Engine.Timed_out -> assert false (* no timeout was requested *)
-    | Engine.Woken -> ());
-    let won = match !cell with Some c -> c.c_won | None -> false in
-    if won then begin
-      (* The contention slot already elapsed; occupy the medium for the
-         remainder of the frame, then release it and deliver. *)
-      let ft = Params.frame_time lan.prm ~payload_bytes:frame.bytes in
-      let remainder =
-        if Time.(ft > lan.prm.slot) then Time.diff ft lan.prm.slot
-        else Time.zero
-      in
-      Engine.delay remainder;
+(* The winner: the contention slot already elapsed, so occupy the
+   medium for the remainder of the frame, then release it and
+   deliver. *)
+and transmit lan a =
+  let ft = Params.frame_time lan.prm ~payload_bytes:a.a_frame.bytes in
+  let remainder =
+    if Time.(ft > lan.prm.slot) then Time.diff ft lan.prm.slot else Time.zero
+  in
+  Engine.schedule lan.eng ~after:remainder (fun () ->
       lan.busy <- Time.add lan.busy ft;
       lan.state <- Idle;
-      Condition.broadcast lan.idle_cond;
-      schedule_delivery lan frame;
-      true
-    end
-    else if attempt >= lan.prm.max_attempts then begin
-      lan.c_dropped <- lan.c_dropped + 1;
-      tracef lan "station %d dropped frame after %d attempts" st.st_addr
-        attempt;
-      false
-    end
-    else begin
-      lan.c_backoffs <- lan.c_backoffs + 1;
-      let exponent = Stdlib.min attempt lan.prm.backoff_limit in
-      let window_slots = (1 lsl exponent) - 1 in
-      let k = if window_slots = 0 then 0 else Splitmix.int lan.rng (window_slots + 1) in
-      Engine.delay (Time.scale lan.prm.slot k);
-      mac_transmit lan st frame ~attempt:(attempt + 1)
-    end
+      wake_waiters lan;
+      schedule_delivery lan a.a_frame;
+      next_frame a.a_st)
 
-let transmitter_loop lan st () =
-  let rec loop () =
-    match Mailbox.recv st.st_tx with
-    | None -> loop () (* no timeout requested; cannot happen *)
-    | Some frame ->
-      ignore (mac_transmit lan st frame ~attempt:1);
-      loop ()
-  in
-  loop ()
+(* A collider backs off a random number of slots, or drops the frame
+   once it has used its attempts. *)
+and collided lan a =
+  if a.a_n >= lan.prm.max_attempts then begin
+    lan.c_dropped <- lan.c_dropped + 1;
+    tracef lan "station %d dropped frame after %d attempts" a.a_st.st_addr
+      a.a_n;
+    next_frame a.a_st
+  end
+  else begin
+    lan.c_backoffs <- lan.c_backoffs + 1;
+    let exponent = Stdlib.min a.a_n lan.prm.backoff_limit in
+    let window_slots = (1 lsl exponent) - 1 in
+    let k = if window_slots = 0 then 0 else Splitmix.int lan.rng (window_slots + 1) in
+    Engine.schedule lan.eng ~after:(Time.scale lan.prm.slot k) (fun () ->
+        sense lan { a with a_n = a.a_n + 1 })
+  end
+
+(* The station is done with its frame: start the next queued one in
+   the same event, or park until {!send} brings one. *)
+and next_frame st =
+  match Fifo.pop st.st_queue with
+  | Some frame -> sense st.st_lan { a_st = st; a_frame = frame; a_n = 1 }
+  | None -> st.st_parked <- true
 
 let attach lan ~name =
   let addr = Array.length lan.stations in
@@ -199,16 +203,15 @@ let attach lan ~name =
       st_lan = lan;
       st_addr = addr;
       st_name = name;
-      st_tx = Mailbox.create lan.eng;
+      st_queue = Fifo.create ();
+      st_parked = false;
       st_receive = None;
     }
   in
   lan.stations <- Array.append lan.stations [| st |];
-  let pid =
-    Engine.spawn lan.eng ~name:(Printf.sprintf "tx:%s" name)
-      (transmitter_loop lan st)
-  in
-  Engine.set_daemon lan.eng pid;
+  (* Power-on: until this event runs, frames sent to the station
+     queue up. *)
+  Engine.schedule lan.eng (fun () -> next_frame st);
   st
 
 let send st ~dest ~bytes payload =
@@ -225,9 +228,12 @@ let send st ~dest ~bytes payload =
   let frame =
     { src = st.st_addr; dest; bytes; payload; sent_at = Engine.now lan.eng }
   in
-  let accepted = Mailbox.try_send st.st_tx frame in
-  (* The transmit queue is unbounded, so acceptance cannot fail. *)
-  assert accepted
+  if st.st_parked then begin
+    st.st_parked <- false;
+    Engine.schedule lan.eng (fun () ->
+        sense lan { a_st = st; a_frame = frame; a_n = 1 })
+  end
+  else Fifo.push_exn st.st_queue frame
 
 let counters lan =
   {

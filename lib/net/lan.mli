@@ -7,8 +7,17 @@
     backoff window and tries again.  A frame is dropped after
     [max_attempts] failures.
 
-    Each attached station owns an unbounded transmit queue drained by a
-    background transmitter process, so {!send} never blocks the caller.
+    Each attached station owns an unbounded transmit queue, so {!send}
+    never blocks the caller.  The MAC is a state machine driven by
+    engine events, not a process per station: each step — a station
+    powering on or taking a frame, carrier sense, the close of a
+    contention window, the end of a jam, a backoff, the end of a frame
+    — runs as one event and schedules the next.  A station sends one
+    frame at a time, in queue order; stations that sense a busy medium
+    sense again, in arrival order, when it next goes idle.  Frames sent
+    before the engine runs the station's power-on event wait in its
+    queue.
+
     Delivery invokes the receiver callback registered with
     {!on_receive} one propagation delay after the frame leaves the
     wire; the callback must not block (hand the frame to a mailbox for

@@ -41,13 +41,12 @@ type info = {
   i_outcome : string;
   i_start : Time.t;
   i_finish : Time.t;
-  i_phases : (phase * Time.t) list;
+  i_phases : Time.t array;
 }
 
 let info_duration i = Time.diff i.i_finish i.i_start
 
-let info_phase i p =
-  match List.assoc_opt p i.i_phases with Some t -> t | None -> Time.zero
+let info_phase i p = i.i_phases.(phase_index p)
 
 let info_to_json i =
   Json.Obj
@@ -65,8 +64,8 @@ let info_to_json i =
       ( "phases_ns",
         Json.Obj
           (List.map
-             (fun (p, t) -> (phase_name p, Json.Int (Time.to_ns t)))
-             i.i_phases) );
+             (fun p -> (phase_name p, Json.Int (Time.to_ns (info_phase i p))))
+             phases) );
     ]
 
 let info_of_json j =
@@ -92,14 +91,15 @@ let info_of_json j =
   let* ph =
     match Json.member "phases_ns" j with
     | Some (Json.Obj fields) ->
+      let ph = Array.make n_phases Time.zero in
       List.fold_left
         (fun acc (k, v) ->
-          let* acc = acc in
+          let* () = acc in
           match (phase_of_name k, Json.to_int v) with
-          | Some p, Some ns -> Ok ((p, Time.ns ns) :: acc)
+          | Some p, Some ns -> Ok (ph.(phase_index p) <- Time.ns ns)
           | _ -> Error (Printf.sprintf "span: bad phase entry %S" k))
-        (Ok []) fields
-      |> Result.map List.rev
+        (Ok ()) fields
+      |> Result.map (fun () -> ph)
     | _ -> Error "span: missing phases_ns"
   in
   Ok
@@ -211,7 +211,9 @@ let to_info t ~outcome ~at =
     i_outcome = outcome;
     i_start = t.sp_start;
     i_finish = at;
-    i_phases = List.map (fun p -> (p, t.sp_acc.(phase_index p))) phases;
+    (* Only [finish] builds an info, and a sealed span's accumulator
+       never changes again, so the record can keep it. *)
+    i_phases = t.sp_acc;
   }
 
 let finish t ~outcome ~at =

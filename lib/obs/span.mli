@@ -32,6 +32,9 @@ type phase = Locate | Transport | Queue | Dispatch | Execute | Reply
 val phases : phase list
 (** In canonical order. *)
 
+val phase_index : phase -> int
+(** Position in {!phases}, from 0: the slot of {!info.i_phases}. *)
+
 val phase_name : phase -> string
 val phase_of_name : string -> phase option
 
@@ -45,9 +48,12 @@ type info = {
   i_outcome : string;  (** ["ok"] or an error tag *)
   i_start : Eden_util.Time.t;
   i_finish : Eden_util.Time.t;
-  i_phases : (phase * Eden_util.Time.t) list;  (** canonical order *)
+  i_phases : Eden_util.Time.t array;
+      (** time in each phase, indexed by {!phase_index} *)
 }
-(** The immutable record of a finished span. *)
+(** The record of a finished span.  Treat it as immutable: the
+    collector keeps it, and [i_phases] is shared with the sealed
+    span. *)
 
 val info_duration : info -> Eden_util.Time.t
 val info_phase : info -> phase -> Eden_util.Time.t

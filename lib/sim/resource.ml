@@ -41,13 +41,19 @@ let release r =
 
 let use r service =
   acquire r;
-  Fun.protect
-    ~finally:(fun () ->
-      release r;
-      r.completed <- r.completed + 1)
-    (fun () ->
-      Engine.delay service;
-      r.total_busy <- Time.add r.total_busy service)
+  let finish () =
+    release r;
+    r.completed <- r.completed + 1
+  in
+  match Engine.delay service with
+  | () ->
+    r.total_busy <- Time.add r.total_busy service;
+    finish ()
+  | exception e ->
+    (* Killed mid-service: the server is still released. *)
+    let bt = Printexc.get_raw_backtrace () in
+    finish ();
+    Printexc.raise_with_backtrace e bt
 
 let busy r = r.nbusy
 let queue_length r = Semaphore.waiters r.sem

@@ -1,3 +1,6 @@
+(* [data] starts empty and is allocated on the first push: most queues
+   (one per promise or mailbox) never hold more than one element, and
+   many never hold any. *)
 type 'a t = {
   capacity : int option;
   mutable data : 'a option array;
@@ -9,7 +12,7 @@ let create ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Fifo.create: capacity must be positive"
   | Some _ | None -> ());
-  { capacity; data = Array.make 8 None; head = 0; size = 0 }
+  { capacity; data = [||]; head = 0; size = 0 }
 
 let length q = q.size
 let is_empty q = q.size = 0
@@ -23,7 +26,8 @@ let capacity q = q.capacity
 
 let grow q =
   let cap = Array.length q.data in
-  if q.size = cap then begin
+  if cap = 0 then q.data <- Array.make 8 None
+  else if q.size = cap then begin
     let ndata = Array.make (cap * 2) None in
     for i = 0 to q.size - 1 do
       ndata.(i) <- q.data.((q.head + i) mod cap)
@@ -62,7 +66,7 @@ let pop_exn q =
 let peek q = if q.size = 0 then None else q.data.(q.head)
 
 let clear q =
-  q.data <- Array.make 8 None;
+  q.data <- [||];
   q.head <- 0;
   q.size <- 0
 

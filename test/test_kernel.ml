@@ -329,6 +329,50 @@ let test_class_limit_serialises () =
   check_bool "parallel < 2x one op" true (parallel < 25_000_000);
   check_bool "parallel much faster" true (parallel * 2 < serial)
 
+(* A crash fails the object's in-flight invocations in the order they
+   started, whatever the pids of their processes hash to. *)
+let test_crash_fails_inflight_in_start_order () =
+  let started = ref 0 in
+  let tm =
+    Typemgr.make_exn ~name:"wide8"
+      ~classes:
+        [
+          { Opclass.class_name = "work"; operations = [ "work" ]; limit = 8 };
+          { Opclass.class_name = "admin"; operations = [ "crash" ]; limit = 1 };
+        ]
+      [
+        Typemgr.operation "work" (fun _ args ->
+            let* () = no_args args in
+            incr started;
+            Engine.delay (Time.ms 500);
+            reply_unit);
+        Typemgr.operation "crash" (fun ctx args ->
+            let* () = no_args args in
+            ctx.crash ();
+            reply_unit);
+      ]
+  in
+  with_cluster ~types:[ tm ] (fun cl ->
+      let cap =
+        ok_or_fail "create"
+          (Cluster.create_object cl ~node:0 ~type_name:"wide8" Value.Unit)
+      in
+      let failed = ref [] in
+      for i = 0 to 7 do
+        ignore
+          (Engine.spawn (Cluster.engine cl) (fun () ->
+               match Cluster.invoke cl ~from:0 cap ~op:"work" [] with
+               | Error Error.Object_crashed -> failed := i :: !failed
+               | Ok _ | Error _ -> Alcotest.failf "work %d outlived the crash" i))
+      done;
+      Engine.delay (Time.ms 100);
+      check_int "eight in flight" 8 !started;
+      expect_error "crash" Error.Object_crashed
+        (Cluster.invoke cl ~from:0 cap ~op:"crash" []);
+      Engine.delay (Time.ms 1000);
+      Alcotest.(check (list int))
+        "failures in start order" [ 0; 1; 2; 3; 4; 5; 6; 7 ] (List.rev !failed))
+
 let test_distinct_classes_concurrent () =
   let tm =
     Typemgr.make_exn ~name:"twoclass"
@@ -759,6 +803,8 @@ let () =
             test_class_limit_serialises;
           Alcotest.test_case "classes overlap" `Quick
             test_distinct_classes_concurrent;
+          Alcotest.test_case "crash fails in-flight in start order" `Quick
+            test_crash_fails_inflight_in_start_order;
           Alcotest.test_case "ports + behaviours" `Quick
             test_ports_and_behaviours;
           Alcotest.test_case "semaphore prevents lost updates" `Quick

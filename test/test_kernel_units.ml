@@ -411,6 +411,79 @@ let prop_dedup_exactly_once =
             (Printf.sprintf "id %d.%d: table and reference model disagree" o s)
         | None -> Ok ()))
 
+let rid origin seq = { Message.origin; seq }
+
+(* Every id of a small universe that the table currently holds. *)
+let dedup_members t =
+  List.concat_map
+    (fun o ->
+      List.filter_map
+        (fun s -> Option.map (fun _ -> (o, s)) (Dedup.find t (rid o s)))
+        [ 0; 1; 2; 3; 4; 5 ])
+    [ 0; 1; 2; 3; 4 ]
+
+let test_dedup_origins_distinct () =
+  let t = Dedup.create ~cap:64 () in
+  Dedup.note_queued t (rid 0 7);
+  check_bool "other origin unseen" true (Dedup.find t (rid 1 7) = None);
+  ignore (Dedup.cancel t (rid 1 7));
+  check_bool "first stays queued" true (Dedup.find t (rid 0 7) = Some Dedup.Queued);
+  check_bool "second is a tombstone" true
+    (Dedup.find t (rid 1 7) = Some Dedup.Cancelled);
+  check_bool "first still runs" true (Dedup.start t (rid 0 7) = `Run);
+  check_int "two entries" 2 (Dedup.size t)
+
+(* Cap eviction is oldest-first by first insertion, and skips keys
+   whose tombstone lease already reclaimed them.  The transcript of
+   what each step removed is pinned. *)
+let test_dedup_eviction_order () =
+  let module Time = Eden_util.Time in
+  let now = ref Time.zero in
+  let t = Dedup.create ~ttl:(Time.ms 10) ~now:(fun () -> !now) ~cap:4 () in
+  let log = Buffer.create 256 in
+  let step name f =
+    let before = dedup_members t in
+    f ();
+    let after = dedup_members t in
+    Buffer.add_string log name;
+    List.iter
+      (fun (o, s) ->
+        if not (List.mem (o, s) after) then Printf.bprintf log "-%d.%d" o s)
+      before;
+    Buffer.add_char log ' '
+  in
+  let q o s = step (Printf.sprintf "q%d.%d" o s) (fun () -> Dedup.note_queued t (rid o s)) in
+  let c o s = step (Printf.sprintf "c%d.%d" o s) (fun () -> ignore (Dedup.cancel t (rid o s))) in
+  let r o s = step (Printf.sprintf "r%d.%d" o s) (fun () -> ignore (Dedup.start t (rid o s))) in
+  q 0 1; q 1 1; q 2 1; q 0 2; r 1 1; c 3 5; q 1 1; q 4 0; c 2 1; q 0 3;
+  now := Time.ms 5;
+  c 4 4; c 3 3;
+  now := Time.ms 12;
+  q 2 2; q 2 3; q 3 0;
+  now := Time.ms 30;
+  q 1 5; q 1 4; q 0 0; c 0 0; q 4 5; q 4 4;
+  (* At 30 ms the lease of 3.3 has run out: the sweep reclaims it
+     before q1.5, whose insert then needs no eviction, and the next
+     eviction skips 3.3's stale key. *)
+  check_string "evictions"
+    "q0.1 q1.1 q2.1 q0.2 r1.1 c3.5-0.1 q1.1 q4.0-1.1 c2.1 q0.3-2.1 c4.4-0.2 c3.3-3.5 q2.2-4.0 q2.3-0.3 q3.0-4.4 q1.5 q1.4-2.2 q0.0-2.3 c0.0 q4.5-3.0 q4.4-1.5 "
+    (Buffer.contents log)
+
+let test_dedup_id_range () =
+  let t = Dedup.create ~cap:8 () in
+  let bad = Invalid_argument "Dedup: request id out of range" in
+  List.iter
+    (fun (o, s) ->
+      Alcotest.check_raises (Printf.sprintf "%d.%d" o s) bad (fun () ->
+          Dedup.note_queued t (rid o s)))
+    [ (-1, 0); (0, -1); (1 lsl 22, 0); (0, 1 lsl 40); (max_int, max_int) ];
+  (* The extremes of the range are keys of their own. *)
+  let top = rid ((1 lsl 22) - 1) ((1 lsl 40) - 1) in
+  Dedup.note_queued t top;
+  Dedup.note_queued t (rid 0 0);
+  check_bool "top kept" true (Dedup.find t top = Some Dedup.Queued);
+  check_int "two keys" 2 (Dedup.size t)
+
 (* ------------------------------------------------------------------ *)
 (* Opclass *)
 
@@ -583,6 +656,13 @@ let () =
           prop_reliability_checksites;
           prop_capability_restrict;
           prop_dedup_exactly_once;
+        ] );
+      ( "dedup",
+        [
+          Alcotest.test_case "origins distinct" `Quick
+            test_dedup_origins_distinct;
+          Alcotest.test_case "eviction order" `Quick test_dedup_eviction_order;
+          Alcotest.test_case "id range" `Quick test_dedup_id_range;
         ] );
       ( "opclass",
         [

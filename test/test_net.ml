@@ -215,6 +215,95 @@ let test_latency_stats_populated () =
   (* The first frame sees no queueing: 72us + 5us. *)
   Alcotest.(check (float 1e-9)) "min latency" 77e-6 (Stats.min_value s)
 
+(* A fixed-seed scenario that drives every MAC path: a frame sent
+   before the stations power on, a send on an idle medium, carrier
+   sense on a busy medium, 2- and 3-way collisions with backoff, drops
+   at a small [max_attempts], a broadcast and a queue of frames at one
+   station.  Every delivery (time, src, dest, payload), the final
+   counters and the engine's event count are folded into a digest, so
+   any change to when, or in what order, the MAC schedules its events
+   shows up here.  The digest is pinned: changing it changes every
+   schedule that crosses a LAN. *)
+let mac_fingerprint () =
+  let eng = Engine.create ~seed:7L () in
+  let params = { Params.default with Params.max_attempts = 3 } in
+  let lan, sts = make_lan ~params ~n:5 eng in
+  let tr = Trace.create () in
+  Trace.enable tr;
+  Lan.set_trace lan tr;
+  let log = Buffer.create 4096 in
+  Array.iteri
+    (fun i st ->
+      Lan.on_receive st (fun f ->
+          Printf.bprintf log "%d %d>%d %s %s\n"
+            (Time.to_ns (Engine.now eng))
+            f.Lan.src i
+            (match f.Lan.dest with
+            | Lan.Unicast d -> string_of_int d
+            | Lan.Broadcast -> "*")
+            f.Lan.payload))
+    sts;
+  let send_at us src dest bytes payload =
+    Engine.schedule eng ~after:(Time.us us) (fun () ->
+        Lan.send sts.(src) ~dest ~bytes payload)
+  in
+  (* Before power-on. *)
+  Lan.send sts.(0) ~dest:(Lan.Unicast 1) ~bytes:100 "early";
+  (* Idle medium. *)
+  send_at 1_000 1 (Lan.Unicast 2) 64 "idle";
+  (* Two senders in the same slot. *)
+  send_at 2_000 0 (Lan.Unicast 3) 200 "pair-a";
+  send_at 2_000 1 (Lan.Unicast 4) 200 "pair-b";
+  (* A long frame; two stations sense it busy, then collide when it
+     ends. *)
+  send_at 5_000 2 (Lan.Unicast 0) 1500 "long";
+  send_at 5_300 3 (Lan.Unicast 1) 300 "deferred-a";
+  send_at 5_600 4 (Lan.Unicast 0) 300 "deferred-b";
+  (* Three senders in the same slot. *)
+  List.iter
+    (fun (src, p) -> send_at 12_000 src (Lan.Unicast ((src + 1) mod 5)) 128 p)
+    [ (0, "trio-a"); (1, "trio-b"); (2, "trio-c") ];
+  (* Several frames queued at one station. *)
+  for k = 1 to 4 do
+    send_at 20_000 3 (Lan.Unicast 2) (64 * k) (Printf.sprintf "queued-%d" k)
+  done;
+  send_at 30_000 4 Lan.Broadcast 80 "hello-all";
+  (* Every station at once, three frames each: with three attempts,
+     some frames are dropped. *)
+  for src = 0 to 4 do
+    for k = 1 to 3 do
+      send_at 40_000 src (Lan.Unicast ((src + k) mod 5)) 400
+        (Printf.sprintf "storm-%d-%d" src k)
+    done
+  done;
+  Engine.run eng;
+  let c = Lan.counters lan in
+  Printf.bprintf log
+    "sent=%d bcast=%d deliv=%d drop=%d bytes=%d coll=%d back=%d events=%d\n"
+    c.Lan.frames_sent c.Lan.frames_broadcast c.Lan.frames_delivered
+    c.Lan.frames_dropped c.Lan.payload_bytes_delivered c.Lan.collision_events
+    c.Lan.backoffs (Engine.events_processed eng);
+  let collisions_of n =
+    let msg = Printf.sprintf "collision among %d stations" n in
+    List.length
+      (List.filter (fun r -> r.Trace.message = msg) (Trace.recent tr))
+  in
+  ( c,
+    collisions_of 2,
+    collisions_of 3,
+    Digest.to_hex (Digest.string (Buffer.contents log)) )
+
+let test_mac_fingerprint () =
+  let c, pairs, trios, digest = mac_fingerprint () in
+  (* The scenario must exercise what it claims to. *)
+  check_bool "2-way collisions" true (pairs > 0);
+  check_bool "3-way collisions" true (trios > 0);
+  check_bool "backoffs" true (c.Lan.backoffs > 0);
+  check_bool "drops" true (c.Lan.frames_dropped > 0);
+  check_int "broadcast" 1 c.Lan.frames_broadcast;
+  Alcotest.(check string) "schedule fingerprint"
+    "21d6fa7b42faa9031ccee51d69d0624c" digest
+
 let prop_all_frames_accounted =
   QCheck.Test.make ~name:"sent = delivered + dropped (unicast)" ~count:25
     QCheck.(pair (int_range 2 6) (int_range 1 60))
@@ -721,6 +810,8 @@ let () =
           Alcotest.test_case "carrier sense" `Quick test_carrier_sense_defers;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "saturation" `Quick test_saturation_throughput;
+          Alcotest.test_case "MAC schedule fingerprint" `Quick
+            test_mac_fingerprint;
           Alcotest.test_case "latency stats" `Quick
             test_latency_stats_populated;
           qt prop_all_frames_accounted;

@@ -386,9 +386,7 @@ let test_span_phases_sum () =
     | None -> Alcotest.fail "no finished span"
   in
   let phase_sum =
-    List.fold_left
-      (fun acc (_, d) -> acc + Time.to_ns d)
-      0 info.Span.i_phases
+    Array.fold_left (fun acc d -> acc + Time.to_ns d) 0 info.Span.i_phases
   in
   check_int "phases partition the lifetime" 100_000 phase_sum;
   check_int "locate re-entered" 25_000
@@ -418,6 +416,28 @@ let test_span_retention () =
   check_int "all counted" 4 (Span.finished_count col);
   check_bool "only the last two retained" true
     (List.map (fun i -> i.Span.i_op) (Span.finished col) = [ "3"; "4" ])
+
+(* The export format is pinned: a fixed span prints exactly this
+   string, phases in canonical order whatever order they were
+   visited in. *)
+let test_span_json_pinned () =
+  let col = Span.create () in
+  let parent = Span.start col ~op:"outer" ~target:"a" ~origin:0 ~at:Time.zero () in
+  let sp =
+    Span.start col ~parent ~op:"get" ~target:"obj#7" ~origin:3
+      ~at:(Time.us 10) ()
+  in
+  Span.note_remote sp;
+  List.iteri
+    (fun i p -> Span.enter sp p ~at:(Time.us (11 + (i * i))))
+    Span.[ Transport; Queue; Dispatch; Execute; Transport; Reply ];
+  Span.finish sp ~outcome:"ok" ~at:(Time.us 47);
+  match Span.last_finished col with
+  | None -> Alcotest.fail "no finished span"
+  | Some info ->
+    check_string "info_to_json"
+      {|{"id":1,"parent":0,"op":"get","target":"obj#7","origin":3,"remote":true,"outcome":"ok","start_ns":10000,"end_ns":47000,"phases_ns":{"locate":1000,"transport":10000,"queue":3000,"dispatch":5000,"execute":7000,"reply":11000}}|}
+      (Json.to_string ~compact:true (Span.info_to_json info))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot JSON *)
@@ -548,9 +568,7 @@ let test_remote_span_matches_latency () =
       check_int "span duration = observed latency" (Time.to_ns latency)
         (Time.to_ns (Span.info_duration info));
       let phase_sum =
-        List.fold_left
-          (fun acc (_, d) -> acc + Time.to_ns d)
-          0 info.Span.i_phases
+        Array.fold_left (fun acc d -> acc + Time.to_ns d) 0 info.Span.i_phases
       in
       check_int "phase sum = latency" (Time.to_ns latency) phase_sum;
       check_bool "transport charged" true
@@ -1280,6 +1298,7 @@ let () =
         [
           Alcotest.test_case "phases sum" `Quick test_span_phases_sum;
           Alcotest.test_case "retention" `Quick test_span_retention;
+          Alcotest.test_case "json pinned" `Quick test_span_json_pinned;
         ] );
       ( "snapshot",
         [

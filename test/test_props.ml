@@ -477,12 +477,10 @@ let gen_span_info rng =
     i_outcome = (if Splitmix.bool rng then "ok" else gen_string rng);
     i_start = Time.ns start;
     i_finish = Time.ns (start + Splitmix.int rng 1_000_000);
-    (* Canonical order, every phase present — the shape the kernel
-       exports. *)
+    (* One slot per phase, indexed by [Span.phase_index]. *)
     i_phases =
-      List.map
-        (fun p -> (p, Time.ns (Splitmix.int rng 500_000)))
-        Span.phases;
+      Array.of_list
+        (List.map (fun _ -> Time.ns (Splitmix.int rng 500_000)) Span.phases);
   }
 
 let show_span_info i = Json.to_string ~compact:true (Span.info_to_json i)
@@ -541,7 +539,7 @@ let test_span_json_missing_phases () =
       i_outcome = "ok";
       i_start = Time.zero;
       i_finish = Time.us 3;
-      i_phases = List.map (fun p -> (p, Time.zero)) Span.phases;
+      i_phases = Array.make (List.length Span.phases) Time.zero;
     }
   in
   (match Span.info_of_json (strip (Span.info_to_json i)) with

@@ -770,6 +770,27 @@ let test_resource_wait_stats () =
   Alcotest.(check (float 1e-9)) "first waits 0" 0.0 (Stats.min_value w);
   Alcotest.(check (float 1e-9)) "last waits 4ms" 0.004 (Stats.max_value w)
 
+let test_resource_kill_releases () =
+  (* A holder killed mid-service still frees its server and counts as
+     completed; its service time is not charged as busy.  A process
+     killed inside [Engine.delay] receives [Killed] when its delay
+     would have ended, so the server frees at 10 ms. *)
+  let eng = Engine.create () in
+  let r = Resource.create eng ~servers:1 ~name:"disk" in
+  let victim = Engine.spawn eng (fun () -> Resource.use r (t_ms 10)) in
+  let done_at = ref Time.zero in
+  ignore
+    (Engine.spawn eng (fun () ->
+         Resource.use r (t_ms 2);
+         done_at := Engine.now eng));
+  Engine.schedule eng ~after:(t_ms 3) (fun () -> Engine.kill eng victim);
+  Engine.run eng;
+  check_int "waiter served after the kill" 12_000_000 (Time.to_ns !done_at);
+  check_int "both completed" 2 (Resource.jobs_completed r);
+  check_int "idle again" 0 (Resource.busy r);
+  check_int "only the finished job is busy time" 2_000_000
+    (Time.to_ns (Resource.busy_time r))
+
 let test_resource_invalid () =
   let eng = Engine.create () in
   Alcotest.check_raises "zero servers"
@@ -1026,6 +1047,7 @@ let () =
         [
           Alcotest.test_case "serialises" `Quick test_resource_serialises;
           Alcotest.test_case "wait stats" `Quick test_resource_wait_stats;
+          Alcotest.test_case "kill releases" `Quick test_resource_kill_releases;
           Alcotest.test_case "invalid" `Quick test_resource_invalid;
         ] );
       ( "trace",
