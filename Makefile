@@ -3,7 +3,7 @@
 
 .PHONY: all build check ci test test-props bench examples smoke chaos \
   trace-check health-check tail-check dir-check reconfig-check \
-  profile-check host-smoke determinism clean help
+  profile-check host-smoke hostprof determinism clean help
 
 all: build
 
@@ -24,6 +24,7 @@ help:
 	@echo "make reconfig-check - membership smoke: E24 join/drain/leave + reconfig chaos cmp"
 	@echo "make profile-check - profiler smoke: E25 attribution + same-seed profile cmp"
 	@echo "make host-smoke   - one round per stream of each benchmark workload, gates checked"
+	@echo "make hostprof     - sampling profile of hot_invoke's request phases (host time)"
 	@echo "make determinism  - experiment output must be bit-reproducible"
 	@echo "make clean        - dune clean"
 
@@ -232,6 +233,15 @@ host-smoke:
 	python3 hostbench/run.py --workload hot_invoke --seed 1 --seconds 0
 	python3 hostbench/run.py --workload ckpt_local --seed 1 --seconds 0
 	@echo "host-smoke: OK (benchmark gates hold)"
+
+# Where the simulator's host time goes: a SIGPROF sampling profile of
+# hot_invoke's request phases, as self time by line and by file and as
+# samples by simulated-process root.  See docs/OBSERVABILITY.md for how
+# to read it.
+hostprof:
+	dune build ./bench/hostprof/main.exe
+	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
+	  --phases 64
 
 # The whole experiment suite must be bit-reproducible.
 determinism:

@@ -1,0 +1,137 @@
+(* A sampling profiler for the host-time benchmark's workloads.
+
+     main.exe --workload W --seed N --phases K [--top T]
+
+   Runs K request phases of workload W — phase i on input stream
+   i mod streams, each on a fresh cluster whose set-up is not sampled —
+   under a SIGPROF interval timer.  Every tick records the OCaml call
+   stack; afterwards the samples are attributed three ways:
+
+   - self time by source line: the innermost frame of each sample;
+   - self time by file;
+   - samples by process root: the outermost frame of each sample.  A
+     stack stops at the fiber boundary, so inside a simulated process
+     this is the process body; samples taken on the main stack (the
+     event loop and plain callbacks) are counted as one root.
+
+   Caveats (see docs/OBSERVABILITY.md): a signal is handled at the next
+   poll point, so time spent in the runtime (effects, the GC, C
+   primitives such as [caml_hash] or [caml_make_vect]) is charged to
+   the OCaml code around it; and the sample rate is whatever the kernel
+   delivers for the requested 1 ms interval, so check the sample count
+   before reading small shares. *)
+
+let self_file = "hostprof/main.ml"
+
+(* Samples are kept raw while the workload runs; decoding them into
+   source locations waits until the timer is off. *)
+let samples : Printexc.raw_backtrace list ref = ref []
+let armed = ref false
+
+let on_tick _ =
+  if !armed then samples := Printexc.get_callstack 256 :: !samples
+
+type frame = { f_loc : string; f_file : string; f_name : string }
+
+(* Every frame of a sample, innermost first.  The signal handler's own
+   frames sit on top of the sampled code. *)
+let frames_of raw =
+  match Printexc.backtrace_slots raw with
+  | None -> []
+  | Some slots ->
+    Array.to_list slots
+    |> List.filter_map (fun slot ->
+           match Printexc.Slot.location slot with
+           | None -> None
+           | Some l ->
+             let name = Option.value ~default:"?" (Printexc.Slot.name slot) in
+             Some
+               {
+                 f_loc = Printf.sprintf "%s:%d" l.Printexc.filename l.line_number;
+                 f_file = l.filename;
+                 f_name = name;
+               })
+
+let is_self f = String.ends_with ~suffix:self_file f.f_file
+
+let main_root = "[main stack: event loop and plain callbacks]"
+
+let tally tbl key =
+  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+let print_top title ~total ~top tbl =
+  Printf.printf "\n%s\n" title;
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl []
+  |> List.sort (fun (ka, a) (kb, b) ->
+         match Int.compare b a with 0 -> String.compare ka kb | c -> c)
+  |> List.iteri (fun i (k, n) ->
+         if i < top then
+           Printf.printf "  %5.1f%%  %6d  %s\n"
+             (100.0 *. float_of_int n /. float_of_int total)
+             n k)
+
+let () =
+  let workload = ref "hot_invoke" and seed = ref 1 and phases = ref 8 in
+  let top = ref 40 in
+  Arg.parse
+    [
+      ("--workload", Arg.Set_string workload, "W  hot_invoke | locate_scale | ckpt_mix | ckpt_local");
+      ("--seed", Arg.Set_int seed, "N  workload seed");
+      ("--phases", Arg.Set_int phases, "K  request phases to sample");
+      ("--top", Arg.Set_int top, "T  rows per table");
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "main.exe --workload W --seed N --phases K [--top T]";
+  let spec =
+    match Workload.of_name !workload with
+    | Some k -> Workload.spec k
+    | None ->
+      prerr_endline ("unknown workload: " ^ !workload);
+      exit 2
+  in
+  Sys.set_signal Sys.sigprof (Sys.Signal_handle on_tick);
+  let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
+  ignore (Unix.setitimer Unix.ITIMER_PROF tick);
+  let cpu = ref 0.0 and invocations = ref 0 in
+  for i = 0 to !phases - 1 do
+    let sub = i mod spec.Workload.streams in
+    let cl, caps = Workload.setup spec ~seed:!seed ~sub Workload.no_hooks in
+    let t0 = Sys.time () in
+    armed := true;
+    let t = Workload.request_phase spec ~seed:!seed ~sub cl caps Workload.no_hooks in
+    armed := false;
+    cpu := !cpu +. (Sys.time () -. t0);
+    invocations := !invocations + t.Workload.attempted
+  done;
+  ignore
+    (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
+  let raw = !samples in
+  let total = List.length raw in
+  Printf.printf
+    "hostprof: workload %s  seed %d  %d request phases  %d invocations\n\
+    \  %d samples in %.1f s of CPU time (%.0f samples/s)\n"
+    !workload !seed !phases !invocations total !cpu
+    (float_of_int total /. Float.max !cpu 1e-9);
+  if total > 0 then begin
+    let by_line = Hashtbl.create 256
+    and by_file = Hashtbl.create 64
+    and by_root = Hashtbl.create 64 in
+    List.iter
+      (fun r ->
+        let all = frames_of r in
+        (match List.filter (fun f -> not (is_self f)) all with
+        | [] -> tally by_line "(no OCaml frame)"
+        | f :: _ ->
+          tally by_line (Printf.sprintf "%s  %s" f.f_loc f.f_name);
+          tally by_file f.f_file);
+        (* The outermost frame is the fiber's body, or this program's
+           own toplevel when the sample hit the main stack. *)
+        tally by_root
+          (match List.rev all with
+          | [] -> "(no OCaml frame)"
+          | f :: _ -> if is_self f then main_root else f.f_name))
+      raw;
+    print_top "self time by line" ~total ~top:!top by_line;
+    print_top "self time by file" ~total ~top:!top by_file;
+    print_top "samples by process root" ~total ~top:!top by_root
+  end

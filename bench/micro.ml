@@ -1,4 +1,4 @@
-(* M1-M9 — Bechamel microbenchmarks of the substrate itself: real
+(* M1-M10 — Bechamel microbenchmarks of the substrate itself: real
    wall-clock cost per operation of the simulator's hot paths.  These
    are not simulated-time experiments; they justify trusting the
    experiment harness to run large configurations. *)
@@ -55,7 +55,7 @@ let m4_pqueue =
     (Staged.stage (fun () ->
          let h = Pqueue.create ~dummy:0 () in
          for i = 0 to 255 do
-           Pqueue.push h ((i * 7919) land 1023) i
+           Pqueue.push_seq h ((i * 7919) land 1023) i i
          done;
          while not (Pqueue.is_empty h) do
            ignore (Pqueue.pop_exn h)
@@ -144,12 +144,42 @@ let m9_span =
          Span.enter sp Span.Reply ~at:(Time.us 4);
          Span.finish sp ~outcome:"ok" ~at:(Time.us 5)))
 
+(* M10: M1's single event, scheduled and drained while 2,000 timed
+   waits are pending: the shape of hot_invoke's queue, where nearly
+   every invocation leaves a stale 2 s timeout behind.  The engine is
+   rebuilt long before the waits could fire. *)
+let m10_event_with_timeouts =
+  let fresh () =
+    let eng = Engine.create () in
+    for _ = 1 to 2000 do
+      ignore
+        (Engine.spawn eng (fun () ->
+             ignore (Engine.suspend ~timeout:(Time.s 2) (fun _ -> ()))))
+    done;
+    Engine.run ~until:Time.zero eng;
+    eng
+  in
+  let eng = ref None in
+  Test.make ~name:"M10 engine event, 2000 timeouts pending"
+    (Staged.stage (fun () ->
+         let e =
+           match !eng with
+           | Some e when Time.(Engine.now e < s 1) -> e
+           | Some _ | None ->
+             let e = fresh () in
+             eng := Some e;
+             e
+         in
+         Engine.schedule e ~after:(Time.us 1) ignore;
+         Engine.run ~until:(Time.add (Engine.now e) (Time.us 1)) e))
+
 let tests =
   [ m1_engine_event; m2_process; m3_semaphore; m4_pqueue; m5_value_size;
-    m6_splitmix; m7_full_stack; m8_lan_unicast; m9_span ]
+    m6_splitmix; m7_full_stack; m8_lan_unicast; m9_span;
+    m10_event_with_timeouts ]
 
 let run () =
-  Common.heading "M1-M9" "substrate microbenchmarks (real time, Bechamel)";
+  Common.heading "M1-M10" "substrate microbenchmarks (real time, Bechamel)";
   let cfg =
     Benchmark.cfg ~limit:500
       ~quota:(Bechamel.Time.second 0.25)

@@ -12,6 +12,8 @@ module Window = Eden_obs.Window
 
 type node_id = int
 
+module Itbl = Hashtbl.Make (Int)
+
 (* -------------------------------------------------------------------- *)
 (* Internal structures *)
 
@@ -36,8 +38,22 @@ type work = {
 
 type obj_status = Running | Draining | Dead
 
+(* A work waiting for a free slot in its invocation class, with the
+   operation it resolved to at admission and an admission stamp, so
+   works queued in different classes can be handed over in the order
+   they arrived. *)
+type queued = { q_work : work; q_op : Typemgr.operation; q_stamp : int }
+
+(* One invocation class of an object, in the type's declaration order. *)
+type class_slot = {
+  cs_limit : int;
+  mutable cs_running : int;
+  cs_queue : queued Fifo.t;
+}
+
 type obj = {
   ob_name : Name.t;
+  ob_label : string;  (* [ob_name] rendered once, for names and traces *)
   ob_type : Typemgr.t;
   mutable ob_repr : Value.t;
   mutable ob_frozen : bool;
@@ -47,14 +63,19 @@ type obj = {
   ob_is_replica : bool;
   ob_queue : work Mailbox.t;  (* the coordinator's port *)
   ob_stash : work Fifo.t;  (* held while draining for a move *)
-  ob_class_running : (string, int ref) Hashtbl.t;
-  ob_class_queue : (string, work Fifo.t) Hashtbl.t;
-  ob_inflight : (int, work) Hashtbl.t;  (* pid -> work being served *)
+  ob_classes : class_slot array;  (* indexed like [Typemgr.classes] *)
+  mutable ob_admitted : int;  (* admission stamps handed out *)
+  ob_inflight : work Itbl.t;  (* pid -> work being served *)
   mutable ob_running_total : int;
   ob_drained : Condition.t;
   mutable ob_coordinator : Engine.Pid.t option;
   mutable ob_behaviour_pids : Engine.Pid.t list;
-  mutable ob_proc_pids : Engine.Pid.t list;  (* invocation + subprocesses *)
+  mutable ob_proc_pids : Engine.Pid.t list;
+      (* invocation + subprocesses, newest first; finished ones are
+         pruned once the list outgrows [ob_proc_prune_at] *)
+  mutable ob_n_procs : int;  (* length of [ob_proc_pids] *)
+  mutable ob_proc_prune_at : int;
+  mutable ob_ctx : Api.ctx option;  (* the kernel interface, built once *)
   ob_sems : (string, Semaphore.t) Hashtbl.t;
   ob_ports : (string, Value.t Mailbox.t) Hashtbl.t;
   ob_rng : Splitmix.t;
@@ -168,7 +189,7 @@ type node = {
   nd_activating : (obj, Error.t) result Promise.t Name.Table.t;
   nd_locating : (node_id * Message.residence) option Promise.t Name.Table.t;
       (* coalesces concurrent locate broadcasts for one name *)
-  nd_pending : (int, pending) Hashtbl.t;
+  nd_pending : pending Itbl.t;
   nd_seq : Idgen.t;
   nd_clone_sites : node_id list Name.Table.t;
       (* replica sites learned from locate answers and frozen-hinted
@@ -334,7 +355,7 @@ type t = {
   c_spans : Span.collector;
   c_lat : Metrics.histogram;  (* end-to-end invocation latency, seconds *)
   c_nm : node_metrics array;
-  c_span_ctx : (int, Span.t) Hashtbl.t;
+  c_span_ctx : Span.t Itbl.t;
       (* pid of a running invocation process -> the span it serves,
          giving nested [ctx.invoke] calls their parent link *)
   c_jsink : Journal.sink;  (* shared event-id allocator for all journals *)
@@ -435,22 +456,22 @@ let span_enter cl w phase =
 (* The span served by the calling process, if it is an invocation
    process (callable from anywhere; outside a process there is none). *)
 let current_span cl =
-  match Engine.self () with
-  | pid -> Hashtbl.find_opt cl.c_span_ctx (Engine.Pid.to_int pid)
-  | exception Invalid_argument _ -> None
+  match Engine.running cl.eng with
+  | Some pid -> Itbl.find_opt cl.c_span_ctx (Engine.Pid.to_int pid)
+  | None -> None
 
 let next_seq node = Idgen.next node.nd_seq
 
 let new_request_id node =
   { Message.origin = node.nd_id; seq = next_seq node }
 
-let add_pending node seq p = Hashtbl.replace node.nd_pending seq p
+let add_pending node seq p = Itbl.replace node.nd_pending seq p
 
 let take_pending node seq =
-  match Hashtbl.find_opt node.nd_pending seq with
+  match Itbl.find_opt node.nd_pending seq with
   | None -> None
   | Some p ->
-    Hashtbl.remove node.nd_pending seq;
+    Itbl.remove node.nd_pending seq;
     Some p
 
 let deadline_of ?timeout eng =
@@ -461,6 +482,8 @@ let remaining eng = function
   | Some dl ->
     let now = Engine.now eng in
     Some (if Time.(dl > now) then Time.diff dl now else Time.zero)
+
+let proc_prune_floor = 64
 
 let spawn_kproc cl node ~name f =
   let pid = Engine.spawn cl.eng ~name f in
@@ -473,6 +496,19 @@ let spawn_kproc cl node ~name f =
     node.nd_n_kprocs <- List.length node.nd_kprocs
   end;
   pid
+
+(* Record a process spawned on an object's behalf.  Finished pids are
+   pruned whenever the list doubles past its last pruned length, so it
+   stays proportional to the live ones; pruning keeps the newest-first
+   order [kill_object_procs] kills in. *)
+let track_proc cl obj pid =
+  obj.ob_proc_pids <- pid :: obj.ob_proc_pids;
+  obj.ob_n_procs <- obj.ob_n_procs + 1;
+  if obj.ob_n_procs > obj.ob_proc_prune_at then begin
+    obj.ob_proc_pids <- List.filter (Engine.alive cl.eng) obj.ob_proc_pids;
+    obj.ob_n_procs <- List.length obj.ob_proc_pids;
+    obj.ob_proc_prune_at <- Int.max proc_prune_floor (2 * obj.ob_n_procs)
+  end
 
 let jrecord cl node ?ctx kind =
   Journal.record node.nd_journal ~at:(Engine.now cl.eng) ?ctx kind
@@ -699,7 +735,7 @@ let dir_resolve ?ctx cl node target ~deadline =
       | Some _ | None -> dir_window
     in
     let answer = Promise.await ~timeout:window pr in
-    Hashtbl.remove node.nd_pending req_id.Message.seq;
+    Itbl.remove node.nd_pending req_id.Message.seq;
     match answer with
     | Some (Some (home, replicas)) -> `Hit (home, replicas)
     | Some None -> `Miss
@@ -763,9 +799,7 @@ let make_ctx cl obj =
     now = (fun () -> Engine.now cl.eng);
     random = obj.ob_rng;
     compute = (fun t -> consume (home cl obj) t);
-    log =
-      (fun s ->
-        tracef cl Trace.App "%s: %s" (Name.to_string obj.ob_name) s);
+    log = (fun s -> tracef cl Trace.App "%s: %s" obj.ob_label s);
     get_repr = (fun () -> obj.ob_repr);
     set_repr =
       (fun v ->
@@ -838,34 +872,38 @@ let make_ctx cl obj =
         find_or_add obj.ob_ports name (fun () -> Mailbox.create cl.eng));
     spawn_subprocess =
       (fun f ->
-        let pid =
-          Engine.spawn cl.eng
-            ~name:(Name.to_string obj.ob_name ^ ".sub")
-            f
-        in
+        let pid = Engine.spawn cl.eng ~name:(obj.ob_label ^ ".sub") f in
         Engine.set_daemon cl.eng pid;
-        obj.ob_proc_pids <- pid :: obj.ob_proc_pids);
+        track_proc cl obj pid);
   }
+
+let obj_ctx cl obj =
+  match obj.ob_ctx with
+  | Some ctx -> ctx
+  | None ->
+    let ctx = make_ctx cl obj in
+    obj.ob_ctx <- Some ctx;
+    ctx
 
 (* -------------------------------------------------------------------- *)
 (* Delivering replies *)
 
 let resolve_inv_pending cl node ~src seq outcome =
-  match Hashtbl.find_opt node.nd_pending seq with
+  match Itbl.find_opt node.nd_pending seq with
   | Some (P_invoke pr) ->
-    Hashtbl.remove node.nd_pending seq;
+    Itbl.remove node.nd_pending seq;
     ignore (Promise.fill pr outcome)
   | Some (P_clone cs) -> (
     (* First real result wins the fan-out.  A nack is one site's
        refusal, not an answer — only unanimity resolves the race. *)
     match outcome with
     | Inv_result _ ->
-      Hashtbl.remove node.nd_pending seq;
+      Itbl.remove node.nd_pending seq;
       ignore (Promise.fill cs.cp_pr (outcome, src))
     | Inv_nacked ->
       cs.cp_nacks <- cs.cp_nacks + 1;
       if cs.cp_nacks >= cs.cp_count then begin
-        Hashtbl.remove node.nd_pending seq;
+        Itbl.remove node.nd_pending seq;
         ignore (Promise.fill cs.cp_pr (outcome, src))
       end)
   | Some (P_locate _ | P_create _ | P_ack _ | P_cache _ | P_dir _) ->
@@ -898,25 +936,6 @@ let fail_work cl obj w error =
 (* -------------------------------------------------------------------- *)
 (* The coordinator: dispatching invocations inside an object *)
 
-let class_state obj class_name =
-  let running =
-    match Hashtbl.find_opt obj.ob_class_running class_name with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.replace obj.ob_class_running class_name r;
-      r
-  in
-  let queue =
-    match Hashtbl.find_opt obj.ob_class_queue class_name with
-    | Some q -> q
-    | None ->
-      let q = Fifo.create () in
-      Hashtbl.replace obj.ob_class_queue class_name q;
-      q
-  in
-  (running, queue)
-
 (* Retraction point: the moment queued work would become an invocation
    process is the last chance for a cancellation to matter.  Local work
    is never speculative; remote work transitions its idempotence entry
@@ -929,82 +948,78 @@ let work_retracted node w =
     | `Run -> false
     | `Retracted -> true)
 
-let rec start_invocation cl obj spec w =
+(* The body of an invocation process, serving [w] as process [id]. *)
+let serve_work cl obj node op w id =
+  (* Profiling: mark the instant execution actually begins — the gap
+     back to the triggering receive (or stall) is queue residency — and
+     re-parent the work's causal chain through the mark so the reply
+     extends it. *)
+  (if cl.opts.use_profiling then
+     match w.w_ctx with
+     | Some c ->
+       let ws = jrecord cl node ~ctx:c (Journal.Work_start { op = w.w_op }) in
+       w.w_ctx <- Some (Tracectx.with_parent c ~parent:ws)
+     | None -> ());
+  Itbl.replace obj.ob_inflight id w;
+  (match w.w_span with
+  | Some sp ->
+    Span.enter sp Span.Execute ~at:(Engine.now cl.eng);
+    Itbl.replace cl.c_span_ctx id sp
+  | None -> ());
+  let result =
+    try op.Typemgr.op_handler (obj_ctx cl obj) w.w_args with
+    | Engine.Killed as e -> raise e
+    | Engine.Stalled_waiting as e -> raise e
+    | exn -> Error (Error.User_error (Printexc.to_string exn))
+  in
+  Itbl.remove obj.ob_inflight id;
+  span_enter cl w Span.Reply;
+  deliver_reply ?ctx:w.w_ctx cl obj w.w_route result
+
+let rec start_invocation cl obj slot op w =
   let node = home cl obj in
   if work_retracted node w then begin
     Metrics.incr (nm cl node).m_retracted;
     (* Dropped unexecuted; give the slot to the next queued work. *)
-    let _, queue = class_state obj spec.Opclass.class_name in
-    match Fifo.pop queue with
-    | Some next -> start_invocation cl obj spec next
+    match Fifo.pop slot.cs_queue with
+    | Some next -> start_invocation cl obj slot next.q_op next.q_work
     | None -> ()
   end
-  else start_invocation_admitted cl obj spec w
+  else start_invocation_admitted cl obj slot op w
 
-and start_invocation_admitted cl obj spec w =
+and start_invocation_admitted cl obj slot op w =
   let node = home cl obj in
-  let running, _ = class_state obj spec.Opclass.class_name in
-  incr running;
+  slot.cs_running <- slot.cs_running + 1;
   obj.ob_running_total <- obj.ob_running_total + 1;
   (* Creating the invocation process is the 432's expensive step. *)
   consume node (costs node).Costs.process_create_cpu;
-  let op =
-    match Typemgr.find_operation obj.ob_type w.w_op with
-    | Some op -> op
-    | None -> raise (Fatal "dispatched an unknown operation")
-  in
   let pid =
     Engine.spawn cl.eng
-      ~name:(Name.to_string obj.ob_name ^ "." ^ w.w_op)
+      ~name:(obj.ob_label ^ "." ^ w.w_op)
       (fun () ->
-        let self = Engine.self () in
-        Fun.protect
-          ~finally:(fun () -> finish_invocation cl obj spec self)
-          (fun () ->
-            (* Profiling: mark the instant execution actually begins —
-               the gap back to the triggering receive (or stall) is
-               queue residency — and re-parent the work's causal chain
-               through the mark so the reply extends it. *)
-            (if cl.opts.use_profiling then
-               match w.w_ctx with
-               | Some c ->
-                 let ws =
-                   jrecord cl node ~ctx:c (Journal.Work_start { op = w.w_op })
-                 in
-                 w.w_ctx <- Some (Tracectx.with_parent c ~parent:ws)
-               | None -> ());
-            Hashtbl.replace obj.ob_inflight
-              (Engine.Pid.to_int self)
-              w;
-            (match w.w_span with
-            | Some sp ->
-              Span.enter sp Span.Execute ~at:(Engine.now cl.eng);
-              Hashtbl.replace cl.c_span_ctx (Engine.Pid.to_int self) sp
-            | None -> ());
-            let ctx = make_ctx cl obj in
-            let result =
-              try op.Typemgr.op_handler ctx w.w_args with
-              | Engine.Killed as e -> raise e
-              | Engine.Stalled_waiting as e -> raise e
-              | exn -> Error (Error.User_error (Printexc.to_string exn))
-            in
-            Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
-            span_enter cl w Span.Reply;
-            deliver_reply ?ctx:w.w_ctx cl obj w.w_route result))
+        let id =
+          match Engine.running cl.eng with
+          | Some p -> Engine.Pid.to_int p
+          | None -> assert false
+        in
+        match serve_work cl obj node op w id with
+        | () -> finish_invocation cl obj slot id
+        | exception e ->
+          finish_invocation cl obj slot id;
+          raise e)
   in
-  obj.ob_proc_pids <- pid :: obj.ob_proc_pids
+  track_proc cl obj pid
 
-and finish_invocation cl obj spec self =
-  Hashtbl.remove obj.ob_inflight (Engine.Pid.to_int self);
-  Hashtbl.remove cl.c_span_ctx (Engine.Pid.to_int self);
-  let running, queue = class_state obj spec.Opclass.class_name in
-  decr running;
+and finish_invocation cl obj slot id =
+  Itbl.remove obj.ob_inflight id;
+  Itbl.remove cl.c_span_ctx id;
+  slot.cs_running <- slot.cs_running - 1;
   obj.ob_running_total <- obj.ob_running_total - 1;
   Condition.broadcast obj.ob_drained;
   match obj.ob_status with
   | Running -> (
-    match Fifo.pop queue with
-    | Some next -> start_invocation cl obj spec next
+    match Fifo.pop slot.cs_queue with
+    | Some next -> start_invocation cl obj slot next.q_op next.q_work
     | None -> ())
   | Draining | Dead -> ()
 
@@ -1025,24 +1040,28 @@ let coordinator_admit cl obj w =
        | Some c ->
          let ds =
            jrecord cl node ~ctx:c
-             (Journal.Drain_stall { target = Name.to_string obj.ob_name })
+             (Journal.Drain_stall { target = obj.ob_label })
          in
          w.w_ctx <- Some (Tracectx.with_parent c ~parent:ds)
        | None -> ());
     Fifo.push_exn obj.ob_stash w
   | Running -> (
-    match Typemgr.find_operation obj.ob_type w.w_op with
+    match Typemgr.resolve obj.ob_type w.w_op with
     | None -> fail_work cl obj w (Error.No_such_operation w.w_op)
-    | Some op ->
+    | Some (op, class_index) ->
       if not (Rights.subset op.Typemgr.required_rights w.w_presented) then
         fail_work cl obj w (Error.Rights_violation w.w_op)
       else if obj.ob_frozen && op.Typemgr.mutates then
         fail_work cl obj w Error.Frozen_immutable
       else begin
-        let spec = Opclass.class_of (Typemgr.classes obj.ob_type) ~op:w.w_op in
-        let running, queue = class_state obj spec.Opclass.class_name in
-        if !running < spec.Opclass.limit then start_invocation cl obj spec w
-        else Fifo.push_exn queue w
+        let slot = obj.ob_classes.(class_index) in
+        if slot.cs_running < slot.cs_limit then
+          start_invocation cl obj slot op w
+        else begin
+          let stamp = obj.ob_admitted in
+          obj.ob_admitted <- stamp + 1;
+          Fifo.push_exn slot.cs_queue { q_work = w; q_op = op; q_stamp = stamp }
+        end
       end)
 
 let coordinator_loop cl obj () =
@@ -1058,7 +1077,7 @@ let coordinator_loop cl obj () =
 let spawn_coordinator cl obj =
   let pid =
     Engine.spawn cl.eng
-      ~name:("coord:" ^ Name.to_string obj.ob_name)
+      ~name:("coord:" ^ obj.ob_label)
       (coordinator_loop cl obj)
   in
   Engine.set_daemon cl.eng pid;
@@ -1070,12 +1089,8 @@ let spawn_behaviours cl obj =
       (fun b ->
         let pid =
           Engine.spawn cl.eng
-            ~name:
-              (Printf.sprintf "%s!%s" (Name.to_string obj.ob_name)
-                 b.Typemgr.b_name)
-            (fun () ->
-              let ctx = make_ctx cl obj in
-              b.Typemgr.b_body ctx)
+            ~name:(Printf.sprintf "%s!%s" obj.ob_label b.Typemgr.b_name)
+            (fun () -> b.Typemgr.b_body (obj_ctx cl obj))
         in
         Engine.set_daemon cl.eng pid;
         obj.ob_behaviour_pids <- pid :: obj.ob_behaviour_pids)
@@ -1109,6 +1124,7 @@ let object_footprint tm repr =
 let build_obj cl ~name ~tm ~repr ~frozen ~reliability ~home ~is_replica ~mem =
   {
     ob_name = name;
+    ob_label = Name.to_string name;
     ob_type = tm;
     ob_repr = repr;
     ob_frozen = frozen;
@@ -1118,14 +1134,26 @@ let build_obj cl ~name ~tm ~repr ~frozen ~reliability ~home ~is_replica ~mem =
     ob_is_replica = is_replica;
     ob_queue = Mailbox.create cl.eng;
     ob_stash = Fifo.create ();
-    ob_class_running = Hashtbl.create 4;
-    ob_class_queue = Hashtbl.create 4;
-    ob_inflight = Hashtbl.create 4;
+    ob_classes =
+      Array.of_list
+        (List.map
+           (fun c ->
+             {
+               cs_limit = c.Opclass.limit;
+               cs_running = 0;
+               cs_queue = Fifo.create ();
+             })
+           (Typemgr.classes tm));
+    ob_admitted = 0;
+    ob_inflight = Itbl.create 4;
     ob_running_total = 0;
     ob_drained = Condition.create cl.eng;
     ob_coordinator = None;
     ob_behaviour_pids = [];
     ob_proc_pids = [];
+    ob_n_procs = 0;
+    ob_proc_prune_at = proc_prune_floor;
+    ob_ctx = None;
     ob_sems = Hashtbl.create 4;
     ob_ports = Hashtbl.create 4;
     ob_rng = Splitmix.split cl.c_rng;
@@ -1253,7 +1281,7 @@ let activate cl node name =
                  invocation is dispatched. *)
               (match Typemgr.reincarnate tm with
               | None -> ()
-              | Some handler -> handler (make_ctx cl obj));
+              | Some handler -> handler (obj_ctx cl obj));
               if obj.ob_status = Dead then
                 finish (Error Error.Object_crashed)
               else begin
@@ -1367,7 +1395,7 @@ let checkpoint_round cl obj ~repr =
       Tracectx.root
         (jrecord cl node
            (Journal.Ckpt_round
-              { target = Name.to_string obj.ob_name; version }))
+              { target = obj.ob_label; version }))
     in
     let type_name = Typemgr.name obj.ob_type in
     (* A checksite that has left the membership (decommissioned, not
@@ -1483,12 +1511,12 @@ let checkpoint_round cl obj ~repr =
       match Promise.await ?timeout:(remaining cl.eng deadline) pr with
       | Some true -> true
       | Some false when was_delta ->
-        Hashtbl.remove node.nd_pending req_id.Message.seq;
+        Itbl.remove node.nd_pending req_id.Message.seq;
         Metrics.incr metrics.m_ckpt_fallbacks;
         let req_id', pr' = send_full site in
         await_ack site req_id' pr' false
       | Some false | None ->
-        Hashtbl.remove node.nd_pending req_id.Message.seq;
+        Itbl.remove node.nd_pending req_id.Message.seq;
         false
     in
     let ok_sites, failed =
@@ -1570,7 +1598,7 @@ let do_checkpoint_async cl obj =
       let repr = obj.ob_repr in
       ignore
         (spawn_kproc cl node
-           ~name:("k:ckpt_async:" ^ Name.to_string obj.ob_name)
+           ~name:("k:ckpt_async:" ^ obj.ob_label)
            (fun () ->
              Fun.protect
                ~finally:(fun () ->
@@ -1590,17 +1618,21 @@ let do_checkpoint_async cl obj =
   end
 
 (* Collect every request the object is holding, in admission order.
-   In-flight works are ordered by pid, which is their start order: the
-   table's bucket order would tie the crash, move and drain paths to
-   how pids hash. *)
+   In-flight works are ordered by pid, which is their start order, and
+   works queued in different classes by their admission stamps: table
+   or class order would tie the crash, move and drain paths to how pids
+   hash or how the type lists its classes. *)
 let outstanding_works obj =
   let inflight =
-    Hashtbl.fold (fun pid w acc -> (pid, w) :: acc) obj.ob_inflight []
+    Itbl.fold (fun pid w acc -> (pid, w) :: acc) obj.ob_inflight []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map snd
   in
   let queued =
-    Hashtbl.fold (fun _ q acc -> Fifo.to_list q @ acc) obj.ob_class_queue []
+    Array.to_list obj.ob_classes
+    |> List.concat_map (fun c -> Fifo.to_list c.cs_queue)
+    |> List.sort (fun a b -> Int.compare a.q_stamp b.q_stamp)
+    |> List.map (fun q -> q.q_work)
   in
   let stashed = Fifo.to_list obj.ob_stash in
   let buffered =
@@ -1622,14 +1654,11 @@ let kill_object_procs cl obj =
   obj.ob_coordinator <- None;
   obj.ob_behaviour_pids <- [];
   obj.ob_proc_pids <- [];
+  obj.ob_n_procs <- 0;
   (* If the current process is one of the object's own (crash called
      from a handler or behaviour), kill it last so the rest of the
      dismantling completes. *)
-  let here =
-    match Engine.self () with
-    | pid -> Some pid
-    | exception Invalid_argument _ -> None
-  in
+  let here = Engine.running cl.eng in
   let mine, others =
     match here with
     | None -> (self, pids)
@@ -1672,7 +1701,7 @@ let do_crash cl obj =
                }))
       obj.ob_ckpt_sites;
     unregister cl obj;
-    tracef cl Trace.Kern "%s crashed on node %d" (Name.to_string obj.ob_name)
+    tracef cl Trace.Kern "%s crashed on node %d" (obj.ob_label)
       node.nd_id;
     kill_object_procs cl obj
   end
@@ -1714,7 +1743,7 @@ let do_move cl obj ~to_node ~self_inflight =
            transfer_id;
          });
     let accepted = Promise.await ~timeout:ack_timeout pr in
-    Hashtbl.remove source.nd_pending transfer_id.Message.seq;
+    Itbl.remove source.nd_pending transfer_id.Message.seq;
     (* Whatever the outcome, requests stashed while draining must be
        re-admitted once the object is running again. *)
     let resume_and_flush () =
@@ -1751,7 +1780,7 @@ let do_move cl obj ~to_node ~self_inflight =
          directory user a nack round before the fallback repairs it. *)
       dir_publish cl source obj.ob_name ~home:to_node ~replicas:[];
       tracef cl Trace.Move "moved %s: node %d -> node %d"
-        (Name.to_string obj.ob_name) source.nd_id to_node;
+        (obj.ob_label) source.nd_id to_node;
       Ok ()
     | Some false ->
       resume_and_flush ();
@@ -1780,7 +1809,7 @@ let do_replicate cl obj ~to_node =
            from_node = node.nd_id;
          });
     let accepted = Promise.await ~timeout:ack_timeout pr in
-    Hashtbl.remove node.nd_pending transfer_id.Message.seq;
+    Itbl.remove node.nd_pending transfer_id.Message.seq;
     match accepted with
     | Some true ->
       (* Same-home publish: the shard unions [to_node] into the
@@ -1788,7 +1817,7 @@ let do_replicate cl obj ~to_node =
       dir_publish cl node obj.ob_name ~home:obj.ob_home
         ~replicas:[ to_node ];
       tracef cl Trace.Move "replicated %s to node %d"
-        (Name.to_string obj.ob_name) to_node;
+        (obj.ob_label) to_node;
       Ok ()
     | Some false -> Error Error.Out_of_memory
     | None -> Error Error.Node_down
@@ -1897,7 +1926,7 @@ let cache_fetch ?ctx cl node name ~from_node =
                  (Message.Cache_fetch
                     { req_id; target = name; reply_to = node.nd_id });
                let payload = Promise.await ~timeout:ack_timeout pr in
-               Hashtbl.remove node.nd_pending req_id.Message.seq;
+               Itbl.remove node.nd_pending req_id.Message.seq;
                match payload with
                | Some (Some (type_name, repr)) ->
                  (* A version bump that raced the reply (e.g. the
@@ -1938,7 +1967,7 @@ let locate_once ?ctx cl node name ~window =
   bcast_msg ?ctx cl node
     (Message.Locate_request { req_id; target = name; reply_to = node.nd_id });
   let early = Promise.await ~timeout:window st.loc_active in
-  Hashtbl.remove node.nd_pending req_id.Message.seq;
+  Itbl.remove node.nd_pending req_id.Message.seq;
   match early with
   | Some hit -> Some hit
   | None ->
@@ -2205,7 +2234,7 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
           send_msg_now ?ctx cl node ~dst:hedge_dst (request ~to_site:hedge_dst);
           Promise.await ?timeout:(remaining cl.eng deadline) pr)
     in
-    Hashtbl.remove node.nd_pending inv_id.Message.seq;
+    Itbl.remove node.nd_pending inv_id.Message.seq;
     finish ~from_node:dst outcome
   end
   else begin
@@ -2224,7 +2253,7 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
         send_msg ?ctx cl node ~dst:site (request ~to_site:site))
       sites;
     let outcome = Promise.await ?timeout:(remaining cl.eng deadline) pr in
-    Hashtbl.remove node.nd_pending inv_id.Message.seq;
+    Itbl.remove node.nd_pending inv_id.Message.seq;
     let winner =
       match outcome with
       | Some (Inv_result _, won) -> Some won
@@ -2518,7 +2547,7 @@ let do_create cl ~from ~node:target ~type_name init =
     send_msg cl origin ~dst:target
       (Message.Create_request { req_id; type_name; init; reply_to = from });
     let r = Promise.await ~timeout:ack_timeout pr in
-    Hashtbl.remove origin.nd_pending req_id.Message.seq;
+    Itbl.remove origin.nd_pending req_id.Message.seq;
     match r with None -> Error Error.Node_down | Some result -> result
   end
 
@@ -2732,7 +2761,7 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
          serves reads of the (frozen) name. *)
       if residence = Message.Res_replica then
         learn_clone_site cl node target at_node;
-      match Hashtbl.find_opt node.nd_pending req_id.Message.seq with
+      match Itbl.find_opt node.nd_pending req_id.Message.seq with
       | Some (P_locate st) -> (
         match residence with
         | Message.Res_active ->
@@ -3077,7 +3106,7 @@ let register_collectors cl =
                (fun _ obj acc -> max acc (Mailbox.length obj.ob_queue))
                node.nd_active 0));
       g "eden.pending_requests" (fun () ->
-          float_of_int (Hashtbl.length node.nd_pending));
+          float_of_int (Itbl.length node.nd_pending));
       g "net.queued_messages" (fun () ->
           float_of_int (Transport.queued_messages node.nd_tp));
       g "net.reassembly_pending" (fun () ->
@@ -3175,7 +3204,7 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
              nd_forward = Name.Table.create 16;
              nd_activating = Name.Table.create 8;
              nd_locating = Name.Table.create 8;
-             nd_pending = Hashtbl.create 64;
+             nd_pending = Itbl.create 64;
              nd_seq = Idgen.create ();
              nd_clone_sites = Name.Table.create 8;
              nd_recent =
@@ -3267,7 +3296,7 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
               m_drain_moves =
                 Metrics.counter reg ~labels "eden.drain.moves";
             });
-      c_span_ctx = Hashtbl.create 64;
+      c_span_ctx = Itbl.create 64;
       c_jsink = jsink;
       c_health = None;
       c_hedge =
@@ -3656,7 +3685,7 @@ let crash_node cl i =
        issued after the restart can never collide with pre-crash ones
        still remembered elsewhere. *)
     Dedup.reset node.nd_recent;
-    Hashtbl.reset node.nd_pending;
+    Itbl.reset node.nd_pending;
     Hashtbl.reset node.nd_types_loaded;
     node.nd_mem <-
       Memory.create
@@ -3850,7 +3879,7 @@ let decommission_node cl i =
               ignore
                 (jrecord cl node
                    (Journal.Drain_move
-                      { target = Name.to_string obj.ob_name; to_node }))
+                      { target = obj.ob_label; to_node }))
             | Error _ -> ()))
       victims;
     bump_epoch cl node ~members:(List.filter (fun m -> m <> i) cl.c_members);
@@ -3868,6 +3897,11 @@ let where_is cl cap =
   | None -> None
 
 let is_active cl cap = where_is cl cap <> None
+
+let tracked_processes cl cap =
+  match find_primary cl (Capability.name cap) with
+  | Some obj -> Some obj.ob_n_procs
+  | None -> None
 
 let replica_sites cl cap =
   let name = Capability.name cap in

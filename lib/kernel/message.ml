@@ -151,6 +151,15 @@ let size_bytes m =
   | Dir_nack _ -> name_bytes + 4
   | Epoch_announce { members; _ } -> 8 + (4 * List.length members)
 
+(* Reply descriptions name only the origin node, so the common ones are
+   rendered once. *)
+let inv_reply_names = Array.init 64 (fun i -> "inv_reply n" ^ string_of_int i)
+
+let inv_reply_name origin =
+  if origin >= 0 && origin < Array.length inv_reply_names then
+    inv_reply_names.(origin)
+  else "inv_reply n" ^ string_of_int origin
+
 let describe = function
   | Inv_request { target; op; _ } ->
     String.concat "" [ "inv_request "; Name.to_string target; "."; op ]
@@ -158,7 +167,7 @@ let describe = function
      and a per-invocation sequence number would make every reply
      distinct.  Traces correlate request and reply through event
      parent ids, not the description. *)
-  | Inv_reply { inv_id; _ } -> "inv_reply n" ^ string_of_int inv_id.origin
+  | Inv_reply { inv_id; _ } -> inv_reply_name inv_id.origin
   | Inv_nack { target; _ } -> "inv_nack " ^ Name.to_string target
   | Hint_update { target; at_node } ->
     Printf.sprintf "hint %s@%d" (Name.to_string target) at_node

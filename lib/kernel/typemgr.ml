@@ -10,6 +10,8 @@ type behaviour = { b_name : string; b_body : Api.ctx -> unit }
 type t = {
   tname : string;
   ops : operation list;
+  resolved : (string * (operation * int) option) array;
+      (* each operation's name beside its answer to [resolve] *)
   cls : Opclass.spec list;
   code : int;
   short_term : int;
@@ -37,10 +39,22 @@ let make ~name ?classes ?(code_bytes = 16_384) ?(short_term_bytes = 4_096)
       match Opclass.validate cls ~operations:op_names with
       | Error e -> Error e
       | Ok () ->
+        (* [validate] put every operation in exactly one class. *)
+        let class_index op =
+          Option.get
+            (List.find_index
+               (fun c -> List.mem op.op_name c.Opclass.operations)
+               cls)
+        in
         Ok
           {
             tname = name;
             ops = operations;
+            resolved =
+              Array.of_list
+                (List.map
+                   (fun op -> (op.op_name, Some (op, class_index op)))
+                   operations);
             cls;
             code = code_bytes;
             short_term = short_term_bytes;
@@ -67,8 +81,18 @@ let short_term_bytes t = t.short_term
 let reincarnate t = t.reinc
 let behaviours t = t.behs
 
+let resolve t op =
+  let r = t.resolved in
+  let rec go i =
+    if i = Array.length r then None
+    else
+      let name, res = Array.unsafe_get r i in
+      if String.equal name op then res else go (i + 1)
+  in
+  go 0
+
 let find_operation t op =
-  List.find_opt (fun o -> String.equal o.op_name op) t.ops
+  match resolve t op with Some (o, _) -> Some o | None -> None
 
 let operation ?(required = []) ?(mutates = true) op_name op_handler =
   {

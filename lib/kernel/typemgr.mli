@@ -58,6 +58,10 @@ val reincarnate : t -> (Api.ctx -> unit) option
 val behaviours : t -> behaviour list
 val find_operation : t -> string -> operation option
 
+val resolve : t -> string -> (operation * int) option
+(** The operation named [op] together with the index of its invocation
+    class in {!classes} (declaration order); allocates nothing. *)
+
 val operation :
   ?required:Rights.right list ->
   ?mutates:bool ->

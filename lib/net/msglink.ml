@@ -1,7 +1,10 @@
 (* A message of size S travels as ceil(S / max_frame) fragments; only
    the last fragment carries the message value, the earlier ones model
    the wire time of their chunk.  The receiver counts fragments per
-   (src, msg_id) and delivers on a complete final fragment. *)
+   (src, msg_id) and delivers on a complete final fragment.  Message ids
+   are never reused on a link and addresses never on a LAN, so a
+   one-fragment message has no count to consult and is delivered
+   directly. *)
 type 'm packet = {
   pk_msg_id : int;
   pk_total : int;
@@ -32,6 +35,13 @@ let max_chunk lan = (Lan.params lan).Params.max_frame_bytes
 let deliver tp frame =
   let p = frame.Lan.payload in
   if not tp.up then tp.discarded <- tp.discarded + 1
+  else if p.pk_total = 1 then begin
+    match p.pk_content with
+    | Some msg -> (
+      tp.received <- tp.received + 1;
+      match tp.handler with Some f -> f ~src:frame.Lan.src msg | None -> ())
+    | None -> assert false (* the only fragment is the final one *)
+  end
   else begin
     let key = { k_src = frame.Lan.src; k_msg = p.pk_msg_id } in
     let seen = Option.value ~default:0 (Hashtbl.find_opt tp.partial key) in

@@ -155,6 +155,11 @@ let create ?(keep = 4096) () =
     n_late = 0;
   }
 
+(* One zero per phase.  A literal rather than [Array.make], so it is
+   allocated inline with no call into the runtime. *)
+let fresh_acc () = Time.[| zero; zero; zero; zero; zero; zero |]
+let () = assert (Array.length (fresh_acc ()) = n_phases)
+
 let start col ?parent ~op ~target ~origin ~at () =
   let id = col.next_id in
   col.next_id <- id + 1;
@@ -169,7 +174,7 @@ let start col ?parent ~op ~target ~origin ~at () =
     sp_start = at;
     sp_cur = Locate;
     sp_since = at;
-    sp_acc = Array.make n_phases Time.zero;
+    sp_acc = fresh_acc ();
     sp_done = None;
     sp_home = col;
   }

@@ -17,12 +17,12 @@ exception Stalled_waiting
 
 type wake = Woken | Timed_out
 
-(* The sampler is deliberately not a heap event: [run] drains the heap
-   to completion, so a self-rescheduling sampler event would keep the
-   simulation alive forever, and even a bounded one would perturb
-   [n_events].  Instead the run loop interleaves sampler boundaries
-   with heap events by time (boundary first on ties), touching neither
-   the heap nor the event counter — a run with a sampler executes the
+(* The sampler is deliberately not a queued event: [run] drains the
+   event queue to completion, so a self-rescheduling sampler event
+   would keep the simulation alive forever, and even a bounded one
+   would perturb [n_events].  Instead the run loop interleaves sampler boundaries
+   with queued events by time (boundary first on ties), touching neither
+   the queue nor the event counter — a run with a sampler executes the
    exact same schedule as one without. *)
 type sampler = {
   smp_interval : Time.t;
@@ -32,12 +32,21 @@ type sampler = {
 
 module Itbl = Hashtbl.Make (Int)
 
-(* The heap is keyed by event time in ns; equal times run in push
-   order.  [procs] holds only unfinished processes: a process leaves it
-   the moment it returns, raises, or is killed before it starts. *)
+(* Events live in two heaps keyed by event time in ns, numbered from
+   one sequence counter.  [timers] holds the timeout of every timed
+   wait, [heap] everything else.  Nearly every timeout goes stale (its
+   wait is woken long before it fires), so keeping them apart leaves
+   the heap that every event touches holding only live work.  The run
+   loop pops whichever top is smaller in (time, seq) order: the merged
+   order is exactly that of one heap holding both, so equal times run
+   in push order across the tiers.  [procs] holds only unfinished
+   processes: a process leaves it the moment it returns, raises, or is
+   killed before it starts. *)
 type t = {
   mutable clock : Time.t;
   heap : (unit -> unit) Pqueue.t;
+  timers : (unit -> unit) Pqueue.t;
+  mutable next_seq : int;
   procs : proc Itbl.t;
   pid_gen : Idgen.t;
   root_rng : Splitmix.t;
@@ -75,6 +84,8 @@ let create ?(seed = 1L) () =
   {
     clock = Time.zero;
     heap = Pqueue.create ~dummy:ignore ();
+    timers = Pqueue.create ~dummy:ignore ();
+    next_seq = 0;
     procs = Itbl.create 64;
     pid_gen = Idgen.create ();
     root_rng = Splitmix.create seed;
@@ -87,7 +98,13 @@ let create ?(seed = 1L) () =
 let now eng = eng.clock
 let fork_rng eng = Splitmix.split eng.root_rng
 
-let push_event eng time run = Pqueue.push eng.heap (Time.to_ns time) run
+let push_into q eng time run =
+  let seq = eng.next_seq in
+  eng.next_seq <- seq + 1;
+  Pqueue.push_seq q (Time.to_ns time) seq run
+
+let push_event eng time run = push_into eng.heap eng time run
+let push_timer eng time run = push_into eng.timers eng time run
 
 let schedule eng ?(after = Time.zero) f =
   push_event eng (Time.add eng.clock after) f
@@ -142,7 +159,7 @@ let exec_body eng p body =
                 (match timeout with
                 | None -> ()
                 | Some d ->
-                  push_event eng (Time.add eng.clock d) (fun () ->
+                  push_timer eng (Time.add eng.clock d) (fun () ->
                       match h.h_k with
                       | None -> ()
                       | Some k ->
@@ -206,6 +223,7 @@ let kill eng pid =
             discontinue k Killed)))
 
 let alive eng pid = Itbl.mem eng.procs (Pid.to_int pid)
+let running eng = eng.running
 
 let not_in_process what =
   invalid_arg (Printf.sprintf "Engine.%s: called outside a process" what)
@@ -249,7 +267,18 @@ let blocked_procs eng =
     eng.procs []
   |> List.sort (fun a b -> Pid.compare a.p_pid b.p_pid)
 
-(* When the heap empties, blocked daemons are discarded and any other
+(* The tier holding the next event in (time, seq) order; [heap] when
+   both are empty. *)
+let next_tier eng =
+  let h = eng.heap and tm = eng.timers in
+  if Pqueue.is_empty tm then h
+  else if Pqueue.is_empty h then tm
+  else
+    let kh = Pqueue.min_key h and kt = Pqueue.min_key tm in
+    if kh < kt || (kh = kt && Pqueue.min_seq h < Pqueue.min_seq tm) then h
+    else tm
+
+(* When both tiers empty, blocked daemons are discarded and any other
    blocked process is a deadlock: resume it with Stalled_waiting, which
    escapes through [run] unless the process catches it. *)
 let handle_idle eng =
@@ -301,9 +330,10 @@ let run ?until eng =
     s.smp_fn ()
   in
   let rec loop () =
-    if Pqueue.is_empty eng.heap then (if handle_idle eng then loop ())
+    let q = next_tier eng in
+    if Pqueue.is_empty q then (if handle_idle eng then loop ())
     else
-      let t = Time.ns (Pqueue.min_key eng.heap) in
+      let t = Time.ns (Pqueue.min_key q) in
       if not (within_limit t) then (
         match until with
         | None -> assert false
@@ -320,7 +350,7 @@ let run ?until eng =
           fire s;
           loop ()
         | None ->
-          let run = Pqueue.pop_exn eng.heap in
+          let run = Pqueue.pop_exn q in
           eng.clock <- t;
           eng.n_events <- eng.n_events + 1;
           run ();

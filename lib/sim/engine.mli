@@ -1,6 +1,10 @@
 (** Deterministic discrete-event simulation engine.
 
-    The engine owns a virtual clock and an event heap.  Work is
+    The engine owns a virtual clock and an event queue in two tiers:
+    the timeouts of timed waits ({!suspend} with [~timeout]) in one
+    heap, every other event in another, both numbered from one
+    sequence counter and merged in (time, sequence) order, so the
+    tiers change the cost of a run but never its schedule.  Work is
     expressed as {e processes}: ordinary OCaml functions that may call
     the blocking operations {!delay}, {!suspend} and {!yield}, which are
     implemented with effect handlers so that a process is suspended and
@@ -62,6 +66,11 @@ val kill : t -> Pid.t -> unit
 
 val alive : t -> Pid.t -> bool
 
+val running : t -> Pid.t option
+(** The process whose code is executing, or [None] when the engine is
+    running a plain callback or is not running.  Unlike {!self} it
+    performs no effect and may be called from anywhere. *)
+
 val schedule : t -> ?after:Eden_util.Time.t -> (unit -> unit) -> unit
 (** [schedule t f] runs the plain (non-blocking) callback [f] at
     [now + after] (default: now).  [f] must not perform blocking
@@ -98,8 +107,8 @@ val handle_pid : handle -> Pid.t
 (** {2 Running} *)
 
 val run : ?until:Eden_util.Time.t -> t -> unit
-(** Process events in time order until the heap is empty or the clock
-    would pass [until].  When the heap empties while non-daemon
+(** Process events in time order until none remain or the clock would
+    pass [until].  When the events run out while non-daemon
     processes are still suspended with no timeout, those processes are
     resumed with {!Stalled_waiting} (a deadlock diagnostic).  Raises
     [Invalid_argument] if called from inside a process. *)
@@ -108,9 +117,9 @@ val every : t -> interval:Eden_util.Time.t -> (unit -> unit) -> unit
 (** Install the engine's periodic sampler: from the current clock, [f]
     runs at every multiple of [interval] while events remain, as a
     plain non-blocking callback (like {!schedule} bodies).  The sampler
-    is interleaved with heap events by time — at a shared instant the
+    is interleaved with queued events by time — at a shared instant the
     sampler fires first, so events landing exactly on a boundary count
-    toward the next sample — but it is {e not} a heap event: it never
+    toward the next sample — but it is {e not} a queued event: it never
     extends the run past the last real event, never perturbs
     {!events_processed}, and a run with a sampler executes the exact
     same event schedule as one without (the observability plane rides

@@ -1,6 +1,7 @@
 (* [data] starts empty and is allocated on the first push: most queues
    (one per promise or mailbox) never hold more than one element, and
-   many never hold any. *)
+   many never hold any.  The first buffer is a literal, allocated inline
+   with no call into the runtime. *)
 type 'a t = {
   capacity : int option;
   mutable data : 'a option array;
@@ -26,7 +27,8 @@ let capacity q = q.capacity
 
 let grow q =
   let cap = Array.length q.data in
-  if cap = 0 then q.data <- Array.make 8 None
+  if cap = 0 then
+    q.data <- [| None; None; None; None; None; None; None; None |]
   else if q.size = cap then begin
     let ndata = Array.make (cap * 2) None in
     for i = 0 to q.size - 1 do

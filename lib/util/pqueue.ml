@@ -1,10 +1,10 @@
-(* Entries carry an insertion sequence number so that equal keys pop in
-   FIFO order: determinism of the simulation depends on it.  Heap
-   position [i] holds the entry ([keys.(i)], [seqs.(i)]) whose value
-   sits in [vals.(slots.(i))].  Sifting moves integers only: a store
-   into [vals] goes through the GC write barrier, so a value is written
-   once on push and cleared once on pop rather than at every level of
-   the heap.  The value slots not in use form a stack in
+(* Entries are ordered by (key, seq); the caller numbers them, so that
+   several heaps fed from one counter merge into a single total order.
+   Heap position [i] holds the entry ([keys.(i)], [seqs.(i)]) whose
+   value sits in [vals.(slots.(i))].  Sifting moves integers only: a
+   store into [vals] goes through the GC write barrier, so a value is
+   written once on push and cleared once on pop rather than at every
+   level of the heap.  The value slots not in use form a stack in
    [free.(0 .. capacity - size - 1)]. *)
 type 'a t = {
   dummy : 'a;
@@ -14,7 +14,6 @@ type 'a t = {
   mutable vals : 'a array;
   mutable free : int array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
 let create ~dummy () =
@@ -26,7 +25,6 @@ let create ~dummy () =
     vals = [||];
     free = [||];
     size = 0;
-    next_seq = 0;
   }
 
 let length h = h.size
@@ -60,40 +58,43 @@ let[@inline] place (keys : int array) (seqs : int array) (slots : int array) i
   Array.unsafe_set seqs i s;
   Array.unsafe_set slots i slot
 
-(* A new entry carries the largest sequence number so far, so it rises
-   past a parent only on a strictly smaller key. *)
+(* Whether the entry at [i] orders before ([k], [s]). *)
+let[@inline] earlier (keys : int array) (seqs : int array) i (k : int) (s : int)
+    =
+  let ki : int = Array.unsafe_get keys i in
+  ki < k || (ki = k && (Array.unsafe_get seqs i : int) < s)
+
 let rec sift_up keys seqs slots i k s slot =
   if i = 0 then place keys seqs slots 0 k s slot
   else
     let parent = (i - 1) / 2 in
-    if k < Array.unsafe_get keys parent then begin
+    if earlier keys seqs parent k s then place keys seqs slots i k s slot
+    else begin
       move keys seqs slots ~src:parent ~dst:i;
       sift_up keys seqs slots parent k s slot
     end
-    else place keys seqs slots i k s slot
-
-let[@inline] before (keys : int array) (seqs : int array) i j =
-  let ki : int = Array.unsafe_get keys i and kj = Array.unsafe_get keys j in
-  ki < kj
-  || (ki = kj && (Array.unsafe_get seqs i : int) < Array.unsafe_get seqs j)
 
 let rec sift_down keys seqs slots size i k s slot =
   let l = (2 * i) + 1 in
   if l >= size then place keys seqs slots i k s slot
   else
     let r = l + 1 in
-    let c = if r < size && before keys seqs r l then r else l in
-    let kc : int = Array.unsafe_get keys c in
-    if kc < k || (kc = k && (Array.unsafe_get seqs c : int) < s) then begin
+    let c =
+      if
+        r < size
+        && earlier keys seqs r (Array.unsafe_get keys l)
+             (Array.unsafe_get seqs l)
+      then r
+      else l
+    in
+    if earlier keys seqs c k s then begin
       move keys seqs slots ~src:c ~dst:i;
       sift_down keys seqs slots size c k s slot
     end
     else place keys seqs slots i k s slot
 
-let push h key v =
+let push_seq h key seq v =
   if h.size = Array.length h.keys then grow h;
-  let seq = h.next_seq in
-  h.next_seq <- seq + 1;
   let i = h.size in
   h.size <- i + 1;
   (* With [size] counting the new entry, the free stack's top is at
@@ -105,6 +106,10 @@ let push h key v =
 let min_key h =
   if h.size = 0 then invalid_arg "Pqueue.min_key: empty heap";
   Array.unsafe_get h.keys 0
+
+let min_seq h =
+  if h.size = 0 then invalid_arg "Pqueue.min_seq: empty heap";
+  Array.unsafe_get h.seqs 0
 
 let pop_exn h =
   if h.size = 0 then invalid_arg "Pqueue.pop_exn: empty heap";

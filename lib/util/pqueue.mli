@@ -1,11 +1,14 @@
 (** Mutable binary min-heap keyed by integers.
 
-    Entries are ordered by their [int] key, then by insertion order, so
-    entries with equal keys pop first-in first-out: the event loop
-    relies on this for determinism.  The heap is stored as parallel
-    integer arrays (key, insertion sequence, value slot) beside an
-    array of values, so pushing and popping compare and move plain
-    integers and allocate nothing beyond the occasional array growth. *)
+    Entries are ordered by their [int] key, then by a sequence number
+    the caller supplies.  Numbering pushes from one counter makes
+    entries with equal keys pop first-in first-out — the event loop
+    relies on this for determinism — and lets several heaps fed from
+    the same counter merge into exactly the order a single heap would
+    give.  The heap is stored as parallel integer arrays (key,
+    sequence, value slot) beside an array of values, so pushing and
+    popping compare and move plain integers and allocate nothing
+    beyond the occasional array growth. *)
 
 type 'a t
 
@@ -16,11 +19,17 @@ val create : dummy:'a -> unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> int -> 'a -> unit
-(** [push h key v] inserts [v] behind every entry whose key is [<= key]. *)
+val push_seq : 'a t -> int -> int -> 'a -> unit
+(** [push_seq h key seq v] inserts [v] at ([key], [seq]).  Sequence
+    numbers should be distinct; two entries with the same key and
+    sequence pop in an unspecified order. *)
 
 val min_key : 'a t -> int
 (** Key of the entry {!pop_exn} would return next.  Raises
+    [Invalid_argument] on an empty heap. *)
+
+val min_seq : 'a t -> int
+(** Sequence number of the entry {!pop_exn} would return next.  Raises
     [Invalid_argument] on an empty heap. *)
 
 val pop : 'a t -> (int * 'a) option

@@ -373,6 +373,65 @@ let test_crash_fails_inflight_in_start_order () =
       Alcotest.(check (list int))
         "failures in start order" [ 0; 1; 2; 3; 4; 5; 6; 7 ] (List.rev !failed))
 
+(* Works queued in different classes are handed over in the order they
+   were admitted, not grouped by class. *)
+let test_crash_fails_queued_in_admission_order () =
+  let slow _ args =
+    let* () = no_args args in
+    Engine.delay (Time.ms 500);
+    reply_unit
+  in
+  let tm =
+    Typemgr.make_exn ~name:"ab"
+      ~classes:
+        [
+          { Opclass.class_name = "a"; operations = [ "opa" ]; limit = 1 };
+          { Opclass.class_name = "b"; operations = [ "opb" ]; limit = 1 };
+          { Opclass.class_name = "admin"; operations = [ "crash" ]; limit = 1 };
+        ]
+      [
+        Typemgr.operation "opa" slow;
+        Typemgr.operation "opb" slow;
+        Typemgr.operation "crash" (fun ctx args ->
+            let* () = no_args args in
+            ctx.crash ();
+            reply_unit);
+      ]
+  in
+  with_cluster ~types:[ tm ] (fun cl ->
+      let cap =
+        ok_or_fail "create"
+          (Cluster.create_object cl ~node:0 ~type_name:"ab" Value.Unit)
+      in
+      let failed = ref [] in
+      for i = 0 to 5 do
+        let op = if i mod 2 = 0 then "opa" else "opb" in
+        ignore
+          (Engine.spawn (Cluster.engine cl) (fun () ->
+               match Cluster.invoke cl ~from:0 cap ~op [] with
+               | Error Error.Object_crashed -> failed := i :: !failed
+               | Ok _ | Error _ -> Alcotest.failf "work %d outlived the crash" i));
+        Engine.delay (Time.ms 10)
+      done;
+      expect_error "crash" Error.Object_crashed
+        (Cluster.invoke cl ~from:0 cap ~op:"crash" []);
+      Engine.delay (Time.ms 1000);
+      Alcotest.(check (list int))
+        "failures in admission order" [ 0; 1; 2; 3; 4; 5 ] (List.rev !failed))
+
+(* Finished invocation processes are not kept for the object's
+   lifetime: the list a crash or move kills from stays bounded. *)
+let test_tracked_processes_bounded () =
+  with_cluster (fun cl ->
+      let cap = new_counter cl ~node:0 0 in
+      for _ = 1 to 2000 do
+        ignore (ok_or_fail "incr" (Cluster.invoke cl ~from:0 cap ~op:"incr" []))
+      done;
+      match Cluster.tracked_processes cl cap with
+      | None -> Alcotest.fail "object not active"
+      | Some n ->
+        check_bool (Printf.sprintf "bounded (%d tracked)" n) true (n > 0 && n < 200))
+
 let test_distinct_classes_concurrent () =
   let tm =
     Typemgr.make_exn ~name:"twoclass"
@@ -805,6 +864,10 @@ let () =
             test_distinct_classes_concurrent;
           Alcotest.test_case "crash fails in-flight in start order" `Quick
             test_crash_fails_inflight_in_start_order;
+          Alcotest.test_case "crash fails queued in admission order" `Quick
+            test_crash_fails_queued_in_admission_order;
+          Alcotest.test_case "tracked processes bounded" `Quick
+            test_tracked_processes_bounded;
           Alcotest.test_case "ports + behaviours" `Quick
             test_ports_and_behaviours;
           Alcotest.test_case "semaphore prevents lost updates" `Quick

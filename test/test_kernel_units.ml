@@ -17,6 +17,11 @@ let test_name_basics () =
   check_int "birth node" 3 (Name.birth_node n);
   check_int "serial" 17 (Name.serial n);
   check_string "printed" "obj<3.17>" (Name.to_string n);
+  List.iter
+    (fun (b, s) ->
+      check_string "digit boundaries" (Printf.sprintf "obj<%d.%d>" b s)
+        (Name.to_string (Name.make ~birth_node:b ~serial:s)))
+    [ (0, 0); (9, 10); (10, 9); (99, 100); (100, 99); (12345, max_int) ];
   check_bool "equal self" true (Name.equal n n);
   check_bool "differs by serial" false
     (Name.equal n (Name.make ~birth_node:3 ~serial:18));
@@ -547,7 +552,25 @@ let test_typemgr_validation () =
     check_bool "find" true (Typemgr.find_operation tm "x" <> None);
     check_bool "missing" true (Typemgr.find_operation tm "y" = None);
     (* Default classes: one singleton per op with limit 1. *)
-    check_int "default classes" 1 (List.length (Typemgr.classes tm))
+    check_int "default classes" 1 (List.length (Typemgr.classes tm));
+    (* [resolve] names the class by its index in declaration order. *)
+    let classes =
+      [
+        { Opclass.class_name = "w"; operations = [ "c" ]; limit = 1 };
+        { Opclass.class_name = "r"; operations = [ "a"; "b" ]; limit = 2 };
+      ]
+    in
+    let tm2 = Typemgr.make_exn ~name:"t2" ~classes [ op "a"; op "b"; op "c" ] in
+    let class_of o =
+      Option.map snd (Typemgr.resolve tm2 o)
+    in
+    Alcotest.(check (list (option int)))
+      "resolve" [ Some 1; Some 1; Some 0; None ]
+      (List.map class_of [ "a"; "b"; "c"; "d" ]);
+    check_bool "resolved op" true
+      (match Typemgr.resolve tm2 "b" with
+      | Some (o, _) -> o.Typemgr.op_name = "b"
+      | None -> false)
   | Error e -> Alcotest.failf "valid type refused: %s" e
 
 let test_typemgr_operation_defaults () =

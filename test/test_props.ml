@@ -780,7 +780,7 @@ let heap_matches_model =
         (function
           | Push k ->
             (* The value is the push's seq, so a pop names its entry. *)
-            Pqueue.push h k !seq;
+            Pqueue.push_seq h k !seq !seq;
             model :=
               List.merge
                 (fun (k1, s1) (k2, s2) ->
@@ -796,6 +796,79 @@ let heap_matches_model =
         expect_pop (Pqueue.pop h)
       done;
       expect_pop None;
+      match !err with Some m -> Error m | None -> Ok ())
+
+(* The engine's two event tiers: pushes split at random between two
+   heaps numbered from one counter pop, when each pop takes the smaller
+   top in (key, seq) order, exactly as one heap fed the same pushes.
+   Keys come from a space of four so most entries tie across tiers. *)
+
+type tier_op = Tpush of bool * int | Tpop
+
+let show_tier_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Tpush (t, k) -> Printf.sprintf "%c%d" (if t then 't' else 'm') k
+         | Tpop -> "pop")
+       ops)
+
+let gen_tier_ops rng =
+  List.init
+    (1 + Splitmix.int rng 200)
+    (fun _ ->
+      if Splitmix.int rng 3 = 0 then Tpop
+      else Tpush (Splitmix.bool rng, Splitmix.int rng 4))
+
+let tiers_merge_as_one =
+  Prop.case ~name:"two tiers pop as one Pqueue" ~base:0xA110_0011L
+    ~gen:gen_tier_ops ~shrink:shrink_heap_ops ~show:show_tier_ops (fun ops ->
+      let one = Pqueue.create ~dummy:(-1) () in
+      let main = Pqueue.create ~dummy:(-1) ()
+      and timers = Pqueue.create ~dummy:(-1) () in
+      let seq = ref 0 in
+      let pop_merged () =
+        let from q =
+          let k = Pqueue.min_key q in
+          Some (k, Pqueue.pop_exn q)
+        in
+        match (Pqueue.is_empty main, Pqueue.is_empty timers) with
+        | true, true -> None
+        | false, true -> from main
+        | true, false -> from timers
+        | false, false ->
+          let km = Pqueue.min_key main and kt = Pqueue.min_key timers in
+          if km < kt || (km = kt && Pqueue.min_seq main < Pqueue.min_seq timers)
+          then from main
+          else from timers
+      in
+      let err = ref None in
+      let compare_pop () =
+        let want = Pqueue.pop one and got = pop_merged () in
+        if want <> got && !err = None then
+          err :=
+            Some
+              (Printf.sprintf "one heap popped %s, the tiers %s"
+                 (match want with
+                 | None -> "nothing"
+                 | Some (k, s) -> Printf.sprintf "(%d, %d)" k s)
+                 (match got with
+                 | None -> "nothing"
+                 | Some (k, s) -> Printf.sprintf "(%d, %d)" k s))
+      in
+      List.iter
+        (function
+          | Tpush (to_timers, k) ->
+            (* The value is the push's seq, so a pop names its entry. *)
+            Pqueue.push_seq one k !seq !seq;
+            Pqueue.push_seq (if to_timers then timers else main) k !seq !seq;
+            incr seq
+          | Tpop -> compare_pop ())
+        ops;
+      while not (Pqueue.is_empty one) do
+        compare_pop ()
+      done;
+      compare_pop ();
       match !err with Some m -> Error m | None -> Ok ())
 
 (* ------------------------------------------------------------------ *)
@@ -970,7 +1043,7 @@ let () =
       ("traced", [ traced_roundtrip ]);
       ("fault_plan", [ plan_roundtrip ]);
       ("health", [ window_merge_algebra; topk_error_bounds ]);
-      ("pqueue", [ heap_matches_model ]);
+      ("pqueue", [ heap_matches_model; tiers_merge_as_one ]);
       ( "directory",
         [
           ring_balance;

@@ -348,6 +348,98 @@ let test_schedule_fingerprint () =
   check_int "fingerprint" 2268230655879823216 fp;
   check_int "repeatable" fp (fst (schedule_fingerprint ()))
 
+(* Timed waits against the rest of the queue.  Timeouts are kept apart
+   from other events inside the engine; this scenario pins the merged
+   order where that could show: timeouts that fire and timeouts whose
+   wait was woken first (stale), and timeouts that tie with plain
+   events at the same instant — pushed before them (tie A) and after
+   them (tie B) — beside random sleepers, a waker, the sampler and a
+   run cut short by [until].  Every dispatch appends (clock, what) to a
+   transcript; the test pins its digest and the two tie orders. *)
+let tier_fingerprint () =
+  let eng = Engine.create ~seed:11L () in
+  let rng = Engine.fork_rng eng in
+  let log = Buffer.create 4096 in
+  let note fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string log (string_of_int (Time.to_ns (Engine.now eng)));
+        Buffer.add_char log ' ';
+        Buffer.add_string log s;
+        Buffer.add_char log '\n')
+      fmt
+  in
+  let ties = ref [] in
+  let tie what = ties := what :: !ties in
+  let wake_name = function Engine.Woken -> "woken" | Engine.Timed_out -> "timeout" in
+  (* Tie A: the timeout is pushed first, so it runs first. *)
+  ignore
+    (Engine.spawn eng ~name:"tieA" (fun () ->
+         let w = Engine.suspend ~timeout:(Time.us 10) (fun _ -> ()) in
+         tie ("A wait " ^ wake_name w);
+         note "tieA %s" (wake_name w)));
+  ignore
+    (Engine.spawn eng ~name:"tieA-plain" (fun () ->
+         Engine.schedule eng ~after:(Time.us 10) (fun () ->
+             tie "A plain";
+             note "tieA plain")));
+  (* Tie B: the plain event is pushed before the timed wait begins. *)
+  ignore
+    (Engine.spawn eng ~name:"tieB" (fun () ->
+         let w = Engine.suspend ~timeout:(Time.us 20) (fun _ -> ()) in
+         tie ("B wait " ^ wake_name w);
+         note "tieB %s" (wake_name w)));
+  Engine.schedule eng ~after:(Time.us 20) (fun () ->
+      tie "B plain";
+      note "tieB plain");
+  (* Churn: sleepers on short random timeouts, a waker that wakes the
+     newest waits (the older ones have mostly timed out), and delays on the same microsecond grid, so ties between
+     tiers are common. *)
+  let waiting = Stack.create () in
+  for i = 1 to 5 do
+    ignore
+      (Engine.spawn eng ~name:"sleeper" (fun () ->
+           for j = 1 to 12 do
+             let timeout = Time.us (1 + Splitmix.int rng 12) in
+             let w =
+               Engine.suspend ~timeout (fun hd -> Stack.push hd waiting)
+             in
+             note "s%d.%d %s" i j (wake_name w);
+             if Splitmix.int rng 3 = 0 then Engine.delay (Time.us (Splitmix.int rng 3))
+           done))
+  done;
+  ignore
+    (Engine.spawn eng ~name:"waker" (fun () ->
+         for k = 1 to 40 do
+           Engine.delay (Time.us (Splitmix.int rng 4));
+           (match Stack.pop_opt waiting with
+           | Some hd ->
+             note "wake%d %b" k (Engine.handle_pending hd);
+             Engine.wake eng hd
+           | None -> note "wake%d none" k);
+           if k mod 5 = 0 then
+             Engine.schedule eng ~after:(Time.us (Splitmix.int rng 4)) (fun () ->
+                 note "plain%d" k)
+         done));
+  Engine.every eng ~interval:(Time.us 7) (fun () -> note "tick");
+  Engine.run ~until:(Time.us 25) eng;
+  note "cut events=%d live=%d" (Engine.events_processed eng)
+    (Engine.live_processes eng);
+  Engine.run eng;
+  note "end events=%d spawned=%d live=%d" (Engine.events_processed eng)
+    (Engine.processes_spawned eng) (Engine.live_processes eng);
+  (Digest.to_hex (Digest.string (Buffer.contents log)), List.rev !ties)
+
+(* The expected digest was computed on the single-heap engine: the two
+   tiers must reproduce its schedule exactly. *)
+let test_tier_fingerprint () =
+  let digest, ties = tier_fingerprint () in
+  Alcotest.(check (list string))
+    "tie orders"
+    [ "A wait timeout"; "A plain"; "B plain"; "B wait timeout" ]
+    ties;
+  Alcotest.(check string) "fingerprint" "8f39648ff3d6fefb361d6adacfa450e4" digest
+
 let test_finished_process_forgotten () =
   let eng = Engine.create () in
   let short = Engine.spawn eng (fun () -> Engine.delay (t_ms 1)) in
@@ -992,6 +1084,8 @@ let () =
       ( "schedule",
         [
           Alcotest.test_case "fingerprint" `Quick test_schedule_fingerprint;
+          Alcotest.test_case "timer tier fingerprint" `Quick
+            test_tier_fingerprint;
           Alcotest.test_case "finished process forgotten" `Quick
             test_finished_process_forgotten;
         ] );
