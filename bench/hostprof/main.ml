@@ -9,10 +9,12 @@
 
    - self time by source line: the innermost frame of each sample;
    - self time by file;
-   - samples by process root: the outermost frame of each sample.  A
-     stack stops at the fiber boundary, so inside a simulated process
-     this is the process body; samples taken on the main stack (the
-     event loop and plain callbacks) are counted as one root.
+   - samples by process root: the outermost frame of each sample that
+     belongs to a process body.  A stack stops at the fiber boundary,
+     and a fiber starts in the engine's fiber loop, so inside a
+     simulated process this is the body called from that loop; samples
+     taken on the main stack (the event loop and plain callbacks) are
+     counted as one root.
 
    Caveats (see docs/OBSERVABILITY.md): a signal is handled at the next
    poll point, so time spent in the runtime (effects, the GC, C
@@ -55,6 +57,13 @@ let frames_of raw =
 let is_self f = String.ends_with ~suffix:self_file f.f_file
 
 let main_root = "[main stack: event loop and plain callbacks]"
+let fiber_root = "[fiber loop: between process bodies]"
+
+(* Frames that start processes rather than belong to one. *)
+let launchers = [ "Eden_sim__Engine.serve"; "Eden_kernel__Cluster.spawn_tracked" ]
+
+let is_launcher f =
+  List.exists (fun p -> String.starts_with ~prefix:p f.f_name) launchers
 
 let tally tbl key =
   Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -124,12 +133,19 @@ let () =
         | f :: _ ->
           tally by_line (Printf.sprintf "%s  %s" f.f_loc f.f_name);
           tally by_file f.f_file);
-        (* The outermost frame is the fiber's body, or this program's
-           own toplevel when the sample hit the main stack. *)
+        (* A fiber's stack starts with the engine's fiber loop, which
+           runs process bodies one after another, and the kernel's
+           wrapper that tracks a process's pid; the first frame above
+           them is the body.  A stack that starts in this program's
+           toplevel is the main stack. *)
         tally by_root
           (match List.rev all with
           | [] -> "(no OCaml frame)"
-          | f :: _ -> if is_self f then main_root else f.f_name))
+          | f :: _ when is_self f -> main_root
+          | outer -> (
+            match List.filter (fun f -> not (is_launcher f || is_self f)) outer with
+            | f :: _ -> f.f_name
+            | [] -> fiber_root)))
       raw;
     print_top "self time by line" ~total ~top:!top by_line;
     print_top "self time by file" ~total ~top:!top by_file;

@@ -1,4 +1,4 @@
-(* M1-M10 — Bechamel microbenchmarks of the substrate itself: real
+(* M1-M12 — Bechamel microbenchmarks of the substrate itself: real
    wall-clock cost per operation of the simulator's hot paths.  These
    are not simulated-time experiments; they justify trusting the
    experiment harness to run large configurations. *)
@@ -173,13 +173,56 @@ let m10_event_with_timeouts =
          Engine.schedule e ~after:(Time.us 1) ignore;
          Engine.run ~until:(Time.add (Engine.now e) (Time.us 1)) e))
 
+(* M11: process starts whose bodies run 40 frames deep before their
+   one delay.  Sixteen start one after another in a run, each after the
+   last has ended, so all but the first reuse a parked fiber whose
+   stack has already grown to that depth.  One run is sixteen starts. *)
+let m11_deep_process =
+  let rec deep n = if n = 0 then (Engine.delay (Time.ns 500); 0) else 1 + deep (n - 1) in
+  Test.make ~name:"M11 process start at stack depth 40"
+    (Staged.stage (fun () ->
+         let eng = Engine.create () in
+         for i = 0 to 15 do
+           ignore
+             (Engine.spawn eng ~at:(Time.us i) (fun () -> ignore (deep 40)))
+         done;
+         Engine.run eng))
+
+(* M12: journalling one Inv_request send on the invocation path: its
+   message facts into a ring at the kernel's default capacity.  The
+   text is rendered only when the journal is read. *)
+let m12_journal_send =
+  let open Eden_kernel in
+  let module Journal = Eden_obs.Journal in
+  let j = Journal.create (Journal.sink ()) ~node:0 ~cap:4096 in
+  let msg =
+    Message.Inv_request
+      {
+        inv_id = { Message.origin = 0; seq = 1 };
+        target = Name.make ~birth_node:1 ~serial:17;
+        op = "work";
+        args = [];
+        presented = Rights.all;
+        reply_to = 0;
+        hops = 0;
+        may_activate = true;
+        span = None;
+      }
+  in
+  Test.make ~name:"M12 journal record of an inv_request send"
+    (Staged.stage (fun () ->
+         ignore
+           (Journal.record_send j ~at:Time.zero ~ctx:None ~dst:(Some 1)
+              ~code:(Message.journal_code msg) ~name:(Message.journal_name msg)
+              ~arg:(Message.journal_arg msg) ~str:(Message.journal_str msg))))
+
 let tests =
   [ m1_engine_event; m2_process; m3_semaphore; m4_pqueue; m5_value_size;
     m6_splitmix; m7_full_stack; m8_lan_unicast; m9_span;
-    m10_event_with_timeouts ]
+    m10_event_with_timeouts; m11_deep_process; m12_journal_send ]
 
 let run () =
-  Common.heading "M1-M10" "substrate microbenchmarks (real time, Bechamel)";
+  Common.heading "M1-M12" "substrate microbenchmarks (real time, Bechamel)";
   let cfg =
     Benchmark.cfg ~limit:500
       ~quota:(Bechamel.Time.second 0.25)

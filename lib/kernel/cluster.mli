@@ -342,9 +342,9 @@ val is_active : t -> Capability.t -> bool
 
 val tracked_processes : t -> Capability.t -> int option
 (** How many invocation processes and subprocesses the object's active
-    incarnation keeps for a crash or move to kill; finished ones are
-    pruned as the list grows, so this stays proportional to the live
-    ones.  [None] when the object is not active. *)
+    incarnation keeps for a crash or move to kill.  A process leaves
+    the table as its body returns or raises, so this is the number of
+    live ones.  [None] when the object is not active. *)
 
 val directory_shard : t -> Name.t -> node_id
 (** The registry shard the locate directory assigns to [name] at the

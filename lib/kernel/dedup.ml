@@ -39,7 +39,7 @@ type state =
   | Started
   | Cancelled
 
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Eden_util.Itbl
 
 type t = {
   cap : int;

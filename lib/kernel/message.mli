@@ -187,7 +187,29 @@ val size_bytes : t -> int
     header. *)
 
 val describe : t -> string
-(** Short human-readable tag for tracing. *)
+(** Short human-readable tag for tracing and journals: {!render} of
+    the message's journal facts. *)
+
+(** {2 Journal facts}
+
+    A journal records a message as four facts and renders its text on
+    read (see {!Eden_obs.Journal.record_send}).  The facts are a code
+    per constructor, the target name packed into one int, the one
+    small int the text shows (an origin node, a location, a version, an
+    epoch) and an op or type name.  A message whose text the facts
+    cannot carry (a delta checkpoint, or a name too large to pack) gets
+    code 0 and its whole text as the string. *)
+
+val journal_code : t -> int
+val journal_name : t -> int
+val journal_arg : t -> int
+val journal_str : t -> string
+
+val render : code:int -> name:int -> arg:int -> str:string -> string
+(** The text of a message from its journal facts, so that
+    [describe m = render ~code:(journal_code m) ~name:(journal_name m)
+    ~arg:(journal_arg m) ~str:(journal_str m)].  Raises
+    [Invalid_argument] on an unknown code. *)
 
 val encode : ?ctx:Eden_obs.Tracectx.t -> t -> string
 (** Marshal to a self-delimiting textual wire form.  The [span] field

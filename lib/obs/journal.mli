@@ -101,6 +101,15 @@ type sink
 
 val sink : unit -> sink
 
+type renderer = code:int -> name:int -> arg:int -> str:string -> string
+(** Turns the facts of a message event (see {!record_send}) back into
+    its text. *)
+
+val set_renderer : sink -> renderer -> unit
+(** Install the renderer for message events recorded into this sink's
+    journals.  Reading a message event with no renderer installed
+    raises [Invalid_argument]. *)
+
 type t
 
 val create : sink -> node:int -> cap:int -> t
@@ -116,8 +125,39 @@ val record : t -> at:Time.t -> ?ctx:Tracectx.t -> kind -> int
 (** Append an event and return its id.  Without [ctx] the event roots
     a new trace (its trace id is its own id). *)
 
+val record_send :
+  t ->
+  at:Time.t ->
+  ctx:Tracectx.t option ->
+  dst:int option ->
+  code:int ->
+  name:int ->
+  arg:int ->
+  str:string ->
+  int
+(** Like {!record} of a [Send] whose [msg] is
+    [render ~code ~name ~arg ~str] under the sink's {!renderer}, but
+    the text is rendered only when {!events} reads the event.  [code]
+    must be in [\[0, 64)] and [arg] within 51 signed bits; [name] and
+    [str] are stored as given.  Raises [Invalid_argument] on a code out
+    of range. *)
+
+val record_recv :
+  t ->
+  at:Time.t ->
+  ctx:Tracectx.t option ->
+  src:int ->
+  code:int ->
+  name:int ->
+  arg:int ->
+  str:string ->
+  int
+(** {!record_send} for a [Recv]. *)
+
 val events : t -> event list
-(** Retained events, oldest first. *)
+(** Retained events, oldest first.  Message events recorded with
+    {!record_send} or {!record_recv} are rendered on the first read,
+    once per distinct message across the sink, and kept as text. *)
 
 val recorded : t -> int
 (** Total events ever recorded (the [eden.journal.events] counter). *)

@@ -51,9 +51,8 @@ type info = {
   i_phases : Eden_util.Time.t array;
       (** time in each phase, indexed by {!phase_index} *)
 }
-(** The record of a finished span.  Treat it as immutable: the
-    collector keeps it, and [i_phases] is shared with the sealed
-    span. *)
+(** The record of a finished span.  The collector keeps its fields,
+    not the record: each read builds fresh values. *)
 
 val info_duration : info -> Eden_util.Time.t
 val info_phase : info -> phase -> Eden_util.Time.t

@@ -30,8 +30,6 @@ type sampler = {
   smp_fn : unit -> unit;
 }
 
-module Itbl = Hashtbl.Make (Int)
-
 (* Events live in two heaps keyed by event time in ns, numbered from
    one sequence counter.  [timers] holds the timeout of every timed
    wait, [heap] everything else.  Nearly every timeout goes stale (its
@@ -41,7 +39,8 @@ module Itbl = Hashtbl.Make (Int)
    order is exactly that of one heap holding both, so equal times run
    in push order across the tiers.  [procs] holds only unfinished
    processes: a process leaves it the moment it returns, raises, or is
-   killed before it starts. *)
+   killed before it starts.  [parked] holds fibers whose last process
+   has ended, waiting for the next process start (see [exec_body]). *)
 type t = {
   mutable clock : Time.t;
   heap : (unit -> unit) Pqueue.t;
@@ -54,6 +53,7 @@ type t = {
   mutable n_spawned : int;
   mutable running : Pid.t option;
   mutable sampler : sampler option;
+  mutable parked : fiber list;
 }
 
 and proc = {
@@ -75,10 +75,58 @@ and handle = {
   mutable h_k : (wake, unit) continuation option;
 }
 
+(* A fiber runs process bodies one after another.  While a process
+   lives, its fiber is its stack; when the body returns or raises
+   [Killed], the fiber parks itself and the next process start resumes
+   it with a new body, so a process start costs neither a fresh stack
+   (regrown by copying as the body deepens) nor a fresh handler.  The
+   effect answers and the delay wake-up event are built once per
+   fiber; [fb_k] holds the fiber's continuation while it sleeps in a
+   delay or sits parked, the two suspensions that share its type. *)
+and fiber = {
+  mutable fb_proc : proc;
+  mutable fb_body : unit -> unit;
+  mutable fb_k : (unit, unit) continuation;
+  fb_wake : unit -> unit;
+  fb_on_delay : ((unit, unit) continuation -> unit) option;
+  fb_on_park : ((unit, unit) continuation -> unit) option;
+  fb_on_self : ((Pid.t, unit) continuation -> unit) option;
+}
+
+(* [E_delay] carries its duration in [delay_by] rather than as an
+   argument, so performing it allocates nothing.  The handler reads it
+   before anything else can run. *)
 type _ Effect.t +=
-  | E_delay : Time.t -> unit Effect.t
+  | E_delay : unit Effect.t
   | E_suspend : Time.t option * (handle -> unit) -> wake Effect.t
   | E_self : Pid.t Effect.t
+  | E_park : unit Effect.t
+
+let delay_by = ref Time.zero
+
+(* Raised into a parked fiber to end it: see [retire]. *)
+exception Retired
+
+(* The initial [fb_k] of a fresh fiber, overwritten before it is ever
+   read.  It is a genuine continuation, already resumed once so that
+   it holds no stack. *)
+let spent_k : (unit, unit) continuation =
+  let got : (unit, unit) continuation option ref = ref None in
+  match_with perform E_park
+    {
+      retc = ignore;
+      exnc = ignore;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | E_park -> Some (fun (k : (a, unit) continuation) -> got := Some k)
+          | _ -> None);
+    };
+  match !got with
+  | Some k ->
+    discontinue k Retired;
+    k
+  | None -> assert false
 
 let create ?(seed = 1L) () =
   {
@@ -93,6 +141,7 @@ let create ?(seed = 1L) () =
     n_spawned = 0;
     running = None;
     sampler = None;
+    parked = [];
   }
 
 let now eng = eng.clock
@@ -109,8 +158,8 @@ let push_timer eng time run = push_into eng.timers eng time run
 let schedule eng ?(after = Time.zero) f =
   push_event eng (Time.add eng.clock after) f
 
-(* Mark [p] running before its continuation is resumed.  The process's
-   installed handler takes over from there: control comes back once it
+(* Mark [p] running before its continuation is resumed.  The fiber's
+   handler takes over from there: control comes back once the process
    has finished (removed from [procs]) or suspended again (state set by
    the effect branch). *)
 let enter eng p =
@@ -127,49 +176,102 @@ let resume_unit eng p (k : (unit, unit) continuation) =
 
 let finish eng p = Itbl.remove eng.procs (Pid.to_int p.p_pid)
 
-let exec_body eng p body =
-  enter eng p;
-  match_with body ()
+let no_body () = ()
+
+(* The fiber's whole life: run a body, retire its process, park until
+   the next start hands over another body.  Any exception but [Killed]
+   leaves the loop and ends the fiber (the handler's [exnc]). *)
+let rec serve eng fb =
+  (match fb.fb_body () with () -> () | exception Killed -> ());
+  finish eng fb.fb_proc;
+  eng.running <- None;
+  fb.fb_body <- no_body;
+  perform E_park;
+  serve eng fb
+
+let new_fiber eng p body =
+  let rec fb =
     {
-      retc =
-        (fun () ->
-          finish eng p;
-          eng.running <- None);
+      fb_proc = p;
+      fb_body = body;
+      fb_k = spent_k;
+      fb_wake = (fun () -> resume_unit eng fb.fb_proc fb.fb_k);
+      fb_on_delay =
+        Some
+          (fun k ->
+            let p = fb.fb_proc in
+            p.p_state <- Sched;
+            eng.running <- None;
+            fb.fb_k <- k;
+            push_event eng (Time.add eng.clock !delay_by) fb.fb_wake);
+      fb_on_park =
+        Some
+          (fun k ->
+            fb.fb_k <- k;
+            eng.parked <- fb :: eng.parked);
+      fb_on_self = Some (fun k -> continue k fb.fb_proc.p_pid);
+    }
+  in
+  fb
+
+let on_suspend eng fb timeout register (k : (wake, unit) continuation) =
+  let p = fb.fb_proc in
+  let h = { h_proc = p; h_k = Some k } in
+  p.p_state <- Blocked h;
+  eng.running <- None;
+  (match timeout with
+  | None -> ()
+  | Some d ->
+    push_timer eng (Time.add eng.clock d) (fun () ->
+        match h.h_k with
+        | None -> ()
+        | Some k ->
+          h.h_k <- None;
+          resume_with eng p k Timed_out));
+  register h
+
+let start_fiber eng fb =
+  match_with (serve eng) fb
+    {
+      retc = ignore;
       exnc =
-        (fun e ->
-          finish eng p;
+        (function
+        | Retired -> ()
+        | e ->
+          finish eng fb.fb_proc;
           eng.running <- None;
-          match e with Killed -> () | e -> raise e);
+          raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | E_delay d ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                p.p_state <- Sched;
-                eng.running <- None;
-                push_event eng (Time.add eng.clock d) (fun () ->
-                    resume_unit eng p k))
+          | E_delay -> (fb.fb_on_delay : ((a, unit) continuation -> unit) option)
           | E_suspend (timeout, register) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let h = { h_proc = p; h_k = Some k } in
-                p.p_state <- Blocked h;
-                eng.running <- None;
-                (match timeout with
-                | None -> ()
-                | Some d ->
-                  push_timer eng (Time.add eng.clock d) (fun () ->
-                      match h.h_k with
-                      | None -> ()
-                      | Some k ->
-                        h.h_k <- None;
-                        resume_with eng p k Timed_out));
-                register h)
-          | E_self ->
-            Some (fun (k : (a, unit) continuation) -> continue k p.p_pid)
+            Some (on_suspend eng fb timeout register)
+          | E_self -> fb.fb_on_self
+          | E_park -> fb.fb_on_park
           | _ -> None);
     }
+
+(* Start [p] on a parked fiber when there is one, else on a new one. *)
+let exec_body eng p body =
+  enter eng p;
+  match eng.parked with
+  | fb :: rest ->
+    eng.parked <- rest;
+    fb.fb_proc <- p;
+    fb.fb_body <- body;
+    continue fb.fb_k ()
+  | [] -> start_fiber eng (new_fiber eng p body)
+
+(* In OCaml 5.1 a continuation that is never resumed keeps its stack
+   for good, so a parked fiber must not outlive the engine.  [run]
+   ends every parked fiber before it returns. *)
+let retire eng =
+  let fbs = eng.parked in
+  eng.parked <- [];
+  List.iter (fun fb -> discontinue fb.fb_k Retired) fbs
+
+let parked_fibers eng = List.length eng.parked
 
 let spawn eng ?(name = "proc") ?at body =
   let id = Idgen.next eng.pid_gen in
@@ -231,7 +333,8 @@ let not_in_process what =
 let self () = try perform E_self with Effect.Unhandled _ -> not_in_process "self"
 
 let delay d =
-  try perform (E_delay d) with Effect.Unhandled _ -> not_in_process "delay"
+  delay_by := d;
+  try perform E_delay with Effect.Unhandled _ -> not_in_process "delay"
 
 let yield () = delay Time.zero
 
@@ -356,7 +459,12 @@ let run ?until eng =
           run ();
           loop ()
   in
-  loop ()
+  match loop () with
+  | () -> retire eng
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    retire eng;
+    Printexc.raise_with_backtrace e bt
 
 let events_processed eng = eng.n_events
 let processes_spawned eng = eng.n_spawned

@@ -8,7 +8,10 @@
     expressed as {e processes}: ordinary OCaml functions that may call
     the blocking operations {!delay}, {!suspend} and {!yield}, which are
     implemented with effect handlers so that a process is suspended and
-    resumed without threads.  Events scheduled for the same instant run
+    resumed without threads.  A process runs on a reusable fiber:
+    when one ends, its fiber (stack and handler) serves the next
+    process start, and {!run} frees the idle ones before returning.
+    Events scheduled for the same instant run
     in schedule order, so a run is a pure function of the seed and the
     program.
 
@@ -137,6 +140,13 @@ val set_daemon : t -> Pid.t -> unit
 val events_processed : t -> int
 val processes_spawned : t -> int
 val live_processes : t -> int
+
+val parked_fibers : t -> int
+(** Fibers waiting for a process to run.  A process runs on a fiber
+    (an effect-handler stack); when its body returns or raises
+    {!Killed}, the fiber parks and the next process start reuses it.
+    {!run} retires every parked fiber before it returns, so this is 0
+    whenever no run is in progress. *)
 
 val runnable_processes : t -> int
 (** Live processes that are scheduled or running (not suspended): the

@@ -88,8 +88,10 @@ let gen_delta rng =
     Delta.Edits { len; edits }
   | _ -> Delta.Whole (gen_value 2 rng)
 
-let gen_message rng : Message.t =
-  match Splitmix.int rng 26 with
+(* A message of constructor [k] (0 to 25), with its names drawn from
+   [gen_name]. *)
+let gen_message_of ?(gen_name = gen_name) k rng : Message.t =
+  match k with
   | 0 ->
     Message.Inv_request
       {
@@ -242,6 +244,19 @@ let gen_message rng : Message.t =
         reply_to = gen_node rng;
       }
 
+let gen_message rng = gen_message_of (Splitmix.int rng 26) rng
+
+(* Names past what a journal packs into one int: a birth node of 2^22
+   or more, or a serial of 2^40 or more. *)
+let gen_huge_name rng =
+  let small = gen_name rng in
+  if Splitmix.bool rng then
+    Name.make ~birth_node:((1 lsl 22) + Name.birth_node small)
+      ~serial:(Name.serial small)
+  else
+    Name.make ~birth_node:(Name.birth_node small)
+      ~serial:((1 lsl 40) + Name.serial small)
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -252,6 +267,59 @@ let name_roundtrip =
       | Some n' when Name.equal n n' -> Ok ()
       | Some n' -> Error (Printf.sprintf "decoded to %s" (Name.to_string n'))
       | None -> Error "failed to parse")
+
+(* A journal records a message's Send and Recv as facts and renders
+   the text when read; the text must be [Message.describe]'s, byte for
+   byte, on the first read and on the memoised ones after it.  Each
+   case records one message of every constructor, with small or
+   unpackable names. *)
+let journal_renders_describe =
+  Prop.case ~name:"Journal rebuilds Message.describe from message facts"
+    ~base:0xA110_0013L
+    ~gen:(fun rng ->
+      let gen_name = if Splitmix.bool rng then gen_name else gen_huge_name in
+      List.init 26 (fun k -> gen_message_of ~gen_name k rng))
+    ~show:(fun ms -> String.concat " | " (List.map Message.describe ms))
+    (fun ms ->
+      let module J = Eden_obs.Journal in
+      let sink = J.sink () in
+      J.set_renderer sink Message.render;
+      let j = J.create sink ~node:0 ~cap:64 in
+      List.iteri
+        (fun i m ->
+          let code = Message.journal_code m and name = Message.journal_name m in
+          let arg = Message.journal_arg m and str = Message.journal_str m in
+          ignore
+            (J.record_send j ~at:(Time.ns i) ~ctx:None ~dst:(Some 1) ~code ~name
+               ~arg ~str);
+          ignore
+            (J.record_recv j ~at:(Time.ns i) ~ctx:None ~src:2 ~code ~name ~arg
+               ~str))
+        ms;
+      let texts () =
+        List.map
+          (fun ev ->
+            match ev.J.ev_kind with
+            | J.Send { msg; dst = Some 1 } -> "send " ^ msg
+            | J.Recv { msg; src = 2 } -> "recv " ^ msg
+            | k -> "other " ^ J.describe_kind k)
+          (J.events j)
+      in
+      let want =
+        List.concat_map
+          (fun m ->
+            let d = Message.describe m in
+            [ "send " ^ d; "recv " ^ d ])
+          ms
+      in
+      let diff got =
+        List.find_opt (fun (w, g) -> w <> g) (List.combine want got)
+      in
+      match (diff (texts ()), diff (texts ())) with
+      | None, None -> Ok ()
+      | Some (w, g), _ -> Error (Printf.sprintf "first read %S, want %S" g w)
+      | None, Some (w, g) ->
+        Error (Printf.sprintf "memoised read %S, want %S" g w))
 
 let cap_roundtrip =
   Prop.case ~name:"Capability.decode (encode c) = c" ~base:0xA110_0002L
@@ -492,6 +560,139 @@ let span_info_roundtrip =
       | Ok i' when i' = i -> Ok ()
       | Ok i' -> Error (Printf.sprintf "decoded to %s" (show_span_info i'))
       | Error e -> Error e)
+
+(* The collector's ring against a list model of the FIFO of [info]
+   records it replaced: random starts, phase changes, remote marks and
+   finishes (repeats included) with a small [keep], so the ring grows
+   and wraps.  The model builds each record from the live span when it
+   finishes and drops the oldest past [keep]. *)
+type span_op =
+  | Sp_start of int * string  (* parent choice (negative: none), op *)
+  | Sp_enter of int * Span.phase * int  (* span choice, phase, dt *)
+  | Sp_remote of int
+  | Sp_finish of int * string * int  (* span choice, outcome, dt *)
+
+let gen_span_ops rng =
+  (* A [keep] past 64 makes the ring grow (from 64 slots, doubling)
+     before it wraps. *)
+  let keep, n =
+    if Splitmix.bool rng then (1 + Splitmix.int rng 6, Splitmix.int rng 80)
+    else (65 + Splitmix.int rng 100, Splitmix.int rng 600)
+  in
+  let op () =
+    match Splitmix.int rng 7 with
+    | 0 | 1 -> Sp_start (Splitmix.int rng 8 - 3, gen_string rng)
+    | 2 | 3 ->
+      Sp_enter
+        ( Splitmix.int rng 64,
+          List.nth Span.phases (Splitmix.int rng Span.(List.length phases)),
+          Splitmix.int rng 1000 )
+    | 4 -> Sp_remote (Splitmix.int rng 64)
+    | _ ->
+      Sp_finish
+        ( Splitmix.int rng 64,
+          (if Splitmix.bool rng then "ok" else gen_string rng),
+          Splitmix.int rng 1000 )
+  in
+  (keep, List.init n (fun _ -> op ()))
+
+let show_span_ops (keep, ops) =
+  Printf.sprintf "keep %d: %s" keep
+    (String.concat "; "
+       (List.map
+          (function
+            | Sp_start (p, op) -> Printf.sprintf "start(%d,%S)" p op
+            | Sp_enter (i, ph, dt) ->
+              Printf.sprintf "enter(%d,%s,+%d)" i (Span.phase_name ph) dt
+            | Sp_remote i -> Printf.sprintf "remote(%d)" i
+            | Sp_finish (i, o, dt) -> Printf.sprintf "finish(%d,%S,+%d)" i o dt)
+          ops))
+
+type live_span = {
+  ls_span : Span.t;
+  ls_parent : int option;
+  ls_op : string;
+  ls_origin : int;
+  ls_start : int;
+  mutable ls_remote : bool;
+  mutable ls_done : bool;
+}
+
+let span_ring_matches_model =
+  Prop.case ~name:"Span ring equals a FIFO of info records" ~base:0xA110_0014L
+    ~gen:gen_span_ops ~show:show_span_ops
+    ~shrink:(fun (keep, ops) ->
+      List.mapi (fun i _ -> (keep, List.filteri (fun j _ -> j <> i) ops)) ops)
+    (fun (keep, ops) ->
+      let col = Span.create ~keep () in
+      let now = ref 0 and live = ref [||] and model = ref [] in
+      let pick i = !live.(i mod Array.length !live) in
+      List.iter
+        (fun o ->
+          match o with
+          | Sp_start (p, op) ->
+            let parent =
+              if p < 0 || Array.length !live = 0 then None
+              else Some (pick p).ls_span
+            in
+            let origin = p land 7 in
+            let sp =
+              Span.start col ?parent ~op ~target:("t" ^ op) ~origin
+                ~at:(Time.ns !now) ()
+            in
+            let ls =
+              {
+                ls_span = sp;
+                ls_parent = Option.map Span.id parent;
+                ls_op = op;
+                ls_origin = origin;
+                ls_start = !now;
+                ls_remote = false;
+                ls_done = false;
+              }
+            in
+            live := Array.append !live [| ls |]
+          | _ when Array.length !live = 0 -> ()
+          | Sp_enter (i, ph, dt) ->
+            now := !now + dt;
+            Span.enter (pick i).ls_span ph ~at:(Time.ns !now)
+          | Sp_remote i ->
+            let ls = pick i in
+            Span.note_remote ls.ls_span;
+            if not ls.ls_done then ls.ls_remote <- true
+          | Sp_finish (i, outcome, dt) ->
+            now := !now + dt;
+            let ls = pick i in
+            Span.finish ls.ls_span ~outcome ~at:(Time.ns !now);
+            if not ls.ls_done then begin
+              ls.ls_done <- true;
+              let info =
+                {
+                  Span.i_id = Span.id ls.ls_span;
+                  i_parent = ls.ls_parent;
+                  i_op = ls.ls_op;
+                  i_target = "t" ^ ls.ls_op;
+                  i_origin = ls.ls_origin;
+                  i_remote = ls.ls_remote;
+                  i_outcome = outcome;
+                  i_start = Time.ns ls.ls_start;
+                  i_finish = Time.ns !now;
+                  i_phases =
+                    Array.of_list
+                      (List.map (Span.phase_time ls.ls_span) Span.phases);
+                }
+              in
+              model := !model @ [ info ];
+              if List.length !model > keep then model := List.tl !model
+            end)
+        ops;
+      let want = !model and got = Span.finished col in
+      let show l = String.concat "; " (List.map show_span_info l) in
+      if got <> want then
+        Error (Printf.sprintf "finished [%s], model [%s]" (show got) (show want))
+      else if Span.last_finished col <> List.nth_opt (List.rev want) 0 then
+        Error "last_finished differs from the model's newest"
+      else Ok ())
 
 let span_json_rejects_bad_phase =
   (* An unknown key inside [phases_ns] must fail the whole parse, not
@@ -1025,6 +1226,7 @@ let () =
         [
           message_roundtrip;
           message_rejects_truncation;
+          journal_renders_describe;
           Alcotest.test_case "decode bounds value nesting" `Quick
             test_decode_bounds_nesting;
           Alcotest.test_case "cancel codec survives hostile input" `Quick
@@ -1036,6 +1238,7 @@ let () =
       ( "span_json",
         [
           span_info_roundtrip;
+          span_ring_matches_model;
           span_json_rejects_bad_phase;
           Alcotest.test_case "malformed phases rejected" `Quick
             test_span_json_missing_phases;

@@ -475,6 +475,124 @@ let test_finished_process_forgotten () =
       Engine.set_daemon eng !foreign)
 
 (* ------------------------------------------------------------------ *)
+(* Fiber reuse.  A process that ends parks its fiber; the next start
+   takes it, so a process started after one ended sees no parked fiber
+   left from inside its body.  A fresh fiber would leave the parked one
+   in place. *)
+
+(* Run [first] to its end at t = 0, then start a second process at
+   1 ms; return the parked count between the two and inside the
+   second. *)
+let reuse_after first =
+  let eng = Engine.create () in
+  let _ = Engine.spawn eng (first eng) in
+  let between = ref (-1) and inside = ref (-1) in
+  Engine.schedule eng ~after:(t_ns 500_000) (fun () ->
+      between := Engine.parked_fibers eng);
+  let _ =
+    Engine.spawn eng ~at:(t_ms 1) (fun () ->
+        inside := Engine.parked_fibers eng;
+        Engine.delay (t_ms 1))
+  in
+  Engine.run eng;
+  check_int "parked between" 1 !between;
+  check_int "reused by the next start" 0 !inside;
+  check_int "retired when run returns" 0 (Engine.parked_fibers eng)
+
+let test_reuse_after_return () = reuse_after (fun _ () -> Engine.yield ())
+
+let test_reuse_after_killed_raised () =
+  reuse_after (fun _ () -> raise Engine.Killed)
+
+let test_reuse_after_self_kill () =
+  reuse_after (fun eng () -> Engine.kill eng (Engine.self ()))
+
+let test_reuse_after_kill_before_start () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let note () = seen := Engine.parked_fibers eng :: !seen in
+  let _ = Engine.spawn eng (fun () -> ()) in
+  let unborn = Engine.spawn eng ~at:(t_ms 1) (fun () -> note ()) in
+  Engine.schedule eng (fun () -> Engine.kill eng unborn);
+  let _ = Engine.spawn eng ~at:(t_ms 2) note in
+  Engine.run eng;
+  (* The unborn process took no fiber, so the one parked at t = 0 is
+     still there for the start at 2 ms. *)
+  Alcotest.(check (list int)) "only the later start ran, on the parked fiber"
+    [ 0 ] !seen
+
+exception Boom
+
+let test_other_exception_escapes () =
+  let eng = Engine.create () in
+  let _ = Engine.spawn eng (fun () -> ()) in
+  let _ =
+    Engine.spawn eng ~at:(t_ms 1) (fun () ->
+        Engine.delay (t_ms 1);
+        raise Boom)
+  in
+  check_bool "escapes run" true
+    (match Engine.run eng with () -> false | exception Boom -> true);
+  check_int "nothing parked after the escape" 0 (Engine.parked_fibers eng);
+  (* The engine stays usable: later processes start on fresh fibers. *)
+  let ran = ref false in
+  let _ = Engine.spawn eng (fun () -> Engine.delay (t_ms 1); ran := true) in
+  Engine.run eng;
+  check_bool "later run works" true !ran
+
+let test_second_run_after_until () =
+  let eng = Engine.create () in
+  let cond = Condition.create eng in
+  let log = ref [] in
+  let note s = log := (s, Time.to_ns (Engine.now eng)) :: !log in
+  List.iter
+    (fun d ->
+      ignore
+        (Engine.spawn eng (fun () ->
+             Engine.delay (t_ms d);
+             note "short")))
+    [ 1; 2; 8 ];
+  let waiter =
+    Engine.spawn eng (fun () ->
+        ignore (Condition.await cond);
+        Engine.delay (t_ms 1);
+        note "waiter")
+  in
+  Engine.set_daemon eng waiter;
+  Engine.run ~until:(t_ms 5) eng;
+  check_int "parked at the limit" 5_000_000 (Time.to_ns (Engine.now eng));
+  check_int "no parked fiber outlives the run" 0 (Engine.parked_fibers eng);
+  Engine.schedule eng (fun () -> Condition.signal cond);
+  for _ = 1 to 2 do
+    ignore (Engine.spawn eng (fun () -> Engine.delay (t_ms 2); note "late"))
+  done;
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "both runs completed in order"
+    [
+      ("short", 1_000_000); ("short", 2_000_000); ("waiter", 6_000_000);
+      ("late", 7_000_000); ("late", 7_000_000); ("short", 8_000_000);
+    ]
+    (List.rev !log);
+  check_int "all parked fibers retired" 0 (Engine.parked_fibers eng)
+
+(* [run] must end every parked fiber: in OCaml 5.1 a continuation that
+   is never resumed keeps its stack for good, so an engine dropped with
+   parked fibers would leak them. *)
+let test_run_leaves_no_parked_fiber () =
+  let rec deep n k = if n = 0 then k () else 1 + deep (n - 1) k in
+  for round = 1 to 20 do
+    let eng = Engine.create () in
+    for i = 1 to 16 do
+      ignore
+        (Engine.spawn eng ~at:(t_ns (i * round)) (fun () ->
+             ignore (deep (i * 4) (fun () -> Engine.delay (t_ms 1); 0))))
+    done;
+    Engine.run eng;
+    check_int "no parked fiber after run" 0 (Engine.parked_fibers eng)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Deadlock detection and daemons *)
 
 let test_stall_detected () =
@@ -1088,6 +1206,22 @@ let () =
             test_tier_fingerprint;
           Alcotest.test_case "finished process forgotten" `Quick
             test_finished_process_forgotten;
+        ] );
+      ( "fiber",
+        [
+          Alcotest.test_case "reused after return" `Quick test_reuse_after_return;
+          Alcotest.test_case "reused after Killed" `Quick
+            test_reuse_after_killed_raised;
+          Alcotest.test_case "reused after self kill" `Quick
+            test_reuse_after_self_kill;
+          Alcotest.test_case "kill before start takes none" `Quick
+            test_reuse_after_kill_before_start;
+          Alcotest.test_case "other exception escapes" `Quick
+            test_other_exception_escapes;
+          Alcotest.test_case "second run after until" `Quick
+            test_second_run_after_until;
+          Alcotest.test_case "run leaves none parked" `Quick
+            test_run_leaves_no_parked_fiber;
         ] );
       ( "stall",
         [
