@@ -1,10 +1,18 @@
 (* A sampling profiler for the host-time benchmark's workloads.
 
      main.exe --workload W --seed N --phases K [--top T]
+     main.exe --workload W --seed N --phase analysis --phases K [--top T]
 
    Runs K request phases of workload W — phase i on input stream
    i mod streams, each on a fresh cluster whose set-up is not sampled —
-   under a SIGPROF interval timer.  Every tick records the OCaml call
+   under a SIGPROF interval timer.  With [--phase analysis] it instead
+   runs stream 0 once, unsampled, and then samples K repetitions of the
+   reads hostbench times as [analyze_s] over that finished cluster:
+   [Cluster.timeline], [Check.run] (with the completeness the journals
+   allow, and with [~complete:true], which adds the rules that need
+   every event), [Profile.of_timeline] and [Cluster.metrics_snapshot].
+   It prints each call's median CPU milliseconds and its minor words
+   per call and per timeline event.  Every tick records the OCaml call
    stack; afterwards the samples are attributed three ways:
 
    - self time by source line: the innermost frame of each sample;
@@ -22,6 +30,8 @@
    the OCaml code around it; and the sample rate is whatever the kernel
    delivers for the requested 1 ms interval, so check the sample count
    before reading small shares. *)
+
+module Cluster = Eden_kernel.Cluster
 
 let self_file = "hostprof/main.ml"
 
@@ -79,18 +89,111 @@ let print_top title ~total ~top tbl =
              (100.0 *. float_of_int n /. float_of_int total)
              n k)
 
+(* The request phases of [phases] fresh clusters, sampled; returns
+   the header line. *)
+let sample_requests spec ~workload ~seed ~phases =
+  let cpu = ref 0.0 and invocations = ref 0 in
+  for i = 0 to phases - 1 do
+    let sub = i mod spec.Workload.streams in
+    let cl, caps = Workload.setup spec ~seed ~sub Workload.no_hooks in
+    let t0 = Sys.time () in
+    armed := true;
+    let t = Workload.request_phase spec ~seed ~sub cl caps Workload.no_hooks in
+    armed := false;
+    cpu := !cpu +. (Sys.time () -. t0);
+    invocations := !invocations + t.Workload.attempted
+  done;
+  (Printf.sprintf "hostprof: workload %s  seed %d  %d request phases  %d invocations"
+     workload seed phases !invocations, !cpu)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* Stream 0 once, then [reps] rounds of the analysis reads over the
+   finished cluster.  The first [reps] rounds are timed and counted
+   with the sampler disarmed, so the figures carry no sampling cost;
+   the next [reps] are sampled. *)
+let sample_analysis spec ~workload ~seed ~reps =
+  let cl, caps = Workload.setup spec ~seed ~sub:0 Workload.no_hooks in
+  ignore (Workload.request_phase spec ~seed ~sub:0 cl caps Workload.no_hooks);
+  let tl = Cluster.timeline cl in
+  let complete = Cluster.journal_dropped cl = 0 in
+  let calls =
+    [
+      ("Cluster.timeline", fun () -> ignore (Cluster.timeline cl));
+      ( Printf.sprintf "Check.run ~complete:%b" complete,
+        fun () -> ignore (Eden_obs.Check.run ~complete tl) );
+    ]
+    @ (if complete then []
+       else
+         [ ("Check.run ~complete:true", fun () -> ignore (Eden_obs.Check.run ~complete:true tl)) ])
+    @ [
+        ("Profile.of_timeline", fun () -> ignore (Eden_obs.Profile.of_timeline tl));
+        ("Cluster.metrics_snapshot", fun () -> ignore (Cluster.metrics_snapshot cl));
+      ]
+  in
+  let events = Eden_obs.Timeline.length tl in
+  let figures =
+    List.map
+      (fun (name, f) ->
+        let ms = ref [] and words = ref [] and major = ref [] in
+        for _ = 1 to reps do
+          let _, promoted0, major0 = Gc.counters () in
+          let minor0 = Gc.minor_words () and t0 = Sys.time () in
+          f ();
+          let t1 = Sys.time () and minor1 = Gc.minor_words () in
+          let _, promoted1, major1 = Gc.counters () in
+          ms := ((t1 -. t0) *. 1e3) :: !ms;
+          words := (minor1 -. minor0) :: !words;
+          (* Blocks too large for the minor heap go straight to the
+             major heap; promotions are counted there too. *)
+          major := (major1 -. major0 -. (promoted1 -. promoted0)) :: !major
+        done;
+        (name, median !ms, median !words, median !major))
+      calls
+  in
+  let t0 = Sys.time () in
+  armed := true;
+  for _ = 1 to reps do
+    List.iter (fun (_, f) -> f ()) calls
+  done;
+  armed := false;
+  let cpu = Sys.time () -. t0 in
+  let b = Buffer.create 512 in
+  Printf.bprintf b
+    "hostprof: workload %s  seed %d  analysis of stream 0: %d events in %d \
+     traces, journals %s\n\
+    \  %d repetitions per call, unsampled (median):\n\
+    \  %-28s %9s %12s %12s %12s\n"
+    workload seed events
+    (List.length (Eden_obs.Timeline.traces tl))
+    (if complete then "complete" else "wrapped")
+    reps "call" "ms/call" "minor words" "words/event" "major words";
+  List.iter
+    (fun (name, ms, words, major) ->
+      Printf.bprintf b "  %-28s %9.2f %12.0f %12.1f %12.0f\n" name ms words
+        (words /. float_of_int (max 1 events))
+        major)
+    figures;
+  Printf.bprintf b "  then %d sampled repetitions of every call" reps;
+  (Buffer.contents b, cpu)
+
 let () =
   let workload = ref "hot_invoke" and seed = ref 1 and phases = ref 8 in
-  let top = ref 40 in
+  let top = ref 40 and phase = ref "request" in
   Arg.parse
     [
       ("--workload", Arg.Set_string workload, "W  hot_invoke | locate_scale | ckpt_mix | ckpt_local");
       ("--seed", Arg.Set_int seed, "N  workload seed");
-      ("--phases", Arg.Set_int phases, "K  request phases to sample");
+      ("--phase", Arg.Symbol ([ "request"; "analysis" ], ( := ) phase),
+       "  what to sample: request phases (default) or the analysis reads");
+      ("--phases", Arg.Set_int phases, "K  request phases (or analysis repetitions) to sample");
       ("--top", Arg.Set_int top, "T  rows per table");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe --workload W --seed N --phases K [--top T]";
+    "main.exe --workload W --seed N [--phase request|analysis] --phases K [--top T]";
   let spec =
     match Workload.of_name !workload with
     | Some k -> Workload.spec k
@@ -98,29 +201,25 @@ let () =
       prerr_endline ("unknown workload: " ^ !workload);
       exit 2
   in
+  if !phase = "analysis" && !phases < 1 then begin
+    prerr_endline "--phase analysis needs --phases of at least 1";
+    exit 2
+  end;
   Sys.set_signal Sys.sigprof (Sys.Signal_handle on_tick);
   let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
   ignore (Unix.setitimer Unix.ITIMER_PROF tick);
-  let cpu = ref 0.0 and invocations = ref 0 in
-  for i = 0 to !phases - 1 do
-    let sub = i mod spec.Workload.streams in
-    let cl, caps = Workload.setup spec ~seed:!seed ~sub Workload.no_hooks in
-    let t0 = Sys.time () in
-    armed := true;
-    let t = Workload.request_phase spec ~seed:!seed ~sub cl caps Workload.no_hooks in
-    armed := false;
-    cpu := !cpu +. (Sys.time () -. t0);
-    invocations := !invocations + t.Workload.attempted
-  done;
+  let header, cpu =
+    if !phase = "analysis" then
+      sample_analysis spec ~workload:!workload ~seed:!seed ~reps:!phases
+    else sample_requests spec ~workload:!workload ~seed:!seed ~phases:!phases
+  in
   ignore
     (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
   let raw = !samples in
   let total = List.length raw in
-  Printf.printf
-    "hostprof: workload %s  seed %d  %d request phases  %d invocations\n\
-    \  %d samples in %.1f s of CPU time (%.0f samples/s)\n"
-    !workload !seed !phases !invocations total !cpu
-    (float_of_int total /. Float.max !cpu 1e-9);
+  Printf.printf "%s\n  %d samples in %.1f s of CPU time (%.0f samples/s)\n"
+    header total cpu
+    (float_of_int total /. Float.max cpu 1e-9);
   if total > 0 then begin
     let by_line = Hashtbl.create 256
     and by_file = Hashtbl.create 64
@@ -149,5 +248,7 @@ let () =
       raw;
     print_top "self time by line" ~total ~top:!top by_line;
     print_top "self time by file" ~total ~top:!top by_file;
-    print_top "samples by process root" ~total ~top:!top by_root
+    (* Analysis runs on the main stack only. *)
+    if !phase <> "analysis" then
+      print_top "samples by process root" ~total ~top:!top by_root
   end

@@ -1,4 +1,4 @@
-(* M1-M12 — Bechamel microbenchmarks of the substrate itself: real
+(* M1-M13 — Bechamel microbenchmarks of the substrate itself: real
    wall-clock cost per operation of the simulator's hot paths.  These
    are not simulated-time experiments; they justify trusting the
    experiment harness to run large configurations. *)
@@ -216,13 +216,65 @@ let m12_journal_send =
               ~code:(Message.journal_code msg) ~name:(Message.journal_name msg)
               ~arg:(Message.journal_arg msg) ~str:(Message.journal_str msg))))
 
+(* M13: the trace analysis a benchmark round runs once its requests
+   are done — [Check.run ~complete:true] (all eight rules) and
+   [Profile.of_timeline] — over a synthetic timeline of 32,768
+   events: 4,096 remote invocations of eight events each (begin, send,
+   coalescer flush, receive, work start, reply, reply receipt, end),
+   eight in flight at a time on eight nodes.  Reported per event. *)
+let m13_events = 32_768
+
+let m13_analysis =
+  let module J = Eden_obs.Journal in
+  let per_request = 8 and in_flight = 8 in
+  let tl =
+    lazy
+      (List.init m13_events (fun id ->
+          let wave = id / (per_request * in_flight) in
+          let step = id / in_flight mod per_request and r = id mod in_flight in
+          let at s = ((wave * per_request) + s) * in_flight + r in
+          let client = r and server = (r + 1) mod in_flight in
+          let node, kind =
+            match step with
+            | 0 -> (client, J.Inv_begin { op = "work"; target = "obj<1.7>" })
+            | 1 -> (client, J.Send { msg = "inv_request obj<1.7>.work"; dst = Some server })
+            | 2 -> (client, J.Net_flush { dst = server; msgs = 2 })
+            | 3 -> (server, J.Recv { msg = "inv_request obj<1.7>.work"; src = client })
+            | 4 -> (server, J.Work_start { op = "work" })
+            | 5 -> (server, J.Send { msg = "inv_reply ok"; dst = Some client })
+            | 6 -> (client, J.Recv { msg = "inv_reply ok"; src = server })
+            | _ -> (client, J.Inv_end { op = "work"; outcome = "ok" })
+          in
+          {
+            J.ev_id = id;
+            ev_node = node;
+            ev_at = Time.us id;
+            ev_trace = at 0;
+            ev_parent =
+              (match step with
+              | 0 -> None
+              | 3 -> Some (at 1)
+              | _ -> Some (at (step - 1)));
+            ev_kind = kind;
+          }))
+  in
+  Test.make ~name:"M13 check + profile, per timeline event"
+    (Staged.stage (fun () ->
+         let tl = Lazy.force tl in
+         if Eden_obs.Check.run ~complete:true tl <> [] then
+           failwith "M13: the synthetic timeline breaks an invariant";
+         ignore (Eden_obs.Profile.of_timeline tl)))
+
+(* Each test with the operations one run stands for. *)
 let tests =
-  [ m1_engine_event; m2_process; m3_semaphore; m4_pqueue; m5_value_size;
-    m6_splitmix; m7_full_stack; m8_lan_unicast; m9_span;
-    m10_event_with_timeouts; m11_deep_process; m12_journal_send ]
+  [ (m1_engine_event, 1); (m2_process, 1); (m3_semaphore, 1); (m4_pqueue, 1);
+    (m5_value_size, 1); (m6_splitmix, 1); (m7_full_stack, 1);
+    (m8_lan_unicast, 1); (m9_span, 1); (m10_event_with_timeouts, 1);
+    (m11_deep_process, 1); (m12_journal_send, 1);
+    (m13_analysis, m13_events) ]
 
 let run () =
-  Common.heading "M1-M12" "substrate microbenchmarks (real time, Bechamel)";
+  Common.heading "M1-M13" "substrate microbenchmarks (real time, Bechamel)";
   let cfg =
     Benchmark.cfg ~limit:500
       ~quota:(Bechamel.Time.second 0.25)
@@ -236,7 +288,7 @@ let run () =
       ~columns:[ ("benchmark", Table.Left); ("ns/run", Table.Right) ]
   in
   List.iter
-    (fun test ->
+    (fun (test, per) ->
       List.iter
         (fun elt ->
           let result =
@@ -249,7 +301,7 @@ let run () =
             | Some [] | None -> Float.nan
           in
           Table.add_row table
-            [ Test.Elt.name elt; Printf.sprintf "%.0f" ns ])
+            [ Test.Elt.name elt; Printf.sprintf "%.0f" (ns /. float_of_int per) ])
         (Test.elements test))
     tests;
   Table.print table;

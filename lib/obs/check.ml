@@ -26,33 +26,50 @@ let violations_to_json vs = Json.List (List.map violation_json vs)
 (* The eight cross-node invariants.  [complete = false] (some journal
    ring wrapped) downgrades the rules that need every event to be
    present — a missing send or a missing trace tail would otherwise
-   read as a violation. *)
+   read as a violation.
+
+   Every rule reads one {!Index} of the timeline.  Rules that report
+   per event walk the events in the timeline's own order, so the
+   report lists violations in that order; per-trace state lives in
+   arrays indexed by trace ordinal. *)
 let run ?(complete = true) (tl : Timeline.t) =
-  let events = Timeline.events tl in
-  let by_id = Hashtbl.create 1024 in
-  List.iter
-    (fun (e : Journal.event) -> Hashtbl.replace by_id e.ev_id e)
-    events;
+  let ix = Index.of_events (Timeline.events tl) in
+  let evs = Index.events ix in
+  let n = Index.length ix in
   let out = ref [] in
   let add v_rule v_event v_detail = out := { v_rule; v_event; v_detail } :: !out in
+  let iter_input f =
+    for i = 0 to n - 1 do
+      let p = Index.input ix i in
+      f p (Array.unsafe_get evs p)
+    done
+  in
+  (* The position of each event's causal parent, or [-1]. *)
+  let parent_at = Array.make n (-1) in
+  Array.iteri
+    (fun q (e : Journal.event) ->
+      match e.ev_parent with
+      | Some p -> parent_at.(q) <- Index.find ix p
+      | None -> ())
+    evs;
 
   (* 1. Every recv has a matching send: its parent event exists, is a
      send, and was recorded at the node the receiver names as source. *)
   if complete then
-    List.iter
-      (fun (e : Journal.event) ->
+    iter_input (fun pos (e : Journal.event) ->
         match e.ev_kind with
         | Journal.Recv { src; msg } -> (
           match e.ev_parent with
           | None -> add "recv-matches-send" (Some e.ev_id)
               (Printf.sprintf "recv of %s has no parent" msg)
           | Some p -> (
-            match Hashtbl.find_opt by_id p with
-            | None ->
+            let q = parent_at.(pos) in
+            if q < 0 then
               add "recv-matches-send" (Some e.ev_id)
                 (Printf.sprintf "parent #%d of recv %s is not in any journal"
                    p msg)
-            | Some pe -> (
+            else
+              let pe = evs.(q) in
               match pe.ev_kind with
               | Journal.Send _ ->
                 if pe.ev_node <> src then
@@ -63,62 +80,61 @@ let run ?(complete = true) (tl : Timeline.t) =
               | k ->
                 add "recv-matches-send" (Some e.ev_id)
                   (Printf.sprintf "parent #%d is a %s, not a send" p
-                     (Journal.kind_name k)))))
-        | _ -> ())
-      events;
+                     (Journal.kind_name k))))
+        | _ -> ());
 
   (* 2. No event is ordered against virtual time relative to its
      causal parent. *)
-  List.iter
-    (fun (e : Journal.event) ->
+  iter_input (fun pos (e : Journal.event) ->
       match e.ev_parent with
-      | Some p when p <> e.ev_id -> (
-        match Hashtbl.find_opt by_id p with
-        | Some pe when Time.compare pe.ev_at e.ev_at > 0 ->
-          add "causal-time-order" (Some e.ev_id)
-            (Printf.sprintf "at %s but its parent #%d is at %s"
-               (Time.to_string e.ev_at) p (Time.to_string pe.ev_at))
+      | Some p when p <> e.ev_id ->
+        let q = parent_at.(pos) in
+        if q >= 0 then begin
+          let pe = evs.(q) in
+          if Time.compare pe.ev_at e.ev_at > 0 then
+            add "causal-time-order" (Some e.ev_id)
+              (Printf.sprintf "at %s but its parent #%d is at %s"
+                 (Time.to_string e.ev_at) p (Time.to_string pe.ev_at))
+        end
+      | _ -> ());
+
+  (* Per trace, the newest [Dir_fallback] and the newest [Inv_end] —
+     what rules 3, 6 and 7 ask of a trace's tail.  Event ids are
+     non-negative, so 0 stands for "none". *)
+  let trace_of = if complete then Index.trace_of ix else [||] in
+  let nt = if complete then Index.traces ix else 0 in
+  let last_fallback = Array.make nt 0 and last_end = Array.make nt 0 in
+  if complete then
+    Array.iteri
+      (fun p (e : Journal.event) ->
+        match e.ev_kind with
+        | Journal.Inv_end _ ->
+          let k = trace_of.(p) in
+          last_end.(k) <- max last_end.(k) e.ev_id
+        | Journal.Dir_fallback _ ->
+          let k = trace_of.(p) in
+          last_fallback.(k) <- max last_fallback.(k) e.ev_id
         | _ -> ())
-      | _ -> ())
-    events;
+      evs;
 
   (* 3. Every retry chain terminates: a trace containing a retry must
      also contain a later invocation end (ok or error). *)
-  if complete then begin
-    let ends = Hashtbl.create 64 in
-    List.iter
-      (fun (e : Journal.event) ->
+  if complete then
+    iter_input (fun pos (e : Journal.event) ->
         match e.ev_kind with
-        | Journal.Inv_end _ ->
-          let last =
-            match Hashtbl.find_opt ends e.ev_trace with
-            | Some id -> max id e.ev_id
-            | None -> e.ev_id
-          in
-          Hashtbl.replace ends e.ev_trace last
-        | _ -> ())
-      events;
-    List.iter
-      (fun (e : Journal.event) ->
-        match e.ev_kind with
-        | Journal.Retry { op; attempt } -> (
-          match Hashtbl.find_opt ends e.ev_trace with
-          | Some id when id > e.ev_id -> ()
-          | _ ->
+        | Journal.Retry { op; attempt } ->
+          if not (last_end.(trace_of.(pos)) > e.ev_id) then
             add "retry-terminates" (Some e.ev_id)
               (Printf.sprintf
                  "retry #%d of %s in trace %d has no later inv_end" attempt
-                 op e.ev_trace))
-        | _ -> ())
-      events
-  end;
+                 op e.ev_trace)
+        | _ -> ());
 
   (* 4. A replica install never follows its invalidation: per
      (node, target), an install's epoch is at least every earlier
      invalidation epoch on that node. *)
   let epochs = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Journal.event) ->
+  iter_input (fun _ (e : Journal.event) ->
       match e.ev_kind with
       | Journal.Cache_invalidate { target; epoch } ->
         let key = (e.ev_node, target) in
@@ -135,54 +151,52 @@ let run ?(complete = true) (tl : Timeline.t) =
                 the epoch to %d"
                target epoch e.ev_node bumped)
         | _ -> ())
-      | _ -> ())
-    events;
+      | _ -> ());
 
   (* 5. Every clone fan-out resolves to exactly one win plus cancelled
      (or never-sent-to) losers.  Per trace: each fan-out to S sites
      must account for all S — either one win and S-1 cancels, or (no
      winner: timeout / every site nacked) S cancels.  So across a
      trace, wins <= fan-outs and wins + cancels = total sites.  Needs
-     complete journals: a dropped cancel event would read as a leak. *)
+     complete journals: a dropped cancel event would read as a leak.
+     [acct] holds fan-outs, sites, wins and cancels, four ints per
+     trace ordinal. *)
   if complete then begin
-    let acct = Hashtbl.create 64 in
-    List.iter
-      (fun (e : Journal.event) ->
-        let bump dfan dsites dwin dcancel =
-          let fans, sites, wins, cancels =
-            match Hashtbl.find_opt acct e.ev_trace with
-            | Some x -> x
-            | None -> (0, 0, 0, 0)
-          in
-          Hashtbl.replace acct e.ev_trace
-            (fans + dfan, sites + dsites, wins + dwin, cancels + dcancel)
-        in
+    let acct = Array.make (4 * nt) 0 in
+    let bump p i d =
+      let j = (4 * trace_of.(p)) + i in
+      acct.(j) <- acct.(j) + d
+    in
+    Array.iteri
+      (fun p (e : Journal.event) ->
         match e.ev_kind with
-        | Journal.Clone_fanout { sites; _ } -> bump 1 sites 0 0
-        | Journal.Clone_win _ -> bump 0 0 1 0
-        | Journal.Clone_cancel _ -> bump 0 0 0 1
+        | Journal.Clone_fanout { sites; _ } -> bump p 0 1; bump p 1 sites
+        | Journal.Clone_win _ -> bump p 2 1
+        | Journal.Clone_cancel _ -> bump p 3 1
         | _ -> ())
-      events;
-    Hashtbl.fold (fun trace acct l -> (trace, acct) :: l) acct []
-    |> List.sort compare
-    |> List.iter (fun (trace, (fans, sites, wins, cancels)) ->
-           if fans = 0 then begin
-             if wins > 0 || cancels > 0 then
-               add "clone-resolves-once" None
-                 (Printf.sprintf
-                    "trace %d has %d win(s) and %d cancel(s) but no fan-out"
-                    trace wins cancels)
-           end
-           else if wins > fans then
-             add "clone-resolves-once" None
-               (Printf.sprintf "trace %d: %d wins for %d fan-out(s)" trace
-                  wins fans)
-           else if wins + cancels <> sites then
-             add "clone-resolves-once" None
-               (Printf.sprintf
-                  "trace %d: %d fan-out(s) to %d site(s) resolved as %d \
-                   win(s) + %d cancel(s)"
-                  trace fans sites wins cancels))
+      evs;
+    for k = 0 to nt - 1 do
+      let trace = Index.trace_id ix k in
+      let fans = acct.(4 * k) and sites = acct.((4 * k) + 1)
+      and wins = acct.((4 * k) + 2) and cancels = acct.((4 * k) + 3) in
+      if fans = 0 then begin
+        if wins > 0 || cancels > 0 then
+          add "clone-resolves-once" None
+            (Printf.sprintf
+               "trace %d has %d win(s) and %d cancel(s) but no fan-out"
+               trace wins cancels)
+      end
+      else if wins > fans then
+        add "clone-resolves-once" None
+          (Printf.sprintf "trace %d: %d wins for %d fan-out(s)" trace
+             wins fans)
+      else if wins + cancels <> sites then
+        add "clone-resolves-once" None
+          (Printf.sprintf
+             "trace %d: %d fan-out(s) to %d site(s) resolved as %d \
+              win(s) + %d cancel(s)"
+             trace fans sites wins cancels)
+    done
   end;
 
   (* 6. The directory resolves to the true home or falls back: per
@@ -192,35 +206,13 @@ let run ?(complete = true) (tl : Timeline.t) =
      and a [Dir_miss] must always be followed by a [Dir_fallback] (a
      miss has no answer to act on, so broadcast is mandatory).  Needs
      complete journals: a dropped tail would read as a stranding. *)
-  if complete then begin
-    let last = Hashtbl.create 64 in
-    List.iter
-      (fun (e : Journal.event) ->
-        match e.ev_kind with
-        | Journal.Inv_end _ | Journal.Dir_fallback _ ->
-          let fb, iv =
-            match Hashtbl.find_opt last e.ev_trace with
-            | Some x -> x
-            | None -> (0, 0)
-          in
-          let entry =
-            match e.ev_kind with
-            | Journal.Dir_fallback _ -> (max fb e.ev_id, iv)
-            | _ -> (fb, max iv e.ev_id)
-          in
-          Hashtbl.replace last e.ev_trace entry
-        | _ -> ())
-      events;
-    List.iter
-      (fun (e : Journal.event) ->
+  if complete then
+    iter_input (fun pos (e : Journal.event) ->
         let resolved ~fallback_only what target =
-          let fb, iv =
-            match Hashtbl.find_opt last e.ev_trace with
-            | Some x -> x
-            | None -> (0, 0)
-          in
+          let k = trace_of.(pos) in
           let ok =
-            fb > e.ev_id || ((not fallback_only) && iv > e.ev_id)
+            last_fallback.(k) > e.ev_id
+            || ((not fallback_only) && last_end.(k) > e.ev_id)
           in
           if not ok then
             add "dir-resolves-or-falls-back" (Some e.ev_id)
@@ -235,9 +227,7 @@ let run ?(complete = true) (tl : Timeline.t) =
           resolved ~fallback_only:false "hit" target
         | Journal.Dir_miss { target } ->
           resolved ~fallback_only:true "miss" target
-        | _ -> ())
-      events
-  end;
+        | _ -> ());
 
   (* 7. Epoch-monotonic: membership views only move forward, and a
      stale view never strands a locate.  Per node, successive
@@ -249,65 +239,31 @@ let run ?(complete = true) (tl : Timeline.t) =
      ring can cost a detour or a broadcast, never a stranded attempt.
      Vacuous on traces with no reconfiguration.  Needs complete
      journals: a dropped bump or trace tail would read as a
-     violation. *)
+     violation.  Event ids are allocated in engine execution order, so
+     walking the index in id order replays the cluster's actual
+     interleaving. *)
   if complete then begin
-    let last = Hashtbl.create 64 in
-    List.iter
-      (fun (e : Journal.event) ->
-        match e.ev_kind with
-        | Journal.Inv_end _ | Journal.Dir_fallback _ ->
-          let fb, iv =
-            match Hashtbl.find_opt last e.ev_trace with
-            | Some x -> x
-            | None -> (0, 0)
-          in
-          let entry =
-            match e.ev_kind with
-            | Journal.Dir_fallback _ -> (max fb e.ev_id, iv)
-            | _ -> (fb, max iv e.ev_id)
-          in
-          Hashtbl.replace last e.ev_trace entry
-        | _ -> ())
-      events;
-    (* Event ids are allocated in engine execution order, so walking
-       by id replays the cluster's actual interleaving. *)
-    let ordered =
-      List.sort
-        (fun (a : Journal.event) (b : Journal.event) ->
-          Int.compare a.ev_id b.ev_id)
-        events
-    in
-    let view = Hashtbl.create 16 in
+    let view = Itbl.create 16 in
+    let view_of node = match Itbl.find view node with v -> v | exception Not_found -> 0 in
     let newest = ref 0 in
-    List.iter
-      (fun (e : Journal.event) ->
+    Array.iteri
+      (fun p (e : Journal.event) ->
         match e.ev_kind with
         | Journal.Epoch_bump { epoch } ->
-          let prev =
-            match Hashtbl.find_opt view e.ev_node with
-            | Some p -> p
-            | None -> 0
-          in
+          let prev = view_of e.ev_node in
           if epoch <= prev then
             add "epoch-monotonic" (Some e.ev_id)
               (Printf.sprintf
                  "n%d bumped to epoch %d after already reaching epoch %d"
                  e.ev_node epoch prev);
-          Hashtbl.replace view e.ev_node (max epoch prev);
+          Itbl.replace view e.ev_node (max epoch prev);
           if epoch > !newest then newest := epoch
         | Journal.Dir_hit { target; _ } ->
-          let mine =
-            match Hashtbl.find_opt view e.ev_node with
-            | Some p -> p
-            | None -> 0
-          in
+          let mine = view_of e.ev_node in
           if mine < !newest then begin
-            let fb, iv =
-              match Hashtbl.find_opt last e.ev_trace with
-              | Some x -> x
-              | None -> (0, 0)
-            in
-            if not (fb > e.ev_id || iv > e.ev_id) then
+            let k = trace_of.(p) in
+            if not (last_fallback.(k) > e.ev_id || last_end.(k) > e.ev_id)
+            then
               add "epoch-monotonic" (Some e.ev_id)
                 (Printf.sprintf
                    "dir hit for %s on n%d (view e%d, cluster at e%d) in \
@@ -315,7 +271,7 @@ let run ?(complete = true) (tl : Timeline.t) =
                    target e.ev_node mine !newest e.ev_trace)
           end
         | _ -> ())
-      ordered
+      evs
   end;
 
   (* 8. Attribution-complete: for every trace bracketing a whole
@@ -336,5 +292,5 @@ let run ?(complete = true) (tl : Timeline.t) =
                "trace %d (%s.%s): categories sum to %dns but end-to-end \
                 latency is %dns"
                bd.bd_trace bd.bd_target bd.bd_op sum bd.bd_total_ns))
-      (Critical.breakdowns events);
+      (Critical.of_index ix);
   List.rev !out

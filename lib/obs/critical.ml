@@ -61,144 +61,156 @@ let dominant bd =
    lookups/publishes/nacks, proactive hints, and the stale-location
    nacks that send a requester back to locate.  (Prefixes of
    [Message.describe] output; see message.ml.) *)
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+let rec same_from p s i =
+  i = String.length p
+  || (String.unsafe_get p i = String.unsafe_get s i && same_from p s (i + 1))
+
+let has_prefix p s = String.length s >= String.length p && same_from p s 0
 
 let directory_message msg =
-  has_prefix "locate" msg || has_prefix "dir" msg || has_prefix "hint" msg
-  || has_prefix "inv_nack" msg
-
-(* One attributed span of a gap: every gap maps to spans whose
-   nanoseconds sum to the gap exactly, so the per-trace category sums
-   telescope to (end - begin) by construction. *)
+  String.length msg > 0
+  &&
+  match String.unsafe_get msg 0 with
+  | 'l' -> has_prefix "locate" msg
+  | 'd' -> has_prefix "dir" msg
+  | 'h' -> has_prefix "hint" msg
+  | 'i' -> has_prefix "inv_nack" msg
+  | _ -> false
 
 (* Holds recorded against a Send (the hold event's parent is the send
    id) let the Recv gap be split: the held span is the sender sitting
    on the message — endpoint degradation, charged to service — and
-   only the remainder is wire time. *)
+   only the remainder is wire time.  [holds] maps a send id to its
+   held spans; a trace without holds shares one empty table. *)
+let no_holds : (int * int) list Itbl.t = Itbl.create 1
+
 let hold_overlap holds ~parent ~t0 ~t1 =
-  match Hashtbl.find_opt holds parent with
-  | None -> 0
-  | Some spans ->
+  match Itbl.find holds parent with
+  | exception Not_found -> 0
+  | spans ->
     List.fold_left
       (fun acc (h0, h1) ->
         let lo = max t0 h0 and hi = min t1 h1 in
         acc + max 0 (hi - lo))
       0 spans
 
-let classify ~holds prev cur =
+let add parts c ns =
+  let i = category_index c in
+  Array.unsafe_set parts i (Array.unsafe_get parts i + ns)
+
+(* Charge the gap between two consecutive events of a trace to
+   [parts]: every gap maps to spans whose nanoseconds sum to the gap
+   exactly, so the per-trace category sums telescope to
+   (end - begin) by construction. *)
+let charge parts ~holds prev cur =
   let t0 = Time.to_ns prev.Journal.ev_at
   and t1 = Time.to_ns cur.Journal.ev_at in
   let gap = t1 - t0 in
   match prev.Journal.ev_kind with
-  | Journal.Retry _ -> [ (Backoff, gap) ]
+  | Journal.Retry _ -> add parts Backoff gap
   | _ -> (
     match cur.Journal.ev_kind with
-    | Journal.Net_flush _ -> [ (Coalesce, gap) ]
-    | Journal.Net_hold _ -> [ (Wire, gap) ]
+    | Journal.Net_flush _ -> add parts Coalesce gap
+    | Journal.Net_hold _ -> add parts Wire gap
     | Journal.Recv { msg; _ } ->
       let held =
         match cur.Journal.ev_parent with
         | None -> 0
         | Some send_id -> min gap (hold_overlap holds ~parent:send_id ~t0 ~t1)
       in
-      let carry = if directory_message msg then Directory else Wire in
-      if held = 0 then [ (carry, gap) ]
-      else [ (Service, held); (carry, gap - held) ]
+      add parts Service held;
+      add parts (if directory_message msg then Directory else Wire) (gap - held)
     | Journal.Send { msg; _ } ->
-      [ ((if directory_message msg then Directory else Service), gap) ]
+      add parts (if directory_message msg then Directory else Service) gap
     | Journal.Work_start _ ->
-      let c =
-        match prev.Journal.ev_kind with
+      add parts
+        (match prev.Journal.ev_kind with
         | Journal.Drain_stall _ -> Drain
-        | _ -> Queue
-      in
-      [ (c, gap) ]
-    | Journal.Drain_stall _ -> [ (Queue, gap) ]
+        | _ -> Queue)
+        gap
+    | Journal.Drain_stall _ -> add parts Queue gap
     | Journal.Dir_hit _ | Journal.Dir_miss _ | Journal.Dir_fallback _
     | Journal.Dir_publish _ ->
-      [ (Directory, gap) ]
-    | Journal.Retry _ | Journal.Hedge _ -> [ (Wait, gap) ]
-    | Journal.Clone_win _ -> [ (Spec_wait, gap) ]
+      add parts Directory gap
+    | Journal.Retry _ | Journal.Hedge _ -> add parts Wait gap
+    | Journal.Clone_win _ -> add parts Spec_wait gap
     | Journal.Inv_end _ ->
-      let c =
-        match prev.Journal.ev_kind with
+      add parts
+        (match prev.Journal.ev_kind with
         | Journal.Recv _ | Journal.Inv_begin _ | Journal.Clone_win _ ->
           Service
-        | _ -> Wait
-      in
-      [ (c, gap) ]
-    | _ -> [ (Service, gap) ])
+        | _ -> Wait)
+        gap
+    | _ -> add parts Service gap)
 
-(* Attribute one trace.  [events] must be that trace's events sorted
-   by id; returns [None] unless the trace brackets a whole request
-   (an [Inv_begin] and a later [Inv_end]).  Event ids are allocated
-   in engine execution order, which never runs ahead of virtual time,
-   so the id-sorted walk visits events in nondecreasing [ev_at]: the
-   consecutive gaps tile [begin, end] exactly and the category sums
-   telescope to the end-to-end latency — the attribution-complete
-   invariant (checker rule 8) re-verifies this on every trace. *)
-let attribute events =
-  let begin_ev =
-    List.find_opt
-      (fun e -> match e.Journal.ev_kind with Journal.Inv_begin _ -> true | _ -> false)
-      events
+(* Attribute the trace whose events are [evs.(idx.(lo)) ..
+   evs.(idx.(hi - 1))], sorted by id; [None] unless it brackets a
+   whole request (an [Inv_begin] and a later [Inv_end]).  Event ids
+   are allocated in engine execution order, which never runs ahead of
+   virtual time, so the id-sorted walk visits events in nondecreasing
+   [ev_at]: the consecutive gaps tile [begin, end] exactly and the
+   category sums telescope to the end-to-end latency — the
+   attribution-complete invariant (checker rule 8) re-verifies this on
+   every trace.  The walk covers the events whose ids lie in
+   [begin, end]; the first [Inv_begin] and the last [Inv_end] after it
+   bound the request. *)
+let attribute_slice (evs : Journal.event array) idx lo hi =
+  let ev i = Array.unsafe_get evs (Array.unsafe_get idx i) in
+  let rec find_begin i =
+    if i >= hi then None
+    else
+      match (ev i).Journal.ev_kind with
+      | Journal.Inv_begin { op; target } -> Some (ev i, op, target)
+      | _ -> find_begin (i + 1)
   in
-  match begin_ev with
+  match find_begin lo with
   | None -> None
-  | Some b -> (
-    let end_ev =
-      List.fold_left
-        (fun acc e ->
-          match e.Journal.ev_kind with
-          | Journal.Inv_end _ when e.Journal.ev_id > b.Journal.ev_id -> Some e
-          | _ -> acc)
-        None events
-    in
-    match end_ev with
+  | Some (b, op, target) -> (
+    let b_id = b.Journal.ev_id in
+    let e = ref None and any_hold = ref false in
+    for i = lo to hi - 1 do
+      let x = ev i in
+      match x.Journal.ev_kind with
+      | Journal.Inv_end { outcome; _ } when x.Journal.ev_id > b_id ->
+        e := Some (x, outcome)
+      | Journal.Net_hold _ -> any_hold := true
+      | _ -> ()
+    done;
+    match !e with
     | None -> None
-    | Some e ->
-      let window =
-        List.filter
-          (fun ev ->
-            ev.Journal.ev_id >= b.Journal.ev_id
-            && ev.Journal.ev_id <= e.Journal.ev_id)
-          events
+    | Some (e, outcome) ->
+      let e_id = e.Journal.ev_id in
+      let in_window x = x.Journal.ev_id >= b_id && x.Journal.ev_id <= e_id in
+      let holds =
+        if not !any_hold then no_holds
+        else begin
+          let holds = Itbl.create 7 in
+          for i = lo to hi - 1 do
+            let x = ev i in
+            match (x.Journal.ev_kind, x.Journal.ev_parent) with
+            | Journal.Net_hold { by; _ }, Some parent when in_window x ->
+              let h0 = Time.to_ns x.Journal.ev_at in
+              let prior =
+                match Itbl.find holds parent with
+                | l -> l
+                | exception Not_found -> []
+              in
+              Itbl.replace holds parent ((h0, h0 + Time.to_ns by) :: prior)
+            | _ -> ()
+          done;
+          holds
+        end
       in
-      let holds = Hashtbl.create 7 in
-      List.iter
-        (fun ev ->
-          match (ev.Journal.ev_kind, ev.Journal.ev_parent) with
-          | Journal.Net_hold { by; _ }, Some parent ->
-            let h0 = Time.to_ns ev.Journal.ev_at in
-            let span = (h0, h0 + Time.to_ns by) in
-            let prior =
-              Option.value (Hashtbl.find_opt holds parent) ~default:[]
-            in
-            Hashtbl.replace holds parent (span :: prior)
-          | _ -> ())
-        window;
       let parts = Array.make n_categories 0 in
-      let rec walk = function
-        | prev :: (cur :: _ as rest) ->
-          List.iter
-            (fun (c, ns) ->
-              parts.(category_index c) <- parts.(category_index c) + ns)
-            (classify ~holds prev cur);
-          walk rest
-        | _ -> ()
-      in
-      walk window;
-      let op, target =
-        match b.Journal.ev_kind with
-        | Journal.Inv_begin { op; target } -> (op, target)
-        | _ -> assert false
-      in
-      let outcome =
-        match e.Journal.ev_kind with
-        | Journal.Inv_end { outcome; _ } -> outcome
-        | _ -> assert false
-      in
+      let prev = ref b and started = ref false in
+      for i = lo to hi - 1 do
+        let x = ev i in
+        if in_window x then begin
+          if !started then charge parts ~holds !prev x;
+          prev := x;
+          started := true
+        end
+      done;
       Some
         {
           bd_trace = b.Journal.ev_trace;
@@ -212,26 +224,23 @@ let attribute events =
           bd_parts = parts;
         })
 
-(* Group a merged event list (a {!Timeline.t}) by trace and attribute
-   every complete request, in ascending trace-id order. *)
-let breakdowns events =
-  let by_trace : (int, Journal.event list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ev ->
-      let tr = ev.Journal.ev_trace in
-      let prior = Option.value (Hashtbl.find_opt by_trace tr) ~default:[] in
-      Hashtbl.replace by_trace tr (ev :: prior))
-    events;
-  let traces = Hashtbl.fold (fun tr evs acc -> (tr, evs) :: acc) by_trace [] in
-  let traces = List.sort (fun (a, _) (b, _) -> Int.compare a b) traces in
-  List.filter_map
-    (fun (_, evs) ->
-      let evs =
-        List.sort
-          (fun a b -> Int.compare a.Journal.ev_id b.Journal.ev_id)
-          evs
-      in
-      attribute evs)
-    traces
+let attribute events =
+  let evs = Array.of_list events in
+  let n = Array.length evs in
+  attribute_slice evs (Array.init n Fun.id) 0 n
+
+(* Every trace's slice of the index, in ascending trace-id order. *)
+let of_index ix =
+  let evs = Index.events ix in
+  let members = Index.members ix and bounds = Index.bounds ix in
+  let acc = ref [] in
+  for k = Index.traces ix - 1 downto 0 do
+    match attribute_slice evs members bounds.(k) bounds.(k + 1) with
+    | Some bd -> acc := bd :: !acc
+    | None -> ()
+  done;
+  !acc
+
+let breakdowns events = of_index (Index.of_events events)
 
 let sum_parts bd = Array.fold_left ( + ) 0 bd.bd_parts

@@ -78,3 +78,7 @@ val attribute : Journal.event list -> breakdown option
 val breakdowns : Journal.event list -> breakdown list
 (** Group a merged event list (e.g. a {!Timeline.t}) by trace and
     attribute every complete request, ascending by trace id. *)
+
+val of_index : Index.t -> breakdown list
+(** {!breakdowns} of the list an index was built from, reading its
+    trace slices — for callers that index the list anyway. *)

@@ -242,10 +242,15 @@ let intern_cap = 8192
 (* [slot] is a static id for the call site in [encode].  Hot traffic
    repeats the same description at the same site over and over, so a
    single [String.equal] against the last interned string there
-   usually answers without touching the hash table at all. *)
+   usually answers without touching the hash table at all.  The empty
+   string is answered before the table and leaves the memo alone: a
+   node's sends alternate between requests, which carry their op, and
+   replies, which carry [""], and letting the replies through would
+   evict the op from the memo on every other message. *)
 let intern t slot s =
   let m = Array.unsafe_get t.jn_memo slot in
   if String.equal s m then m
+  else if String.length s = 0 then ""
   else
     let c =
       match Strtbl.find_opt t.jn_intern s with
@@ -474,20 +479,24 @@ let record t ~(at : Time.t) ?ctx kind =
       ~parent:(ctx_parent ctx) kind;
   id
 
-let record_msg t ~tag ~at ~ctx ~peer ~code ~name ~arg ~str =
+(* Sends and receives intern through their own memo slots (those of
+   [Send] and [Recv] in [store]): a node that mostly sends requests
+   and receives replies, or the reverse, then keeps both memos warm. *)
+let record_msg t ~tag ~memo ~at ~ctx ~peer ~code ~name ~arg ~str =
   let id = new_id t in
   if t.jn_cap > 0 then
     set t ~slot:(next_slot t) ~id ~at ~trace:(ctx_trace ctx id)
       ~parent:(ctx_parent ctx) ~tag:(msg_word ~tag ~code ~arg) ~a1:peer ~a2:name
-      ~s1:(intern t 0 str) ~s2:"";
+      ~s1:(intern t memo str) ~s2:"";
   id
 
 let record_send t ~at ~ctx ~dst ~code ~name ~arg ~str =
-  record_msg t ~tag:tag_msg_send ~at ~ctx ~peer:(enc_opt dst) ~code ~name ~arg
-    ~str
+  record_msg t ~tag:tag_msg_send ~memo:0 ~at ~ctx ~peer:(enc_opt dst) ~code
+    ~name ~arg ~str
 
 let record_recv t ~at ~ctx ~src ~code ~name ~arg ~str =
-  record_msg t ~tag:tag_msg_recv ~at ~ctx ~peer:src ~code ~name ~arg ~str
+  record_msg t ~tag:tag_msg_recv ~memo:1 ~at ~ctx ~peer:src ~code ~name ~arg
+    ~str
 
 (* Past this many entries the memo stops growing; texts rendered
    after that are still correct, just not shared. *)
@@ -556,15 +565,24 @@ let event_at t slot =
         ~s1:t.jn_strs.(sb) ~s2:t.jn_strs.(sb + 1);
   }
 
-(* Oldest first, so the records lie in memory in the order readers
-   walk them. *)
+let retained t = t.jn_len
+
+(* The ring slot of the [i]th retained event, oldest first. *)
+let slot_of t i =
+  if i < 0 || i >= t.jn_len then invalid_arg "Journal.nth: index out of range";
+  let s = t.jn_start + i in
+  if s >= t.jn_size then s - t.jn_size else s
+
+let nth t i = event_at t (slot_of t i)
+let nth_id t i = Ints.get t.jn_ints (slot_of t i * stride)
+
+(* Built newest first, so the list needs no reversal. *)
 let events t =
-  let acc = ref [] and slot = ref t.jn_start in
-  for _ = 1 to t.jn_len do
-    acc := event_at t !slot :: !acc;
-    slot := (if !slot + 1 = t.jn_size then 0 else !slot + 1)
+  let acc = ref [] in
+  for i = t.jn_len - 1 downto 0 do
+    acc := nth t i :: !acc
   done;
-  List.rev !acc
+  !acc
 
 let recorded t = t.jn_recorded
 let dropped t = t.jn_dropped

@@ -159,6 +159,18 @@ val events : t -> event list
     {!record_send} or {!record_recv} are rendered on the first read,
     once per distinct message across the sink, and kept as text. *)
 
+val retained : t -> int
+(** Events currently retained: the length of {!events}. *)
+
+val nth : t -> int -> event
+(** [nth t i] is the [i]th retained event, oldest first: element [i]
+    of {!events}, without building the list.  Raises
+    [Invalid_argument] unless [0 <= i < retained t]. *)
+
+val nth_id : t -> int -> int
+(** The id of [nth t i], read without building (or rendering) the
+    event. *)
+
 val recorded : t -> int
 (** Total events ever recorded (the [eden.journal.events] counter). *)
 

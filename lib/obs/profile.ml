@@ -1,7 +1,8 @@
 open Eden_util
 
 type t = {
-  pf_breakdowns : Critical.breakdown list;
+  pf_by_trace : Critical.breakdown list;  (* ascending by trace id *)
+  pf_sorted : Critical.breakdown array;
       (* ascending by (total latency, trace id) *)
   pf_skipped : int;
   pf_total_ns : int;
@@ -17,18 +18,27 @@ let compare_bd (a : Critical.breakdown) (b : Critical.breakdown) =
   | 0 -> Int.compare a.bd_trace b.bd_trace
   | c -> c
 
+(* Traces with an [Inv_begin]: every attributed request's, plus the
+   ones that never ended. *)
+let began ix =
+  let trace_of = Index.trace_of ix in
+  let seen = Bytes.make (Index.traces ix) '\000' and count = ref 0 in
+  Array.iteri
+    (fun p (e : Journal.event) ->
+      match e.Journal.ev_kind with
+      | Journal.Inv_begin _ ->
+        let k = trace_of.(p) in
+        if Bytes.get seen k = '\000' then begin
+          Bytes.set seen k '\001';
+          incr count
+        end
+      | _ -> ())
+    (Index.events ix);
+  !count
+
 let of_events events =
-  let bds = Critical.breakdowns events in
-  let began =
-    List.length
-      (List.sort_uniq Int.compare
-         (List.filter_map
-            (fun (e : Journal.event) ->
-              match e.Journal.ev_kind with
-              | Journal.Inv_begin _ -> Some e.Journal.ev_trace
-              | _ -> None)
-            events))
-  in
+  let ix = Index.of_events events in
+  let bds = Critical.of_index ix in
   let parts = Array.make Critical.n_categories 0 in
   let total = ref 0 in
   List.iter
@@ -36,15 +46,18 @@ let of_events events =
       total := !total + bd.bd_total_ns;
       Array.iteri (fun i ns -> parts.(i) <- parts.(i) + ns) bd.bd_parts)
     bds;
+  let sorted = Array.of_list bds in
+  Array.stable_sort compare_bd sorted;
   {
-    pf_breakdowns = List.sort compare_bd bds;
-    pf_skipped = began - List.length bds;
+    pf_by_trace = bds;
+    pf_sorted = sorted;
+    pf_skipped = began ix - Array.length sorted;
     pf_total_ns = !total;
     pf_parts = parts;
   }
 
 let of_timeline (tl : Timeline.t) = of_events tl
-let requests t = List.length t.pf_breakdowns
+let requests t = Array.length t.pf_sorted
 let skipped t = t.pf_skipped
 let total_ns t = t.pf_total_ns
 
@@ -63,13 +76,12 @@ let dominant t =
 
 (* Nearest-rank selection on the (total, trace)-sorted breakdowns. *)
 let quantile t q =
-  let arr = Array.of_list t.pf_breakdowns in
-  let n = Array.length arr in
+  let n = Array.length t.pf_sorted in
   if n = 0 then None
   else begin
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     let idx = max 0 (min (n - 1) (rank - 1)) in
-    Some arr.(idx)
+    Some t.pf_sorted.(idx)
   end
 
 let pct x = 100. *. x
@@ -177,7 +189,7 @@ let to_folded t =
             Hashtbl.replace tbl key (prior + ns)
           end)
         Critical.categories)
-    t.pf_breakdowns;
+    t.pf_by_trace;
   let lines = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   let lines = List.sort (fun (a, _) (b, _) -> String.compare a b) lines in
   String.concat ""
@@ -211,6 +223,4 @@ let chrome_extra t =
                        Json.Int (Critical.part bd c) ))
                    Critical.categories) );
         ])
-    (List.sort
-       (fun (a : Critical.breakdown) b -> Int.compare a.bd_trace b.bd_trace)
-       t.pf_breakdowns)
+    t.pf_by_trace

@@ -6,26 +6,34 @@ type t = Journal.event list
    execution order, which never runs ahead of virtual time — so
    ordering by id yields one deterministic, time-ordered, cross-node
    merge.  Each journal records in id order, so its events are sorted
-   already: a k-way merge over the journals, a min-heap of their
-   remaining events keyed by the first one's id, gives the full order
-   in O(n log k) with no recursion as deep as the timeline is long. *)
+   already: a k-way merge over the journals gives the full order in
+   O(n log k).  The merge runs from the newest event back, so the
+   output list is built by consing, with no reversal: a max-heap of
+   the journals keyed by the id of each one's newest unread event,
+   read in place with [Journal.nth_id], so an event is built only when
+   it joins the output. *)
 let assemble journals =
-  let runs =
-    Array.of_list
-      (List.filter (fun evs -> evs <> []) (List.map Journal.events journals))
+  let js =
+    Array.of_list (List.filter (fun j -> Journal.retained j > 0) journals)
   in
-  let head i =
-    match runs.(i) with e :: _ -> e.Journal.ev_id | [] -> assert false
-  in
-  let size = ref (Array.length runs) in
+  (* [next.(j)] is the index of journal [j]'s newest unread event;
+     [heap] holds the journals that still have one, and [key] the id
+     of that event. *)
+  let next = Array.map (fun j -> Journal.retained j - 1) js in
+  let heap = Array.init (Array.length js) Fun.id in
+  let key = Array.make (Array.length js) 0 in
+  Array.iteri (fun h j -> key.(h) <- Journal.nth_id js.(j) next.(j)) heap;
+  let size = ref (Array.length heap) in
   let rec sift i =
     let l = (2 * i) + 1 in
     if l < !size then begin
-      let c = if l + 1 < !size && head (l + 1) < head l then l + 1 else l in
-      if head c < head i then begin
-        let r = runs.(i) in
-        runs.(i) <- runs.(c);
-        runs.(c) <- r;
+      let c = if l + 1 < !size && key.(l + 1) > key.(l) then l + 1 else l in
+      if key.(c) > key.(i) then begin
+        let j = heap.(i) and k = key.(i) in
+        heap.(i) <- heap.(c);
+        key.(i) <- key.(c);
+        heap.(c) <- j;
+        key.(c) <- k;
         sift c
       end
     end
@@ -35,18 +43,19 @@ let assemble journals =
   done;
   let acc = ref [] in
   while !size > 0 do
-    (match runs.(0) with
-    | e :: rest ->
-      acc := e :: !acc;
-      if rest = [] then begin
-        decr size;
-        runs.(0) <- runs.(!size)
-      end
-      else runs.(0) <- rest
-    | [] -> assert false);
+    let j = heap.(0) in
+    let i = next.(j) in
+    acc := Journal.nth js.(j) i :: !acc;
+    next.(j) <- i - 1;
+    if i > 0 then key.(0) <- Journal.nth_id js.(j) (i - 1)
+    else begin
+      decr size;
+      heap.(0) <- heap.(!size);
+      key.(0) <- key.(!size)
+    end;
     sift 0
   done;
-  List.rev !acc
+  !acc
 
 let events t = t
 let length = List.length
@@ -156,10 +165,7 @@ let process_name node =
     ]
 
 let to_chrome_json ?(extra = []) t =
-  let by_id = Hashtbl.create 256 in
-  List.iter
-    (fun (e : Journal.event) -> Hashtbl.replace by_id e.ev_id e)
-    t;
+  let ix = Index.of_events t in
   let meta = List.map process_name (nodes t) in
   let instants = List.map instant t in
   let flows =
@@ -167,13 +173,16 @@ let to_chrome_json ?(extra = []) t =
       (fun (e : Journal.event) ->
         match (e.ev_kind, e.ev_parent) with
         | Journal.Recv _, Some p -> (
-          match Hashtbl.find_opt by_id p with
-          | Some ({ Journal.ev_kind = Journal.Send _; _ } as s) ->
-            [
-              flow ~phase:"s" s ~id:p;
-              flow ~phase:"f" ~extra:[ ("bp", Json.Str "e") ] e ~id:p;
-            ]
-          | _ -> [])
+          let q = Index.find ix p in
+          if q < 0 then []
+          else
+            match (Index.events ix).(q) with
+            | { Journal.ev_kind = Journal.Send _; _ } as s ->
+              [
+                flow ~phase:"s" s ~id:p;
+                flow ~phase:"f" ~extra:[ ("bp", Json.Str "e") ] e ~id:p;
+              ]
+            | _ -> [])
         | _ -> [])
       t
   in

@@ -1217,6 +1217,656 @@ let ring_minimal_remap =
                !moved_join k n)
         else Ok ())
 
+(* ------------------------------------------------------------------ *)
+(* Trace analysis against a list-based oracle.  [Oracle] is the
+   straightforward implementation of the critical-path attribution,
+   the checker and the profile (per-trace lists, polymorphic tables,
+   sorts) that the indexed ones in lib/obs replace; on random event
+   lists — shuffled, with duplicate ids, missing parents, holds, and
+   every kind a rule reads — both must give the same breakdowns,
+   violations and profile JSON. *)
+
+module Journal = Eden_obs.Journal
+module Critical = Eden_obs.Critical
+module Check = Eden_obs.Check
+module Profile = Eden_obs.Profile
+
+module Oracle = struct
+  open Critical
+
+  let has_prefix p s =
+    String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+  let directory_message msg =
+    has_prefix "locate" msg || has_prefix "dir" msg || has_prefix "hint" msg
+    || has_prefix "inv_nack" msg
+
+  let hold_overlap holds ~parent ~t0 ~t1 =
+    match Hashtbl.find_opt holds parent with
+    | None -> 0
+    | Some spans ->
+      List.fold_left
+        (fun acc (h0, h1) ->
+          let lo = max t0 h0 and hi = min t1 h1 in
+          acc + max 0 (hi - lo))
+        0 spans
+
+  let classify ~holds prev cur =
+    let t0 = Time.to_ns prev.Journal.ev_at
+    and t1 = Time.to_ns cur.Journal.ev_at in
+    let gap = t1 - t0 in
+    match prev.Journal.ev_kind with
+    | Journal.Retry _ -> [ (Backoff, gap) ]
+    | _ -> (
+      match cur.Journal.ev_kind with
+      | Journal.Net_flush _ -> [ (Coalesce, gap) ]
+      | Journal.Net_hold _ -> [ (Wire, gap) ]
+      | Journal.Recv { msg; _ } ->
+        let held =
+          match cur.Journal.ev_parent with
+          | None -> 0
+          | Some send_id -> min gap (hold_overlap holds ~parent:send_id ~t0 ~t1)
+        in
+        let carry = if directory_message msg then Directory else Wire in
+        if held = 0 then [ (carry, gap) ]
+        else [ (Service, held); (carry, gap - held) ]
+      | Journal.Send { msg; _ } ->
+        [ ((if directory_message msg then Directory else Service), gap) ]
+      | Journal.Work_start _ ->
+        let c =
+          match prev.Journal.ev_kind with
+          | Journal.Drain_stall _ -> Drain
+          | _ -> Queue
+        in
+        [ (c, gap) ]
+      | Journal.Drain_stall _ -> [ (Queue, gap) ]
+      | Journal.Dir_hit _ | Journal.Dir_miss _ | Journal.Dir_fallback _
+      | Journal.Dir_publish _ ->
+        [ (Directory, gap) ]
+      | Journal.Retry _ | Journal.Hedge _ -> [ (Wait, gap) ]
+      | Journal.Clone_win _ -> [ (Spec_wait, gap) ]
+      | Journal.Inv_end _ ->
+        let c =
+          match prev.Journal.ev_kind with
+          | Journal.Recv _ | Journal.Inv_begin _ | Journal.Clone_win _ ->
+            Service
+          | _ -> Wait
+        in
+        [ (c, gap) ]
+      | _ -> [ (Service, gap) ])
+
+  let attribute events =
+    let begin_ev =
+      List.find_opt
+        (fun e ->
+          match e.Journal.ev_kind with Journal.Inv_begin _ -> true | _ -> false)
+        events
+    in
+    match begin_ev with
+    | None -> None
+    | Some b -> (
+      let end_ev =
+        List.fold_left
+          (fun acc e ->
+            match e.Journal.ev_kind with
+            | Journal.Inv_end _ when e.Journal.ev_id > b.Journal.ev_id -> Some e
+            | _ -> acc)
+          None events
+      in
+      match end_ev with
+      | None -> None
+      | Some e ->
+        let window =
+          List.filter
+            (fun ev ->
+              ev.Journal.ev_id >= b.Journal.ev_id
+              && ev.Journal.ev_id <= e.Journal.ev_id)
+            events
+        in
+        let holds = Hashtbl.create 7 in
+        List.iter
+          (fun ev ->
+            match (ev.Journal.ev_kind, ev.Journal.ev_parent) with
+            | Journal.Net_hold { by; _ }, Some parent ->
+              let h0 = Time.to_ns ev.Journal.ev_at in
+              let span = (h0, h0 + Time.to_ns by) in
+              let prior =
+                Option.value (Hashtbl.find_opt holds parent) ~default:[]
+              in
+              Hashtbl.replace holds parent (span :: prior)
+            | _ -> ())
+          window;
+        let parts = Array.make n_categories 0 in
+        let rec walk = function
+          | prev :: (cur :: _ as rest) ->
+            List.iter
+              (fun (c, ns) ->
+                parts.(category_index c) <- parts.(category_index c) + ns)
+              (classify ~holds prev cur);
+            walk rest
+          | _ -> ()
+        in
+        walk window;
+        let op, target =
+          match b.Journal.ev_kind with
+          | Journal.Inv_begin { op; target } -> (op, target)
+          | _ -> assert false
+        in
+        let outcome =
+          match e.Journal.ev_kind with
+          | Journal.Inv_end { outcome; _ } -> outcome
+          | _ -> assert false
+        in
+        Some
+          {
+            bd_trace = b.Journal.ev_trace;
+            bd_node = b.Journal.ev_node;
+            bd_op = op;
+            bd_target = target;
+            bd_outcome = outcome;
+            bd_begin = b.Journal.ev_at;
+            bd_total_ns =
+              Time.to_ns e.Journal.ev_at - Time.to_ns b.Journal.ev_at;
+            bd_parts = parts;
+          })
+
+  let breakdowns events =
+    let by_trace : (int, Journal.event list) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (fun ev ->
+        let tr = ev.Journal.ev_trace in
+        let prior = Option.value (Hashtbl.find_opt by_trace tr) ~default:[] in
+        Hashtbl.replace by_trace tr (ev :: prior))
+      events;
+    let traces = Hashtbl.fold (fun tr evs acc -> (tr, evs) :: acc) by_trace [] in
+    let traces = List.sort (fun (a, _) (b, _) -> Int.compare a b) traces in
+    List.filter_map
+      (fun (_, evs) ->
+        let evs =
+          List.sort
+            (fun a b -> Int.compare a.Journal.ev_id b.Journal.ev_id)
+            evs
+        in
+        attribute evs)
+      traces
+
+  let check ~complete events =
+    let open Check in
+    let by_id = Hashtbl.create 1024 in
+    List.iter
+      (fun (e : Journal.event) -> Hashtbl.replace by_id e.ev_id e)
+      events;
+    let out = ref [] in
+    let add v_rule v_event v_detail =
+      out := { v_rule; v_event; v_detail } :: !out
+    in
+    if complete then
+      List.iter
+        (fun (e : Journal.event) ->
+          match e.ev_kind with
+          | Journal.Recv { src; msg } -> (
+            match e.ev_parent with
+            | None ->
+              add "recv-matches-send" (Some e.ev_id)
+                (Printf.sprintf "recv of %s has no parent" msg)
+            | Some p -> (
+              match Hashtbl.find_opt by_id p with
+              | None ->
+                add "recv-matches-send" (Some e.ev_id)
+                  (Printf.sprintf
+                     "parent #%d of recv %s is not in any journal" p msg)
+              | Some pe -> (
+                match pe.ev_kind with
+                | Journal.Send _ ->
+                  if pe.ev_node <> src then
+                    add "recv-matches-send" (Some e.ev_id)
+                      (Printf.sprintf
+                         "recv names source n%d but send #%d is on n%d" src
+                         p pe.ev_node)
+                | k ->
+                  add "recv-matches-send" (Some e.ev_id)
+                    (Printf.sprintf "parent #%d is a %s, not a send" p
+                       (Journal.kind_name k)))))
+          | _ -> ())
+        events;
+    List.iter
+      (fun (e : Journal.event) ->
+        match e.ev_parent with
+        | Some p when p <> e.ev_id -> (
+          match Hashtbl.find_opt by_id p with
+          | Some pe when Time.compare pe.ev_at e.ev_at > 0 ->
+            add "causal-time-order" (Some e.ev_id)
+              (Printf.sprintf "at %s but its parent #%d is at %s"
+                 (Time.to_string e.ev_at) p (Time.to_string pe.ev_at))
+          | _ -> ())
+        | _ -> ())
+      events;
+    if complete then begin
+      let ends = Hashtbl.create 64 in
+      List.iter
+        (fun (e : Journal.event) ->
+          match e.ev_kind with
+          | Journal.Inv_end _ ->
+            let last =
+              match Hashtbl.find_opt ends e.ev_trace with
+              | Some id -> max id e.ev_id
+              | None -> e.ev_id
+            in
+            Hashtbl.replace ends e.ev_trace last
+          | _ -> ())
+        events;
+      List.iter
+        (fun (e : Journal.event) ->
+          match e.ev_kind with
+          | Journal.Retry { op; attempt } -> (
+            match Hashtbl.find_opt ends e.ev_trace with
+            | Some id when id > e.ev_id -> ()
+            | _ ->
+              add "retry-terminates" (Some e.ev_id)
+                (Printf.sprintf
+                   "retry #%d of %s in trace %d has no later inv_end" attempt
+                   op e.ev_trace))
+          | _ -> ())
+        events
+    end;
+    let epochs = Hashtbl.create 64 in
+    List.iter
+      (fun (e : Journal.event) ->
+        match e.ev_kind with
+        | Journal.Cache_invalidate { target; epoch } ->
+          let key = (e.ev_node, target) in
+          let cur =
+            match Hashtbl.find_opt epochs key with Some x -> x | None -> 0
+          in
+          Hashtbl.replace epochs key (max cur epoch)
+        | Journal.Cache_install { target; epoch } -> (
+          match Hashtbl.find_opt epochs (e.ev_node, target) with
+          | Some bumped when epoch < bumped ->
+            add "install-epoch" (Some e.ev_id)
+              (Printf.sprintf
+                 "install of %s at epoch %d on n%d after invalidation \
+                  bumped the epoch to %d"
+                 target epoch e.ev_node bumped)
+          | _ -> ())
+        | _ -> ())
+      events;
+    if complete then begin
+      let acct = Hashtbl.create 64 in
+      List.iter
+        (fun (e : Journal.event) ->
+          let bump dfan dsites dwin dcancel =
+            let fans, sites, wins, cancels =
+              match Hashtbl.find_opt acct e.ev_trace with
+              | Some x -> x
+              | None -> (0, 0, 0, 0)
+            in
+            Hashtbl.replace acct e.ev_trace
+              (fans + dfan, sites + dsites, wins + dwin, cancels + dcancel)
+          in
+          match e.ev_kind with
+          | Journal.Clone_fanout { sites; _ } -> bump 1 sites 0 0
+          | Journal.Clone_win _ -> bump 0 0 1 0
+          | Journal.Clone_cancel _ -> bump 0 0 0 1
+          | _ -> ())
+        events;
+      Hashtbl.fold (fun trace acct l -> (trace, acct) :: l) acct []
+      |> List.sort compare
+      |> List.iter (fun (trace, (fans, sites, wins, cancels)) ->
+             if fans = 0 then begin
+               if wins > 0 || cancels > 0 then
+                 add "clone-resolves-once" None
+                   (Printf.sprintf
+                      "trace %d has %d win(s) and %d cancel(s) but no fan-out"
+                      trace wins cancels)
+             end
+             else if wins > fans then
+               add "clone-resolves-once" None
+                 (Printf.sprintf "trace %d: %d wins for %d fan-out(s)" trace
+                    wins fans)
+             else if wins + cancels <> sites then
+               add "clone-resolves-once" None
+                 (Printf.sprintf
+                    "trace %d: %d fan-out(s) to %d site(s) resolved as %d \
+                     win(s) + %d cancel(s)"
+                    trace fans sites wins cancels))
+    end;
+    let last_table () =
+      let last = Hashtbl.create 64 in
+      List.iter
+        (fun (e : Journal.event) ->
+          match e.ev_kind with
+          | Journal.Inv_end _ | Journal.Dir_fallback _ ->
+            let fb, iv =
+              match Hashtbl.find_opt last e.ev_trace with
+              | Some x -> x
+              | None -> (0, 0)
+            in
+            let entry =
+              match e.ev_kind with
+              | Journal.Dir_fallback _ -> (max fb e.ev_id, iv)
+              | _ -> (fb, max iv e.ev_id)
+            in
+            Hashtbl.replace last e.ev_trace entry
+          | _ -> ())
+        events;
+      last
+    in
+    if complete then begin
+      let last = last_table () in
+      List.iter
+        (fun (e : Journal.event) ->
+          let resolved ~fallback_only what target =
+            let fb, iv =
+              match Hashtbl.find_opt last e.ev_trace with
+              | Some x -> x
+              | None -> (0, 0)
+            in
+            let ok = fb > e.ev_id || ((not fallback_only) && iv > e.ev_id) in
+            if not ok then
+              add "dir-resolves-or-falls-back" (Some e.ev_id)
+                (Printf.sprintf "dir %s for %s in trace %d has no later %s"
+                   what target e.ev_trace
+                   (if fallback_only then "dir_fallback"
+                    else "inv_end or dir_fallback"))
+          in
+          match e.ev_kind with
+          | Journal.Dir_hit { target; _ } ->
+            resolved ~fallback_only:false "hit" target
+          | Journal.Dir_miss { target } ->
+            resolved ~fallback_only:true "miss" target
+          | _ -> ())
+        events
+    end;
+    if complete then begin
+      let last = last_table () in
+      let ordered =
+        List.sort
+          (fun (a : Journal.event) (b : Journal.event) ->
+            Int.compare a.ev_id b.ev_id)
+          events
+      in
+      let view = Hashtbl.create 16 in
+      let newest = ref 0 in
+      List.iter
+        (fun (e : Journal.event) ->
+          match e.ev_kind with
+          | Journal.Epoch_bump { epoch } ->
+            let prev =
+              match Hashtbl.find_opt view e.ev_node with
+              | Some p -> p
+              | None -> 0
+            in
+            if epoch <= prev then
+              add "epoch-monotonic" (Some e.ev_id)
+                (Printf.sprintf
+                   "n%d bumped to epoch %d after already reaching epoch %d"
+                   e.ev_node epoch prev);
+            Hashtbl.replace view e.ev_node (max epoch prev);
+            if epoch > !newest then newest := epoch
+          | Journal.Dir_hit { target; _ } ->
+            let mine =
+              match Hashtbl.find_opt view e.ev_node with
+              | Some p -> p
+              | None -> 0
+            in
+            if mine < !newest then begin
+              let fb, iv =
+                match Hashtbl.find_opt last e.ev_trace with
+                | Some x -> x
+                | None -> (0, 0)
+              in
+              if not (fb > e.ev_id || iv > e.ev_id) then
+                add "epoch-monotonic" (Some e.ev_id)
+                  (Printf.sprintf
+                     "dir hit for %s on n%d (view e%d, cluster at e%d) in \
+                      trace %d has no later inv_end or dir_fallback"
+                     target e.ev_node mine !newest e.ev_trace)
+            end
+          | _ -> ())
+        ordered
+    end;
+    if complete then
+      List.iter
+        (fun (bd : breakdown) ->
+          let sum = sum_parts bd in
+          if sum <> bd.bd_total_ns then
+            add "attribution-complete" None
+              (Printf.sprintf
+                 "trace %d (%s.%s): categories sum to %dns but end-to-end \
+                  latency is %dns"
+                 bd.bd_trace bd.bd_target bd.bd_op sum bd.bd_total_ns))
+        (breakdowns events);
+    List.rev !out
+
+  (* The profile's JSON, from sorted breakdown lists and a
+     [List.sort_uniq] count of the traces that began. *)
+  let profile_json events =
+    let bds = breakdowns events in
+    let began =
+      List.length
+        (List.sort_uniq Int.compare
+           (List.filter_map
+              (fun (e : Journal.event) ->
+                match e.Journal.ev_kind with
+                | Journal.Inv_begin _ -> Some e.Journal.ev_trace
+                | _ -> None)
+              events))
+    in
+    let parts = Array.make n_categories 0 in
+    let total = ref 0 in
+    List.iter
+      (fun bd ->
+        total := !total + bd.bd_total_ns;
+        Array.iteri (fun i ns -> parts.(i) <- parts.(i) + ns) bd.bd_parts)
+      bds;
+    let sorted =
+      List.sort
+        (fun a b ->
+          match Int.compare a.bd_total_ns b.bd_total_ns with
+          | 0 -> Int.compare a.bd_trace b.bd_trace
+          | c -> c)
+        bds
+    in
+    let share c =
+      if !total <= 0 then 0.
+      else float_of_int parts.(category_index c) /. float_of_int !total
+    in
+    let dominant =
+      List.fold_left
+        (fun best c -> if share c > share best then c else best)
+        Service categories
+    in
+    let quantile q =
+      let arr = Array.of_list sorted in
+      let n = Array.length arr in
+      if n = 0 then None
+      else
+        let rank = int_of_float (ceil (q *. float_of_int n)) in
+        Some arr.(max 0 (min (n - 1) (rank - 1)))
+    in
+    let bd_json bd =
+      Json.Obj
+        [
+          ("trace", Json.Int bd.bd_trace);
+          ("node", Json.Int bd.bd_node);
+          ("op", Json.Str bd.bd_op);
+          ("target", Json.Str bd.bd_target);
+          ("outcome", Json.Str bd.bd_outcome);
+          ("total_ns", Json.Int bd.bd_total_ns);
+          ( "parts",
+            Json.Obj
+              (List.map
+                 (fun c -> (category_name c, Json.Int (part bd c)))
+                 categories) );
+        ]
+    in
+    let quant name q acc =
+      match quantile q with None -> acc | Some bd -> (name, bd_json bd) :: acc
+    in
+    Json.to_string ~compact:true
+      (Json.Obj
+         ([
+            ("requests", Json.Int (List.length bds));
+            ("skipped", Json.Int (began - List.length bds));
+            ("total_ns", Json.Int !total);
+            ( "parts",
+              Json.Obj
+                (List.map
+                   (fun c ->
+                     (category_name c, Json.Int parts.(category_index c)))
+                   categories) );
+            ("dominant", Json.Str (category_name dominant));
+          ]
+         @ List.rev
+             (quant "p999" 0.999 (quant "p95" 0.95 (quant "p50" 0.50 [])))))
+end
+
+(* A handful of traces over a small id space, so ids, traces and
+   parents collide often: duplicate ids, parents that name no event
+   or the event itself, traces whose root is missing, times that run
+   backwards, and every kind the rules and the attribution read. *)
+let gen_analysis_event ~n rng : Journal.event =
+  let id = Splitmix.int rng n in
+  let pick xs = Prop.Gen.choose xs rng in
+  let node = Splitmix.int rng 4 in
+  let msg () =
+    pick [ "locate o1"; "dir_get o1"; "hint o2"; "inv_nack o1";
+           "inv_request o1.get"; "inv_reply ok"; "ckpt_write o3"; "" ]
+  in
+  let kind =
+    match Splitmix.int rng 22 with
+    | 0 | 1 -> Journal.Send { msg = msg (); dst = pick [ None; Some 1; Some 2 ] }
+    | 2 | 3 -> Journal.Recv { msg = msg (); src = Splitmix.int rng 4 }
+    | 4 | 5 -> Journal.Inv_begin { op = pick [ "get"; "put" ]; target = pick [ "o1"; "o2" ] }
+    | 6 | 7 -> Journal.Inv_end { op = "get"; outcome = pick [ "ok"; "timeout" ] }
+    | 8 -> Journal.Retry { op = "get"; attempt = 1 + Splitmix.int rng 3 }
+    | 9 -> Journal.Hedge { op = "get"; dst = 2 }
+    | 10 -> Journal.Clone_fanout { op = "get"; sites = 2 + Splitmix.int rng 2 }
+    | 11 -> Journal.Clone_win { op = "get"; winner = 1 }
+    | 12 -> Journal.Clone_cancel { dst = 2 }
+    | 13 -> Journal.Dir_hit { target = "o1"; home = 1 }
+    | 14 -> Journal.Dir_miss { target = "o1" }
+    | 15 -> Journal.Dir_fallback { target = "o1" }
+    | 16 -> Journal.Epoch_bump { epoch = Splitmix.int rng 4 }
+    | 17 ->
+      Journal.Net_hold
+        { dst = Some 1; by = Time.ns (Splitmix.int rng 3_000) }
+    | 18 -> Journal.Work_start { op = "get" }
+    | 19 -> pick [ Journal.Drain_stall { target = "o1" };
+                   Journal.Net_flush { dst = 1; msgs = 2 };
+                   Journal.Dir_publish { target = "o1"; home = 2 } ]
+    | 20 -> Journal.Cache_invalidate { target = "o1"; epoch = Splitmix.int rng 4 }
+    | _ -> Journal.Cache_install { target = "o1"; epoch = Splitmix.int rng 4 }
+  in
+  {
+    ev_id = id;
+    ev_node = node;
+    ev_at = Time.ns (500 + (id * 1_000) + Splitmix.int_in rng (-300) 2_000);
+    ev_trace = pick [ 0; 1; 2; 3; id; n + 1 ];
+    ev_parent =
+      (match Splitmix.int rng 4 with
+      | 0 -> None
+      | 1 -> Some id
+      | _ -> Some (Splitmix.int rng (n + 2)));
+    ev_kind = kind;
+  }
+
+let gen_analysis_events rng =
+  let n = 1 + Splitmix.int rng 40 in
+  let evs = List.init (Splitmix.int rng 80) (fun _ -> gen_analysis_event ~n rng) in
+  (* Half the lists come in id order, as assembled timelines do. *)
+  if Splitmix.bool rng then
+    List.stable_sort
+      (fun (a : Journal.event) b -> Int.compare a.ev_id b.ev_id)
+      evs
+  else evs
+
+let show_analysis_events evs =
+  String.concat "; "
+    (List.map (fun e -> Format.asprintf "%a" Journal.pp_event e) evs)
+
+let shrink_analysis_events evs =
+  List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) evs) evs
+
+let analysis_matches_oracle =
+  Prop.case ~seeds:300 ~name:"indexed analysis = list-based oracle"
+    ~gen:gen_analysis_events ~shrink:shrink_analysis_events
+    ~show:show_analysis_events (fun evs ->
+      let show_vs vs =
+        String.concat " | "
+          (List.map (fun v -> Format.asprintf "%a" Check.pp_violation v) vs)
+      in
+      if Critical.breakdowns evs <> Oracle.breakdowns evs then
+        Error "breakdowns differ"
+      else
+        let differing =
+          List.find_opt
+            (fun complete ->
+              Check.run ~complete evs <> Oracle.check ~complete evs)
+            [ true; false ]
+        in
+        match differing with
+        | Some complete ->
+          Error
+            (Printf.sprintf "complete:%b violations differ: %s vs oracle %s"
+               complete
+               (show_vs (Check.run ~complete evs))
+               (show_vs (Oracle.check ~complete evs)))
+        | None ->
+          let json =
+            Json.to_string ~compact:true (Profile.to_json (Profile.of_events evs))
+          in
+          if json <> Oracle.profile_json evs then
+            Error (Printf.sprintf "profile JSON differs: %s" json)
+          else Ok ())
+
+(* [Timeline.assemble] merges the journals newest first with a heap;
+   whatever the interleaving, ring sizes (wrapped, disabled) and
+   journal count, it must equal the id-sorted concatenation of
+   [Journal.events], and [Journal.nth] must read the same events. *)
+module Timeline = Eden_obs.Timeline
+
+let gen_journal_ops rng =
+  let caps = List.init (1 + Splitmix.int rng 6) (fun _ -> Splitmix.int rng 12) in
+  let k = List.length caps in
+  (caps, List.init (Splitmix.int rng 120) (fun _ -> Splitmix.int rng k))
+
+let show_journal_ops (caps, ops) =
+  Printf.sprintf "caps [%s], records into [%s]"
+    (String.concat ";" (List.map string_of_int caps))
+    (String.concat ";" (List.map string_of_int ops))
+
+let assemble_is_sorted_merge =
+  Prop.case ~name:"Timeline.assemble = id-sorted journal events"
+    ~gen:gen_journal_ops ~show:show_journal_ops (fun (caps, ops) ->
+      let sink = Journal.sink () in
+      let js =
+        Array.of_list
+          (List.mapi (fun node cap -> Journal.create sink ~node ~cap) caps)
+      in
+      List.iteri
+        (fun i j ->
+          ignore
+            (Journal.record js.(j) ~at:(Time.us i)
+               (Journal.Epoch_bump { epoch = i })))
+        ops;
+      let js = Array.to_list js in
+      let expected =
+        List.stable_sort
+          (fun (a : Journal.event) b -> Int.compare a.ev_id b.ev_id)
+          (List.concat_map Journal.events js)
+      in
+      if Timeline.assemble js <> expected then Error "merge differs"
+      else if
+        List.exists
+          (fun j ->
+            List.init (Journal.retained j) (Journal.nth j) <> Journal.events j
+            || List.init (Journal.retained j) (Journal.nth_id j)
+               <> List.map (fun (e : Journal.event) -> e.ev_id) (Journal.events j))
+          js
+      then Error "nth disagrees with events"
+      else Ok ())
+
 let () =
   Alcotest.run "eden_props"
     [
@@ -1254,4 +1904,5 @@ let () =
           Alcotest.test_case "point/name domains never alias" `Quick
             test_ring_point_name_aliasing;
         ] );
+      ("analysis", [ analysis_matches_oracle; assemble_is_sorted_merge ]);
     ]
