@@ -47,7 +47,7 @@ let run_point ?(params = Params.default) offered_fraction =
   let util = Lan.utilisation lan ~over:horizon in
   let delay =
     let s = Lan.latency_stats lan in
-    if Stats.count s = 0 then 0.0 else Stats.mean s
+    if Stats.Running.count s = 0 then 0.0 else Stats.Running.mean s
   in
   let coll_per_frame =
     if c.Lan.frames_delivered = 0 then 0.0

@@ -12,8 +12,10 @@
    allow, and with [~complete:true], which adds the rules that need
    every event), [Profile.of_timeline] and [Cluster.metrics_snapshot].
    It prints each call's median CPU milliseconds and its minor words
-   per call and per timeline event.  Every tick records the OCaml call
-   stack; afterwards the samples are attributed three ways:
+   per call and per timeline event, and, from a first pass over the
+   calls in that order, the live words and the top of the heap after
+   each call and a full major collection.  Every tick records the
+   OCaml call stack; afterwards the samples are attributed three ways:
 
    - self time by source line: the innermost frame of each sample;
    - self time by file;
@@ -118,8 +120,27 @@ let median xs =
 let sample_analysis spec ~workload ~seed ~reps =
   let cl, caps = Workload.setup spec ~seed ~sub:0 Workload.no_hooks in
   ignore (Workload.request_phase spec ~seed ~sub:0 cl caps Workload.no_hooks);
-  let tl = Cluster.timeline cl in
   let complete = Cluster.journal_dropped cl = 0 in
+  (* The reads once more in hostbench's order, before anything else
+     runs, keeping what hostbench keeps (the timeline and the
+     violations): after each call and a full major collection, the
+     words still live and the top of the heap so far. *)
+  let heap = ref [] in
+  let step name f =
+    let r = f () in
+    Gc.full_major ();
+    let st = Gc.quick_stat () in
+    heap := (name, st.Gc.live_words, st.Gc.top_heap_words) :: !heap;
+    r
+  in
+  step "request phase" ignore;
+  let tl = step "Cluster.timeline" (fun () -> Cluster.timeline cl) in
+  let vs = step "Check.run" (fun () -> Eden_obs.Check.run ~complete tl) in
+  step "Profile.of_timeline" (fun () ->
+      ignore (Eden_obs.Profile.of_timeline tl));
+  step "Cluster.metrics_snapshot" (fun () ->
+      ignore (Cluster.metrics_snapshot cl));
+  ignore (Sys.opaque_identity vs);
   let calls =
     [
       ("Cluster.timeline", fun () -> ignore (Cluster.timeline cl));
@@ -177,6 +198,13 @@ let sample_analysis spec ~workload ~seed ~reps =
         (words /. float_of_int (max 1 events))
         major)
     figures;
+  Printf.bprintf b
+    "  heap after each call, first pass (words):\n  %-28s %12s %12s\n" "after"
+    "live" "top";
+  List.iter
+    (fun (name, live, top) ->
+      Printf.bprintf b "  %-28s %12d %12d\n" name live top)
+    (List.rev !heap);
   Printf.bprintf b "  then %d sampled repetitions of every call" reps;
   (Buffer.contents b, cpu)
 

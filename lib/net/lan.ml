@@ -55,7 +55,7 @@ and 'a t = {
   mutable c_bytes : int;
   mutable c_collisions : int;
   mutable c_backoffs : int;
-  latencies : Stats.t;
+  latencies : Stats.Running.r;
   mutable trace : Trace.t option;
 }
 
@@ -77,7 +77,7 @@ let create ?(params = Params.default) eng =
     c_bytes = 0;
     c_collisions = 0;
     c_backoffs = 0;
-    latencies = Stats.create ();
+    latencies = Stats.Running.create ();
     trace = None;
   }
 
@@ -98,7 +98,8 @@ let deliver lan frame addr =
   let st = lan.stations.(addr) in
   lan.c_delivered <- lan.c_delivered + 1;
   lan.c_bytes <- lan.c_bytes + frame.bytes;
-  Stats.add_time lan.latencies (Time.diff (Engine.now lan.eng) frame.sent_at);
+  Stats.Running.add_time lan.latencies
+    (Time.diff (Engine.now lan.eng) frame.sent_at);
   match st.st_receive with None -> () | Some f -> f frame
 
 let schedule_delivery lan frame =

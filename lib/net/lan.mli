@@ -83,8 +83,10 @@ val busy_time : 'a t -> Eden_util.Time.t
 
 val utilisation : 'a t -> over:Eden_util.Time.t -> float
 
-val latency_stats : 'a t -> Eden_util.Stats.t
-(** Per-frame delay from {!send} to delivery, in seconds. *)
+val latency_stats : 'a t -> Eden_util.Stats.Running.r
+(** Per-frame delay from {!send} to delivery, in seconds: count, sum
+    and extremes, kept in constant space however many frames a run
+    delivers. *)
 
 val set_trace : 'a t -> Eden_sim.Trace.t -> unit
 (** Emit [Net] trace records for sends, collisions and drops. *)

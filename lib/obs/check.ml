@@ -46,12 +46,9 @@ let run ?(complete = true) (tl : Timeline.t) =
   in
   (* The position of each event's causal parent, or [-1]. *)
   let parent_at = Array.make n (-1) in
-  Array.iteri
-    (fun q (e : Journal.event) ->
-      match e.ev_parent with
-      | Some p -> parent_at.(q) <- Index.find ix p
-      | None -> ())
-    evs;
+  for q = 0 to n - 1 do
+    parent_at.(q) <- Index.parent ix q
+  done;
 
   (* 1. Every recv has a matching send: its parent event exists, is a
      send, and was recorded at the node the receiver names as source. *)

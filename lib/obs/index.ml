@@ -1,5 +1,3 @@
-open Eden_util
-
 (* Traces are grouped on first use: the checker's rules that work on
    incomplete journals never ask for them. *)
 type groups = {
@@ -11,7 +9,6 @@ type groups = {
 
 type t = {
   ix_events : Journal.event array;
-  ix_ids : int array;  (* ids of [ix_events]: the binary search reads no record *)
   ix_input : int array option;  (* list order -> position; [None]: identity *)
   ix_groups : groups Lazy.t;
 }
@@ -19,62 +16,126 @@ type t = {
 let length t = Array.length t.ix_events
 let events t = t.ix_events
 let input t i = match t.ix_input with None -> i | Some a -> a.(i)
+let id_at evs p = (Array.unsafe_get evs p).Journal.ev_id
 
-(* The last index whose id is <= [id], then check it. *)
-let find t id =
-  let ids = t.ix_ids in
-  let lo = ref 0 and hi = ref (Array.length ids) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get ids mid <= id then lo := mid + 1 else hi := mid
-  done;
-  if !lo > 0 && ids.(!lo - 1) = id then !lo - 1 else -1
-
-(* Give each distinct trace an ordinal in order of first appearance
-   (an int-keyed table), rank those by trace id, then lay the
-   positions out per trace with a counting pass. *)
-let group evs ids ~dups =
+(* The last position whose id is <= [id], or -1.  A parent is usually
+   a few positions behind its child, so the search starts at [from]:
+   steps of 1, 2, 4, ... bracket the answer in the direction of [id],
+   and a bisection of that bracket finds it.  Throughout, [lo] is -1
+   or a position with id <= [id], and [hi] is [n] or one with
+   id > [id]. *)
+let last_le evs id ~from =
   let n = Array.length evs in
-  let seen = Itbl.create 1024 in
-  let first = Array.make n 0 in  (* first-appearance ordinal per position *)
-  let firsts = Array.make n 0 in  (* trace id per first-appearance ordinal *)
+  let lo = ref (-1) and hi = ref n in
+  let step = ref 1 in
+  if id_at evs from <= id then begin
+    lo := from;
+    while !lo + !step < n && id_at evs (!lo + !step) <= id do
+      lo := !lo + !step;
+      step := 2 * !step
+    done;
+    hi := min n (!lo + !step)
+  end
+  else begin
+    hi := from;
+    while !hi - !step >= 0 && id_at evs (!hi - !step) > id do
+      hi := !hi - !step;
+      step := 2 * !step
+    done;
+    lo := max (-1) (!hi - !step)
+  end;
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) lsr 1 in
+    if id_at evs mid <= id then lo := mid else hi := mid
+  done;
+  !lo
+
+let parent t p =
+  let evs = t.ix_events in
+  match evs.(p).Journal.ev_parent with
+  | None -> -1
+  | Some id ->
+    let q = last_le evs id ~from:p in
+    if q >= 0 && id_at evs q = id then q else -1
+
+(* A stable LSD radix sort of the positions by trace id, on digits of
+   at most [radix_bits] of the id's offset from the smallest: a run's
+   trace ids span a few hundred thousand, so two passes.  Positions
+   are in id order and the sort is stable, so each trace's positions
+   come out in id order. *)
+let radix_bits = 11
+
+let sort_by_trace evs =
+  let n = Array.length evs in
+  (* The passes read the traces in a scattered order: from one flat
+     array, not from the records. *)
+  let trs = Array.make n 0 in
+  let lo = ref max_int and hi = ref min_int in
+  for p = 0 to n - 1 do
+    let x = (Array.unsafe_get evs p).Journal.ev_trace in
+    trs.(p) <- x;
+    if x < !lo then lo := x;
+    if x > !hi then hi := x
+  done;
+  let tr p = Array.unsafe_get trs p in
+  let lo = !lo in
+  (* [x - lo] read unsigned: exact even when the span overflows. *)
+  let bits = ref 0 in
+  while n > 0 && !bits < Sys.int_size && (!hi - lo) lsr !bits <> 0 do
+    incr bits
+  done;
+  let passes = max 1 ((!bits + radix_bits - 1) / radix_bits) in
+  let width = max 1 ((!bits + passes - 1) / passes) in
+  let mask = (1 lsl width) - 1 in
+  let counts = Array.make (mask + 2) 0 in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  for pass = 0 to passes - 1 do
+    let shift = pass * width and s = !src and d = !dst in
+    let digit p = ((tr p - lo) lsr shift) land mask in
+    Array.fill counts 0 (mask + 2) 0;
+    for i = 0 to n - 1 do
+      let k = digit s.(i) + 1 in
+      counts.(k) <- counts.(k) + 1
+    done;
+    for k = 1 to mask + 1 do
+      counts.(k) <- counts.(k) + counts.(k - 1)
+    done;
+    for i = 0 to n - 1 do
+      let p = s.(i) in
+      let k = digit p in
+      d.(counts.(k)) <- p;
+      counts.(k) <- counts.(k) + 1
+    done;
+    src := d;
+    dst := s
+  done;
+  (* The sorted positions, a spare array of the same length, and the
+     traces. *)
+  (!src, !dst, trs)
+
+let group evs ~dups =
+  let n = Array.length evs in
+  let g_members, g_of, trs = sort_by_trace evs in
+  let tr p = Array.unsafe_get trs p in
   let nt = ref 0 in
-  for p = 0 to n - 1 do
-    let tr = evs.(p).Journal.ev_trace in
-    first.(p) <-
-      (match Itbl.find seen tr with
-      | o -> o
-      | exception Not_found ->
-        let o = !nt in
-        Itbl.add seen tr o;
-        firsts.(o) <- tr;
-        incr nt;
-        o)
+  for i = 0 to n - 1 do
+    if i = 0 || tr g_members.(i) <> tr g_members.(i - 1) then incr nt
   done;
-  let nt = !nt in
-  let order = Array.init nt Fun.id in
-  Array.stable_sort (fun a b -> Int.compare firsts.(a) firsts.(b)) order;
-  let rank = Array.make nt 0 in
-  Array.iteri (fun k o -> rank.(o) <- k) order;
-  let g_ids = Array.make nt 0 and g_of = Array.make n 0 in
-  Array.iteri (fun k o -> g_ids.(k) <- firsts.(o)) order;
-  Array.iteri (fun p o -> g_of.(p) <- rank.(o)) first;
-  let g_start = Array.make (nt + 1) 0 in
-  Array.iter (fun k -> g_start.(k + 1) <- g_start.(k + 1) + 1) g_of;
-  for k = 1 to nt do
-    g_start.(k) <- g_start.(k) + g_start.(k - 1)
-  done;
-  let fill = Array.sub g_start 0 nt in
-  let g_members = Array.make n 0 in
-  for p = 0 to n - 1 do
-    let k = g_of.(p) in
-    g_members.(fill.(k)) <- p;
-    fill.(k) <- fill.(k) + 1
+  let g_ids = Array.make !nt 0 and g_start = Array.make (!nt + 1) n in
+  let k = ref (-1) in
+  for i = 0 to n - 1 do
+    let p = g_members.(i) in
+    if i = 0 || tr p <> tr g_members.(i - 1) then begin
+      incr k;
+      g_ids.(!k) <- tr p;
+      g_start.(!k) <- i
+    end;
+    g_of.(p) <- !k
   done;
   (* Equal ids within a slice, newest first: reverse each run. *)
   if dups then begin
     let same i j =
-      ids.(g_members.(i)) = ids.(g_members.(j))
+      id_at evs g_members.(i) = id_at evs g_members.(j)
       && g_of.(g_members.(i)) = g_of.(g_members.(j))
     in
     let i = ref 0 in
@@ -93,30 +154,25 @@ let of_events list =
   let n = Array.length input in
   let sorted = ref true in
   for i = 1 to n - 1 do
-    if input.(i).Journal.ev_id < input.(i - 1).Journal.ev_id then sorted := false
+    if id_at input i < id_at input (i - 1) then sorted := false
   done;
   let evs, ix_input =
     if !sorted then (input, None)
     else begin
       let perm = Array.init n Fun.id in
       Array.stable_sort
-        (fun a b -> Int.compare input.(a).Journal.ev_id input.(b).Journal.ev_id)
+        (fun a b -> Int.compare (id_at input a) (id_at input b))
         perm;
       let pos = Array.make n 0 in
       Array.iteri (fun p i -> pos.(i) <- p) perm;
       (Array.map (fun i -> input.(i)) perm, Some pos)
     end
   in
-  (* Int arrays are filled by plain stores: [Array.map] would store
-     through the write barrier, not knowing its result holds ints. *)
-  let ids = Array.make n 0 in
-  Array.iteri (fun p e -> ids.(p) <- e.Journal.ev_id) evs;
   let dups = ref false in
   for p = 1 to n - 1 do
-    if ids.(p) = ids.(p - 1) then dups := true
+    if id_at evs p = id_at evs (p - 1) then dups := true
   done;
-  { ix_events = evs; ix_ids = ids; ix_input;
-    ix_groups = lazy (group evs ids ~dups:!dups) }
+  { ix_events = evs; ix_input; ix_groups = lazy (group evs ~dups:!dups) }
 
 let groups t = Lazy.force t.ix_groups
 let traces t = Array.length (groups t).g_ids

@@ -2,9 +2,9 @@
 
     {!Check}, {!Critical} and {!Profile} all read a merged event list
     (a {!Timeline.t}) the same few ways: in its own order, in id order,
-    by event id, and one trace at a time.  An index answers all four
-    from flat arrays built in one pass over the list, with no
-    per-trace list and no polymorphic hash table.
+    from an event to its causal parent, and one trace at a time.  An index answers all four
+    from flat arrays built from the list, with no per-trace list and
+    no hash table: traces are grouped by a radix sort on trace id.
 
     Positions are indices into {!events}, which holds the events in id
     order; for a list already in id order (every assembled timeline)
@@ -23,9 +23,13 @@ val events : t -> Journal.event array
 val input : t -> int -> int
 (** [input t i] is the position of the list's [i]th event. *)
 
-val find : t -> int -> int
-(** The position of the {e last} event with this id — the one a table
-    filled in list order with [Hashtbl.replace] would hold — or [-1]. *)
+val parent : t -> int -> int
+(** [parent t p] is the position of the causal parent of the event at
+    position [p]: the {e last} event with the id its [ev_parent] names
+    (the one a table filled in list order with [Hashtbl.replace] would
+    hold), or [-1] when it has none or no event has that id.  The
+    search gallops from [p], so a parent [d] positions away costs
+    O(log d) reads. *)
 
 (** {2 Traces} *)
 

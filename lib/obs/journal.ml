@@ -126,32 +126,40 @@ end)
 
 type renderer = code:int -> name:int -> arg:int -> str:string -> string
 
-(* A rendered message text and the facts it was rendered from. *)
-type rendered = {
-  r_code : int;
-  r_name : int;
-  r_arg : int;
-  r_str : string;
-  r_text : string;
+(* A decoded [kind] and the slot it was decoded from. *)
+type shared = {
+  k_tag : int;
+  k_a1 : int;
+  k_a2 : int;
+  k_s1 : string;
+  k_s2 : string;
+  k_kind : kind;
 }
 
 (* Event ids are allocated from one shared sink so they are unique
    across the whole cluster and allocation order follows the engine's
    (deterministic) execution order.  The sink also holds the message
-   renderer its owner installed, and the texts rendered so far: a
-   message's Send and its Recv, on two nodes' journals, share one. *)
+   renderer its owner installed and the kinds decoded so far: a run
+   repeats a few hundred distinct kinds over tens of thousands of
+   events, and every read of the same facts, on any node's journal,
+   returns the same value, message text included. *)
 type sink = {
   mutable next_id : int;
   mutable render : renderer;
-  memo : rendered list Itbl.t;  (* keyed by a mix of the int facts *)
-  mutable memo_size : int;
+  kinds : shared list Itbl.t;  (* keyed by a mix of the slot *)
+  mutable kinds_size : int;
 }
 
 let no_renderer ~code:_ ~name:_ ~arg:_ ~str:_ =
   invalid_arg "Journal: message event recorded without a renderer"
 
 let sink () =
-  { next_id = 0; render = no_renderer; memo = Itbl.create 64; memo_size = 0 }
+  {
+    next_id = 0;
+    render = no_renderer;
+    kinds = Itbl.create 256;
+    kinds_size = 0;
+  }
 let set_renderer sink f = sink.render <- f
 
 (* The ring retains no per-event heap allocation.  Recording is on
@@ -187,9 +195,12 @@ let set_renderer sink f = sink.render <- f
    and small argument packed into the tag word above its low
    [tag_bits], the packed name in [a2], and the op or type name (a
    string the sender already shares) in [s1].  [events] renders such a
-   slot through the sink's renderer, memoised per sink, and writes the
-   text back into the slot as a plain [Send]/[Recv], so later reads
-   cost what they always did. *)
+   slot through the sink's renderer.
+
+   Reading rebuilds the [event] records, but not their kinds: the sink
+   keeps one decoded [kind] per distinct slot content (see
+   [shared_kind]), so every read of the same facts returns the same
+   value and an event costs its record and its parent. *)
 let stride = 7
 
 module Ints = Bigarray.Array1
@@ -220,7 +231,7 @@ let create sink ~node ~cap =
     jn_node = node;
     jn_cap = cap;
     jn_intern = Strtbl.create 64;
-    jn_memo = Array.make 22 "";
+    jn_memo = Array.make 21 "";
     jn_ints = make_ints 0;
     jn_strs = [||];
     jn_size = 0;
@@ -313,57 +324,57 @@ let store t ~slot ~id ~at ~trace ~parent kind =
       ~s1:(intern t 2 op) ~s2:""
   | Inv_begin { op; target } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:7 ~a1:(-1) ~a2:(-1)
-      ~s1:(intern t 3 op) ~s2:(intern t 4 target)
+      ~s1:(intern t 3 op) ~s2:target
   | Inv_end { op; outcome } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:8 ~a1:(-1) ~a2:(-1)
-      ~s1:(intern t 5 op) ~s2:(intern t 6 outcome)
+      ~s1:(intern t 4 op) ~s2:(intern t 5 outcome)
   | Ckpt_round { target; version } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:9 ~a1:version ~a2:(-1)
-      ~s1:(intern t 7 target) ~s2:""
+      ~s1:(intern t 6 target) ~s2:""
   | Cache_install { target; epoch } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:10 ~a1:epoch ~a2:(-1)
-      ~s1:(intern t 8 target) ~s2:""
+      ~s1:(intern t 7 target) ~s2:""
   | Cache_invalidate { target; epoch } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:11 ~a1:epoch ~a2:(-1)
-      ~s1:(intern t 9 target) ~s2:""
+      ~s1:(intern t 8 target) ~s2:""
   | Activate { target; version } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:12 ~a1:version ~a2:(-1)
-      ~s1:(intern t 10 target) ~s2:""
+      ~s1:(intern t 9 target) ~s2:""
   | Alert { rule; firing } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:13 ~a1:(if firing then 1 else 0)
-      ~a2:(-1) ~s1:(intern t 11 rule) ~s2:""
+      ~a2:(-1) ~s1:(intern t 10 rule) ~s2:""
   | Clone_fanout { op; sites } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:14 ~a1:sites ~a2:(-1)
-      ~s1:(intern t 12 op) ~s2:""
+      ~s1:(intern t 11 op) ~s2:""
   | Clone_win { op; winner } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:15 ~a1:winner ~a2:(-1)
-      ~s1:(intern t 13 op) ~s2:""
+      ~s1:(intern t 12 op) ~s2:""
   | Clone_cancel { dst } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:16 ~a1:dst ~a2:(-1) ~s1:"" ~s2:""
   | Hedge { op; dst } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:17 ~a1:dst ~a2:(-1)
-      ~s1:(intern t 14 op) ~s2:""
+      ~s1:(intern t 13 op) ~s2:""
   | Dir_hit { target; home } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:18 ~a1:home ~a2:(-1)
-      ~s1:(intern t 15 target) ~s2:""
+      ~s1:(intern t 14 target) ~s2:""
   | Dir_miss { target } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:19 ~a1:(-1) ~a2:(-1)
-      ~s1:(intern t 16 target) ~s2:""
+      ~s1:(intern t 15 target) ~s2:""
   | Dir_fallback { target } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:20 ~a1:(-1) ~a2:(-1)
-      ~s1:(intern t 17 target) ~s2:""
+      ~s1:(intern t 16 target) ~s2:""
   | Dir_publish { target; home } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:21 ~a1:home ~a2:(-1)
-      ~s1:(intern t 18 target) ~s2:""
+      ~s1:(intern t 17 target) ~s2:""
   | Epoch_bump { epoch } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:22 ~a1:epoch ~a2:(-1) ~s1:""
       ~s2:""
   | Drain_move { target; to_node } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:23 ~a1:to_node ~a2:(-1)
-      ~s1:(intern t 19 target) ~s2:""
+      ~s1:(intern t 18 target) ~s2:""
   | Work_start { op } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:24 ~a1:(-1) ~a2:(-1)
-      ~s1:(intern t 20 op) ~s2:""
+      ~s1:(intern t 19 op) ~s2:""
   | Net_flush { dst; msgs } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:25 ~a1:dst ~a2:msgs ~s1:"" ~s2:""
   | Net_hold { dst; by } ->
@@ -371,7 +382,7 @@ let store t ~slot ~id ~at ~trace ~parent kind =
       ~a2:(Time.to_ns by) ~s1:"" ~s2:""
   | Drain_stall { target } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:27 ~a1:(-1) ~a2:(-1)
-      ~s1:(intern t 21 target) ~s2:""
+      ~s1:(intern t 20 target) ~s2:""
 
 (* Tags of the message events stored as facts ([tag_bits] low bits of
    the tag word); the renderer's code and argument sit above them. *)
@@ -498,58 +509,67 @@ let record_recv t ~at ~ctx ~src ~code ~name ~arg ~str =
   record_msg t ~tag:tag_msg_recv ~memo:1 ~at ~ctx ~peer:src ~code ~name ~arg
     ~str
 
-(* Past this many entries the memo stops growing; texts rendered
-   after that are still correct, just not shared. *)
-let memo_cap = 8192
+(* The [kind] a slot holds: a message-fact slot's text comes from the
+   renderer. *)
+let decode_slot sink ~tag ~a1 ~a2 ~s1 ~s2 =
+  let low = tag land ((1 lsl tag_bits) - 1) in
+  if low = tag_msg_send || low = tag_msg_recv then begin
+    let msg =
+      sink.render ~code:((tag lsr tag_bits) land ((1 lsl code_bits) - 1))
+        ~name:a2 ~arg:(tag asr (tag_bits + code_bits)) ~str:s1
+    in
+    if low = tag_msg_send then Send { msg; dst = dec_opt a1 }
+    else Recv { msg; src = a1 }
+  end
+  else decode ~tag ~a1 ~a2 ~s1 ~s2
 
-let rec find_rendered ~code ~name ~arg ~str = function
-  | r :: rest ->
-    if r.r_code = code && r.r_name = name && r.r_arg = arg
-       && String.equal r.r_str str
-    then r.r_text
-    else find_rendered ~code ~name ~arg ~str rest
+let rec find_kind ~tag ~a1 ~a2 ~s1 ~s2 = function
+  | k :: rest ->
+    if k.k_tag = tag && k.k_a1 = a1 && k.k_a2 = a2 && String.equal k.k_s1 s1
+       && String.equal k.k_s2 s2
+    then k.k_kind
+    else find_kind ~tag ~a1 ~a2 ~s1 ~s2 rest
   | [] -> raise Not_found
 
-(* The memo is probed once per message event a reader sees, so a hit
-   allocates nothing: the ints are mixed into an [Itbl] key and the
-   short chain under it compares all four facts. *)
-let render_text sink ~code ~name ~arg ~str =
-  let key = (name lsl 6) lxor code lxor (arg * 0x9E3779B1) in
-  let chain =
-    match Itbl.find sink.memo key with l -> l | exception Not_found -> []
-  in
-  match find_rendered ~code ~name ~arg ~str chain with
-  | text -> text
-  | exception Not_found ->
-    let text = sink.render ~code ~name ~arg ~str in
-    if sink.memo_size < memo_cap then begin
-      Itbl.replace sink.memo key
-        ({ r_code = code; r_name = name; r_arg = arg; r_str = str; r_text = text }
-        :: chain);
-      sink.memo_size <- sink.memo_size + 1
-    end;
-    text
+(* A slot's strings are mostly short names (op, type, target,
+   outcome): a message's text is in its slot only when its facts
+   cannot carry it. *)
+let hash_str s =
+  let h = ref 0 in
+  for i = 0 to String.length s - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s i)
+  done;
+  !h
 
-(* Render a message-fact slot and write the text back as a plain
-   [Send]/[Recv] slot ([a1] already holds the peer in that form). *)
-let render_slot t slot =
-  let b = slot * stride in
-  let word = Ints.get t.jn_ints (b + 4) in
-  let tag = word land ((1 lsl tag_bits) - 1) in
-  if tag = tag_msg_send || tag = tag_msg_recv then begin
-    let code = (word lsr tag_bits) land ((1 lsl code_bits) - 1) in
-    let arg = word asr (tag_bits + code_bits) in
-    let sb = slot * 2 in
-    let text =
-      render_text t.jn_sink ~code ~name:(Ints.get t.jn_ints (b + 6)) ~arg
-        ~str:t.jn_strs.(sb)
-    in
-    Ints.set t.jn_ints (b + 4) (if tag = tag_msg_send then 0 else 1);
-    t.jn_strs.(sb) <- text
-  end
+(* Past this many entries the memo stops growing; kinds decoded after
+   that are still correct, just not shared. *)
+let kinds_cap = 1 lsl 15
+
+(* The one [kind] of a slot's words: equal kinds are recorded as equal
+   words, so a hit allocates nothing and returns the value every
+   earlier read returned.  The ints are mixed into an [Itbl] key and
+   the short chain under it compares the whole slot. *)
+let shared_kind sink ~tag ~a1 ~a2 ~s1 ~s2 =
+  let key =
+    (((((tag * 0x9E3779B1) lxor a1) * 31) + a2) * 31)
+    + (hash_str s1 * 17) + hash_str s2
+  in
+  let chain =
+    match Itbl.find sink.kinds key with l -> l | exception Not_found -> []
+  in
+  match find_kind ~tag ~a1 ~a2 ~s1 ~s2 chain with
+  | k -> k
+  | exception Not_found ->
+    let k = decode_slot sink ~tag ~a1 ~a2 ~s1 ~s2 in
+    if sink.kinds_size < kinds_cap then begin
+      Itbl.replace sink.kinds key
+        ({ k_tag = tag; k_a1 = a1; k_a2 = a2; k_s1 = s1; k_s2 = s2; k_kind = k }
+        :: chain);
+      sink.kinds_size <- sink.kinds_size + 1
+    end;
+    k
 
 let event_at t slot =
-  render_slot t slot;
   let b = slot * stride in
   let sb = slot * 2 in
   {
@@ -559,7 +579,7 @@ let event_at t slot =
     ev_trace = Ints.get t.jn_ints (b + 2);
     ev_parent = dec_opt (Ints.get t.jn_ints (b + 3));
     ev_kind =
-      decode ~tag:(Ints.get t.jn_ints (b + 4))
+      shared_kind t.jn_sink ~tag:(Ints.get t.jn_ints (b + 4))
         ~a1:(Ints.get t.jn_ints (b + 5))
         ~a2:(Ints.get t.jn_ints (b + 6))
         ~s1:t.jn_strs.(sb) ~s2:t.jn_strs.(sb + 1);

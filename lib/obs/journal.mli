@@ -123,7 +123,12 @@ val node : t -> int
 
 val record : t -> at:Time.t -> ?ctx:Tracectx.t -> kind -> int
 (** Append an event and return its id.  Without [ctx] the event roots
-    a new trace (its trace id is its own id). *)
+    a new trace (its trace id is its own id).  The strings of [kind]
+    are interned per journal, except the [target] of an [Inv_begin],
+    which is kept as given: pass a string the caller already shares
+    (the cluster passes its one label per name), since consecutive
+    invocations name different targets and would miss the intern
+    memo. *)
 
 val record_send :
   t ->
@@ -156,8 +161,9 @@ val record_recv :
 
 val events : t -> event list
 (** Retained events, oldest first.  Message events recorded with
-    {!record_send} or {!record_recv} are rendered on the first read,
-    once per distinct message across the sink, and kept as text. *)
+    {!record_send} or {!record_recv} are rendered when read.  Events
+    with equal kinds share one [kind] value, message text included, on
+    every read and across the sink's journals. *)
 
 val retained : t -> int
 (** Events currently retained: the length of {!events}. *)

@@ -36,7 +36,6 @@ val phase_index : phase -> int
 (** Position in {!phases}, from 0: the slot of {!info.i_phases}. *)
 
 val phase_name : phase -> string
-val phase_of_name : string -> phase option
 
 type info = {
   i_id : int;

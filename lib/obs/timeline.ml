@@ -169,22 +169,23 @@ let to_chrome_json ?(extra = []) t =
   let meta = List.map process_name (nodes t) in
   let instants = List.map instant t in
   let flows =
-    List.concat_map
-      (fun (e : Journal.event) ->
-        match (e.ev_kind, e.ev_parent) with
-        | Journal.Recv _, Some p -> (
-          let q = Index.find ix p in
-          if q < 0 then []
-          else
-            match (Index.events ix).(q) with
-            | { Journal.ev_kind = Journal.Send _; _ } as s ->
-              [
-                flow ~phase:"s" s ~id:p;
-                flow ~phase:"f" ~extra:[ ("bp", Json.Str "e") ] e ~id:p;
-              ]
-            | _ -> [])
-        | _ -> [])
-      t
+    List.concat
+      (List.mapi
+         (fun i (e : Journal.event) ->
+           match (e.ev_kind, e.ev_parent) with
+           | Journal.Recv _, Some p -> (
+             let q = Index.parent ix (Index.input ix i) in
+             if q < 0 then []
+             else
+               match (Index.events ix).(q) with
+               | { Journal.ev_kind = Journal.Send _; _ } as s ->
+                 [
+                   flow ~phase:"s" s ~id:p;
+                   flow ~phase:"f" ~extra:[ ("bp", Json.Str "e") ] e ~id:p;
+                 ]
+               | _ -> [])
+           | _ -> [])
+         t)
   in
   Json.Obj [ ("traceEvents", Json.List (meta @ instants @ flows @ extra)) ]
 

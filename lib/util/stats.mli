@@ -1,8 +1,11 @@
 (** Sample statistics for experiment measurements.
 
-    {!t} accumulates full samples (measurement counts here are small
-    enough that retaining them is cheap) and reports mean, standard
-    deviation and exact percentiles.  {!Histogram} buckets values for
+    {!t} accumulates full samples and reports mean, standard deviation
+    and exact percentiles; samples equal to [+0.0] are only counted, so
+    a mostly-zero sample (queueing delays at a free server) costs
+    storage in proportion to its non-zero values.  {!Running} keeps
+    count, sum and extremes in constant space, for per-event figures
+    that only need a mean.  {!Histogram} buckets values for
     distribution-shaped output. *)
 
 type t
@@ -44,6 +47,29 @@ val merge : t -> t -> t
 
 val pp_summary : Format.formatter -> t -> unit
 (** ["n=.. mean=.. p50=.. p99=.. max=.."] *)
+
+module Running : sig
+  type r
+  (** Count, sum, minimum and maximum of a stream of values, in
+      constant space. *)
+
+  val create : unit -> r
+  val add_time : r -> Time.t -> unit
+  (** Record a duration, in seconds. *)
+
+  val count : r -> int
+
+  val mean : r -> float
+  (** The values summed in the order they were added, over [count]:
+      bit-equal to a left fold of [( +. )] from [0.0], divided by the
+      count.  0 on an empty stream. *)
+
+  val min_value : r -> float
+  (** Raises [Invalid_argument] on an empty stream. *)
+
+  val max_value : r -> float
+  (** Raises [Invalid_argument] on an empty stream. *)
+end
 
 module Histogram : sig
   type h

@@ -211,9 +211,52 @@ let test_latency_stats_populated () =
   done;
   Engine.run eng;
   let s = Lan.latency_stats lan in
-  check_int "ten samples" 10 (Stats.count s);
+  check_int "ten samples" 10 (Stats.Running.count s);
   (* The first frame sees no queueing: 72us + 5us. *)
-  Alcotest.(check (float 1e-9)) "min latency" 77e-6 (Stats.min_value s)
+  Alcotest.(check (float 1e-9))
+    "min latency" 77e-6 (Stats.Running.min_value s)
+
+(* The LAN keeps a running latency summary, not a sample per frame.
+   On a contended medium (collisions, backoff, broadcasts) its count,
+   extremes and mean must be bit-equal to those of a naive list of
+   every delivery's latency, summed in delivery order. *)
+let test_latency_summary_matches_list () =
+  let eng = Engine.create ~seed:21L () in
+  let lan, sts = make_lan ~n:6 eng in
+  let naive = ref [] in
+  Array.iter
+    (fun st ->
+      Lan.on_receive st (fun (f : unit Lan.frame) ->
+          let lat = Time.diff (Engine.now eng) f.Lan.sent_at in
+          naive := Time.to_sec lat :: !naive))
+    sts;
+  let rng = Splitmix.create 8L in
+  for i = 0 to 299 do
+    let src = i mod 6 in
+    let dest =
+      if i mod 17 = 0 then Lan.Broadcast
+      else Lan.Unicast ((src + 1 + Splitmix.int rng 5) mod 6)
+    in
+    Engine.schedule eng ~after:(Time.us (Splitmix.int rng 30_000)) (fun () ->
+        Lan.send sts.(src) ~dest ~bytes:(64 + Splitmix.int rng 900) ())
+  done;
+  Engine.run eng;
+  check_bool "contended" true ((Lan.counters lan).Lan.collision_events > 0);
+  let xs = List.rev !naive in
+  let s = Lan.latency_stats lan in
+  let n = List.length xs in
+  check_int "count" n (Stats.Running.count s);
+  let bits x = Int64.bits_of_float x in
+  let eq name a b = check_bool name true (Int64.equal (bits a) (bits b)) in
+  eq "min"
+    (List.fold_left Float.min Float.infinity xs)
+    (Stats.Running.min_value s);
+  eq "max"
+    (List.fold_left Float.max Float.neg_infinity xs)
+    (Stats.Running.max_value s);
+  eq "mean"
+    (List.fold_left ( +. ) 0.0 xs /. Float.of_int n)
+    (Stats.Running.mean s)
 
 (* A fixed-seed scenario that drives every MAC path: a frame sent
    before the stations power on, a send on an idle medium, carrier
@@ -814,6 +857,8 @@ let () =
             test_mac_fingerprint;
           Alcotest.test_case "latency stats" `Quick
             test_latency_stats_populated;
+          Alcotest.test_case "latency summary = per-frame list" `Quick
+            test_latency_summary_matches_list;
           qt prop_all_frames_accounted;
         ] );
       ( "msglink",

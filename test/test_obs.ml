@@ -1140,6 +1140,63 @@ let test_journal_cap_pressure () =
         (Critical.sum_parts bd))
     (Critical.breakdowns (Timeline.events tl))
 
+(* Every analysis export of one seeded run whose rings wrapped, folded
+   into one digest: the text timeline, the Chrome JSON, the checker's
+   violations (complete and not: a wrapped record gives the complete
+   rules plenty to report) and the profile's text, JSON and folded
+   stacks.  The digest is pinned, so a change to how the analyses read
+   the journals that changes any byte of any export fails here, not
+   only a same-build comparison of two runs. *)
+let analysis_exports_digest () =
+  let options = { Cluster.default_options with Cluster.use_profiling = true } in
+  let cl = Cluster.default ~seed:23L ~options ~journal_cap:40 ~n_nodes:4 () in
+  Cluster.register_type cl relay_type;
+  let _ =
+    Cluster.in_process cl (fun () ->
+        let caps =
+          Array.init 3 (fun i ->
+              ok_or_fail "create"
+                (Cluster.create_object cl ~node:(i + 1) ~type_name:"obs_relay"
+                   (Value.Int i)))
+        in
+        for i = 1 to 30 do
+          let cap = caps.(i mod 3) and from = i mod 4 in
+          let op, args =
+            if i mod 4 = 0 then
+              ("relay_get", [ Value.Cap caps.((i + 1) mod 3) ])
+            else ((if i mod 5 = 0 then "spin" else "get"), [])
+          in
+          ignore (ok_or_fail "invoke" (Cluster.invoke cl ~from cap ~op args))
+        done)
+  in
+  Cluster.run cl;
+  check_bool "rings wrapped" true (Cluster.journal_dropped cl > 0);
+  let tl = Cluster.timeline cl in
+  let pf = Profile.of_timeline tl in
+  check_bool "requests attributed" true (Profile.requests pf > 0);
+  check_bool "complete rules report on a wrapped record" true
+    (Check.run ~complete:true tl <> []);
+  let violations complete =
+    Json.to_string ~compact:true
+      (Check.violations_to_json (Check.run ~complete tl))
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [
+            Timeline.to_text tl;
+            Timeline.to_chrome_string tl;
+            violations false;
+            violations true;
+            Profile.to_text pf;
+            Json.to_string ~compact:true (Profile.to_json pf);
+            Profile.to_folded pf;
+          ]))
+
+let test_analysis_exports_pinned () =
+  check_string "analysis exports digest" "96e84f7d5a3a15ec822f4d35108eb72e"
+    (analysis_exports_digest ())
+
 (* Failed invariants are reported by name, in both renderings — a CI
    log or a JSON consumer can tell *which* rule broke without counting
    lines against the documentation. *)
@@ -1345,5 +1402,7 @@ let () =
             test_profiled_cluster_invariants;
           Alcotest.test_case "cap pressure degrades honestly" `Quick
             test_journal_cap_pressure;
+          Alcotest.test_case "analysis exports pinned" `Quick
+            test_analysis_exports_pinned;
         ] );
     ]

@@ -1788,37 +1788,87 @@ let show_analysis_events evs =
 let shrink_analysis_events evs =
   List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) evs) evs
 
+let analysis_agrees evs =
+  let show_vs vs =
+    String.concat " | "
+      (List.map (fun v -> Format.asprintf "%a" Check.pp_violation v) vs)
+  in
+  if Critical.breakdowns evs <> Oracle.breakdowns evs then
+    Error "breakdowns differ"
+  else
+    let differing =
+      List.find_opt
+        (fun complete ->
+          Check.run ~complete evs <> Oracle.check ~complete evs)
+        [ true; false ]
+    in
+    match differing with
+    | Some complete ->
+      Error
+        (Printf.sprintf "complete:%b violations differ: %s vs oracle %s"
+           complete
+           (show_vs (Check.run ~complete evs))
+           (show_vs (Oracle.check ~complete evs)))
+    | None ->
+      let json =
+        Json.to_string ~compact:true (Profile.to_json (Profile.of_events evs))
+      in
+      if json <> Oracle.profile_json evs then
+        Error (Printf.sprintf "profile JSON differs: %s" json)
+      else Ok ()
+
 let analysis_matches_oracle =
   Prop.case ~seeds:300 ~name:"indexed analysis = list-based oracle"
     ~gen:gen_analysis_events ~shrink:shrink_analysis_events
-    ~show:show_analysis_events (fun evs ->
-      let show_vs vs =
-        String.concat " | "
-          (List.map (fun v -> Format.asprintf "%a" Check.pp_violation v) vs)
-      in
-      if Critical.breakdowns evs <> Oracle.breakdowns evs then
-        Error "breakdowns differ"
-      else
-        let differing =
-          List.find_opt
-            (fun complete ->
-              Check.run ~complete evs <> Oracle.check ~complete evs)
-            [ true; false ]
-        in
-        match differing with
-        | Some complete ->
-          Error
-            (Printf.sprintf "complete:%b violations differ: %s vs oracle %s"
-               complete
-               (show_vs (Check.run ~complete evs))
-               (show_vs (Oracle.check ~complete evs)))
-        | None ->
-          let json =
-            Json.to_string ~compact:true (Profile.to_json (Profile.of_events evs))
-          in
-          if json <> Oracle.profile_json evs then
-            Error (Printf.sprintf "profile JSON differs: %s" json)
-          else Ok ())
+    ~show:show_analysis_events analysis_agrees
+
+(* The same events spread over a wide, sparse id space, as when a
+   quiet node's ring reaches far back behind busy ones: the small ids
+   map, in order, onto a few dense runs with gaps of up to [span]
+   between them, so trace ids need several radix passes and parents
+   lie far back, in a gap (absent) or ahead.  Duplicate ids survive
+   the map; half the lists stay unsorted. *)
+let gen_wide_analysis_events rng =
+  let evs = gen_analysis_events rng in
+  let span =
+    Prop.Gen.choose [ 1 lsl 12; 1 lsl 24; 1 lsl 40; max_int / 8 ] rng
+  in
+  let top =
+    List.fold_left
+      (fun m (e : Journal.event) ->
+        let parent = Option.value e.ev_parent ~default:0 in
+        max m (max e.ev_id (max e.ev_trace parent)))
+      0 evs
+  in
+  let runs = 1 + Splitmix.int rng 4 in
+  let offset = Array.make (top + 1) 0 in
+  let gap () = Splitmix.int rng (span / runs) in
+  let shift = ref (gap ()) in
+  for k = 0 to top do
+    if Splitmix.int rng (top + 1) < runs then shift := !shift + gap ();
+    offset.(k) <- !shift
+  done;
+  let wide k = k + offset.(k) in
+  let far_back = wide 0 and absent = wide top + 1 + Splitmix.int rng span in
+  List.map
+    (fun (e : Journal.event) ->
+      {
+        e with
+        ev_id = wide e.ev_id;
+        ev_trace = wide e.ev_trace;
+        ev_parent =
+          (match (e.ev_parent, Splitmix.int rng 6) with
+          | Some _, 0 -> Some far_back
+          | Some _, 1 -> Some absent
+          | Some p, _ -> Some (wide p)
+          | None, _ -> None);
+      })
+    evs
+
+let wide_analysis_matches_oracle =
+  Prop.case ~seeds:300 ~name:"indexed analysis = oracle on wide id spans"
+    ~gen:gen_wide_analysis_events ~shrink:shrink_analysis_events
+    ~show:show_analysis_events analysis_agrees
 
 (* [Timeline.assemble] merges the journals newest first with a heap;
    whatever the interleaving, ring sizes (wrapped, disabled) and
@@ -1904,5 +1954,7 @@ let () =
           Alcotest.test_case "point/name domains never alias" `Quick
             test_ring_point_name_aliasing;
         ] );
-      ("analysis", [ analysis_matches_oracle; assemble_is_sorted_merge ]);
+      ( "analysis",
+        [ analysis_matches_oracle; wide_analysis_matches_oracle;
+          assemble_is_sorted_merge ] );
     ]

@@ -980,6 +980,78 @@ let test_resource_wait_stats () =
   Alcotest.(check (float 1e-9)) "first waits 0" 0.0 (Stats.min_value w);
   Alcotest.(check (float 1e-9)) "last waits 4ms" 0.004 (Stats.max_value w)
 
+(* Zero waits are counted, not stored: a long run of services at a
+   free server leaves the wait statistic as small as the handful of
+   positive waits it saw. *)
+let test_resource_zero_waits_bounded () =
+  let eng = Engine.create () in
+  let r = Resource.create eng ~servers:1 ~name:"cpu" in
+  ignore
+    (Engine.spawn eng (fun () ->
+         for _ = 1 to 20_000 do
+           Resource.use r (Time.us 3)
+         done));
+  Engine.run eng;
+  let quiet = Obj.reachable_words (Obj.repr (Resource.wait_stats r)) in
+  (* Five jobs queued behind one holder: four positive waits. *)
+  for _ = 1 to 5 do
+    ignore (Engine.spawn eng (fun () -> Resource.use r (t_ms 1)))
+  done;
+  Engine.run eng;
+  let w = Resource.wait_stats r in
+  check_int "every wait counted" 20_005 (Stats.count w);
+  check_bool "storage is not per wait" true (quiet < 64);
+  check_bool "storage grows with positive waits only" true
+    (Obj.reachable_words (Obj.repr w) < 64);
+  Alcotest.(check (float 0.0)) "max" 0.004 (Stats.max_value w);
+  Alcotest.(check (float 0.0)) "p99.99 reaches past the zeros" 0.002
+    (Stats.percentile w 99.99)
+
+(* Against a naive list of every wait, measured around [acquire]:
+   the same count, extremes, mean and percentiles. *)
+let test_resource_wait_stats_exact () =
+  let eng = Engine.create ~seed:5L () in
+  let r = Resource.create eng ~servers:2 ~name:"cpu" in
+  let rng = Splitmix.create 13L in
+  let naive = ref [] in
+  for _ = 1 to 400 do
+    let at = Time.us (Splitmix.int rng 200_000) in
+    let service = Time.us (1 + Splitmix.int rng 1_500) in
+    Engine.schedule eng ~after:at (fun () ->
+        ignore
+          (Engine.spawn eng (fun () ->
+               let t0 = Engine.now eng in
+               Resource.acquire r;
+               naive := Time.to_sec (Time.diff (Engine.now eng) t0) :: !naive;
+               Engine.delay service;
+               Resource.release r)))
+  done;
+  Engine.run eng;
+  let xs = Array.of_list (List.rev !naive) in
+  Array.sort Float.compare xs;
+  let n = Array.length xs in
+  let w = Resource.wait_stats r in
+  let zeros = Array.fold_left (fun k x -> if x = 0.0 then k + 1 else k) 0 xs in
+  check_bool "both zero and positive waits" true (zeros > 0 && zeros < n);
+  check_int "count" n (Stats.count w);
+  let same name a b =
+    check_bool name true
+      (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  (* The mean first: reading an order statistic sorts the sample, and
+     the sum then runs in sorted order. *)
+  same "mean"
+    (List.fold_left ( +. ) 0.0 (List.rev !naive) /. Float.of_int n)
+    (Stats.mean w);
+  same "min" xs.(0) (Stats.min_value w);
+  same "max" xs.(n - 1) (Stats.max_value w);
+  List.iter
+    (fun p ->
+      let rank = Float.to_int (Float.ceil (p /. 100.0 *. Float.of_int n)) in
+      same (Printf.sprintf "p%g" p) xs.(max 0 (rank - 1))
+        (Stats.percentile w p))
+    [ 1.0; 25.0; 50.0; 90.0; 99.0; 100.0 ]
+
 let test_resource_kill_releases () =
   (* A holder killed mid-service still frees its server and counts as
      completed; its service time is not charged as busy.  A process
@@ -1275,6 +1347,10 @@ let () =
         [
           Alcotest.test_case "serialises" `Quick test_resource_serialises;
           Alcotest.test_case "wait stats" `Quick test_resource_wait_stats;
+          Alcotest.test_case "zero waits are not stored" `Quick
+            test_resource_zero_waits_bounded;
+          Alcotest.test_case "wait stats = naive list" `Quick
+            test_resource_wait_stats_exact;
           Alcotest.test_case "kill releases" `Quick test_resource_kill_releases;
           Alcotest.test_case "invalid" `Quick test_resource_invalid;
         ] );
