@@ -10,9 +10,9 @@ all: build
 help:
 	@echo "make build        - dune build @all"
 	@echo "make test         - run every alcotest suite"
-	@echo "make test-props   - seeded property tests only (codecs, plans, laws)"
+	@echo "make test-props   - seeded property tests only (facts, deltas, plans, analyses)"
 	@echo "make check        - build + tests + metrics smoke + chaos determinism"
-	@echo "make ci           - the full gate: build, tests, chaos cmp, props x3 seeds"
+	@echo "make ci           - the full gate: build, tests, CLI and example smokes, cmp checks, props x3 seeds"
 	@echo "make bench        - run the full experiment suite (E1..E25, M)"
 	@echo "make examples     - run the example programs"
 	@echo "make smoke        - exercise the edenctl CLI end to end"
@@ -34,9 +34,10 @@ build:
 test:
 	dune runtest --force
 
-# Just the seeded property tests: round-trips for the Name / Capability /
-# Message codecs and the Fault.Plan text format, plus the reliability
-# and capability-restriction laws (100 seeds each, greedy shrinking).
+# Just the seeded property tests (100 seeds each, greedy shrinking):
+# message sizes and journal facts, the Delta, span JSON and
+# Fault.Plan round-trips, the health-plane and event-heap models, the
+# directory ring, and the trace analyses against a list-based oracle.
 test-props:
 	dune exec test/test_props.exe
 
@@ -54,12 +55,15 @@ check:
 	@echo "check: OK"
 
 # The full local gate, mirroring what a hosted pipeline would run:
-# build, every unit suite, the chaos determinism comparison, and the
-# property suites under three distinct seed universes (the offset
-# shifts every property's base stream; see test/prop.ml).
+# build, every unit suite, the CLI and example-program smokes, the
+# chaos determinism comparison, and the property suites under three
+# distinct seed universes (the offset shifts every property's base
+# stream; see test/prop.ml).
 ci:
 	dune build @all
 	dune runtest --force
+	$(MAKE) smoke
+	$(MAKE) examples
 	$(MAKE) chaos
 	$(MAKE) trace-check
 	$(MAKE) health-check

@@ -28,8 +28,6 @@ type speculate = {
 let no_speculation =
   { sp_clone = false; sp_hedge = false; sp_max_sites = 3; sp_quantile = 0.95 }
 
-let default_speculate = { no_speculation with sp_clone = true; sp_hedge = true }
-
 let validate_speculate s =
   if s.sp_max_sites < 2 then
     Error "speculation needs at least two fan-out sites"
@@ -106,6 +104,5 @@ let lift_conversion = function
 let int_arg v = lift_conversion (Value.to_int v)
 let str_arg v = lift_conversion (Value.to_str v)
 let cap_arg v = lift_conversion (Value.to_cap v)
-let bool_arg v = lift_conversion (Value.to_bool v)
 
 let ( let* ) = Result.bind

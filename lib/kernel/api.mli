@@ -52,10 +52,6 @@ type speculate = {
 val no_speculation : speculate
 (** Both mechanisms off (the historical behaviour). *)
 
-val default_speculate : speculate
-(** Cloning and hedging on: fan out to at most 3 sites, hedge at the
-    0.95 quantile. *)
-
 val validate_speculate : speculate -> (unit, string) result
 
 type ctx = {
@@ -144,7 +140,6 @@ val no_args : Value.t list -> (unit, Error.t) result
 val int_arg : Value.t -> (int, Error.t) result
 val str_arg : Value.t -> (string, Error.t) result
 val cap_arg : Value.t -> (Capability.t, Error.t) result
-val bool_arg : Value.t -> (bool, Error.t) result
 
 val ( let* ) :
   ('a, Error.t) result -> ('a -> ('b, Error.t) result) -> ('b, Error.t) result

@@ -8,19 +8,3 @@ let permits c required = Rights.subset required c.rights
 let equal a b = Name.equal a.name b.name && Rights.equal a.rights b.rights
 let same_object a b = Name.equal a.name b.name
 let pp ppf c = Format.fprintf ppf "cap(%a, %a)" Name.pp c.name Rights.pp c.rights
-
-let encode c =
-  Printf.sprintf "%s/%d" (Name.to_string c.name) (Rights.to_bits c.rights)
-
-let decode s =
-  match String.rindex_opt s '/' with
-  | None -> None
-  | Some i -> (
-    let name_part = String.sub s 0 i in
-    let bits_part = String.sub s (i + 1) (String.length s - i - 1) in
-    match (Name.of_string name_part, int_of_string_opt bits_part) with
-    | Some name, Some bits -> (
-      match Rights.of_bits bits with
-      | Some rights -> Some { name; rights }
-      | None -> None)
-    | _ -> None)

@@ -23,11 +23,3 @@ val equal : t -> t -> bool
 
 val same_object : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-val encode : t -> string
-(** Stable textual form ["obj<B.S>/BITS"], suitable for the wire or a
-    command line. *)
-
-val decode : string -> t option
-(** Inverse of {!encode}; rejects malformed names and unknown rights
-    bits. *)

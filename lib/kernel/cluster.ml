@@ -3796,8 +3796,6 @@ let set_disk_failed cl i failed =
       (if failed then "failed" else "restored")
   end
 
-let disk_ok cl i = (node_of cl i).nd_disk_ok
-
 (* -------------------------------------------------------------------- *)
 (* Online reconfiguration: epoch-stamped membership.
 

@@ -286,8 +286,6 @@ val set_disk_failed : t -> node_id -> bool -> unit
     re-locates), and stays silent on passive locate answers.  Volatile
     state — objects already active there — is unaffected. *)
 
-val disk_ok : t -> node_id -> bool
-
 (** {1 Online reconfiguration}
 
     The membership table is an epoch-stamped member list.  {!join_node}

@@ -183,8 +183,10 @@ type t =
           one wins regardless of delivery order. *)
 
 val size_bytes : t -> int
-(** Approximate marshalled size, including a fixed per-message
-    header. *)
+(** The message's size on the wire, including a fixed per-message
+    header.  This is the simulator's one model of a message on the
+    Ethernet: messages are never serialised, and {!traced_size} builds
+    on it to time every frame. *)
 
 val describe : t -> string
 (** Short human-readable tag for tracing and journals: {!render} of
@@ -211,33 +213,12 @@ val render : code:int -> name:int -> arg:int -> str:string -> string
     ~arg:(journal_arg m) ~str:(journal_str m)].  Raises
     [Invalid_argument] on an unknown code. *)
 
-val encode : ?ctx:Eden_obs.Tracectx.t -> t -> string
-(** Marshal to a self-delimiting textual wire form.  The [span] field
-    of an [Inv_request] is simulator-side metadata and is omitted.
-    [ctx], when given, is written as an envelope prefix ahead of the
-    message tag; frames without it are unchanged from the previous
-    wire format. *)
-
-val decode : string -> (t, string) result
-(** Inverse of {!encode} up to [span] (always [None] after decoding)
-    and the trace context (accepted and discarded — use
-    {!decode_traced} to keep it).  Rejects malformed input, unknown
-    tags, invalid rights bits and trailing bytes with a description of
-    the first error.  Total even on hostile input: values nested
-    deeper than 256 levels are rejected as malformed rather than
-    overflowing the stack (no message the kernel builds comes near
-    that bound). *)
-
-val decode_traced :
-  string -> (Eden_obs.Tracectx.t option * t, string) result
-(** Like {!decode} but also returns the envelope's trace context
-    ([None] for frames encoded without one). *)
-
 (** {1 In-sim envelope}
 
     The simulated transport passes whole OCaml values between kernels;
-    {!traced} wraps a message with its trace context for that path
-    (the wire codec above is the serialised ground truth). *)
+    {!traced} wraps a message with its trace context for that path.
+    {!size_bytes} is the wire model: a frame is never encoded, only
+    sized. *)
 
 type traced = { tr_ctx : Eden_obs.Tracectx.t option; tr_msg : t }
 

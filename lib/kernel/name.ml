@@ -33,11 +33,6 @@ let to_string n =
   Bytes.unsafe_set buf (5 + db + ds) '>';
   Bytes.unsafe_to_string buf
 
-let of_string s =
-  match Scanf.sscanf s "obj<%u.%u>%!" (fun b srl -> (b, srl)) with
-  | b, srl -> Some { birth_node = b; serial = srl }
-  | exception _ -> None
-
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 

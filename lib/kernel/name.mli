@@ -19,8 +19,4 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val of_string : string -> t option
-(** Inverse of {!to_string}: parses exactly the ["obj<B.S>"] form with
-    non-negative components; anything else is [None]. *)
-
 module Table : Hashtbl.S with type key = t

@@ -36,8 +36,6 @@ let union = ( lor )
 let inter = ( land )
 let remove r s = s land lnot (1 lsl bit r)
 let equal = Int.equal
-let to_bits s = s
-let of_bits b = if b >= 0 && b land lnot all = 0 then Some b else None
 
 let right_name = function
   | Invoke -> "invoke"

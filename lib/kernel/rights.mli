@@ -35,9 +35,3 @@ val inter : t -> t -> t
 val remove : right -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-val to_bits : t -> int
-(** Marshalled form: one bit per right, always non-negative. *)
-
-val of_bits : int -> t option
-(** Inverse of {!to_bits}; [None] if any unknown bit is set. *)

@@ -84,8 +84,6 @@ let create ?(params = Params.default) eng =
 let params lan = lan.prm
 let engine lan = lan.eng
 let address st = st.st_addr
-let station_name st = st.st_name
-let station_count lan = Array.length lan.stations
 let on_receive st f = st.st_receive <- Some f
 let set_trace lan tr = lan.trace <- Some tr
 

@@ -50,8 +50,6 @@ val attach : 'a t -> name:string -> 'a station
     from 0 in attachment order. *)
 
 val address : 'a station -> int
-val station_name : 'a station -> string
-val station_count : 'a t -> int
 
 val on_receive : 'a station -> ('a frame -> unit) -> unit
 (** Replaces any previous callback.  Frames arriving with no callback

@@ -44,7 +44,6 @@ type violation = { v_rule : string; v_event : int option; v_detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val violation_json : violation -> Json.t
 val violations_to_json : violation list -> Json.t
 
 val run : ?complete:bool -> Timeline.t -> violation list

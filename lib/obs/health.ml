@@ -149,13 +149,6 @@ type rstate = {
   mutable rs_long : float;
 }
 
-type status = {
-  st_rule : rule;
-  st_firing : bool;
-  st_short : float;
-  st_long : float;
-}
-
 type t = {
   hs_cfg : config;
   hs_reg : Metrics.t;
@@ -375,18 +368,6 @@ let firing t =
   Array.fold_left (fun n rs -> if rs.rs_firing then n + 1 else n) 0 t.hs_rules
 
 let transitions t = t.hs_transitions
-
-let statuses t =
-  Array.to_list
-    (Array.map
-       (fun rs ->
-         {
-           st_rule = rs.rs_rule;
-           st_firing = rs.rs_firing;
-           st_short = rs.rs_short;
-           st_long = rs.rs_long;
-         })
-       t.hs_rules)
 
 let signal_to_string = function
   | Rate n -> Printf.sprintf "rate(%s)/s" n

@@ -59,22 +59,20 @@ type config = {
   hc_rules : rule list;
 }
 
-val default_rules : rule list
-(** Watchdogs over the standard cluster metrics: p99 invocation
-    latency, retry ratio, replica-cache hit share, async-checkpoint
-    lag, object queue depth and pending remote requests. *)
-
 val profile_rules : rule list
 (** Watchdogs over the profiler's latency attribution: wire or queue
     share above one half, directory share above 0.4, backoff share
-    above 0.3.  Separate from {!default_rules} because the
+    above 0.3.  Separate from {!default_config}'s rules because the
     [eden.profile.*] counters exist only with
     [Cluster.options.use_profiling]; append to [hc_rules] when
     profiling is on. *)
 
 val default_config : config
-(** [default_rules] sampled every 250 virtual ms, short window 4 ticks
-    (1 s), long window 24 ticks (6 s). *)
+(** Watchdogs over the standard cluster metrics — p99 invocation
+    latency, retry ratio, replica-cache hit share, async-checkpoint
+    lag, object queue depth and pending remote requests — sampled
+    every 250 virtual ms, short window 4 ticks (1 s), long window 24
+    ticks (6 s). *)
 
 type t
 
@@ -103,16 +101,6 @@ val firing : t -> int
 
 val transitions : t -> int
 (** Total state changes since creation. *)
-
-type status = {
-  st_rule : rule;
-  st_firing : bool;
-  st_short : float;  (** latest short-window value ([nan] = no data) *)
-  st_long : float;
-}
-
-val statuses : t -> status list
-(** One status per rule, in [hc_rules] order. *)
 
 val report : t -> string
 (** Deterministic fixed-width text dashboard (the [edenctl health]

@@ -36,8 +36,8 @@ let began ix =
     (Index.events ix);
   !count
 
-let of_events events =
-  let ix = Index.of_events events in
+let of_timeline tl =
+  let ix = Index.of_events (Timeline.events tl) in
   let bds = Critical.of_index ix in
   let parts = Array.make Critical.n_categories 0 in
   let total = ref 0 in
@@ -56,7 +56,6 @@ let of_events events =
     pf_parts = parts;
   }
 
-let of_timeline (tl : Timeline.t) = of_events tl
 let requests t = Array.length t.pf_sorted
 let skipped t = t.pf_skipped
 let total_ns t = t.pf_total_ns

@@ -13,7 +13,6 @@
 type t
 
 val of_timeline : Timeline.t -> t
-val of_events : Journal.event list -> t
 
 val requests : t -> int
 (** Requests attributed (traces bracketing a complete invocation). *)

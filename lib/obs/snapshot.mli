@@ -32,8 +32,6 @@ val to_json : t -> Json.t
       "spans":   [ <Span.info_to_json> ... ] }
     v} *)
 
-val of_json : Json.t -> (t, string) result
-
 val to_string : ?compact:bool -> t -> string
 val of_string : string -> (t, string) result
 

@@ -352,7 +352,6 @@ let wake eng h =
     push_event eng eng.clock (fun () -> resume_with eng p k Woken)
 
 let handle_pending h = h.h_k <> None
-let handle_pid h = h.h_proc.p_pid
 
 let set_daemon eng pid =
   match find_proc eng pid with

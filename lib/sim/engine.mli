@@ -105,8 +105,6 @@ val handle_pending : handle -> bool
 (** Whether {!wake} on this handle would still resume a process; lets
     primitives skip stale queue entries. *)
 
-val handle_pid : handle -> Pid.t
-
 (** {2 Running} *)
 
 val run : ?until:Eden_util.Time.t -> t -> unit

@@ -100,13 +100,3 @@ let recv ?timeout mb =
     | Engine.Timed_out -> None)
 
 let length mb = Fifo.length mb.buffer
-
-let receivers_waiting mb =
-  let n = ref 0 in
-  Fifo.iter (fun r -> if Engine.handle_pending r.r_h then incr n) mb.receivers;
-  !n
-
-let senders_waiting mb =
-  let n = ref 0 in
-  Fifo.iter (fun s -> if Engine.handle_pending s.s_h then incr n) mb.senders;
-  !n

@@ -26,6 +26,3 @@ val recv : ?timeout:Eden_util.Time.t -> 'a t -> 'a option
 val try_recv : 'a t -> 'a option
 val length : 'a t -> int
 (** Buffered (undelivered) messages. *)
-
-val receivers_waiting : 'a t -> int
-val senders_waiting : 'a t -> int

@@ -24,15 +24,11 @@ let category_name = function
   | Efs -> "efs"
   | App -> "app"
 
-type subscription = int
-
 type t = {
   ring : record Fifo.t;
   keep : int;
   counts : int array;
   mutable on : bool;
-  mutable next_sub : subscription;
-  mutable subscribers : (subscription * (record -> unit)) list;
 }
 
 let create ?(keep = 4096) () =
@@ -42,12 +38,9 @@ let create ?(keep = 4096) () =
     keep;
     counts = Array.make (Array.length categories) 0;
     on = false;
-    next_sub = 0;
-    subscribers = [];
   }
 
 let enable t = t.on <- true
-let disable t = t.on <- false
 let enabled t = t.on
 
 let emit t time category message =
@@ -56,8 +49,7 @@ let emit t time category message =
     let i = category_index category in
     t.counts.(i) <- t.counts.(i) + 1;
     if Fifo.length t.ring >= t.keep then ignore (Fifo.pop t.ring);
-    Fifo.push_exn t.ring r;
-    List.iter (fun (_, f) -> f r) t.subscribers
+    Fifo.push_exn t.ring r
   end
 
 let emitf t time category fmt =
@@ -65,14 +57,6 @@ let emitf t time category fmt =
     Format.kasprintf (fun message -> emit t time category message) fmt
   else Format.ikfprintf (fun _ -> ()) Format.err_formatter fmt
 
-let subscribe t f =
-  let id = t.next_sub in
-  t.next_sub <- id + 1;
-  t.subscribers <- t.subscribers @ [ (id, f) ];
-  id
-
-let unsubscribe t id =
-  t.subscribers <- List.filter (fun (i, _) -> i <> id) t.subscribers
 let recent t = Fifo.to_list t.ring
 let count t category = t.counts.(category_index category)
 let total t = Array.fold_left ( + ) 0 t.counts

@@ -1,8 +1,9 @@
 (** Structured trace events.
 
-    Components emit categorised trace records; tests subscribe to
-    observe internal behaviour without widening public interfaces, and
-    the CLI can dump the tail of a run.  Tracing is off by default and
+    Components emit categorised trace records into a bounded ring;
+    tests read the ring and the per-category counts to observe
+    internal behaviour without widening public interfaces, and the CLI
+    can dump the tail of a run.  Tracing is off by default and
     costs one branch when disabled. *)
 
 type category =
@@ -26,7 +27,6 @@ val create : ?keep:int -> unit -> t
 (** Retain the last [keep] records (default 4096). *)
 
 val enable : t -> unit
-val disable : t -> unit
 val enabled : t -> bool
 
 val emit : t -> Eden_util.Time.t -> category -> string -> unit
@@ -41,17 +41,6 @@ val emitf :
 (** Formatted emission; the format arguments are not evaluated while
     tracing is disabled. *)
 
-type subscription
-(** Handle for removing a subscriber again. *)
-
-val subscribe : t -> (record -> unit) -> subscription
-(** Called synchronously for every record while enabled.  Keep the
-    returned handle and {!unsubscribe} when done — subscribers live as
-    long as the trace otherwise. *)
-
-val unsubscribe : t -> subscription -> unit
-(** Idempotent. *)
-
 val recent : t -> record list
 (** Oldest first, up to [keep] records. *)
 
@@ -60,7 +49,7 @@ val count : t -> category -> int
 
 val total : t -> int
 val clear : t -> unit
-(** Drop retained records and counters (subscribers stay). *)
+(** Drop retained records and counters. *)
 
 val category_name : category -> string
 val pp_record : Format.formatter -> record -> unit

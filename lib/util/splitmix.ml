@@ -15,7 +15,6 @@ let next64 g =
   mix64 g.state
 
 let split g = create (next64 g)
-let bits30 g = Int64.to_int (Int64.shift_right_logical (next64 g) 34)
 
 (* Lemire-style rejection sampling over 62 usable bits keeps the result
    exactly uniform for any [n] that fits in an OCaml int. *)

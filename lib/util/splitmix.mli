@@ -21,9 +21,6 @@ val copy : t -> t
 val next64 : t -> int64
 (** Next raw 64-bit value. *)
 
-val bits30 : t -> int
-(** 30 uniformly random non-negative bits. *)
-
 val int : t -> int -> int
 (** [int g n] is uniform in [\[0, n)].  Raises [Invalid_argument] if
     [n <= 0]. *)

@@ -1045,7 +1045,7 @@ let test_profile_unit () =
   ignore
     (Journal.record j ~at:(Time.us 300)
        (Journal.Inv_begin { op = "get"; target = "obj<0.1>" }));
-  let pf = Profile.of_events (Journal.events j) in
+  let pf = Profile.of_timeline (Journal.events j) in
   check_int "requests" 3 (Profile.requests pf);
   check_int "skipped" 1 (Profile.skipped pf);
   check_int "total" 60_000 (Profile.total_ns pf);
@@ -1068,7 +1068,7 @@ let test_profile_unit () =
   check_bool "json carries the counts" true (contains json "\"requests\":3");
   (* Same events, same bytes. *)
   check_string "rendering is deterministic" (Profile.to_text pf)
-    (Profile.to_text (Profile.of_events (Journal.events j)))
+    (Profile.to_text (Profile.of_timeline (Journal.events j)))
 
 (* A profiled cluster run: the gated kinds appear in the journals, the
    profiler attributes real requests, and all eight invariants —
