@@ -3,7 +3,7 @@
 
 .PHONY: all build check ci test test-props bench examples smoke chaos \
   trace-check health-check tail-check dir-check reconfig-check \
-  profile-check host-smoke hostprof determinism clean help
+  profile-check host-smoke hostprof hostprof-smoke determinism clean help
 
 all: build
 
@@ -25,6 +25,7 @@ help:
 	@echo "make profile-check - profiler smoke: E25 attribution + same-seed profile cmp"
 	@echo "make host-smoke   - one round per stream of each benchmark workload, gates checked"
 	@echo "make hostprof     - sampling profile of hot_invoke's request phases (host time)"
+	@echo "make hostprof-smoke - one phase of each hostprof mode, so the profiler keeps working"
 	@echo "make determinism  - experiment output must be bit-reproducible"
 	@echo "make clean        - dune clean"
 
@@ -72,6 +73,7 @@ ci:
 	$(MAKE) reconfig-check
 	$(MAKE) profile-check
 	$(MAKE) host-smoke
+	$(MAKE) hostprof-smoke
 	for off in 0 271828 3141592; do \
 	  echo "props @ seed offset $$off"; \
 	  EDEN_PROP_SEED_OFFSET=$$off dune exec test/test_props.exe || exit 1; \
@@ -246,6 +248,16 @@ hostprof:
 	dune build ./bench/hostprof/main.exe
 	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
 	  --phases 64
+
+# Both hostprof modes on one phase: the profiler must build and run,
+# and print its allocation figures (the tables are cut to three rows).
+hostprof-smoke:
+	dune build ./bench/hostprof/main.exe
+	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
+	  --phases 1 --top 3
+	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
+	  --phase analysis --phases 1 --top 3
+	@echo "hostprof-smoke: OK"
 
 # The whole experiment suite must be bit-reproducible.
 determinism:

@@ -5,7 +5,11 @@
 
    Runs K request phases of workload W — phase i on input stream
    i mod streams, each on a fresh cluster whose set-up is not sampled —
-   under a SIGPROF interval timer.  With [--phase analysis] it instead
+   under a SIGPROF interval timer.  A first pass runs the same K phases
+   with the sampler disarmed and prints what they allocate per
+   invocation: minor words, words promoted to the major heap, and words
+   allocated in the major heap directly, with the top of the heap
+   after that pass.  With [--phase analysis] it instead
    runs stream 0 once, unsampled, and then samples K repetitions of the
    reads hostbench times as [analyze_s] over that finished cluster:
    [Cluster.timeline], [Check.run] (with the completeness the journals
@@ -91,22 +95,55 @@ let print_top title ~total ~top tbl =
              (100.0 *. float_of_int n /. float_of_int total)
              n k)
 
-(* The request phases of [phases] fresh clusters, sampled; returns
-   the header line. *)
+(* Sets up a fresh cluster for phase [i]; the function returned runs
+   its request phase and returns the invocations attempted. *)
+let prepare spec ~seed i =
+  let sub = i mod spec.Workload.streams in
+  let cl, caps = Workload.setup spec ~seed ~sub Workload.no_hooks in
+  fun () ->
+    (Workload.request_phase spec ~seed ~sub cl caps Workload.no_hooks)
+      .Workload.attempted
+
+(* The request phases of [phases] fresh clusters: first unsampled,
+   counting what they allocate (the sampler's backtraces allocate, and
+   are kept), then sampled.  Returns the header lines. *)
 let sample_requests spec ~workload ~seed ~phases =
-  let cpu = ref 0.0 and invocations = ref 0 in
+  let minor = ref 0.0 and promoted = ref 0.0 and direct = ref 0.0 in
+  let invocations = ref 0 in
   for i = 0 to phases - 1 do
-    let sub = i mod spec.Workload.streams in
-    let cl, caps = Workload.setup spec ~seed ~sub Workload.no_hooks in
+    let run = prepare spec ~seed i in
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    let n = run () in
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    minor := !minor +. (minor1 -. minor0);
+    promoted := !promoted +. (promoted1 -. promoted0);
+    (* Promotions are counted in the major heap's words too. *)
+    direct := !direct +. (major1 -. major0 -. (promoted1 -. promoted0));
+    invocations := !invocations + n
+  done;
+  let top = (Gc.quick_stat ()).Gc.top_heap_words in
+  let per x = x /. float_of_int (max 1 !invocations) in
+  let cpu = ref 0.0 in
+  for i = 0 to phases - 1 do
+    let run = prepare spec ~seed i in
     let t0 = Sys.time () in
     armed := true;
-    let t = Workload.request_phase spec ~seed ~sub cl caps Workload.no_hooks in
+    ignore (run ());
     armed := false;
-    cpu := !cpu +. (Sys.time () -. t0);
-    invocations := !invocations + t.Workload.attempted
+    cpu := !cpu +. (Sys.time () -. t0)
   done;
-  (Printf.sprintf "hostprof: workload %s  seed %d  %d request phases  %d invocations"
-     workload seed phases !invocations, !cpu)
+  ( Printf.sprintf
+      "hostprof: workload %s  seed %d  %d request phases  %d invocations\n\
+      \  unsampled, words per invocation: %.1f minor, %.1f promoted, %.1f \
+       direct to the major heap; heap top %d words (%.2f MB)\n\
+      \  then the same %d phases sampled"
+      workload seed phases !invocations (per !minor) (per !promoted)
+      (per !direct) top
+      (float_of_int (top * (Sys.word_size / 8)) /. 1048576.0)
+      phases,
+    !cpu )
 
 let median xs =
   let a = Array.of_list xs in

@@ -55,7 +55,7 @@ let m4_pqueue =
     (Staged.stage (fun () ->
          let h = Pqueue.create ~dummy:0 () in
          for i = 0 to 255 do
-           Pqueue.push_seq h ((i * 7919) land 1023) i i
+           ignore (Pqueue.push_seq h ((i * 7919) land 1023) i i)
          done;
          while not (Pqueue.is_empty h) do
            ignore (Pqueue.pop_exn h)
@@ -252,9 +252,9 @@ let m13_analysis =
             ev_trace = at 0;
             ev_parent =
               (match step with
-              | 0 -> None
-              | 3 -> Some (at 1)
-              | _ -> Some (at (step - 1)));
+              | 0 -> -1
+              | 3 -> at 1
+              | _ -> at (step - 1));
             ev_kind = kind;
           }))
   in

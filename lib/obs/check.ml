@@ -56,10 +56,11 @@ let run ?(complete = true) (tl : Timeline.t) =
     iter_input (fun pos (e : Journal.event) ->
         match e.ev_kind with
         | Journal.Recv { src; msg } -> (
-          match e.ev_parent with
-          | None -> add "recv-matches-send" (Some e.ev_id)
+          let p = e.ev_parent in
+          if p < 0 then
+            add "recv-matches-send" (Some e.ev_id)
               (Printf.sprintf "recv of %s has no parent" msg)
-          | Some p -> (
+          else (
             let q = parent_at.(pos) in
             if q < 0 then
               add "recv-matches-send" (Some e.ev_id)
@@ -83,8 +84,8 @@ let run ?(complete = true) (tl : Timeline.t) =
   (* 2. No event is ordered against virtual time relative to its
      causal parent. *)
   iter_input (fun pos (e : Journal.event) ->
-      match e.ev_parent with
-      | Some p when p <> e.ev_id ->
+      let p = e.ev_parent in
+      if p >= 0 && p <> e.ev_id then begin
         let q = parent_at.(pos) in
         if q >= 0 then begin
           let pe = evs.(q) in
@@ -93,7 +94,7 @@ let run ?(complete = true) (tl : Timeline.t) =
               (Printf.sprintf "at %s but its parent #%d is at %s"
                  (Time.to_string e.ev_at) p (Time.to_string pe.ev_at))
         end
-      | _ -> ());
+      end);
 
   (* Per trace, the newest [Dir_fallback] and the newest [Inv_end] —
      what rules 3, 6 and 7 ask of a trace's tail.  Event ids are

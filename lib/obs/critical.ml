@@ -113,10 +113,10 @@ let charge parts ~holds prev cur =
     | Journal.Net_flush _ -> add parts Coalesce gap
     | Journal.Net_hold _ -> add parts Wire gap
     | Journal.Recv { msg; _ } ->
+      let send_id = cur.Journal.ev_parent in
       let held =
-        match cur.Journal.ev_parent with
-        | None -> 0
-        | Some send_id -> min gap (hold_overlap holds ~parent:send_id ~t0 ~t1)
+        if send_id < 0 then 0
+        else min gap (hold_overlap holds ~parent:send_id ~t0 ~t1)
       in
       add parts Service held;
       add parts (if directory_message msg then Directory else Wire) (gap - held)
@@ -187,8 +187,10 @@ let attribute_slice (evs : Journal.event array) idx lo hi =
           let holds = Itbl.create 7 in
           for i = lo to hi - 1 do
             let x = ev i in
-            match (x.Journal.ev_kind, x.Journal.ev_parent) with
-            | Journal.Net_hold { by; _ }, Some parent when in_window x ->
+            match x.Journal.ev_kind with
+            | Journal.Net_hold { by; _ }
+              when x.Journal.ev_parent >= 0 && in_window x ->
+              let parent = x.Journal.ev_parent in
               let h0 = Time.to_ns x.Journal.ev_at in
               let prior =
                 match Itbl.find holds parent with

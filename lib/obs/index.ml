@@ -52,9 +52,9 @@ let last_le evs id ~from =
 
 let parent t p =
   let evs = t.ix_events in
-  match evs.(p).Journal.ev_parent with
-  | None -> -1
-  | Some id ->
+  let id = evs.(p).Journal.ev_parent in
+  if id < 0 then -1
+  else
     let q = last_le evs id ~from:p in
     if q >= 0 && id_at evs q = id then q else -1
 

@@ -111,7 +111,7 @@ type event = {
   ev_node : int;
   ev_at : Time.t;
   ev_trace : int;
-  ev_parent : int option;
+  ev_parent : int;
   ev_kind : kind;
 }
 
@@ -174,8 +174,8 @@ let set_renderer sink f = sink.render <- f
    caller's fresh string dies young, exactly as it does with
    journaling off.  The [kind] (and [event]) values are rebuilt at
    export.  [ev_at] is stored as raw nanoseconds ([Time.t] is
-   [private int]); [ev_parent = None] and absent int arguments as
-   [-1].
+   [private int]); an absent parent ([ev_parent = -1]) and absent int
+   arguments as [-1].
 
    The seven int fields of a slot live contiguously in one stride-7
    [Bigarray] (id, at, trace, parent, tag, a1, a2) and the two string
@@ -200,7 +200,7 @@ let set_renderer sink f = sink.render <- f
    Reading rebuilds the [event] records, but not their kinds: the sink
    keeps one decoded [kind] per distinct slot content (see
    [shared_kind]), so every read of the same facts returns the same
-   value and an event costs its record and its parent. *)
+   value and an event costs only its record. *)
 let stride = 7
 
 module Ints = Bigarray.Array1
@@ -577,7 +577,7 @@ let event_at t slot =
     ev_node = t.jn_node;
     ev_at = Time.ns (Ints.get t.jn_ints (b + 1));
     ev_trace = Ints.get t.jn_ints (b + 2);
-    ev_parent = dec_opt (Ints.get t.jn_ints (b + 3));
+    ev_parent = Ints.get t.jn_ints (b + 3);
     ev_kind =
       shared_kind t.jn_sink ~tag:(Ints.get t.jn_ints (b + 4))
         ~a1:(Ints.get t.jn_ints (b + 5))
@@ -610,7 +610,6 @@ let dropped t = t.jn_dropped
 let pp_event fmt ev =
   Format.fprintf fmt "[%s] n%d #%d trace=%d%s %s" (Time.to_string ev.ev_at)
     ev.ev_node ev.ev_id ev.ev_trace
-    (match ev.ev_parent with
-    | Some p -> Printf.sprintf " parent=%d" p
-    | None -> "")
+    (if ev.ev_parent >= 0 then Printf.sprintf " parent=%d" ev.ev_parent
+     else "")
     (describe_kind ev.ev_kind)

@@ -92,7 +92,11 @@ type event = {
   ev_node : int;
   ev_at : Time.t;  (** virtual time *)
   ev_trace : int;  (** id of the event that rooted this trace *)
-  ev_parent : int option;  (** immediate causal predecessor, if any *)
+  ev_parent : int;
+      (** id of the immediate causal predecessor, or [-1] when the
+          event has none.  A trace-rooting event is its own parent.
+          A plain int, as the ring stores it, so reading an event
+          builds no option. *)
   ev_kind : kind;
 }
 

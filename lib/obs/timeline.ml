@@ -79,11 +79,9 @@ let to_text t =
     t;
   let depth = Hashtbl.create 256 in
   let depth_of (e : Journal.event) =
-    match e.ev_parent with
-    | None -> 0
-    | Some p when p = e.ev_id -> 0
-    | Some p -> (
-      match Hashtbl.find_opt depth p with Some d -> d + 1 | None -> 0)
+    let p = e.ev_parent in
+    if p < 0 || p = e.ev_id then 0
+    else match Hashtbl.find_opt depth p with Some d -> d + 1 | None -> 0
   in
   List.iter
     (fun trace ->
@@ -97,9 +95,9 @@ let to_text t =
           Buffer.add_string b
             (Printf.sprintf "%*s[%s] n%d #%d%s %s\n" (2 + (2 * d)) ""
                (Time.to_string e.ev_at) e.ev_node e.ev_id
-               (match e.ev_parent with
-               | Some p when p <> e.ev_id -> Printf.sprintf " <#%d" p
-               | _ -> "")
+               (let p = e.ev_parent in
+                if p >= 0 && p <> e.ev_id then Printf.sprintf " <#%d" p
+                else "")
                (Journal.describe_kind e.ev_kind)))
         evs)
     (traces t);
@@ -132,9 +130,7 @@ let instant (e : Journal.event) =
           [
             ("id", Json.Int e.ev_id);
             ( "parent",
-              match e.ev_parent with
-              | Some p -> Json.Int p
-              | None -> Json.Null );
+              if e.ev_parent >= 0 then Json.Int e.ev_parent else Json.Null );
             ("detail", Json.Str (Journal.describe_kind e.ev_kind));
           ] );
     ]
@@ -172,8 +168,9 @@ let to_chrome_json ?(extra = []) t =
     List.concat
       (List.mapi
          (fun i (e : Journal.event) ->
-           match (e.ev_kind, e.ev_parent) with
-           | Journal.Recv _, Some p -> (
+           match e.ev_kind with
+           | Journal.Recv _ when e.ev_parent >= 0 -> (
+             let p = e.ev_parent in
              let q = Index.parent ix (Index.input ix i) in
              if q < 0 then []
              else

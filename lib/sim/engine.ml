@@ -73,6 +73,8 @@ and proc_state =
 and handle = {
   h_proc : proc;
   mutable h_k : (wake, unit) continuation option;
+  mutable h_slot : int;
+      (* the timer tier's slot of this wait's timeout, or [-1] *)
 }
 
 (* A fiber runs process bodies one after another.  While a process
@@ -152,8 +154,19 @@ let push_into q eng time run =
   eng.next_seq <- seq + 1;
   Pqueue.push_seq q (Time.to_ns time) seq run
 
-let push_event eng time run = push_into eng.heap eng time run
+let push_event eng time run = ignore (push_into eng.heap eng time run)
 let push_timer eng time run = push_into eng.timers eng time run
+
+(* A wait that ends before its timeout releases the timeout's closure,
+   which holds the handle and the process record.  The entry itself
+   stays and pops as a no-op ([ignore], the tier's dummy) at its own
+   (time, seq), so the schedule and the event count are those of a run
+   that kept the closure. *)
+let release_timer eng h =
+  if h.h_slot >= 0 then begin
+    Pqueue.clear eng.timers h.h_slot;
+    h.h_slot <- -1
+  end
 
 let schedule eng ?(after = Time.zero) f =
   push_event eng (Time.add eng.clock after) f
@@ -216,18 +229,22 @@ let new_fiber eng p body =
 
 let on_suspend eng fb timeout register (k : (wake, unit) continuation) =
   let p = fb.fb_proc in
-  let h = { h_proc = p; h_k = Some k } in
+  let h = { h_proc = p; h_k = Some k; h_slot = -1 } in
   p.p_state <- Blocked h;
   eng.running <- None;
   (match timeout with
   | None -> ()
   | Some d ->
-    push_timer eng (Time.add eng.clock d) (fun () ->
-        match h.h_k with
-        | None -> ()
-        | Some k ->
-          h.h_k <- None;
-          resume_with eng p k Timed_out));
+    (* The timeout forgets its slot as it runs: by then the entry has
+       popped and the slot may hold another timer. *)
+    h.h_slot <-
+      push_timer eng (Time.add eng.clock d) (fun () ->
+          h.h_slot <- -1;
+          match h.h_k with
+          | None -> ()
+          | Some k ->
+            h.h_k <- None;
+            resume_with eng p k Timed_out));
   register h
 
 let start_fiber eng fb =
@@ -319,6 +336,7 @@ let kill eng pid =
         ()
       | Some k ->
         h.h_k <- None;
+        release_timer eng h;
         p.p_state <- Sched;
         push_event eng eng.clock (fun () ->
             enter eng p;
@@ -336,8 +354,6 @@ let delay d =
   delay_by := d;
   try perform E_delay with Effect.Unhandled _ -> not_in_process "delay"
 
-let yield () = delay Time.zero
-
 let suspend ?timeout register =
   try perform (E_suspend (timeout, register))
   with Effect.Unhandled _ -> not_in_process "suspend"
@@ -347,6 +363,7 @@ let wake eng h =
   | None -> ()
   | Some k ->
     h.h_k <- None;
+    release_timer eng h;
     let p = h.h_proc in
     p.p_state <- Sched;
     push_event eng eng.clock (fun () -> resume_with eng p k Woken)
@@ -397,6 +414,7 @@ let handle_idle eng =
       | None -> false
       | Some k ->
         h.h_k <- None;
+        release_timer eng h;
         enter eng p;
         discontinue k Stalled_waiting;
         true)

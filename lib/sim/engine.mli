@@ -4,11 +4,14 @@
     the timeouts of timed waits ({!suspend} with [~timeout]) in one
     heap, every other event in another, both numbered from one
     sequence counter and merged in (time, sequence) order, so the
-    tiers change the cost of a run but never its schedule.  Work is
+    tiers change the cost of a run but never its schedule.  A wait
+    that ends before its timeout releases the timeout's closure; the
+    timeout's entry stays in its heap and pops as a no-op.  Work is
     expressed as {e processes}: ordinary OCaml functions that may call
-    the blocking operations {!delay}, {!suspend} and {!yield}, which are
+    the blocking operations {!delay} and {!suspend}, which are
     implemented with effect handlers so that a process is suspended and
-    resumed without threads.  A process runs on a reusable fiber:
+    resumed without threads.  [delay Time.zero] reschedules a process
+    behind the work already queued for the current instant.  A process runs on a reusable fiber:
     when one ends, its fiber (stack and handler) serves the next
     process start, and {!run} frees the idle ones before returning.
     Events scheduled for the same instant run
@@ -84,9 +87,6 @@ val schedule : t -> ?after:Eden_util.Time.t -> (unit -> unit) -> unit
 val self : unit -> Pid.t
 val delay : Eden_util.Time.t -> unit
 (** Advance virtual time for this process. *)
-
-val yield : unit -> unit
-(** Reschedule behind other work at the current instant. *)
 
 val suspend : ?timeout:Eden_util.Time.t -> (handle -> unit) -> wake
 (** [suspend register] blocks the calling process.  [register] is called

@@ -3,8 +3,8 @@
    Heap position [i] holds the entry ([keys.(i)], [seqs.(i)]) whose
    value sits in [vals.(slots.(i))].  Sifting moves integers only: a
    store into [vals] goes through the GC write barrier, so a value is
-   written once on push and cleared once on pop rather than at every
-   level of the heap.  The value slots not in use form a stack in
+   written once on push and cleared once on pop (or before, by
+   [clear]) rather than at every level of the heap.  The value slots not in use form a stack in
    [free.(0 .. capacity - size - 1)]. *)
 type 'a t = {
   dummy : 'a;
@@ -101,7 +101,10 @@ let push_seq h key seq v =
      [capacity - size]. *)
   let slot = Array.unsafe_get h.free (Array.length h.keys - h.size) in
   Array.unsafe_set h.vals slot v;
-  sift_up h.keys h.seqs h.slots i key seq slot
+  sift_up h.keys h.seqs h.slots i key seq slot;
+  slot
+
+let clear h slot = Array.set h.vals slot h.dummy
 
 let min_key h =
   if h.size = 0 then invalid_arg "Pqueue.min_key: empty heap";

@@ -19,10 +19,19 @@ val create : dummy:'a -> unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push_seq : 'a t -> int -> int -> 'a -> unit
-(** [push_seq h key seq v] inserts [v] at ([key], [seq]).  Sequence
-    numbers should be distinct; two entries with the same key and
-    sequence pop in an unspecified order. *)
+val push_seq : 'a t -> int -> int -> 'a -> int
+(** [push_seq h key seq v] inserts [v] at ([key], [seq]) and returns
+    the slot that holds [v], for {!clear}.  Sequence numbers should be
+    distinct; two entries with the same key and sequence pop in an
+    unspecified order. *)
+
+val clear : 'a t -> int -> unit
+(** [clear h slot] replaces the value in [slot] by the heap's [dummy],
+    so the heap no longer keeps it reachable.  The entry keeps its key
+    and sequence number and pops where it would have, yielding
+    [dummy].  [slot] must come from the {!push_seq} of an entry still
+    in the heap: once that entry has popped, the slot may hold another
+    entry's value. *)
 
 val min_key : 'a t -> int
 (** Key of the entry {!pop_exn} would return next.  Raises

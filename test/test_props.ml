@@ -816,7 +816,7 @@ let heap_matches_model =
         (function
           | Push k ->
             (* The value is the push's seq, so a pop names its entry. *)
-            Pqueue.push_seq h k !seq !seq;
+            ignore (Pqueue.push_seq h k !seq !seq);
             model :=
               List.merge
                 (fun (k1, s1) (k2, s2) ->
@@ -896,8 +896,9 @@ let tiers_merge_as_one =
         (function
           | Tpush (to_timers, k) ->
             (* The value is the push's seq, so a pop names its entry. *)
-            Pqueue.push_seq one k !seq !seq;
-            Pqueue.push_seq (if to_timers then timers else main) k !seq !seq;
+            ignore (Pqueue.push_seq one k !seq !seq);
+            ignore
+              (Pqueue.push_seq (if to_timers then timers else main) k !seq !seq);
             incr seq
           | Tpop -> compare_pop ())
         ops;
@@ -905,6 +906,97 @@ let tiers_merge_as_one =
         compare_pop ()
       done;
       compare_pop ();
+      match !err with Some m -> Error m | None -> Ok ())
+
+(* Clearing an entry's slot (what the engine does to the timeout of a
+   wait that ended early) drops its value but not its place: pushes,
+   pops and clears interleaved against a model of the live entries,
+   sorted on (key, seq), each flagged once cleared.  Every pop must
+   return the model head's key, and its value, or the dummy if it was
+   cleared; a clear must touch no other entry, though freed slots are
+   reused.  [Cclear i] clears the [i mod live]th live entry in model
+   order, so the clears stay meaningful as shrinking drops pops. *)
+
+type clear_op = Cpush of int | Cpop | Cclear of int
+
+let show_clear_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Cpush k -> string_of_int k
+         | Cpop -> "pop"
+         | Cclear i -> Printf.sprintf "clear%d" i)
+       ops)
+
+let gen_clear_ops rng =
+  List.init
+    (1 + Splitmix.int rng 200)
+    (fun _ ->
+      match Splitmix.int rng 6 with
+      | 0 | 1 -> Cpop
+      | 2 -> Cclear (Splitmix.int rng 64)
+      | _ -> Cpush (Splitmix.int rng 4))
+
+let cleared_keep_their_place =
+  Prop.case ~name:"cleared Pqueue entries keep their place" ~base:0xA110_0012L
+    ~gen:gen_clear_ops ~shrink:shrink_heap_ops ~show:show_clear_ops (fun ops ->
+      let h = Pqueue.create ~dummy:(-1) () in
+      (* (key, seq, slot, cleared), sorted on (key, seq). *)
+      let model = ref [] and seq = ref 0 in
+      let err = ref None in
+      let fail fmt =
+        Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt
+      in
+      let pop () =
+        match !model with
+        | [] -> if not (Pqueue.is_empty h) then fail "heap not empty"
+        | (k, s, _, cleared) :: rest ->
+          model := rest;
+          if Pqueue.is_empty h then fail "heap empty, model head (%d, %d)" k s
+          else begin
+            let k' = Pqueue.min_key h and s' = Pqueue.min_seq h in
+            let v = Pqueue.pop_exn h in
+            let want = if cleared then -1 else s in
+            if (k', s', v) <> (k, s, want) then
+              fail "popped (%d, %d) = %d, model head (%d, %d) = %d" k' s' v k
+                s want
+          end
+      in
+      List.iter
+        (function
+          | Cpush k ->
+            (* The value is the push's seq, so a pop names its entry. *)
+            let slot = Pqueue.push_seq h k !seq !seq in
+            model :=
+              List.merge
+                (fun (k1, s1, _, _) (k2, s2, _, _) ->
+                  let c = Int.compare k1 k2 in
+                  if c <> 0 then c else Int.compare s1 s2)
+                !model
+                [ (k, !seq, slot, false) ];
+            incr seq
+          | Cpop -> pop ()
+          | Cclear i -> (
+            match !model with
+            | [] -> ()
+            | live ->
+              let target = i mod List.length live in
+              model :=
+                List.mapi
+                  (fun j ((k, s, slot, _) as e) ->
+                    if j = target then begin
+                      Pqueue.clear h slot;
+                      (k, s, slot, true)
+                    end
+                    else e)
+                  live))
+        ops;
+      if Pqueue.length h <> List.length !model then
+        fail "length %d, model %d" (Pqueue.length h) (List.length !model);
+      while !model <> [] do
+        pop ()
+      done;
+      pop ();
       match !err with Some m -> Error m | None -> Ok ())
 
 (* ------------------------------------------------------------------ *)
@@ -1072,6 +1164,11 @@ module Oracle = struct
   let has_prefix p s =
     String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
+  (* The oracle reads the parent as an option ([None] for [-1]), the
+     way the list-based code it reproduces did. *)
+  let parent_opt (e : Journal.event) =
+    if e.ev_parent < 0 then None else Some e.ev_parent
+
   let directory_message msg =
     has_prefix "locate" msg || has_prefix "dir" msg || has_prefix "hint" msg
     || has_prefix "inv_nack" msg
@@ -1098,7 +1195,7 @@ module Oracle = struct
       | Journal.Net_hold _ -> [ (Wire, gap) ]
       | Journal.Recv { msg; _ } ->
         let held =
-          match cur.Journal.ev_parent with
+          match parent_opt cur with
           | None -> 0
           | Some send_id -> min gap (hold_overlap holds ~parent:send_id ~t0 ~t1)
         in
@@ -1161,7 +1258,7 @@ module Oracle = struct
         let holds = Hashtbl.create 7 in
         List.iter
           (fun ev ->
-            match (ev.Journal.ev_kind, ev.Journal.ev_parent) with
+            match (ev.Journal.ev_kind, parent_opt ev) with
             | Journal.Net_hold { by; _ }, Some parent ->
               let h0 = Time.to_ns ev.Journal.ev_at in
               let span = (h0, h0 + Time.to_ns by) in
@@ -1240,7 +1337,7 @@ module Oracle = struct
         (fun (e : Journal.event) ->
           match e.ev_kind with
           | Journal.Recv { src; msg } -> (
-            match e.ev_parent with
+            match parent_opt e with
             | None ->
               add "recv-matches-send" (Some e.ev_id)
                 (Printf.sprintf "recv of %s has no parent" msg)
@@ -1266,7 +1363,7 @@ module Oracle = struct
         events;
     List.iter
       (fun (e : Journal.event) ->
-        match e.ev_parent with
+        match parent_opt e with
         | Some p when p <> e.ev_id -> (
           match Hashtbl.find_opt by_id p with
           | Some pe when Time.compare pe.ev_at e.ev_at > 0 ->
@@ -1600,9 +1697,9 @@ let gen_analysis_event ~n rng : Journal.event =
     ev_trace = pick [ 0; 1; 2; 3; id; n + 1 ];
     ev_parent =
       (match Splitmix.int rng 4 with
-      | 0 -> None
-      | 1 -> Some id
-      | _ -> Some (Splitmix.int rng (n + 2)));
+      | 0 -> -1
+      | 1 -> id
+      | _ -> Splitmix.int rng (n + 2));
     ev_kind = kind;
   }
 
@@ -1672,7 +1769,7 @@ let gen_wide_analysis_events rng =
   let top =
     List.fold_left
       (fun m (e : Journal.event) ->
-        let parent = Option.value e.ev_parent ~default:0 in
+        let parent = max e.ev_parent 0 in
         max m (max e.ev_id (max e.ev_trace parent)))
       0 evs
   in
@@ -1694,10 +1791,10 @@ let gen_wide_analysis_events rng =
         ev_trace = wide e.ev_trace;
         ev_parent =
           (match (e.ev_parent, Splitmix.int rng 6) with
-          | Some _, 0 -> Some far_back
-          | Some _, 1 -> Some absent
-          | Some p, _ -> Some (wide p)
-          | None, _ -> None);
+          | p, 0 when p >= 0 -> far_back
+          | p, 1 when p >= 0 -> absent
+          | p, _ when p >= 0 -> wide p
+          | _, _ -> -1);
       })
     evs
 
@@ -1773,7 +1870,7 @@ let () =
         ] );
       ("fault_plan", [ plan_roundtrip ]);
       ("health", [ window_merge_algebra; topk_error_bounds ]);
-      ("pqueue", [ heap_matches_model; tiers_merge_as_one ]);
+      ("pqueue", [ heap_matches_model; tiers_merge_as_one; cleared_keep_their_place ]);
       ( "directory",
         [
           ring_balance;

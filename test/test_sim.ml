@@ -86,21 +86,21 @@ let test_spawn_at () =
   Engine.run eng;
   check_int "starts at 7ms" 7_000_000 (Time.to_ns !fired)
 
-let test_yield_interleaves () =
+let test_zero_delay_interleaves () =
   let eng = Engine.create () in
   let order = ref [] in
   let mk tag =
     ignore
       (Engine.spawn eng (fun () ->
            order := (tag ^ "1") :: !order;
-           Engine.yield ();
+           Engine.delay Time.zero;
            order := (tag ^ "2") :: !order))
   in
   mk "a";
   mk "b";
   Engine.run eng;
   Alcotest.(check (list string))
-    "yield alternates" [ "a1"; "b1"; "a2"; "b2" ] (List.rev !order)
+    "zero delay alternates" [ "a1"; "b1"; "a2"; "b2" ] (List.rev !order)
 
 let test_run_reentrancy_guarded () =
   let eng = Engine.create () in
@@ -270,7 +270,7 @@ let schedule_fingerprint () =
            for _ = 1 to 6 do
              here ();
              Engine.delay (Time.us 5);
-             Engine.yield ()
+             Engine.delay Time.zero
            done))
   done;
   for i = 1 to 5 do
@@ -440,6 +440,64 @@ let test_tier_fingerprint () =
     ties;
   Alcotest.(check string) "fingerprint" "8f39648ff3d6fefb361d6adacfa450e4" digest
 
+(* A wait that ends before its timeout must not keep the timeout's
+   closure, and with it the handle and the process, reachable until
+   the timeout's time: the stale entry stays in the timer tier, but
+   holds nothing.  Woken, killed and stalled waits are the three ways
+   a wait ends early; a stalled wait never has a timeout pending (the
+   engine stalls a wait only once both tiers are empty), so it checks
+   that the stall path still works beside the other two. *)
+let test_woken_waits_pin_nothing () =
+  let n = 100_000 in
+  let eng = Engine.create () in
+  let cond = Condition.create eng in
+  let woken = ref 0 and killed = ref false and stalled = ref false in
+  let timeout = Time.s 1000 in
+  for _ = 1 to n - 1 do
+    ignore
+      (Engine.spawn eng (fun () ->
+           match Condition.await ~timeout cond with
+           | Engine.Woken -> incr woken
+           | Engine.Timed_out -> ()))
+  done;
+  let victim =
+    Engine.spawn eng (fun () ->
+        try ignore (Condition.await ~timeout cond)
+        with Engine.Killed -> killed := true)
+  in
+  let stall = Condition.create eng in
+  ignore
+    (Engine.spawn eng (fun () ->
+         try ignore (Condition.await stall)
+         with Engine.Stalled_waiting -> stalled := true));
+  Engine.schedule eng ~after:(t_ms 1) (fun () ->
+      Engine.kill eng victim;
+      Condition.broadcast cond);
+  let live () =
+    Gc.full_major ();
+    (Gc.quick_stat ()).Gc.live_words
+  in
+  Engine.run ~until:(Time.s 1) eng;
+  check_int "woken" (n - 1) !woken;
+  check_bool "killed" true !killed;
+  (* [n] + 1 starts, the broadcast, [n] - 1 wakes and the kill. *)
+  check_int "events with the timeouts pending" 200_002
+    (Engine.events_processed eng);
+  let pending = live () in
+  Engine.run eng;
+  check_bool "stalled" true !stalled;
+  (* Every stale timeout still pops and counts. *)
+  check_int "events after the timeouts" 300_002 (Engine.events_processed eng);
+  check_int "clock at the last timeout" (Time.to_ns timeout)
+    (Time.to_ns (Engine.now eng));
+  let fired = live () in
+  (* The engine, and with it the timer tier's arrays, must be live in
+     both counts. *)
+  ignore (Sys.opaque_identity eng);
+  if pending - fired >= n then
+    Alcotest.failf "%d words live with %d stale timeouts pending, %d after"
+      pending n fired
+
 let test_finished_process_forgotten () =
   let eng = Engine.create () in
   let short = Engine.spawn eng (fun () -> Engine.delay (t_ms 1)) in
@@ -499,7 +557,8 @@ let reuse_after first =
   check_int "reused by the next start" 0 !inside;
   check_int "retired when run returns" 0 (Engine.parked_fibers eng)
 
-let test_reuse_after_return () = reuse_after (fun _ () -> Engine.yield ())
+let test_reuse_after_return () =
+  reuse_after (fun _ () -> Engine.delay Time.zero)
 
 let test_reuse_after_killed_raised () =
   reuse_after (fun _ () -> raise Engine.Killed)
@@ -1243,7 +1302,7 @@ let () =
             test_interleaving_deterministic;
           Alcotest.test_case "run until" `Quick test_run_until_truncates;
           Alcotest.test_case "spawn at" `Quick test_spawn_at;
-          Alcotest.test_case "yield" `Quick test_yield_interleaves;
+          Alcotest.test_case "zero delay" `Quick test_zero_delay_interleaves;
           Alcotest.test_case "outside process" `Quick
             test_outside_process_errors;
           Alcotest.test_case "nested run rejected" `Quick
@@ -1267,6 +1326,8 @@ let () =
           Alcotest.test_case "fingerprint" `Quick test_schedule_fingerprint;
           Alcotest.test_case "timer tier fingerprint" `Quick
             test_tier_fingerprint;
+          Alcotest.test_case "woken waits pin nothing" `Quick
+            test_woken_waits_pin_nothing;
           Alcotest.test_case "finished process forgotten" `Quick
             test_finished_process_forgotten;
         ] );

@@ -121,14 +121,14 @@ let drain_values h = List.map snd (drain h)
 
 let test_pqueue_order () =
   let h = Pqueue.create ~dummy:0 () in
-  List.iteri (fun i k -> Pqueue.push_seq h k i k) [ 5; 1; 4; 1; 3 ];
+  List.iteri (fun i k -> ignore (Pqueue.push_seq h k i k)) [ 5; 1; 4; 1; 3 ];
   Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] (drain_values h)
 
 let test_pqueue_fifo_ties () =
   (* Equal keys must pop in sequence order. *)
   let h = Pqueue.create ~dummy:"" () in
   List.iteri
-    (fun i (k, l) -> Pqueue.push_seq h k i l)
+    (fun i (k, l) -> ignore (Pqueue.push_seq h k i l))
     [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
   Alcotest.(check (list string))
     "fifo among equals"
@@ -145,7 +145,7 @@ let test_pqueue_basics () =
   Alcotest.check_raises "min_seq empty"
     (Invalid_argument "Pqueue.min_seq: empty heap") (fun () ->
       ignore (Pqueue.min_seq h));
-  Pqueue.push_seq h 9 4 "nine";
+  ignore (Pqueue.push_seq h 9 4 "nine");
   check_int "min_key" 9 (Pqueue.min_key h);
   check_int "min_seq" 4 (Pqueue.min_seq h);
   check_int "length" 1 (Pqueue.length h);
@@ -161,7 +161,7 @@ let prop_pqueue_sorts =
     QCheck.(list int)
     (fun xs ->
       let h = Pqueue.create ~dummy:0 () in
-      List.iteri (fun i k -> Pqueue.push_seq h k i k) xs;
+      List.iteri (fun i k -> ignore (Pqueue.push_seq h k i k)) xs;
       let out = drain h in
       List.for_all (fun (k, v) -> k = v) out
       && List.map fst out = List.sort Int.compare xs)
