@@ -25,7 +25,7 @@ help:
 	@echo "make profile-check - profiler smoke: E25 attribution + same-seed profile cmp"
 	@echo "make host-smoke   - one round per stream of each benchmark workload, gates checked"
 	@echo "make hostprof     - sampling profile of hot_invoke's request phases (host time)"
-	@echo "make hostprof-smoke - one phase of each hostprof mode, so the profiler keeps working"
+	@echo "make hostprof-smoke - a few phases of each hostprof mode, so the profiler keeps working"
 	@echo "make determinism  - experiment output must be bit-reproducible"
 	@echo "make clean        - dune clean"
 
@@ -249,7 +249,7 @@ hostprof:
 	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
 	  --phases 64
 
-# Both hostprof modes on one phase: the profiler must build and run,
+# Every hostprof mode on a few phases: the profiler must build and run,
 # and print its allocation figures (the tables are cut to three rows).
 hostprof-smoke:
 	dune build ./bench/hostprof/main.exe
@@ -257,6 +257,8 @@ hostprof-smoke:
 	  --phases 1 --top 3
 	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
 	  --phase analysis --phases 1 --top 3
+	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
+	  --phase setup --phases 16 --top 3
 	@echo "hostprof-smoke: OK"
 
 # The whole experiment suite must be bit-reproducible.

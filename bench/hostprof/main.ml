@@ -2,6 +2,7 @@
 
      main.exe --workload W --seed N --phases K [--top T]
      main.exe --workload W --seed N --phase analysis --phases K [--top T]
+     main.exe --workload W --seed N --phase setup --phases K [--top T]
 
    Runs K request phases of workload W — phase i on input stream
    i mod streams, each on a fresh cluster whose set-up is not sampled —
@@ -18,11 +19,18 @@
    It prints each call's median CPU milliseconds and its minor words
    per call and per timeline event, and, from a first pass over the
    calls in that order, the live words and the top of the heap after
-   each call and a full major collection.  Every tick records the
-   OCaml call stack; afterwards the samples are attributed three ways:
+   each call and a full major collection.  With [--phase setup] it
+   samples K set-ups instead — set-up i builds a fresh cluster on
+   stream i mod streams, as hostbench times it as [setup_s] — after an
+   unsampled pass over the same K that prints the words each set-up
+   allocates and its median CPU milliseconds.  Every tick records the
+   OCaml call stack; afterwards the samples are attributed four ways:
 
    - self time by source line: the innermost frame of each sample;
    - self time by file;
+   - samples by function: every function on the sample's stack, each
+     counted once (a fiber's stack stops at its boundary, so in request
+     phases this undercounts the callers of process bodies);
    - samples by process root: the outermost frame of each sample that
      belongs to a process body.  A stack stops at the fiber boundary,
      and a fiber starts in the engine's fiber loop, so inside a
@@ -150,6 +158,45 @@ let median xs =
   Array.sort Float.compare a;
   a.(Array.length a / 2)
 
+(* [phases] set-ups, each a fresh cluster on stream [i mod streams]:
+   first unsampled, timing each and counting what it allocates, then
+   sampled.  A set-up is a fraction of a millisecond, so a useful
+   sample count needs K in the thousands. *)
+let sample_setups spec ~workload ~seed ~phases =
+  let setup i =
+    let sub = i mod spec.Workload.streams in
+    ignore (Workload.setup spec ~seed ~sub Workload.no_hooks)
+  in
+  let minor = ref 0.0 and promoted = ref 0.0 and direct = ref 0.0 in
+  let ms = ref [] in
+  for i = 0 to phases - 1 do
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () and t0 = Sys.time () in
+    setup i;
+    let t1 = Sys.time () and minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    ms := ((t1 -. t0) *. 1e3) :: !ms;
+    minor := !minor +. (minor1 -. minor0);
+    promoted := !promoted +. (promoted1 -. promoted0);
+    direct := !direct +. (major1 -. major0 -. (promoted1 -. promoted0))
+  done;
+  let per x = x /. float_of_int phases in
+  let t0 = Sys.time () in
+  armed := true;
+  for i = 0 to phases - 1 do
+    setup i
+  done;
+  armed := false;
+  ( Printf.sprintf
+      "hostprof: workload %s  seed %d  %d set-ups (%d nodes, %d objects each)\n\
+      \  unsampled: %.3f ms per set-up (median); words per set-up: %.0f \
+       minor, %.0f promoted, %.0f direct to the major heap\n\
+      \  then the same %d set-ups sampled"
+      workload seed phases spec.Workload.nodes
+      (Workload.total_objects spec) (median !ms) (per !minor) (per !promoted)
+      (per !direct) phases,
+    Sys.time () -. t0 )
+
 (* Stream 0 once, then [reps] rounds of the analysis reads over the
    finished cluster.  The first [reps] rounds are timed and counted
    with the sampler disarmed, so the figures carry no sampling cost;
@@ -252,13 +299,13 @@ let () =
     [
       ("--workload", Arg.Set_string workload, "W  hot_invoke | locate_scale | ckpt_mix | ckpt_local");
       ("--seed", Arg.Set_int seed, "N  workload seed");
-      ("--phase", Arg.Symbol ([ "request"; "analysis" ], ( := ) phase),
-       "  what to sample: request phases (default) or the analysis reads");
-      ("--phases", Arg.Set_int phases, "K  request phases (or analysis repetitions) to sample");
+      ("--phase", Arg.Symbol ([ "request"; "analysis"; "setup" ], ( := ) phase),
+       "  what to sample: request phases (default), the analysis reads or set-ups");
+      ("--phases", Arg.Set_int phases, "K  request phases (or analysis repetitions, or set-ups) to sample");
       ("--top", Arg.Set_int top, "T  rows per table");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe --workload W --seed N [--phase request|analysis] --phases K [--top T]";
+    "main.exe --workload W --seed N [--phase request|analysis|setup] --phases K [--top T]";
   let spec =
     match Workload.of_name !workload with
     | Some k -> Workload.spec k
@@ -266,17 +313,20 @@ let () =
       prerr_endline ("unknown workload: " ^ !workload);
       exit 2
   in
-  if !phase = "analysis" && !phases < 1 then begin
-    prerr_endline "--phase analysis needs --phases of at least 1";
+  if !phase <> "request" && !phases < 1 then begin
+    prerr_endline ("--phase " ^ !phase ^ " needs --phases of at least 1");
     exit 2
   end;
   Sys.set_signal Sys.sigprof (Sys.Signal_handle on_tick);
   let tick = { Unix.it_interval = 0.001; it_value = 0.001 } in
   ignore (Unix.setitimer Unix.ITIMER_PROF tick);
   let header, cpu =
-    if !phase = "analysis" then
+    match !phase with
+    | "analysis" ->
       sample_analysis spec ~workload:!workload ~seed:!seed ~reps:!phases
-    else sample_requests spec ~workload:!workload ~seed:!seed ~phases:!phases
+    | "setup" ->
+      sample_setups spec ~workload:!workload ~seed:!seed ~phases:!phases
+    | _ -> sample_requests spec ~workload:!workload ~seed:!seed ~phases:!phases
   in
   ignore
     (Unix.setitimer Unix.ITIMER_PROF { Unix.it_interval = 0.0; it_value = 0.0 });
@@ -288,6 +338,7 @@ let () =
   if total > 0 then begin
     let by_line = Hashtbl.create 256
     and by_file = Hashtbl.create 64
+    and by_func = Hashtbl.create 256
     and by_root = Hashtbl.create 64 in
     List.iter
       (fun r ->
@@ -297,6 +348,10 @@ let () =
         | f :: _ ->
           tally by_line (Printf.sprintf "%s  %s" f.f_loc f.f_name);
           tally by_file f.f_file);
+        List.filter (fun f -> not (is_self f)) all
+        |> List.map (fun f -> f.f_name)
+        |> List.sort_uniq String.compare
+        |> List.iter (tally by_func);
         (* A fiber's stack starts with the engine's fiber loop, which
            runs process bodies one after another, and the kernel's
            wrapper that tracks a process's pid; the first frame above
@@ -313,6 +368,8 @@ let () =
       raw;
     print_top "self time by line" ~total ~top:!top by_line;
     print_top "self time by file" ~total ~top:!top by_file;
+    print_top "samples by function anywhere on the stack" ~total ~top:!top
+      by_func;
     (* Analysis runs on the main stack only. *)
     if !phase <> "analysis" then
       print_top "samples by process root" ~total ~top:!top by_root

@@ -359,10 +359,11 @@ type t = {
   mutable c_health : health_plane option;
   c_hedge : hedge_state option;  (* present iff hedging is enabled *)
   c_profile : profile_counters option;  (* present iff profiling is on *)
-  c_dir : Directory.t;
+  c_dir : Directory.t Lazy.t;
       (* the consistent-hash ring mapping names to registry shards at
          the boot membership (epoch 0); a pure function of the member
-         set, shared by all nodes *)
+         set, shared by all nodes.  Built on first lookup, so a
+         cluster with the directory off never pays for it. *)
   mutable c_dir_nack_fallback : bool;
       (* NACK-on-wrong-home invalidation armed (default).  Test
          scaffolding: disabling it lets the stale-hint regression show
@@ -374,10 +375,10 @@ type t = {
       (* ring members at [c_epoch], ascending.  Spares are powered
          nodes outside this list: reachable over the LAN, but owning
          no ring segment until a join admits them. *)
-  c_rings : (int, Directory.t) Hashtbl.t;
-      (* epoch -> the ring built for that membership, cached at bump
-         time so a node serving through an old view keeps resolving
-         against the exact ring its view names *)
+  c_rings : (int, Directory.t Lazy.t) Hashtbl.t;
+      (* epoch -> the ring for that membership, captured at bump time
+         and built on first lookup, so a node serving through an old
+         view keeps resolving against the exact ring its view names *)
 }
 
 let locate_window = Time.ms 3
@@ -637,15 +638,17 @@ let dir_lease_ttl = Time.s 10
 
 let dir_enabled cl = cl.opts.use_directory
 
-(* The ring a given membership view resolves against.  Rings are
-   cached per epoch at bump time, so every view a node can hold has
-   its exact ring on hand; the boot ring backs epoch 0. *)
+(* The ring a given membership view resolves against.  Each epoch's
+   member list is captured at bump time, so every view a node can hold
+   names its exact ring; the boot ring backs epoch 0.  A ring is built
+   the first time a lookup forces it. *)
 let ring_of cl view =
-  if view <= 0 then cl.c_dir
-  else
-    match Hashtbl.find_opt cl.c_rings view with
-    | Some r -> r
-    | None -> cl.c_dir
+  Lazy.force
+    (if view <= 0 then cl.c_dir
+     else
+       match Hashtbl.find_opt cl.c_rings view with
+       | Some r -> r
+       | None -> cl.c_dir)
 
 (* The registry shard [viewer] talks to for [name]: the owner under
    the viewer's membership view, detouring past powered-off owners to
@@ -3346,7 +3349,7 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
       (* The shard map is a pure function of the member set: every
          node computes the same ring, no coordination.  Spares are
          excluded until a join bumps the epoch. *)
-      c_dir = Directory.make ~nodes:(List.init n_members Fun.id) ();
+      c_dir = lazy (Directory.make ~nodes:(List.init n_members Fun.id) ());
       c_dir_nack_fallback = true;
       c_epoch = 0;
       c_members = List.init n_members Fun.id;
@@ -3801,11 +3804,12 @@ let set_disk_failed cl i failed =
 
    The membership table is a pair (epoch, member list).  Every change
    — a spare joining, a member decommissioning — bumps the epoch,
-   caches the new epoch's ring, journals the initiator's [Epoch_bump]
-   and broadcasts an [Epoch_announce]; other nodes adopt the view when
-   the announce lands (or at their next power-on).  Nothing blocks on
-   the announce: a node serving through an old view resolves against
-   that view's cached ring, and the consistent ring's minimal-remap
+   captures the new epoch's member list for its ring (built on first
+   lookup), journals the initiator's [Epoch_bump] and broadcasts an
+   [Epoch_announce]; other nodes adopt the view when the announce
+   lands (or at their next power-on).  Nothing blocks on the
+   announce: a node serving through an old view resolves against that
+   view's own ring, and the consistent ring's minimal-remap
    property bounds the churn — one membership step moves about 1/n of
    the name space, and invariant 7 pins that a lagging view can cost a
    detour or a broadcast, never a stranded locate. *)
@@ -3818,7 +3822,8 @@ let is_draining cl i = (node_of cl i).nd_draining
 let bump_epoch cl node ~members =
   cl.c_epoch <- cl.c_epoch + 1;
   cl.c_members <- members;
-  Hashtbl.replace cl.c_rings cl.c_epoch (Directory.make ~nodes:members ());
+  Hashtbl.replace cl.c_rings cl.c_epoch
+    (lazy (Directory.make ~nodes:members ()));
   node.nd_epoch <- cl.c_epoch;
   Metrics.incr (nm cl node).m_epoch_bumps;
   let ev = jrecord cl node (Journal.Epoch_bump { epoch = cl.c_epoch }) in

@@ -289,13 +289,14 @@ val set_disk_failed : t -> node_id -> bool -> unit
 (** {1 Online reconfiguration}
 
     The membership table is an epoch-stamped member list.  {!join_node}
-    and {!decommission_node} bump the epoch, cache the new epoch's
-    directory ring and broadcast an [Epoch_announce]; other nodes adopt
-    the view when the announce lands (or at their next power-on), and a
-    node serving through an old view resolves against that view's
-    cached ring.  The consistent ring's minimal-remap property bounds
-    the churn to roughly 1/n of the name space per membership step, and
-    checker rule 7 ({e epoch-monotonic}) pins that views only move
+    and {!decommission_node} bump the epoch, capture the new epoch's
+    member list for its directory ring (built on first lookup) and
+    broadcast an [Epoch_announce]; other nodes adopt the view when the
+    announce lands (or at their next power-on), and a node serving
+    through an old view resolves against that view's own ring.  The
+    consistent ring's minimal-remap property bounds the churn to
+    roughly 1/n of the name space per membership step, and checker
+    rule 7 ({e epoch-monotonic}) pins that views only move
     forward and that a lagging view can cost a detour or a broadcast
     but never a stranded locate. *)
 

@@ -67,29 +67,72 @@ type t = {
   dir_nodes : int list;  (* the node set, ascending *)
 }
 
-let make ?(vnodes = default_vnodes) ~nodes () =
+(* Sort [keys] (non-negative ints, so below 2^62) ascending, carrying
+   [perm] along: a least-significant-digit radix sort, one byte per
+   pass.  Each pass is a stable counting sort, so equal keys keep
+   their input order.  Both arrays are consumed; the sorted pair is
+   returned. *)
+let radix_sort keys perm =
+  let len = Array.length keys in
+  let count = Array.make 256 0 in
+  let rec pass shift keys perm keys' perm' =
+    if shift >= 62 then (keys, perm)
+    else begin
+      Array.fill count 0 256 0;
+      for i = 0 to len - 1 do
+        let d = (keys.(i) lsr shift) land 255 in
+        count.(d) <- count.(d) + 1
+      done;
+      let sum = ref 0 in
+      for d = 0 to 255 do
+        let c = count.(d) in
+        count.(d) <- !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to len - 1 do
+        let k = keys.(i) in
+        let d = (k lsr shift) land 255 in
+        let at = count.(d) in
+        count.(d) <- at + 1;
+        keys'.(at) <- k;
+        perm'.(at) <- perm.(i)
+      done;
+      pass (shift + 8) keys' perm' keys perm
+    end
+  in
+  pass 0 keys perm (Array.make len 0) (Array.make len 0)
+
+let of_points ~vnodes ~nodes point =
   if vnodes < 1 then invalid_arg "Directory.make: vnodes must be positive";
   if nodes = [] then invalid_arg "Directory.make: empty node set";
   let sorted = List.sort_uniq Int.compare nodes in
   if List.length sorted <> List.length nodes then
     invalid_arg "Directory.make: duplicate node ids";
   let nodes = sorted in
-  let n = List.length nodes in
-  let points = Array.make (n * vnodes) (0, 0) in
-  List.iteri
+  let ids = Array.of_list nodes in
+  let len = Array.length ids * vnodes in
+  (* Point [i * vnodes + k] is virtual point [k] of node [ids.(i)]. *)
+  let hashes = Array.make len 0 in
+  Array.iteri
     (fun i node ->
       for k = 0 to vnodes - 1 do
-        points.((i * vnodes) + k) <- (point node k, node)
+        let h = point node k in
+        if h < 0 then invalid_arg "Directory.of_points: negative position";
+        hashes.((i * vnodes) + k) <- h
       done)
-    nodes;
-  (* Ties (astronomically rare 62-bit collisions) break on the lower
-     node id, so the ring is a total function of the node set. *)
-  Array.sort compare points;
+    ids;
+  (* The points are laid out in ascending node order and the sort is
+     stable, so ties (astronomically rare 62-bit collisions) break on
+     the lower node id and the ring is a total function of the node
+     set. *)
+  let hashes, perm = radix_sort hashes (Array.init len Fun.id) in
   {
-    dir_hashes = Array.map fst points;
-    dir_owners = Array.map snd points;
+    dir_hashes = hashes;
+    dir_owners = Array.map (fun i -> ids.(i / vnodes)) perm;
     dir_nodes = nodes;
   }
+
+let make ?(vnodes = default_vnodes) ~nodes () = of_points ~vnodes ~nodes point
 
 let nodes t = t.dir_nodes
 

@@ -1144,6 +1144,141 @@ let ring_minimal_remap =
                !moved_join k n)
         else Ok ())
 
+(* The ring build against the tuple-and-[compare] build it replaced,
+   kept here as the oracle: every (position, node) pair in an array
+   sorted by polymorphic [compare], so position ties go to the lower
+   node id, and lookups by binary search and a linear detour walk.
+   Real 62-bit positions practically never tie, so half the cases draw
+   positions through a coarse mask ([Directory.of_points]) that makes
+   ties common; the tie order is then visible to [shard_of_hash] at
+   the tied position. *)
+type ring_case = {
+  rc_nodes : int list;  (* 1..16 distinct ids in 0..63, unsorted *)
+  rc_vnodes : int;  (* 1..512 *)
+  rc_bits : int;  (* position mask width: 62 = exact, 3..12 = coarse *)
+  rc_down : int list;  (* the nodes the skipping lookups treat as down *)
+  rc_seed : int;  (* for the random probe positions *)
+}
+
+let ring_position c node k =
+  let p = Directory.point node k in
+  if c.rc_bits >= 62 then p else p land ((1 lsl c.rc_bits) - 1)
+
+let oracle_ring c =
+  let nodes = List.sort_uniq Int.compare c.rc_nodes in
+  let points =
+    List.concat_map
+      (fun node -> List.init c.rc_vnodes (fun k -> (ring_position c node k, node)))
+      nodes
+    |> Array.of_list
+  in
+  Array.sort compare points;
+  points
+
+let oracle_start points h =
+  let len = Array.length points in
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst points.(mid) < h then lo := mid + 1 else hi := mid
+  done;
+  if !lo = len then 0 else !lo
+
+let oracle_shard points h = snd points.(oracle_start points h)
+
+let oracle_shard_skipping points ~down h =
+  let len = Array.length points in
+  let start = oracle_start points h in
+  let rec walk i =
+    if i >= len then snd points.(start)
+    else
+      let owner = snd points.((start + i) mod len) in
+      if down owner then walk (i + 1) else owner
+  in
+  walk 0
+
+let gen_ring_case rng =
+  let nodes = gen_node_set rng in
+  let nodes = if Splitmix.int rng 8 = 0 then [ List.hd nodes ] else nodes in
+  {
+    rc_nodes = nodes;
+    rc_vnodes = 1 + Splitmix.int rng 512;
+    rc_bits = (if Splitmix.bool rng then 62 else 3 + Splitmix.int rng 10);
+    rc_down = List.filter (fun _ -> Splitmix.int rng 3 = 0) nodes;
+    rc_seed = Splitmix.int rng 1_000_000;
+  }
+
+let show_ring_case c =
+  Printf.sprintf "nodes [%s] vnodes %d bits %d down [%s] seed %d"
+    (show_nodes c.rc_nodes) c.rc_vnodes c.rc_bits (show_nodes c.rc_down)
+    c.rc_seed
+
+(* Fewer nodes and vnodes first; the positions stay as drawn. *)
+let shrink_ring_case c =
+  let fewer_nodes =
+    match c.rc_nodes with
+    | [] | [ _ ] -> []
+    | _ ->
+      List.map
+        (fun drop ->
+          let nodes = List.filter (( <> ) drop) c.rc_nodes in
+          { c with rc_nodes = nodes; rc_down = List.filter (( <> ) drop) c.rc_down })
+        c.rc_nodes
+  in
+  let fewer_vnodes =
+    List.filter_map
+      (fun v -> if v < c.rc_vnodes then Some { c with rc_vnodes = v } else None)
+      [ 1; 2; c.rc_vnodes / 2 ]
+  in
+  fewer_vnodes @ fewer_nodes
+
+let ring_matches_oracle =
+  Prop.case ~name:"ring build = tuple-and-compare oracle" ~base:0xD1A0_0003L
+    ~gen:gen_ring_case ~shrink:shrink_ring_case ~show:show_ring_case (fun c ->
+      let ring =
+        Directory.of_points ~vnodes:c.rc_vnodes ~nodes:c.rc_nodes
+          (ring_position c)
+      in
+      let points = oracle_ring c in
+      let down id = List.mem id c.rc_down in
+      let rng = Splitmix.create (Int64.of_int c.rc_seed) in
+      let span = if c.rc_bits >= 62 then max_int else 1 lsl c.rc_bits in
+      (* Every point's position and the one after it; random
+         positions; and one past the top, which wraps. *)
+      let probes =
+        Array.fold_right (fun (h, _) acc -> h :: (h + 1) :: acc) points []
+        @ List.init 64 (fun _ -> Splitmix.int rng span)
+        @ [ span; 0 ]
+      in
+      let nodes = List.sort_uniq Int.compare c.rc_nodes in
+      if Directory.nodes ring <> nodes then
+        Error
+          (Printf.sprintf "nodes [%s], oracle [%s]"
+             (show_nodes (Directory.nodes ring)) (show_nodes nodes))
+      else
+        (* Skipping walks the ring from each probe, so it is checked
+           at a sample of them: every 16th, and all the random ones. *)
+        let n_probes = List.length probes in
+        List.to_seq probes
+        |> Seq.mapi (fun i h -> (i, h))
+        |> Seq.find_map (fun (i, h) ->
+               let got = Directory.shard_of_hash ring h
+               and want = oracle_shard points h in
+               if got <> want then
+                 Some (Printf.sprintf "shard_of_hash %d = %d, oracle %d" h got want)
+               else if i mod 16 = 0 || i >= n_probes - 66 then
+                 let got = Directory.shard_of_hash_skipping ring ~down h
+                 and want = oracle_shard_skipping points ~down h in
+                 if got <> want then
+                   Some
+                     (Printf.sprintf "shard_of_hash_skipping %d = %d, oracle %d"
+                        h got want)
+                 else None
+               else None)
+        |> function
+        | Some e -> Error e
+        | None -> Ok ())
+
 (* ------------------------------------------------------------------ *)
 (* Trace analysis against a list-based oracle.  [Oracle] is the
    straightforward implementation of the critical-path attribution,
@@ -1875,6 +2010,7 @@ let () =
         [
           ring_balance;
           ring_minimal_remap;
+          ring_matches_oracle;
           Alcotest.test_case "point/name domains never alias" `Quick
             test_ring_point_name_aliasing;
         ] );

@@ -282,6 +282,40 @@ let test_join_drain_leave () =
     (Printf.sprintf "all seven invariants hold (%s)" (String.concat "; " v))
     true (v = [])
 
+(* Each epoch's ring is built on its first lookup, from the member list
+   captured when the epoch was bumped.  Here nothing looks a name up
+   until both bumps are done, so the current epoch's ring is first
+   built after a later bump than the boot one: it must still be the
+   ring over the current members, not the boot ring or the view
+   between the two steps (every one of the three member sets differs). *)
+let test_lazy_epoch_ring () =
+  let cl =
+    Cluster.default ~seed:7L
+      ~options:{ Cluster.default_options with Cluster.use_directory = true }
+      ~spares:1 ~n_nodes:3 ()
+  in
+  phase cl (fun () ->
+      must_s (Cluster.join_node cl 3);
+      must_s (Cluster.decommission_node cl 0));
+  check_int "two membership steps" 2 (Cluster.epoch cl);
+  Alcotest.(check (list int)) "members" [ 1; 2; 3 ] (Cluster.members cl);
+  let ring = Directory.make ~nodes:(Cluster.members cl) () in
+  let names =
+    List.init 256 (fun i -> Name.make ~birth_node:(i mod 4) ~serial:(i + 1))
+  in
+  List.iter
+    (fun name ->
+      check_int
+        (Printf.sprintf "shard of %s" (Name.to_string name))
+        (Directory.shard ring name)
+        (Cluster.directory_shard cl name))
+    names;
+  (* The names spread over every member, so a ring over any other
+     member set would disagree somewhere. *)
+  check_int "names reach every member" 3
+    (List.length
+       (List.sort_uniq Int.compare (List.map (Cluster.directory_shard cl) names)))
+
 (* ------------------------------------------------------------------ *)
 (* Bugfix: cloned reads consult the directory instead of broadcasting *)
 
@@ -560,6 +594,8 @@ let () =
             test_join_drain_leave;
           Alcotest.test_case "plan actions round-trip" `Quick
             test_plan_reconfig_roundtrip;
+          Alcotest.test_case "epoch ring built late keeps its members" `Quick
+            test_lazy_epoch_ring;
           Alcotest.test_case "deterministic chaos with reconfig" `Slow
             test_chaos_reconfig_deterministic;
           Alcotest.test_case "random churn: remap bound + invariants" `Slow
