@@ -15,7 +15,7 @@ help:
 	@echo "make ci           - the full gate: build, tests, CLI and example smokes, cmp checks, props x3 seeds"
 	@echo "make bench        - run the full experiment suite (E1..E25, M)"
 	@echo "make examples     - run the example programs"
-	@echo "make smoke        - exercise the edenctl CLI end to end"
+	@echo "make smoke        - exercise the edenctl CLI end to end, bad input refused"
 	@echo "make chaos        - fault-injection suite + same-seed snapshot cmp"
 	@echo "make trace-check  - chaos trace invariants (all eight) + same-seed timeline cmp"
 	@echo "make health-check - same-seed health reports must be byte-identical"
@@ -91,7 +91,14 @@ examples:
 	dune exec examples/load_balancer.exe
 	dune exec examples/cluster_monitor.exe
 
-# Exercise the CLI end to end.
+# Command lines edenctl must refuse: each has to exit non-zero with a
+# message, and not with 125 (cmdliner's exit for an uncaught exception).
+REJECTED = "demo --nodes 0" "demo --nodes=-2" "stats --nodes 0" \
+  "chaos --spares=-1" "chaos --requests=-3" \
+  "heartbeat --nodes 3 --kill 7" "heartbeat --nodes 3 --kill=-1" \
+  "synth --locality 1.5" "synth --requests=-1" "metrics-check /tmp"
+
+# Exercise the CLI end to end, then check that bad input is refused.
 smoke:
 	dune exec bin/edenctl.exe -- info
 	dune exec bin/edenctl.exe -- demo --nodes 4
@@ -99,22 +106,33 @@ smoke:
 	dune exec bin/edenctl.exe -- efs --txns 6 --optimistic
 	printf 'mk doc d\nappend d hello\nshow d\nquit\n' | \
 	  dune exec bin/edenctl.exe -- edit --nodes 2
+	dune build ./bin/edenctl.exe
+	@for args in $(REJECTED); do \
+	  err=$$(./_build/default/bin/edenctl.exe $$args 2>&1 >/dev/null); rc=$$?; \
+	  if [ $$rc -eq 0 ] || [ $$rc -eq 125 ] || [ -z "$$err" ]; then \
+	    echo "smoke: not refused (exit $$rc): edenctl $$args"; exit 1; \
+	  fi; \
+	  echo "refused (exit $$rc): edenctl $$args"; \
+	done
+
+# Run one edenctl command line twice with the same seed, reading each
+# @ in it as "a" the first time and "b" the second, then cmp every
+# output file named in the second argument between the two runs.
+define twice
+	dune exec bin/edenctl.exe -- $(subst @,a,$(1))
+	dune exec bin/edenctl.exe -- $(subst @,b,$(1))
+	set -e; $(foreach f,$(2),cmp $(subst @,a,$(f)) $(subst @,b,$(f));)
+endef
 
 # Fault injection: the chaos suite, then same-seed chaos runs twice —
 # the exported metrics snapshots must be byte-identical, both with the
 # hot-path features off and with the replica cache + coalescer on.
 chaos:
 	dune exec test/test_fault.exe
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --metrics-out /tmp/eden_chaos_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --metrics-out /tmp/eden_chaos_b.json
-	cmp /tmp/eden_chaos_a.json /tmp/eden_chaos_b.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --replica-cache --coalesce --metrics-out /tmp/eden_chaos_hot_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 \
-	  --replica-cache --coalesce --metrics-out /tmp/eden_chaos_hot_b.json
-	cmp /tmp/eden_chaos_hot_a.json /tmp/eden_chaos_hot_b.json
+	$(call twice,chaos --nodes 5 --seed 11 \
+	  --metrics-out /tmp/eden_chaos_@.json,/tmp/eden_chaos_@.json)
+	$(call twice,chaos --nodes 5 --seed 11 --replica-cache --coalesce \
+	  --metrics-out /tmp/eden_chaos_hot_@.json,/tmp/eden_chaos_hot_@.json)
 	@echo "chaos: OK (deterministic)"
 
 # Causal tracing: run the chaos workload with the trace checker armed
@@ -122,23 +140,17 @@ chaos:
 # the same seed — the assembled timelines (Chrome JSON and text) must
 # be byte-identical.
 trace-check:
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --check \
-	  --out /tmp/eden_trace_a.json --text /tmp/eden_trace_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --check \
-	  --out /tmp/eden_trace_b.json --text /tmp/eden_trace_b.txt
-	cmp /tmp/eden_trace_a.json /tmp/eden_trace_b.json
-	cmp /tmp/eden_trace_a.txt /tmp/eden_trace_b.txt
+	$(call twice,trace --nodes 5 --seed 11 --check \
+	  --out /tmp/eden_trace_@.json --text /tmp/eden_trace_@.txt,\
+	  /tmp/eden_trace_@.json /tmp/eden_trace_@.txt)
 	@echo "trace-check: OK (invariants hold, timelines deterministic)"
 
 # The health plane: run the chaos workload with SLO watchdogs and the
 # hot-object sketch armed, twice with the same seed — the full report
 # (dashboard, alert transitions, top-k rollup) must be byte-identical.
 health-check:
-	dune exec bin/edenctl.exe -- health --nodes 5 --seed 11 \
-	  --out /tmp/eden_health_a.txt
-	dune exec bin/edenctl.exe -- health --nodes 5 --seed 11 \
-	  --out /tmp/eden_health_b.txt
-	cmp /tmp/eden_health_a.txt /tmp/eden_health_b.txt
+	$(call twice,health --nodes 5 --seed 11 \
+	  --out /tmp/eden_health_@.txt,/tmp/eden_health_@.txt)
 	@echo "health-check: OK (alerts and hot objects deterministic)"
 
 # Speculation: the E22 smoke (cloning + hedging must cut p999 under
@@ -148,11 +160,8 @@ health-check:
 # stay byte-identical.
 tail-check:
 	dune exec bench/main.exe -- E22 --smoke
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --clone --hedge \
-	  --check --text /tmp/eden_tail_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --clone --hedge \
-	  --check --text /tmp/eden_tail_b.txt
-	cmp /tmp/eden_tail_a.txt /tmp/eden_tail_b.txt
+	$(call twice,trace --nodes 5 --seed 11 --clone --hedge \
+	  --check --text /tmp/eden_tail_@.txt,/tmp/eden_tail_@.txt)
 	@echo "tail-check: OK (tails cut, clone invariant holds, deterministic)"
 
 # The sharded locate directory: the E23 smoke (O(1) hit-path cost and
@@ -162,16 +171,10 @@ tail-check:
 # runs must produce byte-identical snapshots and timelines.
 dir-check:
 	dune exec bench/main.exe -- E23 --smoke
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 --directory \
-	  --metrics-out /tmp/eden_dir_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --seed 11 --directory \
-	  --metrics-out /tmp/eden_dir_b.json
-	cmp /tmp/eden_dir_a.json /tmp/eden_dir_b.json
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --directory \
-	  --check --text /tmp/eden_dir_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --seed 11 --directory \
-	  --check --text /tmp/eden_dir_b.txt
-	cmp /tmp/eden_dir_a.txt /tmp/eden_dir_b.txt
+	$(call twice,chaos --nodes 5 --seed 11 --directory \
+	  --metrics-out /tmp/eden_dir_@.json,/tmp/eden_dir_@.json)
+	$(call twice,trace --nodes 5 --seed 11 --directory \
+	  --check --text /tmp/eden_dir_@.txt,/tmp/eden_dir_@.txt)
 	@echo "dir-check: OK (O(1) locate, dir invariant holds, deterministic)"
 
 # Online reconfiguration: the E24 smoke (join + drain + leave under
@@ -183,27 +186,17 @@ dir-check:
 # hold and same-seed snapshots and timelines stay byte-identical.
 reconfig-check:
 	dune exec bench/main.exe -- E24 --smoke
-	dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 \
-	  --metrics-out /tmp/eden_reconfig_a.json
-	dune exec bin/edenctl.exe -- reconfig --nodes 4 --spares 1 --seed 11 \
-	  --metrics-out /tmp/eden_reconfig_b.json
-	cmp /tmp/eden_reconfig_a.json /tmp/eden_reconfig_b.json
+	$(call twice,reconfig --nodes 4 --spares 1 --seed 11 \
+	  --metrics-out /tmp/eden_reconfig_@.json,/tmp/eden_reconfig_@.json)
 	printf 'at 100ms  crash 3\nat 400ms  restart 3 rebuild\nat 200ms  drop 0->2 p=0.3\nat 700ms  heal-link 0->2\nat 500ms  join 5\nat 1200ms decommission 2\n' \
 	  > /tmp/eden_reconfig.plan
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --spares 1 --seed 11 \
+	$(call twice,chaos --nodes 5 --spares 1 --seed 11 \
 	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --metrics-out /tmp/eden_reconfig_chaos_a.json
-	dune exec bin/edenctl.exe -- chaos --nodes 5 --spares 1 --seed 11 \
+	  --metrics-out /tmp/eden_reconfig_chaos_@.json,\
+	  /tmp/eden_reconfig_chaos_@.json)
+	$(call twice,trace --nodes 5 --spares 1 --seed 11 \
 	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --metrics-out /tmp/eden_reconfig_chaos_b.json
-	cmp /tmp/eden_reconfig_chaos_a.json /tmp/eden_reconfig_chaos_b.json
-	dune exec bin/edenctl.exe -- trace --nodes 5 --spares 1 --seed 11 \
-	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --check --text /tmp/eden_reconfig_a.txt
-	dune exec bin/edenctl.exe -- trace --nodes 5 --spares 1 --seed 11 \
-	  --directory --fault-plan /tmp/eden_reconfig.plan \
-	  --check --text /tmp/eden_reconfig_b.txt
-	cmp /tmp/eden_reconfig_a.txt /tmp/eden_reconfig_b.txt
+	  --check --text /tmp/eden_reconfig_@.txt,/tmp/eden_reconfig_@.txt)
 	@echo "reconfig-check: OK (join/drain/leave live, invariants hold, deterministic)"
 
 # The critical-path profiler: the E25 smoke (three injected
@@ -216,15 +209,11 @@ reconfig-check:
 # exactly to its end-to-end latency) gates the run.
 profile-check:
 	dune exec bench/main.exe -- E25 --smoke
-	dune exec bin/edenctl.exe -- profile --nodes 5 --seed 11 \
-	  --out /tmp/eden_profile_a.txt --folded /tmp/eden_profile_a.folded \
-	  --json /tmp/eden_profile_a.json
-	dune exec bin/edenctl.exe -- profile --nodes 5 --seed 11 \
-	  --out /tmp/eden_profile_b.txt --folded /tmp/eden_profile_b.folded \
-	  --json /tmp/eden_profile_b.json
-	cmp /tmp/eden_profile_a.txt /tmp/eden_profile_b.txt
-	cmp /tmp/eden_profile_a.folded /tmp/eden_profile_b.folded
-	cmp /tmp/eden_profile_a.json /tmp/eden_profile_b.json
+	$(call twice,profile --nodes 5 --seed 11 \
+	  --out /tmp/eden_profile_@.txt --folded /tmp/eden_profile_@.folded \
+	  --json /tmp/eden_profile_@.json,\
+	  /tmp/eden_profile_@.txt /tmp/eden_profile_@.folded \
+	  /tmp/eden_profile_@.json)
 	dune exec bin/edenctl.exe -- profile --nodes 5 --seed 11 --directory \
 	  --clone --hedge --check > /dev/null
 	@echo "profile-check: OK (bottlenecks named, attribution exact, deterministic)"

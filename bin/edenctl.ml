@@ -1,31 +1,6 @@
-(* edenctl — drive Eden scenarios from the command line.
-
-     edenctl demo      [--nodes N] [--seed S] [--trace] [--metrics-out FILE]
-     edenctl mail      [--nodes N] [--users K] [--messages M] [--trace] [--metrics-out FILE]
-     edenctl synth     [--nodes N] [--locality F] [--requests R] [--fault-plan FILE]
-                       [--replica-cache] [--coalesce] [--ckpt-delta] [--ckpt-async]
-                       [--trace] [--metrics-out FILE]
-     edenctl efs       [--nodes N] [--txns T] [--optimistic] [--trace] [--metrics-out FILE]
-     edenctl heartbeat [--nodes N] [--kill I] [--trace] [--metrics-out FILE]
-     edenctl chaos     [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
-                       [--replica-cache] [--coalesce] [--ckpt-delta] [--ckpt-async]
-                       [--spares K] [--trace] [--metrics-out FILE]
-     edenctl reconfig  [--nodes N] [--spares K] [--seed S] [--requests R]
-                       [--fault-plan FILE] [--trace] [--metrics-out FILE]
-                       (join + drain + leave while a counter stream runs)
-     edenctl trace     [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
-                       [--out FILE] [--text FILE] [--check]
-                       (chaos workload + assembled cross-node causal timeline)
-     edenctl health    [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
-                       [--out FILE] [--json FILE]
-                       (chaos workload + SLO dashboard, alert transitions, hot objects)
-     edenctl top       [--nodes N] [--seed S] [--fault-plan FILE] [--requests R]
-                       [--k K] [--json FILE]
-                       (chaos workload + per-node / cluster hot-object tables)
-     edenctl stats     [--nodes N] [--requests R]   (metrics tables after a synth run)
-     edenctl metrics-check FILE                     (validate an exported snapshot)
-     edenctl edit      [--nodes N]      (interactive object editor)
-     edenctl info *)
+(* edenctl — drive Eden scenarios from the command line.  Every
+   subcommand is one row of [commands] at the bottom, built from the
+   option groups below; `edenctl CMD --help` lists what it takes. *)
 
 open Cmdliner
 open Eden_util
@@ -33,183 +8,250 @@ open Eden_sim
 open Eden_kernel
 
 (* ------------------------------------------------------------------ *)
-(* Common options *)
+(* Option groups *)
 
-let nodes_t =
-  Arg.(value & opt int 5 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
+(* [conv] narrowed to the values [ok] accepts, so bad input is a usage
+   error at parse time rather than an exception mid-run. *)
+let checked conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
 
-let seed_t =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
+let positive = checked Arg.int (fun n -> n >= 1) "an integer >= 1"
+let count = checked Arg.int (fun n -> n >= 0) "an integer >= 0"
 
-let trace_t =
-  Arg.(
-    value & flag
-    & info [ "trace" ] ~doc:"Dump the kernel trace tail after the run.")
+let fraction =
+  checked Arg.float (fun f -> f >= 0.0 && f <= 1.0) "a number in [0,1]"
 
-let metrics_out_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the final metrics snapshot (counters, gauges, histograms \
-           and invocation spans) to $(docv) as JSON.")
+type common = { nodes : int; seed : int }
 
-let fault_plan_t =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "fault-plan" ] ~docv:"FILE"
-        ~doc:
-          "Arm the fault plan in $(docv) (one 'at TIME ACTION' per \
-           line; see lib/fault/plan.mli for the grammar).")
+let common =
+  Term.(
+    const (fun nodes seed -> { nodes; seed })
+    $ Arg.(
+        value & opt positive 5 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
+    $ Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Random seed."))
 
-let replica_cache_t =
-  Arg.(
-    value & flag
-    & info [ "replica-cache" ]
-        ~doc:
-          "Enable the frozen-replica cache: nodes cache the \
-           representation of remote frozen objects on first use and \
-           serve later invocations locally.")
+let count_opt names default docv doc =
+  Arg.(value & opt count default & info names ~docv ~doc)
 
-let directory_t =
-  Arg.(
-    value & flag
-    & info [ "directory" ]
-        ~doc:
-          "Enable the sharded locate directory: a consistent-hash \
-           ring assigns every object name a registry shard, and a \
-           requester with no hint asks the shard with one unicast \
-           instead of broadcasting a locate.  Misses, dead shards \
-           and stale answers fall back to the broadcast path.")
+let file_opt name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
 
-let coalesce_t =
-  Arg.(
-    value & flag
-    & info [ "coalesce" ]
-        ~doc:
-          "Enable unicast message coalescing on the kernel transport: \
-           small same-destination messages batch into one wire \
-           transfer under size/count/delay budgets.")
+type outputs = { trace : bool; metrics_out : string option }
 
-let ckpt_delta_t =
-  Arg.(
-    value & flag
-    & info [ "ckpt-delta" ]
-        ~doc:
-          "Enable delta checkpoints: a checkpoint ships only the \
-           representation chunks that changed since the version each \
-           checksite last acknowledged, falling back to a full write \
-           on version mismatch.")
+let outputs =
+  Term.(
+    const (fun trace metrics_out -> { trace; metrics_out })
+    $ Arg.(
+        value & flag
+        & info [ "trace" ] ~doc:"Dump the kernel trace tail after the run.")
+    $ file_opt "metrics-out"
+        "Write the final metrics snapshot (counters, gauges, histograms and \
+         invocation spans) to $(docv) as JSON.")
 
-let ckpt_async_t =
-  Arg.(
-    value & flag
-    & info [ "ckpt-async" ]
-        ~doc:
-          "Checkpoint through the asynchronous pipeline: objects that \
-           persist their updates use $(b,checkpoint_async), so the \
-           writes overlap the request stream instead of blocking it.")
+let requests ?(doc = "Requests in the stream (one every 10ms of virtual time).")
+    default =
+  count_opt [ "requests" ] default "R" doc
 
-let clone_t =
-  Arg.(
-    value & flag
-    & info [ "clone" ]
-        ~doc:
-          "Speculatively clone read-only invocations on frozen objects \
-           to every known replica site; the first response wins and \
-           the losing sites receive an urgent cancel.")
+(* The synthetic workload's load knobs (synth, stats). *)
+let synth_load =
+  Term.(
+    const (fun locality requests -> (locality, requests))
+    $ Arg.(
+        value & opt fraction 0.8
+        & info [ "locality" ] ~docv:"F" ~doc:"Fraction of local requests.")
+    $ requests ~doc:"Requests per user." 25)
 
-let hedge_t =
-  Arg.(
-    value & flag
-    & info [ "hedge" ]
-        ~doc:
-          "Hedge straggling requests: when a reply takes longer than \
-           the windowed latency quantile, re-send the same request \
-           once (the server suppresses the duplicate).")
+type features = {
+  fault_plan : string option;
+  options : Cluster.options;
+  coalesce : Transport.coalesce option;
+  ckpt_async : bool;
+  spares : int;
+}
+
+type feature =
+  | Fault_plan | Replica_cache | Coalesce | Ckpt_delta | Ckpt_async
+  | Clone | Hedge | Directory | Spares
+
+(* What health and top offer; chaos, trace and profile offer them all. *)
+let health_features =
+  [ Fault_plan; Replica_cache; Coalesce; Ckpt_delta; Ckpt_async ]
+
+let all_features = health_features @ [ Clone; Hedge; Directory; Spares ]
 
 let spares_t =
-  Arg.(
-    value & opt int 0
-    & info [ "spares" ] ~docv:"K"
-        ~doc:
-          "Rack $(docv) spare nodes after the configured ones: powered \
-           and reachable but outside the boot membership, so a fault \
-           plan's 'join' action can admit them mid-run.")
+  count_opt [ "spares" ] 0 "K"
+    "Rack $(docv) spare nodes after the configured ones: powered and \
+     reachable but outside the boot membership, so a fault plan's 'join' \
+     action can admit them mid-run."
 
-let cluster_options ?(clone = false) ?(hedge = false) ?(directory = false)
-    ?(profiling = false) ~replica_cache ~ckpt_delta () =
-  {
-    Cluster.default_options with
-    Cluster.use_replica_cache = replica_cache;
-    Cluster.use_ckpt_delta = ckpt_delta;
-    Cluster.speculate =
-      { Api.no_speculation with Api.sp_clone = clone; sp_hedge = hedge };
-    Cluster.use_directory = directory;
-    Cluster.use_profiling = profiling;
-  }
+(* The cluster-feature flags.  A subcommand offers the ones in [only];
+   the rest stay off. *)
+let features ?(spares = spares_t) only =
+  let offer f t off = if List.mem f only then t else Term.const off in
+  let flag f name doc = offer f Arg.(value & flag & info [ name ] ~doc) false in
+  Term.(
+    const
+      (fun fault_plan replica_cache coalesce ckpt_delta ckpt_async clone hedge
+           directory spares ->
+        {
+          fault_plan;
+          options =
+            {
+              Cluster.default_options with
+              Cluster.use_replica_cache = replica_cache;
+              use_ckpt_delta = ckpt_delta;
+              speculate =
+                { Api.no_speculation with Api.sp_clone = clone; sp_hedge = hedge };
+              use_directory = directory;
+            };
+          coalesce = (if coalesce then Some Transport.default_coalesce else None);
+          ckpt_async;
+          spares;
+        })
+    $ offer Fault_plan
+        Arg.(
+          value
+          & opt (some file) None
+          & info [ "fault-plan" ] ~docv:"FILE"
+              ~doc:
+                "Arm the fault plan in $(docv) (one 'at TIME ACTION' per \
+                 line; see lib/fault/plan.mli for the grammar).")
+        None
+    $ flag Replica_cache "replica-cache"
+        "Enable the frozen-replica cache: nodes cache the representation of \
+         remote frozen objects on first use and serve later invocations \
+         locally."
+    $ flag Coalesce "coalesce"
+        "Enable unicast message coalescing on the kernel transport: small \
+         same-destination messages batch into one wire transfer under \
+         size/count/delay budgets."
+    $ flag Ckpt_delta "ckpt-delta"
+        "Enable delta checkpoints: a checkpoint ships only the \
+         representation chunks that changed since the version each \
+         checksite last acknowledged, falling back to a full write on \
+         version mismatch."
+    $ flag Ckpt_async "ckpt-async"
+        "Checkpoint through the asynchronous pipeline: objects that persist \
+         their updates use $(b,checkpoint_async), so the writes overlap the \
+         request stream instead of blocking it."
+    $ flag Clone "clone"
+        "Speculatively clone read-only invocations on frozen objects to \
+         every known replica site; the first response wins and the losing \
+         sites receive an urgent cancel."
+    $ flag Hedge "hedge"
+        "Hedge straggling requests: when a reply takes longer than the \
+         windowed latency quantile, re-send the same request once (the \
+         server suppresses the duplicate)."
+    $ flag Directory "directory"
+        "Enable the sharded locate directory: a consistent-hash ring assigns \
+         every object name a registry shard, and a requester with no hint \
+         asks the shard with one unicast instead of broadcasting a locate.  \
+         Misses, dead shards and stale answers fall back to the broadcast \
+         path."
+    $ offer Spares spares 0)
 
-let cluster_coalesce coalesce =
-  if coalesce then Some Transport.default_coalesce else None
+(* The chaos family's arguments: chaos, trace, health, top, profile. *)
+type chaos = { common : common; requests : int; features : features }
 
-(* Parse + validate a plan file, or derive a random plan from the seed
-   when none was given (chaos does the latter; synth runs fault-free
-   without --fault-plan). *)
-let load_plan ~file ~seed ~nodes ~segments ~horizon ~default_random =
-  let plan =
-    match file with
-    | Some f -> (
-      match Eden_fault.Plan.of_file f with
-      | Ok p -> p
-      | Error msg ->
-        Printf.eprintf "fault plan %s: %s\n" f msg;
-        exit 1)
-    | None ->
-      if default_random then
-        Eden_fault.Plan.random ~seed:(Int64.of_int seed) ~nodes ~segments
-          ~horizon
-      else Eden_fault.Plan.empty
-  in
-  (match Eden_fault.Plan.validate plan ~nodes ~segments with
-  | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "fault plan: %s\n" msg;
-    exit 1);
-  plan
+let chaos_args only =
+  Term.(
+    const (fun common requests features -> { common; requests; features })
+    $ common $ requests 220 $ features only)
 
-let write_metrics cl = function
-  | None -> ()
-  | Some file -> (
-    let snap = Cluster.metrics_snapshot cl in
-    try
-      (* Creates missing parent directories, so --metrics-out can point
-         into a results tree that does not exist yet. *)
-      Eden_obs.Snapshot.write_file snap ~path:file;
-      Printf.printf "metrics snapshot written to %s\n" file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write metrics snapshot: %s\n" msg;
-      exit 1)
+(* ------------------------------------------------------------------ *)
+(* Shared plumbing *)
 
-let setup_trace cl enabled =
-  if enabled then Trace.enable (Cluster.trace cl)
+(* Print to stderr and fail the run. *)
+let die fmt = Printf.kfprintf (fun _ -> exit 1) stderr fmt
 
-let dump_trace cl enabled =
-  if enabled then begin
-    print_endline "--- trace tail ---";
-    List.iter
-      (fun r -> print_endline (Format.asprintf "%a" Trace.pp_record r))
-      (Trace.recent (Cluster.trace cl))
-  end
+let valid_plan plan ~nodes ~segments =
+  match Eden_fault.Plan.validate plan ~nodes ~segments with
+  | Ok () -> plan
+  | Error msg -> die "fault plan: %s\n" msg
+
+let load_plan ~nodes ~segments file =
+  match Eden_fault.Plan.of_file file with
+  | Ok plan -> valid_plan plan ~nodes ~segments
+  | Error msg -> die "fault plan %s: %s\n" file msg
+
+let save path content =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
+
+(* If an output option names a file, [write] it there and say so. *)
+let write_opt ?(note = "") what file write =
+  Option.iter
+    (fun path ->
+      (try write path
+       with Sys_error msg -> die "cannot write %s: %s\n" what msg);
+      Printf.printf "%s written to %s%s\n" what path note)
+    file
+
+let default_cluster ?options ?coalesce ?spares c =
+  Cluster.default ~seed:(Int64.of_int c.seed) ?options ?coalesce ?spares
+    ~n_nodes:c.nodes ()
+
+(* Run [f] as a simulated process and drain the simulation. *)
+let drive cl f =
+  ignore (Cluster.in_process cl f);
+  Cluster.run cl
+
+let setup_trace cl enabled = if enabled then Trace.enable (Cluster.trace cl)
 
 let summary cl =
-  Printf.printf
-    "\nsimulated time %s; %d invocations (%d remote); %d events\n"
+  Printf.printf "\nsimulated time %s; %d invocations (%d remote); %d events\n"
     (Time.to_string (Engine.now (Cluster.engine cl)))
     (Cluster.stats_invocations cl)
     (Cluster.stats_remote_invocations cl)
     (Engine.events_processed (Cluster.engine cl))
+
+(* The end of every scenario that takes [outputs]: the trace tail, the
+   metrics snapshot, the summary line. *)
+let finish o cl =
+  if o.trace then begin
+    print_endline "--- trace tail ---";
+    List.iter
+      (fun r -> print_endline (Format.asprintf "%a" Trace.pp_record r))
+      (Trace.recent (Cluster.trace cl))
+  end;
+  write_opt "metrics snapshot" o.metrics_out (fun path ->
+      Eden_obs.Snapshot.write_file (Cluster.metrics_snapshot cl) ~path);
+  summary cl
+
+(* A scenario on the default cluster: [prepare] registers its types
+   before tracing is armed, [body] drives the run. *)
+let scenario ?(prepare = ignore) c o body =
+  let cl = default_cluster c in
+  prepare cl;
+  setup_trace cl o.trace;
+  body cl;
+  finish o cl
+
+(* Audit an assembled timeline against the cross-node invariants; any
+   violation is listed on stderr and fails the run. *)
+let report_violations ~label ?(json = false) cl tl =
+  match
+    Eden_obs.Check.run ~complete:(Cluster.journal_dropped cl = 0) tl
+  with
+  | [] -> Printf.printf "%s: all invariants hold\n" label
+  | violations ->
+    List.iter
+      (fun v ->
+        Printf.eprintf "%s\n"
+          (Format.asprintf "%a" Eden_obs.Check.pp_violation v))
+      violations;
+    if json then
+      Printf.eprintf "%s\n"
+        (Eden_obs.Json.to_string ~compact:true
+           (Eden_obs.Check.violations_to_json violations));
+    die "%s: %d violation(s)\n" label (List.length violations)
 
 (* ------------------------------------------------------------------ *)
 (* demo: counters shared across the cluster *)
@@ -228,107 +270,66 @@ let counter_type =
           reply [ ctx.get_repr () ]);
     ]
 
-let run_demo nodes seed trace metrics_out =
-  let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
-  Cluster.register_type cl counter_type;
-  setup_trace cl trace;
-  let _ =
-    Cluster.in_process cl (fun () ->
-        match
-          Cluster.create_object cl ~node:0 ~type_name:"ctl_counter"
-            (Value.Int 0)
-        with
-        | Error e -> Printf.printf "create failed: %s\n" (Error.to_string e)
-        | Ok cap ->
-          for from = 0 to nodes - 1 do
-            match Cluster.invoke cl ~from cap ~op:"incr" [] with
-            | Ok [ Value.Int n ] ->
-              Printf.printf "node %d incremented the shared counter to %d\n"
-                from n
-            | Ok _ | Error _ -> Printf.printf "node %d: invocation failed\n" from
-          done)
-  in
-  Cluster.run cl;
-  dump_trace cl trace;
-  write_metrics cl metrics_out;
-  summary cl
-
-let demo_cmd =
-  Cmd.v
-    (Cmd.info "demo" ~doc:"Shared counter incremented from every node.")
-    Term.(const run_demo $ nodes_t $ seed_t $ trace_t $ metrics_out_t)
+let run_demo c o =
+  scenario c o
+    ~prepare:(fun cl -> Cluster.register_type cl counter_type)
+    (fun cl ->
+      drive cl (fun () ->
+          match
+            Cluster.create_object cl ~node:0 ~type_name:"ctl_counter"
+              (Value.Int 0)
+          with
+          | Error e -> Printf.printf "create failed: %s\n" (Error.to_string e)
+          | Ok cap ->
+            for from = 0 to c.nodes - 1 do
+              match Cluster.invoke cl ~from cap ~op:"incr" [] with
+              | Ok [ Value.Int n ] ->
+                Printf.printf "node %d incremented the shared counter to %d\n"
+                  from n
+              | Ok _ | Error _ ->
+                Printf.printf "node %d: invocation failed\n" from
+            done))
 
 (* ------------------------------------------------------------------ *)
 (* mail *)
 
-let run_mail nodes seed users messages trace metrics_out =
-  let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
-  Eden_workload.Mail.register_types cl;
-  setup_trace cl trace;
-  let setup = ref None in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        match
-          Eden_workload.Mail.build cl ~registry_node:0 ~users_per_node:users
-        with
-        | Ok s -> setup := Some s
-        | Error e -> Printf.printf "build failed: %s\n" (Error.to_string e))
-  in
-  Cluster.run cl;
-  (match !setup with
-  | None -> ()
-  | Some s ->
-    let r =
-      Eden_workload.Mail.run cl s ~messages_per_user:messages
-        ~think_mean_s:0.02
-    in
-    Printf.printf "sent=%d failures=%d delivered=%d\nsend latency: %s\n"
-      r.Eden_workload.Mail.sent r.Eden_workload.Mail.send_failures
-      r.Eden_workload.Mail.fetched
-      (Format.asprintf "%a" Stats.pp_summary r.Eden_workload.Mail.send_latency));
-  dump_trace cl trace;
-  write_metrics cl metrics_out;
-  summary cl
-
-let mail_cmd =
-  let users_t =
-    Arg.(value & opt int 2 & info [ "users" ] ~docv:"K" ~doc:"Users per node.")
-  in
-  let messages_t =
-    Arg.(
-      value & opt int 8
-      & info [ "messages" ] ~docv:"M" ~doc:"Messages per user.")
-  in
-  Cmd.v
-    (Cmd.info "mail" ~doc:"Multi-user mail workload.")
-    Term.(
-      const run_mail $ nodes_t $ seed_t $ users_t $ messages_t $ trace_t
-      $ metrics_out_t)
+let run_mail c o users messages =
+  scenario c o ~prepare:Eden_workload.Mail.register_types (fun cl ->
+      let setup = ref None in
+      drive cl (fun () ->
+          match
+            Eden_workload.Mail.build cl ~registry_node:0 ~users_per_node:users
+          with
+          | Ok s -> setup := Some s
+          | Error e -> Printf.printf "build failed: %s\n" (Error.to_string e));
+      Option.iter
+        (fun s ->
+          let r =
+            Eden_workload.Mail.run cl s ~messages_per_user:messages
+              ~think_mean_s:0.02
+          in
+          Printf.printf "sent=%d failures=%d delivered=%d\nsend latency: %s\n"
+            r.Eden_workload.Mail.sent r.Eden_workload.Mail.send_failures
+            r.Eden_workload.Mail.fetched
+            (Format.asprintf "%a" Stats.pp_summary
+               r.Eden_workload.Mail.send_latency))
+        !setup)
 
 (* ------------------------------------------------------------------ *)
 (* synth *)
 
-let run_synth nodes seed locality requests fault_plan replica_cache coalesce
-    ckpt_delta _ckpt_async directory trace metrics_out =
-  (* Synth itself runs checkpoint-free, so --ckpt-async has nothing to
-     route through the pipeline here; the flag is accepted for a
-     uniform CLI and --ckpt-delta still configures the protocol for
-     any checkpoint traffic (e.g. a fault plan forcing recovery). *)
-  let cl =
-    Cluster.default ~seed:(Int64.of_int seed)
-      ~options:(cluster_options ~directory ~replica_cache ~ckpt_delta ())
-      ?coalesce:(cluster_coalesce coalesce) ~n_nodes:nodes ()
-  in
-  setup_trace cl trace;
+let run_synth c (locality, requests) f o =
+  (* Synth itself runs checkpoint-free; --ckpt-delta still configures
+     the protocol for any checkpoint traffic (e.g. a fault plan forcing
+     recovery). *)
+  let cl = default_cluster ~options:f.options ?coalesce:f.coalesce c in
+  setup_trace cl o.trace;
   let ctl =
-    match fault_plan with
-    | None -> None
-    | Some _ ->
-      let plan =
-        load_plan ~file:fault_plan ~seed ~nodes ~segments:1
-          ~horizon:(Time.s 2) ~default_random:false
-      in
-      Some (Eden_fault.Controller.arm cl plan)
+    Option.map
+      (fun file ->
+        Eden_fault.Controller.arm cl
+          (load_plan ~nodes:c.nodes ~segments:1 file))
+      f.fault_plan
   in
   let spec =
     {
@@ -346,186 +347,124 @@ let run_synth nodes seed locality requests fault_plan replica_cache coalesce
      still being created aborts the workload. *)
   let r =
     try Eden_workload.Synthetic.run_eden cl spec
-    with Invalid_argument msg ->
-      Printf.eprintf
-        "synth failed under the fault plan (%s); delay the first fault \
-         past workload setup\n"
-        msg;
-      exit 1
+    with Invalid_argument msg when ctl <> None ->
+      die
+        "synth failed under the fault plan (%s); delay the first fault past \
+         workload setup\n"
+        msg
   in
   Format.printf "%a@." Eden_workload.Synthetic.pp_results r;
-  (match ctl with
-  | None -> ()
-  | Some ctl ->
-    Printf.printf "faults injected: %d\n" (Eden_fault.Controller.injected ctl));
-  dump_trace cl trace;
-  write_metrics cl metrics_out;
-  summary cl
-
-let synth_cmd =
-  let locality_t =
-    Arg.(
-      value & opt float 0.8
-      & info [ "locality" ] ~docv:"F" ~doc:"Fraction of local requests.")
-  in
-  let requests_t =
-    Arg.(
-      value & opt int 25
-      & info [ "requests" ] ~docv:"R" ~doc:"Requests per user.")
-  in
-  Cmd.v
-    (Cmd.info "synth" ~doc:"Synthetic invocation workload.")
-    Term.(
-      const run_synth $ nodes_t $ seed_t $ locality_t $ requests_t
-      $ fault_plan_t $ replica_cache_t $ coalesce_t $ ckpt_delta_t
-      $ ckpt_async_t $ directory_t $ trace_t $ metrics_out_t)
+  Option.iter
+    (fun ctl ->
+      Printf.printf "faults injected: %d\n" (Eden_fault.Controller.injected ctl))
+    ctl;
+  finish o cl
 
 (* ------------------------------------------------------------------ *)
 (* efs *)
 
-let run_efs nodes seed txns optimistic trace metrics_out =
-  let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
-  Eden_efs.Schema.register cl;
-  setup_trace cl trace;
-  let mode = if optimistic then Eden_efs.Txn.Optimistic else Eden_efs.Txn.Locking in
-  let committed = ref 0 and conflicts = ref 0 in
-  let file = ref None in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        let root =
-          match Eden_efs.Client.make_root cl ~node:0 with
-          | Ok r -> r
+let run_efs c o txns optimistic =
+  let open Eden_efs in
+  scenario c o ~prepare:Schema.register (fun cl ->
+      let mode = if optimistic then Txn.Optimistic else Txn.Locking in
+      let committed = ref 0 and conflicts = ref 0 in
+      let file = ref None in
+      drive cl (fun () ->
+          let root =
+            match Client.make_root cl ~node:0 with
+            | Ok r -> r
+            | Error e -> failwith (Error.to_string e)
+          in
+          match
+            Client.create_file cl ~from:0 ~dir:root ~name:"shared"
+              ~content:(Value.Int 0) ()
+          with
           | Error e -> failwith (Error.to_string e)
-        in
-        match
-          Eden_efs.Client.create_file cl ~from:0 ~dir:root ~name:"shared"
-            ~content:(Value.Int 0) ()
-        with
-        | Error e -> failwith (Error.to_string e)
-        | Ok f ->
-          file := Some f;
-          for i = 0 to txns - 1 do
-            ignore
-              (Cluster.in_process cl (fun () ->
-                   let rec attempt k =
-                     if k > 10 then ()
-                     else begin
-                       let t =
-                         Eden_efs.Txn.begin_txn cl ~from:(i mod nodes) ~mode
-                       in
-                       let read =
-                         match mode with
-                         | Eden_efs.Txn.Locking ->
-                           Eden_efs.Txn.read_for_update t f
-                         | Eden_efs.Txn.Optimistic | Eden_efs.Txn.Snapshot ->
-                           Eden_efs.Txn.read t f
-                       in
-                       match read with
-                       | Ok (Value.Int v) -> (
-                         ignore
-                           (Eden_efs.Txn.write t f (Value.Int (v + 1)));
-                         match Eden_efs.Txn.commit t with
-                         | Eden_efs.Txn.Committed -> incr committed
-                         | Eden_efs.Txn.Conflict | Eden_efs.Txn.Failed _ ->
-                           incr conflicts;
-                           attempt (k + 1))
-                       | Ok _ | Error _ ->
-                         Eden_efs.Txn.abort t;
-                         attempt (k + 1)
-                     end
-                   in
-                   attempt 0))
-          done)
-  in
-  Cluster.run cl;
-  let final = ref None in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        match !file with
-        | Some f -> final := Some (Eden_efs.Client.read_file cl ~from:0 f)
-        | None -> ())
-  in
-  Cluster.run cl;
-  Printf.printf "%s: committed=%d conflicts=%d final=%s\n"
-    (match mode with
-    | Eden_efs.Txn.Locking -> "2PL"
-    | Eden_efs.Txn.Optimistic -> "optimistic"
-    | Eden_efs.Txn.Snapshot -> "snapshot")
-    !committed !conflicts
-    (match !final with
-    | Some (Ok (Value.Int n)) -> string_of_int n
-    | _ -> "?");
-  dump_trace cl trace;
-  write_metrics cl metrics_out;
-  summary cl
-
-let efs_cmd =
-  let txns_t =
-    Arg.(
-      value & opt int 10
-      & info [ "txns" ] ~docv:"T" ~doc:"Concurrent transactions.")
-  in
-  let optimistic_t =
-    Arg.(
-      value & flag
-      & info [ "optimistic" ] ~doc:"Optimistic concurrency control (default 2PL).")
-  in
-  Cmd.v
-    (Cmd.info "efs" ~doc:"EFS transaction workload on one shared file.")
-    Term.(
-      const run_efs $ nodes_t $ seed_t $ txns_t $ optimistic_t $ trace_t
-      $ metrics_out_t)
+          | Ok f ->
+            file := Some f;
+            for i = 0 to txns - 1 do
+              ignore
+                (Cluster.in_process cl (fun () ->
+                     let rec attempt k =
+                       if k > 10 then ()
+                       else begin
+                         let t = Txn.begin_txn cl ~from:(i mod c.nodes) ~mode in
+                         let read =
+                           match mode with
+                           | Txn.Locking -> Txn.read_for_update t f
+                           | Txn.Optimistic | Txn.Snapshot -> Txn.read t f
+                         in
+                         match read with
+                         | Ok (Value.Int v) -> (
+                           ignore (Txn.write t f (Value.Int (v + 1)));
+                           match Txn.commit t with
+                           | Txn.Committed -> incr committed
+                           | Txn.Conflict | Txn.Failed _ ->
+                             incr conflicts;
+                             attempt (k + 1))
+                         | Ok _ | Error _ ->
+                           Txn.abort t;
+                           attempt (k + 1)
+                       end
+                     in
+                     attempt 0))
+            done);
+      let final = ref None in
+      drive cl (fun () ->
+          Option.iter
+            (fun f -> final := Some (Client.read_file cl ~from:0 f))
+            !file);
+      Printf.printf "%s: committed=%d conflicts=%d final=%s\n"
+        (match mode with
+        | Txn.Locking -> "2PL"
+        | Txn.Optimistic -> "optimistic"
+        | Txn.Snapshot -> "snapshot")
+        !committed !conflicts
+        (match !final with
+        | Some (Ok (Value.Int n)) -> string_of_int n
+        | _ -> "?"))
 
 (* ------------------------------------------------------------------ *)
 (* heartbeat: poll the node objects *)
 
-let run_heartbeat nodes seed kill trace metrics_out =
-  let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
-  setup_trace cl trace;
-  (match kill with
-  | Some victim when victim >= 0 && victim < nodes ->
-    Engine.schedule (Cluster.engine cl) ~after:(Time.ms 400) (fun () ->
-        Cluster.crash_node cl victim)
-  | Some _ | None -> ());
-  let _ =
-    Cluster.in_process cl (fun () ->
-        for round = 1 to 3 do
-          Engine.delay (Time.ms 300);
-          Printf.printf "round %d:" round;
-          for i = 0 to nodes - 1 do
-            let status =
-              match
-                Cluster.invoke cl ~from:0 ~timeout:(Time.ms 150)
-                  (Cluster.node_object cl i) ~op:"info" []
-              with
-              | Ok [ Value.Int gdps; _; Value.Int avail; Value.Int active ] ->
-                Printf.sprintf "UP gdps=%d free=%dK objs=%d" gdps
-                  (avail / 1000) active
-              | Ok _ -> "odd reply"
-              | Error e -> "DOWN (" ^ Error.to_string e ^ ")"
-            in
-            Printf.printf "  node%d: %s" i status
-          done;
-          print_newline ()
-        done)
-  in
-  Cluster.run cl;
-  dump_trace cl trace;
-  write_metrics cl metrics_out;
-  summary cl
-
-let heartbeat_cmd =
-  let kill_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "kill" ] ~docv:"I" ~doc:"Crash node $(docv) mid-run.")
-  in
-  Cmd.v
-    (Cmd.info "heartbeat" ~doc:"Poll every node object; detect failures.")
-    Term.(
-      const run_heartbeat $ nodes_t $ seed_t $ kill_t $ trace_t
-      $ metrics_out_t)
+let run_heartbeat c o kill =
+  match kill with
+  | Some victim when victim >= c.nodes ->
+    `Error
+      ( true,
+        Printf.sprintf
+          "option '--kill': invalid value '%d', expected a node below --nodes \
+           (%d)"
+          victim c.nodes )
+  | _ ->
+    `Ok
+      (scenario c o (fun cl ->
+           Option.iter
+             (fun victim ->
+               Engine.schedule (Cluster.engine cl) ~after:(Time.ms 400)
+                 (fun () -> Cluster.crash_node cl victim))
+             kill;
+           drive cl (fun () ->
+               for round = 1 to 3 do
+                 Engine.delay (Time.ms 300);
+                 Printf.printf "round %d:" round;
+                 for i = 0 to c.nodes - 1 do
+                   let status =
+                     match
+                       Cluster.invoke cl ~from:0 ~timeout:(Time.ms 150)
+                         (Cluster.node_object cl i) ~op:"info" []
+                     with
+                     | Ok [ Value.Int gdps; _; Value.Int avail; Value.Int active ]
+                       ->
+                       Printf.sprintf "UP gdps=%d free=%dK objs=%d" gdps
+                         (avail / 1000) active
+                     | Ok _ -> "odd reply"
+                     | Error e -> "DOWN (" ^ Error.to_string e ^ ")"
+                   in
+                   Printf.printf "  node%d: %s" i status
+                 done;
+                 print_newline ()
+               done)))
 
 (* ------------------------------------------------------------------ *)
 (* chaos: a request stream against mirrored counters while a fault
@@ -573,18 +512,20 @@ let chaos_type ~async =
 
 let chaos_horizon = Time.s 2
 
-(* The chaos workload proper, shared by [chaos] (metrics-oriented) and
-   [trace] (journal/timeline-oriented): mirrored counters under a
-   deterministic fault plan, driven entirely by the virtual clock and
-   the seed.  Returns the finished cluster for post-run inspection. *)
-let chaos_workload ?health ?(clone = false) ?(hedge = false)
-    ?(directory = false) ?(profiling = false) ?(spares = 0) ~nodes ~seed
-    ~fault_plan ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async
-    ~trace () =
-  if nodes < 2 then begin
-    Printf.eprintf "chaos needs --nodes >= 2\n";
-    exit 1
-  end;
+let availability label ~ok ~failed ctl =
+  Printf.printf
+    "%s: %d/%d invocations completed (%.1f%% available), %d faults injected\n"
+    label ok (ok + failed)
+    (100.0 *. Float.of_int ok /. Float.of_int (max 1 (ok + failed)))
+    (Eden_fault.Controller.injected ctl)
+
+(* The chaos workload proper, shared by the whole chaos family:
+   mirrored counters under a deterministic fault plan, driven entirely
+   by the virtual clock and the seed.  Returns the finished cluster for
+   post-run inspection. *)
+let chaos_workload ?health ?(profiling = false) ?(trace = false) w =
+  let { common = { nodes; seed }; requests; features = f } = w in
+  if nodes < 2 then die "chaos needs --nodes >= 2\n";
   (* Two bridged segments once the cluster is big enough, so partition
      events have something to cut. *)
   let segments =
@@ -595,20 +536,22 @@ let chaos_workload ?health ?(clone = false) ?(hedge = false)
         Eden_hw.Machine.default_config ~name:(Printf.sprintf "node%d" i))
   in
   let cl =
-    Cluster.create ~seed:(Int64.of_int seed) ~segments ~spares
-      ~options:
-        (cluster_options ~clone ~hedge ~directory ~profiling ~replica_cache
-           ~ckpt_delta ())
-      ?coalesce:(cluster_coalesce coalesce) ?health ~configs ()
+    Cluster.create ~seed:(Int64.of_int seed) ~segments ~spares:f.spares
+      ~options:{ f.options with Cluster.use_profiling = profiling }
+      ?coalesce:f.coalesce ?health ~configs ()
   in
-  Cluster.register_type cl (chaos_type ~async:ckpt_async);
+  Cluster.register_type cl (chaos_type ~async:f.ckpt_async);
   setup_trace cl trace;
   (* Spares are valid fault-plan targets (join admits them), so the
      plan validates against the full rack, not just the members. *)
+  let rack = nodes + f.spares and segments = List.length segments in
   let plan =
-    load_plan ~file:fault_plan ~seed ~nodes:(nodes + spares)
-      ~segments:(List.length segments) ~horizon:chaos_horizon
-      ~default_random:true
+    match f.fault_plan with
+    | Some file -> load_plan ~nodes:rack ~segments file
+    | None ->
+      valid_plan ~nodes:rack ~segments
+        (Eden_fault.Plan.random ~seed:(Int64.of_int seed) ~nodes:rack
+           ~segments ~horizon:chaos_horizon)
   in
   print_string "--- fault plan ---\n";
   print_string (Eden_fault.Plan.to_string plan);
@@ -616,121 +559,79 @@ let chaos_workload ?health ?(clone = false) ?(hedge = false)
      home and successor.  The plan is armed only once the objects
      exist (its times are relative to that instant). *)
   let caps = ref [||] in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        caps :=
-          Array.init nodes (fun i ->
-              let cap =
-                match
-                  Cluster.create_object cl ~node:i ~type_name:"chaos_counter"
-                    (Value.Int 0)
-                with
-                | Ok c -> c
-                | Error e -> failwith ("create: " ^ Error.to_string e)
-              in
-              let sites =
-                [ Value.Int i; Value.Int ((i + 1) mod nodes) ]
-              in
-              (match
-                 Cluster.invoke cl ~from:i cap ~op:"config"
-                   [ Value.List sites ]
-               with
-              | Ok _ -> ()
-              | Error e -> failwith ("config: " ^ Error.to_string e));
-              cap))
-  in
-  Cluster.run cl;
+  drive cl (fun () ->
+      caps :=
+        Array.init nodes (fun i ->
+            let cap =
+              match
+                Cluster.create_object cl ~node:i ~type_name:"chaos_counter"
+                  (Value.Int 0)
+              with
+              | Ok c -> c
+              | Error e -> failwith ("create: " ^ Error.to_string e)
+            in
+            let sites = [ Value.Int i; Value.Int ((i + 1) mod nodes) ] in
+            (match
+               Cluster.invoke cl ~from:i cap ~op:"config" [ Value.List sites ]
+             with
+            | Ok _ -> ()
+            | Error e -> failwith ("config: " ^ Error.to_string e));
+            cap));
   (* A frozen, replicated object gives speculation something to fan
      out on: reads from a replica-less node clone to home + replicas,
      and hedged retries re-send the stragglers.  Built fault-free like
      the counters. *)
   let frozen = ref None in
-  if clone || hedge then begin
-    let _ =
-      Cluster.in_process cl (fun () ->
-          match
-            Cluster.create_object cl ~node:(nodes - 1)
-              ~type_name:"chaos_counter" (Value.Int 7)
-          with
-          | Error e -> failwith ("create frozen: " ^ Error.to_string e)
-          | Ok cap ->
-            (match Cluster.freeze cl cap with
-            | Ok () -> ()
-            | Error e -> failwith ("freeze: " ^ Error.to_string e));
-            List.iter
-              (fun n ->
-                match Cluster.replicate cl cap ~to_node:n with
-                | Ok () -> ()
-                | Error e -> failwith ("replicate: " ^ Error.to_string e))
-              (if nodes >= 4 then [ 1; 2 ] else []);
-            frozen := Some cap)
-    in
-    Cluster.run cl
-  end;
+  if f.options.Cluster.speculate.Api.sp_clone
+     || f.options.Cluster.speculate.Api.sp_hedge
+  then
+    drive cl (fun () ->
+        match
+          Cluster.create_object cl ~node:(nodes - 1) ~type_name:"chaos_counter"
+            (Value.Int 7)
+        with
+        | Error e -> failwith ("create frozen: " ^ Error.to_string e)
+        | Ok cap ->
+          (match Cluster.freeze cl cap with
+          | Ok () -> ()
+          | Error e -> failwith ("freeze: " ^ Error.to_string e));
+          List.iter
+            (fun n ->
+              match Cluster.replicate cl cap ~to_node:n with
+              | Ok () -> ()
+              | Error e -> failwith ("replicate: " ^ Error.to_string e))
+            (if nodes >= 4 then [ 1; 2 ] else []);
+          frozen := Some cap);
   let ctl = Eden_fault.Controller.arm ~seed:(Int64.of_int seed) cl plan in
   let ok = ref 0 and failed = ref 0 in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        (* The request stream outlives the plan horizon, so the tail
-           of the run shows post-heal recovery. *)
-        for r = 0 to requests - 1 do
-          Engine.delay (Time.ms 10);
-          let cap = (!caps).(r mod nodes) in
-          (match
-             Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-               ~retry:Api.default_retry cap ~op:"incr" []
-           with
+  drive cl (fun () ->
+      (* The request stream outlives the plan horizon, so the tail of
+         the run shows post-heal recovery. *)
+      for r = 0 to requests - 1 do
+        Engine.delay (Time.ms 10);
+        let cap = (!caps).(r mod nodes) in
+        (match
+           Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
+             ~retry:Api.default_retry cap ~op:"incr" []
+         with
+        | Ok _ -> incr ok
+        | Error _ -> incr failed);
+        match !frozen with
+        | Some fcap -> (
+          (* Interleave reads of the frozen object so the clone / hedge
+             path sees the same chaos the counters do. *)
+          match
+            Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
+              ~retry:Api.default_retry fcap ~op:"get" []
+          with
           | Ok _ -> incr ok
-          | Error _ -> incr failed);
-          match !frozen with
-          | Some fcap -> (
-            (* Interleave reads of the frozen object so the clone /
-               hedge path sees the same chaos the counters do. *)
-            match
-              Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-                ~retry:Api.default_retry fcap ~op:"get" []
-            with
-            | Ok _ -> incr ok
-            | Error _ -> incr failed)
-          | None -> ()
-        done)
-  in
-  Cluster.run cl;
-  let attempts = !ok + !failed in
-  Printf.printf
-    "chaos: %d/%d invocations completed (%.1f%% available), %d faults \
-     injected\n"
-    !ok attempts
-    (100.0 *. Float.of_int !ok /. Float.of_int (max 1 attempts))
-    (Eden_fault.Controller.injected ctl);
-  dump_trace cl trace;
+          | Error _ -> incr failed)
+        | None -> ()
+      done);
+  availability "chaos" ~ok:!ok ~failed:!failed ctl;
   cl
 
-let run_chaos nodes seed fault_plan requests replica_cache coalesce
-    ckpt_delta ckpt_async clone hedge directory spares trace metrics_out =
-  let cl =
-    chaos_workload ~clone ~hedge ~directory ~spares ~nodes ~seed ~fault_plan
-      ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async ~trace ()
-  in
-  write_metrics cl metrics_out;
-  summary cl
-
-let chaos_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Mirrored counters under a deterministic fault plan (random \
-          from --seed unless --fault-plan is given).")
-    Term.(
-      const run_chaos $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t
-      $ clone_t $ hedge_t $ directory_t $ spares_t $ trace_t $ metrics_out_t)
+let run_chaos w o = finish o (chaos_workload ~trace:o.trace w)
 
 (* ------------------------------------------------------------------ *)
 (* reconfig: online membership change under load.  A paced counter
@@ -745,43 +646,33 @@ let sum_node_counter cl name =
   List.fold_left
     (fun acc i ->
       match
-        Eden_obs.Snapshot.find snap
-          ~labels:[ ("node", string_of_int i) ]
-          name
+        Eden_obs.Snapshot.find snap ~labels:[ ("node", string_of_int i) ] name
       with
       | Some (Eden_obs.Metrics.Counter c) -> acc + c
       | _ -> acc)
     0
     (List.init (Cluster.node_count cl) Fun.id)
 
-let run_reconfig nodes spares seed requests fault_plan trace metrics_out =
-  if nodes < 2 then begin
-    Printf.eprintf "reconfig needs --nodes >= 2\n";
-    exit 1
-  end;
-  if spares < 1 && fault_plan = None then begin
-    Printf.eprintf
-      "reconfig needs --spares >= 1 (the default plan joins a spare); \
-       give --fault-plan to script something else\n";
-    exit 1
-  end;
+let run_reconfig c requests f o =
+  let nodes = c.nodes and spares = f.spares in
+  if nodes < 2 then die "reconfig needs --nodes >= 2\n";
+  if spares < 1 && f.fault_plan = None then
+    die
+      "reconfig needs --spares >= 1 (the default plan joins a spare); give \
+       --fault-plan to script something else\n";
   (* The locate directory is always on here: the epoch-stamped ring it
      resolves through is the machinery under test. *)
   let cl =
-    Cluster.default ~seed:(Int64.of_int seed)
+    default_cluster ~spares c
       ~options:
-        (cluster_options ~directory:true ~replica_cache:false
-           ~ckpt_delta:true ())
-      ~spares ~n_nodes:nodes ()
+        { f.options with Cluster.use_directory = true; use_ckpt_delta = true }
   in
   Cluster.register_type cl counter_type;
-  setup_trace cl trace;
+  setup_trace cl o.trace;
   let horizon = Time.ms (10 * requests) in
   let plan =
-    match fault_plan with
-    | Some _ ->
-      load_plan ~file:fault_plan ~seed ~nodes:(nodes + spares) ~segments:1
-        ~horizon ~default_random:false
+    match f.fault_plan with
+    | Some file -> load_plan ~nodes:(nodes + spares) ~segments:1 file
     | None ->
       (* Join the first spare a third of the way in, retire node 1 at
          two thirds: both membership steps land mid-stream. *)
@@ -800,42 +691,30 @@ let run_reconfig nodes spares seed requests fault_plan trace metrics_out =
   print_string "--- reconfiguration plan ---\n";
   print_string (Eden_fault.Plan.to_string plan);
   let caps = ref [||] in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        caps :=
-          Array.init nodes (fun i ->
-              match
-                Cluster.create_object cl ~node:i ~type_name:"ctl_counter"
-                  (Value.Int 0)
-              with
-              | Ok c -> c
-              | Error e -> failwith ("create: " ^ Error.to_string e)))
-  in
-  Cluster.run cl;
-  let ctl = Eden_fault.Controller.arm ~seed:(Int64.of_int seed) cl plan in
+  drive cl (fun () ->
+      caps :=
+        Array.init nodes (fun i ->
+            match
+              Cluster.create_object cl ~node:i ~type_name:"ctl_counter"
+                (Value.Int 0)
+            with
+            | Ok c -> c
+            | Error e -> failwith ("create: " ^ Error.to_string e)));
+  let ctl = Eden_fault.Controller.arm ~seed:(Int64.of_int c.seed) cl plan in
   let ok = ref 0 and failed = ref 0 in
-  let _ =
-    Cluster.in_process cl (fun () ->
-        for r = 0 to requests - 1 do
-          Engine.delay (Time.ms 10);
-          match
-            Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
-              ~retry:Api.default_retry
-              (!caps).(r mod nodes)
-              ~op:"incr" []
-          with
-          | Ok _ -> incr ok
-          | Error _ -> incr failed
-        done)
-  in
-  Cluster.run cl;
-  let attempts = !ok + !failed in
-  Printf.printf
-    "reconfig: %d/%d invocations completed (%.1f%% available), %d faults \
-     injected\n"
-    !ok attempts
-    (100.0 *. Float.of_int !ok /. Float.of_int (max 1 attempts))
-    (Eden_fault.Controller.injected ctl);
+  drive cl (fun () ->
+      for r = 0 to requests - 1 do
+        Engine.delay (Time.ms 10);
+        match
+          Cluster.invoke cl ~from:0 ~timeout:(Time.ms 300)
+            ~retry:Api.default_retry
+            (!caps).(r mod nodes)
+            ~op:"incr" []
+        with
+        | Ok _ -> incr ok
+        | Error _ -> incr failed
+      done);
+  availability "reconfig" ~ok:!ok ~failed:!failed ctl;
   Printf.printf "epoch %d; members [%s]; drain moves %d; epoch bumps %d\n"
     (Cluster.epoch cl)
     (String.concat "; " (List.map string_of_int (Cluster.members cl)))
@@ -845,65 +724,19 @@ let run_reconfig nodes spares seed requests fault_plan trace metrics_out =
     (fun i cap ->
       match Cluster.where_is cl cap with
       | Some home when Cluster.is_member cl home -> ()
-      | Some home ->
-        Printf.eprintf "counter %d homed on non-member %d\n" i home;
-        exit 1
-      | None ->
-        Printf.eprintf "counter %d lost by the reconfiguration\n" i;
-        exit 1)
+      | Some home -> die "counter %d homed on non-member %d\n" i home
+      | None -> die "counter %d lost by the reconfiguration\n" i)
     !caps;
   print_endline "census: every object homed exactly once on a member";
-  dump_trace cl trace;
-  write_metrics cl metrics_out;
-  summary cl
-
-let reconfig_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 180
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let spares_default_t =
-    Arg.(
-      value & opt int 1
-      & info [ "spares" ] ~docv:"K"
-          ~doc:
-            "Spare nodes racked beyond the boot membership, available \
-             for the plan's 'join' actions.")
-  in
-  Cmd.v
-    (Cmd.info "reconfig"
-       ~doc:
-         "Join a spare and decommission a member while a counter \
-          stream runs: online membership change over the epoch-stamped \
-          directory ring (plan overridable with --fault-plan).")
-    Term.(
-      const run_reconfig $ nodes_t $ spares_default_t $ seed_t $ requests_t
-      $ fault_plan_t $ trace_t $ metrics_out_t)
+  finish o cl
 
 (* ------------------------------------------------------------------ *)
 (* trace: run the chaos workload, assemble the per-node journals into
    one causal timeline, export it, and audit the cross-node
    invariants. *)
 
-let write_file ~path content =
-  try
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content)
-  with Sys_error msg ->
-    Printf.eprintf "cannot write %s: %s\n" path msg;
-    exit 1
-
-let run_trace nodes seed fault_plan requests replica_cache coalesce ckpt_delta
-    ckpt_async clone hedge directory spares out text check =
-  let cl =
-    chaos_workload ~clone ~hedge ~directory ~spares ~nodes ~seed ~fault_plan
-      ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async ~trace:false
-      ()
-  in
+let run_trace w out text check =
+  let cl = chaos_workload w in
   let tl = Cluster.timeline cl in
   let dropped = Cluster.journal_dropped cl in
   Printf.printf "timeline: %d events in %d traces across %d nodes%s\n"
@@ -913,75 +746,11 @@ let run_trace nodes seed fault_plan requests replica_cache coalesce ckpt_delta
     (if dropped > 0 then
        Printf.sprintf " (%d events dropped: traces incomplete)" dropped
      else "");
-  (match out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Timeline.to_chrome_string tl);
-    Printf.printf
-      "chrome trace written to %s (load in chrome://tracing or Perfetto)\n"
-      file);
-  (match text with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Timeline.to_text tl);
-    Printf.printf "text timeline written to %s\n" file);
-  if check then begin
-    match Eden_obs.Check.run ~complete:(dropped = 0) tl with
-    | [] -> print_endline "trace-check: all invariants hold"
-    | violations ->
-      List.iter
-        (fun v ->
-          Printf.eprintf "%s\n"
-            (Format.asprintf "%a" Eden_obs.Check.pp_violation v))
-        violations;
-      Printf.eprintf "trace-check: %d violation(s)\n"
-        (List.length violations);
-      exit 1
-  end;
+  write_opt "chrome trace" ~note:" (load in chrome://tracing or Perfetto)" out
+    (fun p -> save p (Eden_obs.Timeline.to_chrome_string tl));
+  write_opt "text timeline" text (fun p -> save p (Eden_obs.Timeline.to_text tl));
+  if check then report_violations ~label:"trace-check" cl tl;
   summary cl
-
-let trace_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the assembled timeline as Chrome trace_event JSON to \
-             $(docv) (open in chrome://tracing or ui.perfetto.dev).")
-  in
-  let text_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "text" ] ~docv:"FILE"
-          ~doc:"Write the timeline as human-readable causal trees to $(docv).")
-  in
-  let check_t =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Audit the assembled trace against the cross-node invariants \
-             (matched send/recv, causal time order, retry termination, \
-             cache install epochs); exit non-zero on any violation.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run the chaos workload with causal tracing and export the \
-          merged cross-node timeline.")
-    Term.(
-      const run_trace $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t
-      $ clone_t $ hedge_t $ directory_t $ spares_t $ out_t $ text_out_t
-      $ check_t)
 
 (* ------------------------------------------------------------------ *)
 (* health / top: run the chaos workload with the health plane enabled
@@ -993,24 +762,17 @@ module Health = Eden_obs.Health
 module Topk = Eden_obs.Topk
 module Json = Eden_obs.Json
 
-let hot_table ~indent entries =
+let hot_table entries =
   let buf = Buffer.create 256 in
   List.iteri
-    (fun i e ->
-      Printf.bprintf buf "%s%2d. %-24s count %-8d err <= %d\n" indent (i + 1)
-        e.Topk.e_key e.Topk.e_count e.Topk.e_err)
+    (fun i { Topk.e_key; e_count; e_err } ->
+      Printf.bprintf buf "  %2d. %-24s count %-8d err <= %d\n" (i + 1) e_key
+        e_count e_err)
     entries;
   Buffer.contents buf
 
-let health_workload ~nodes ~seed ~fault_plan ~requests ~replica_cache
-    ~coalesce ~ckpt_delta ~ckpt_async () =
-  chaos_workload ~health:Health.default_config ~nodes ~seed ~fault_plan
-    ~requests ~replica_cache ~coalesce ~ckpt_delta ~ckpt_async ~trace:false ()
-
 let health_report cl =
-  let h =
-    match Cluster.health cl with Some h -> h | None -> assert false
-  in
+  let h = match Cluster.health cl with Some h -> h | None -> assert false in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf (Health.report h);
   (* The causal record of every state change, from node 0's journal
@@ -1018,13 +780,10 @@ let health_report cl =
   let alerts =
     List.filter
       (fun ev ->
-        match ev.Eden_obs.Journal.ev_kind with
-        | Eden_obs.Journal.Alert _ -> true
-        | _ -> false)
+        match ev.Eden_obs.Journal.ev_kind with Alert _ -> true | _ -> false)
       (Eden_obs.Journal.events (Cluster.journal cl 0))
   in
-  Printf.bprintf buf "alert transitions (%d retained):\n"
-    (List.length alerts);
+  Printf.bprintf buf "alert transitions (%d retained):\n" (List.length alerts);
   List.iter
     (fun ev ->
       Printf.bprintf buf "  %s\n"
@@ -1033,133 +792,49 @@ let health_report cl =
   let hot = Cluster.hot_objects_rollup cl ~k:10 () in
   Printf.bprintf buf "hottest objects (cluster rollup, top %d):\n"
     (List.length hot);
-  Buffer.add_string buf (hot_table ~indent:"  " hot);
+  Buffer.add_string buf (hot_table hot);
   Buffer.contents buf
 
 let hot_json entries =
   Json.List
     (List.map
-       (fun e ->
+       (fun { Topk.e_key; e_count; e_err } ->
          Json.Obj
            [
-             ("object", Json.Str e.Topk.e_key);
-             ("count", Json.Int e.Topk.e_count);
-             ("err", Json.Int e.Topk.e_err);
+             ("object", Json.Str e_key);
+             ("count", Json.Int e_count);
+             ("err", Json.Int e_err);
            ])
        entries)
 
-let run_health nodes seed fault_plan requests replica_cache coalesce
-    ckpt_delta ckpt_async out json_out =
-  let cl =
-    health_workload ~nodes ~seed ~fault_plan ~requests ~replica_cache
-      ~coalesce ~ckpt_delta ~ckpt_async ()
-  in
+let run_health w out json_out =
+  let cl = chaos_workload ~health:Health.default_config w in
   let report = health_report cl in
   print_string report;
-  (match out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file report;
-    Printf.printf "health report written to %s\n" file);
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    let h = Option.get (Cluster.health cl) in
-    let doc =
-      Json.Obj
-        [
-          ("health", Health.to_json h);
-          ("hot_objects", hot_json (Cluster.hot_objects_rollup cl ~k:10 ()));
-        ]
-    in
-    write_file ~path:file (Json.to_string ~compact:false doc);
-    Printf.printf "health JSON written to %s\n" file);
+  write_opt "health report" out (fun p -> save p report);
+  write_opt "health JSON" json_out (fun p ->
+      save p
+        (Json.to_string ~compact:false
+           (Json.Obj
+              [
+                ("health", Health.to_json (Option.get (Cluster.health cl)));
+                ("hot_objects", hot_json (Cluster.hot_objects_rollup cl ~k:10 ()));
+              ])));
   summary cl
 
-let health_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the health report (SLO dashboard, alert transitions, \
-             hot objects) to $(docv); byte-identical across same-seed \
-             runs.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the health state and hot-object rollup as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "health"
-       ~doc:
-         "Run the chaos workload with the health plane enabled and \
-          report SLO rule states, alert transitions and the hottest \
-          objects.")
-    Term.(
-      const run_health $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t $ out_t
-      $ json_t)
-
-let run_top nodes seed fault_plan requests replica_cache coalesce ckpt_delta
-    ckpt_async k json_out =
-  let cl =
-    health_workload ~nodes ~seed ~fault_plan ~requests ~replica_cache
-      ~coalesce ~ckpt_delta ~ckpt_async ()
-  in
+let run_top w k json_out =
+  let cl = chaos_workload ~health:Health.default_config w in
   for i = 0 to Cluster.node_count cl - 1 do
     let entries = Cluster.hot_objects cl ~k i in
     Printf.printf "node %d (top %d):\n%s" i (List.length entries)
-      (hot_table ~indent:"  " entries)
+      (hot_table entries)
   done;
   let hot = Cluster.hot_objects_rollup cl ~k () in
   Printf.printf "cluster rollup (top %d):\n%s" (List.length hot)
-    (hot_table ~indent:"  " hot);
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Json.to_string ~compact:false (hot_json hot));
-    Printf.printf "hot-object JSON written to %s\n" file);
+    (hot_table hot);
+  write_opt "hot-object JSON" json_out (fun p ->
+      save p (Json.to_string ~compact:false (hot_json hot)));
   summary cl
-
-let top_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let k_t =
-    Arg.(
-      value & opt int 10
-      & info [ "k"; "top" ] ~docv:"K" ~doc:"Entries per hot-object table.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the cluster hot-object rollup as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Run the chaos workload with the health plane enabled and show \
-          the hottest objects per node and cluster-wide.")
-    Term.(
-      const run_top $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t $ k_t
-      $ json_t)
 
 (* ------------------------------------------------------------------ *)
 (* profile: run the chaos workload with critical-path profiling armed
@@ -1167,131 +842,31 @@ let top_cmd =
    trace.  The whole report is a function of the seed, so `make
    profile-check` can cmp two same-seed runs byte for byte. *)
 
-let run_profile nodes seed fault_plan requests replica_cache coalesce
-    ckpt_delta ckpt_async clone hedge directory spares out json_out folded
-    chrome check =
-  let cl =
-    chaos_workload ~clone ~hedge ~directory ~profiling:true ~spares ~nodes
-      ~seed ~fault_plan ~requests ~replica_cache ~coalesce ~ckpt_delta
-      ~ckpt_async ~trace:false ()
-  in
+let run_profile w out json_out folded chrome check =
+  let cl = chaos_workload ~profiling:true w in
   let tl = Cluster.timeline cl in
   let dropped = Cluster.journal_dropped cl in
   let pf = Eden_obs.Profile.of_timeline tl in
-  print_string (Eden_obs.Profile.to_text pf);
+  let text = Eden_obs.Profile.to_text pf in
+  print_string text;
   if dropped > 0 then
     Printf.printf
       "(journal dropped %d events; %d request(s) skipped as incomplete)\n"
       dropped
       (Eden_obs.Profile.skipped pf);
-  (match out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Profile.to_text pf);
-    Printf.printf "profile written to %s\n" file);
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file
-      (Json.to_string ~compact:false (Eden_obs.Profile.to_json pf));
-    Printf.printf "profile JSON written to %s\n" file);
-  (match folded with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file (Eden_obs.Profile.to_folded pf);
-    Printf.printf "folded stacks written to %s (flamegraph.pl input)\n" file);
-  (match chrome with
-  | None -> ()
-  | Some file ->
-    write_file ~path:file
-      (Eden_obs.Timeline.to_chrome_string
-         ~extra:(Eden_obs.Profile.chrome_extra pf)
-         tl);
-    Printf.printf
-      "chrome trace with attribution bars written to %s (load in \
-       chrome://tracing or Perfetto)\n"
-      file);
-  if check then begin
-    match Eden_obs.Check.run ~complete:(dropped = 0) tl with
-    | [] -> print_endline "profile-check: all invariants hold"
-    | violations ->
-      List.iter
-        (fun v ->
-          Printf.eprintf "%s\n"
-            (Format.asprintf "%a" Eden_obs.Check.pp_violation v))
-        violations;
-      Printf.eprintf "%s\n"
-        (Json.to_string ~compact:true
-           (Eden_obs.Check.violations_to_json violations));
-      Printf.eprintf "profile-check: %d violation(s)\n"
-        (List.length violations);
-      exit 1
-  end;
+  write_opt "profile" out (fun p -> save p text);
+  write_opt "profile JSON" json_out (fun p ->
+      save p (Json.to_string ~compact:false (Eden_obs.Profile.to_json pf)));
+  write_opt "folded stacks" ~note:" (flamegraph.pl input)" folded (fun p ->
+      save p (Eden_obs.Profile.to_folded pf));
+  write_opt "chrome trace with attribution bars"
+    ~note:" (load in chrome://tracing or Perfetto)" chrome (fun p ->
+      save p
+        (Eden_obs.Timeline.to_chrome_string
+           ~extra:(Eden_obs.Profile.chrome_extra pf)
+           tl));
+  if check then report_violations ~label:"profile-check" ~json:true cl tl;
   summary cl
-
-let profile_cmd =
-  let requests_t =
-    Arg.(
-      value & opt int 220
-      & info [ "requests" ] ~docv:"R"
-          ~doc:"Requests in the stream (one every 10ms of virtual time).")
-  in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the profile report (the same text as stdout) to $(docv); \
-             byte-identical across same-seed runs.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the profile as JSON to $(docv).")
-  in
-  let folded_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "folded" ] ~docv:"FILE"
-          ~doc:
-            "Write folded flame-graph stacks \
-             (target.op;category count-in-ns per line) to $(docv), ready \
-             for flamegraph.pl or speedscope.")
-  in
-  let chrome_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the causal timeline as Chrome trace_event JSON with one \
-             attribution bar per request to $(docv).")
-  in
-  let check_t =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Audit the trace against all eight invariants, including \
-             attribution-complete (every request's category breakdown must \
-             sum exactly to its end-to-end latency); exit non-zero on any \
-             violation.")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run the chaos workload with critical-path profiling and \
-          attribute each request's latency across \
-          service/queue/wire/directory/backoff categories.")
-    Term.(
-      const run_profile $ nodes_t $ seed_t $ fault_plan_t $ requests_t
-      $ replica_cache_t $ coalesce_t $ ckpt_delta_t $ ckpt_async_t
-      $ clone_t $ hedge_t $ directory_t $ spares_t $ out_t $ json_t
-      $ folded_t $ chrome_t $ check_t)
 
 (* ------------------------------------------------------------------ *)
 (* edit: the interactive object editor (the paper's editing paradigm:
@@ -1370,8 +945,9 @@ let editor_help () =
     \  nodes                      node heartbeats\n\
     \  help | quit\n"
 
-let run_edit nodes seed =
-  let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
+let run_edit c =
+  let nodes = c.nodes in
+  let cl = default_cluster c in
   let h = editor_hierarchy () in
   (match Eden_typesys.Hierarchy.register_all h cl with
   | Ok () -> ()
@@ -1383,8 +959,7 @@ let run_edit nodes seed =
   (* Run one blocking action against the cluster and drain the sim. *)
   let step f =
     let out = ref None in
-    let _ = Cluster.in_process cl (fun () -> out := Some (f ())) in
-    Cluster.run cl;
+    drive cl (fun () -> out := Some (f ()));
     !out
   in
   let find name =
@@ -1513,16 +1088,11 @@ let run_edit nodes seed =
     (Cluster.stats_remote_invocations cl)
     (Time.to_string (Engine.now (Cluster.engine cl)))
 
-let edit_cmd =
-  Cmd.v
-    (Cmd.info "edit" ~doc:"Interactive object editor (the editing paradigm).")
-    Term.(const run_edit $ nodes_t $ seed_t)
-
 (* ------------------------------------------------------------------ *)
 (* stats *)
 
-let run_stats nodes seed locality requests =
-  let cl = Cluster.default ~seed:(Int64.of_int seed) ~n_nodes:nodes () in
+let run_stats c (locality, requests) =
+  let cl = default_cluster c in
   let spec =
     {
       Eden_workload.Synthetic.default_spec with
@@ -1533,24 +1103,6 @@ let run_stats nodes seed locality requests =
   let r = Eden_workload.Synthetic.run_eden cl spec in
   Format.printf "%a@.@." Eden_workload.Synthetic.pp_results r;
   print_string (Eden_obs.Snapshot.pp_table (Cluster.metrics_snapshot cl))
-
-let stats_cmd =
-  let locality_t =
-    Arg.(
-      value & opt float 0.8
-      & info [ "locality" ] ~docv:"F" ~doc:"Fraction of local requests.")
-  in
-  let requests_t =
-    Arg.(
-      value & opt int 25
-      & info [ "requests" ] ~docv:"R" ~doc:"Requests per user.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run a synthetic workload and print the metrics registry as \
-          per-node, per-segment and cluster-wide tables.")
-    Term.(const run_stats $ nodes_t $ seed_t $ locality_t $ requests_t)
 
 (* ------------------------------------------------------------------ *)
 (* metrics-check *)
@@ -1570,51 +1122,40 @@ let required_metrics =
   ]
 
 let run_metrics_check file =
-  let contents = In_channel.with_open_text file In_channel.input_all in
-  match Eden_obs.Snapshot.of_string contents with
-  | Error e ->
-    Printf.eprintf "metrics-check: %s: parse error: %s\n" file e;
-    exit 1
-  | Ok snap ->
-    let missing =
-      List.filter
-        (fun (name, labels) ->
-          Eden_obs.Snapshot.find snap ?labels name = None)
-        required_metrics
-    in
-    (match missing with
-    | [] ->
-      Printf.printf "metrics-check: OK (%d samples, %d spans, t=%s)\n"
-        (List.length snap.Eden_obs.Snapshot.metrics)
-        (List.length snap.Eden_obs.Snapshot.spans)
-        (Time.to_string snap.Eden_obs.Snapshot.at)
-    | _ ->
-      List.iter
-        (fun (name, labels) ->
-          Printf.eprintf "metrics-check: missing %s%s\n" name
-            (match labels with
-            | None -> ""
-            | Some l ->
-              "{"
-              ^ String.concat ","
-                  (List.map (fun (k, v) -> k ^ "=" ^ v) l)
-              ^ "}"))
-        missing;
-      exit 1)
-
-let metrics_check_cmd =
-  let file_t =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Snapshot JSON written by --metrics-out.")
-  in
-  Cmd.v
-    (Cmd.info "metrics-check"
-       ~doc:
-         "Validate an exported metrics snapshot: parse the JSON and \
-          verify the core instruments are present.")
-    Term.(const run_metrics_check $ file_t)
+  let fail msg = die "metrics-check: %s\n" msg in
+  match In_channel.with_open_text file In_channel.input_all with
+  | exception Sys_error msg ->
+    (* Open errors already name the file; read errors do not. *)
+    let prefix = file ^ ": " in
+    fail (if String.starts_with ~prefix msg then msg else prefix ^ msg)
+  | contents -> (
+    match Eden_obs.Snapshot.of_string contents with
+    | Error e -> fail (Printf.sprintf "%s: parse error: %s" file e)
+    | Ok snap -> (
+      let missing =
+        List.filter
+          (fun (name, labels) ->
+            Eden_obs.Snapshot.find snap ?labels name = None)
+          required_metrics
+      in
+      match missing with
+      | [] ->
+        Printf.printf "metrics-check: OK (%d samples, %d spans, t=%s)\n"
+          (List.length snap.Eden_obs.Snapshot.metrics)
+          (List.length snap.Eden_obs.Snapshot.spans)
+          (Time.to_string snap.Eden_obs.Snapshot.at)
+      | _ ->
+        List.iter
+          (fun (name, labels) ->
+            Printf.eprintf "metrics-check: missing %s%s\n" name
+              (match labels with
+              | None -> ""
+              | Some l ->
+                "{"
+                ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) l)
+                ^ "}"))
+          missing;
+        exit 1))
 
 (* ------------------------------------------------------------------ *)
 (* info *)
@@ -1623,22 +1164,143 @@ let run_info () =
   print_endline "Eden reproduction (SOSP 1981, Lazowska et al.)";
   print_endline "";
   print_endline "libraries: eden_util eden_sim eden_net eden_hw eden_kernel";
-  print_endline "           eden_typesys eden_efs eden_baseline eden_workload";
-  print_endline "examples : dune exec examples/quickstart.exe (and 4 more)";
+  print_endline "           eden_obs eden_fault eden_typesys eden_efs";
+  print_endline "           eden_baseline eden_workload";
+  print_endline "examples : dune exec examples/quickstart.exe (and 5 more)";
   print_endline "benches  : dune exec bench/main.exe -- --list";
   print_endline "";
+  let machine = Eden_hw.Machine.default_config ~name:"x" in
   Printf.printf "default node machine: %d GDPs, %d bytes memory\n"
-    (Eden_hw.Machine.default_config ~name:"x").Eden_hw.Machine.gdps
-    (Eden_hw.Machine.default_config ~name:"x").Eden_hw.Machine.memory_bytes;
+    machine.Eden_hw.Machine.gdps machine.Eden_hw.Machine.memory_bytes;
   let p = Eden_net.Params.default in
   Printf.printf "network: %d Mb/s Ethernet, slot %s, max frame %dB\n"
     (p.Eden_net.Params.bandwidth_bps / 1_000_000)
     (Time.to_string p.Eden_net.Params.slot)
     p.Eden_net.Params.max_frame_bytes
 
-let info_cmd =
-  Cmd.v (Cmd.info "info" ~doc:"Show build configuration.")
-    Term.(const run_info $ const ())
+(* ------------------------------------------------------------------ *)
+(* The subcommand table *)
+
+let commands =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  [
+    ( "demo",
+      "Shared counter incremented from every node.",
+      Term.(const run_demo $ common $ outputs) );
+    ( "mail",
+      "Multi-user mail workload.",
+      Term.(
+        const run_mail $ common $ outputs
+        $ count_opt [ "users" ] 2 "K" "Users per node."
+        $ count_opt [ "messages" ] 8 "M" "Messages per user.") );
+    ( "synth",
+      "Synthetic invocation workload.",
+      Term.(
+        const run_synth $ common $ synth_load
+        $ features [ Fault_plan; Replica_cache; Coalesce; Ckpt_delta; Directory ]
+        $ outputs) );
+    ( "efs",
+      "EFS transaction workload on one shared file.",
+      Term.(
+        const run_efs $ common $ outputs
+        $ count_opt [ "txns" ] 10 "T" "Concurrent transactions."
+        $ flag "optimistic" "Optimistic concurrency control (default 2PL).") );
+    ( "heartbeat",
+      "Poll every node object; detect failures.",
+      Term.(
+        ret
+          (const run_heartbeat $ common $ outputs
+          $ Arg.(
+              value
+              & opt (some count) None
+              & info [ "kill" ] ~docv:"I" ~doc:"Crash node $(docv) mid-run."))) );
+    ( "chaos",
+      "Mirrored counters under a deterministic fault plan (random from \
+       --seed unless --fault-plan is given).",
+      Term.(const run_chaos $ chaos_args all_features $ outputs) );
+    ( "reconfig",
+      "Join a spare and decommission a member while a counter stream runs: \
+       online membership change over the epoch-stamped directory ring (plan \
+       overridable with --fault-plan).",
+      Term.(
+        const run_reconfig $ common $ requests 180
+        $ features [ Fault_plan; Spares ]
+            ~spares:
+              (count_opt [ "spares" ] 1 "K"
+                 "Spare nodes racked beyond the boot membership, available \
+                  for the plan's 'join' actions.")
+        $ outputs) );
+    ( "trace",
+      "Run the chaos workload with causal tracing and export the merged \
+       cross-node timeline.",
+      Term.(
+        const run_trace $ chaos_args all_features
+        $ file_opt "out"
+            "Write the assembled timeline as Chrome trace_event JSON to \
+             $(docv) (open in chrome://tracing or ui.perfetto.dev)."
+        $ file_opt "text"
+            "Write the timeline as human-readable causal trees to $(docv)."
+        $ flag "check"
+            "Audit the assembled trace against the cross-node invariants \
+             (matched send/recv, causal time order, retry termination, cache \
+             install epochs); exit non-zero on any violation.") );
+    ( "profile",
+      "Run the chaos workload with critical-path profiling and attribute \
+       each request's latency across \
+       service/queue/wire/directory/backoff categories.",
+      Term.(
+        const run_profile $ chaos_args all_features
+        $ file_opt "out"
+            "Write the profile report (the same text as stdout) to $(docv); \
+             byte-identical across same-seed runs."
+        $ file_opt "json" "Write the profile as JSON to $(docv)."
+        $ file_opt "folded"
+            "Write folded flame-graph stacks (target.op;category count-in-ns \
+             per line) to $(docv), ready for flamegraph.pl or speedscope."
+        $ file_opt "chrome"
+            "Write the causal timeline as Chrome trace_event JSON with one \
+             attribution bar per request to $(docv)."
+        $ flag "check"
+            "Audit the trace against all eight invariants, including \
+             attribution-complete (every request's category breakdown must \
+             sum exactly to its end-to-end latency); exit non-zero on any \
+             violation.") );
+    ( "health",
+      "Run the chaos workload with the health plane enabled and report SLO \
+       rule states, alert transitions and the hottest objects.",
+      Term.(
+        const run_health $ chaos_args health_features
+        $ file_opt "out"
+            "Write the health report (SLO dashboard, alert transitions, hot \
+             objects) to $(docv); byte-identical across same-seed runs."
+        $ file_opt "json"
+            "Write the health state and hot-object rollup as JSON.") );
+    ( "top",
+      "Run the chaos workload with the health plane enabled and show the \
+       hottest objects per node and cluster-wide.",
+      Term.(
+        const run_top $ chaos_args health_features
+        $ count_opt [ "k"; "top" ] 10 "K" "Entries per hot-object table."
+        $ file_opt "json" "Write the cluster hot-object rollup as JSON.") );
+    ( "stats",
+      "Run a synthetic workload and print the metrics registry as per-node, \
+       per-segment and cluster-wide tables.",
+      Term.(const run_stats $ common $ synth_load) );
+    ( "metrics-check",
+      "Validate an exported metrics snapshot: parse the JSON and verify the \
+       core instruments are present.",
+      Term.(
+        const run_metrics_check
+        $ Arg.(
+            required
+            & pos 0 (some file) None
+            & info [] ~docv:"FILE"
+                ~doc:"Snapshot JSON written by --metrics-out.")) );
+    ( "edit",
+      "Interactive object editor (the editing paradigm).",
+      Term.(const run_edit $ common) );
+    ("info", "Show build configuration.", Term.(const run_info $ const ()));
+  ]
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -1647,20 +1309,6 @@ let () =
        (Cmd.group ~default
           (Cmd.info "edenctl" ~version:"1.0"
              ~doc:"Drive scenarios on the Eden reproduction.")
-          [
-            demo_cmd;
-            mail_cmd;
-            synth_cmd;
-            efs_cmd;
-            heartbeat_cmd;
-            chaos_cmd;
-            reconfig_cmd;
-            trace_cmd;
-            profile_cmd;
-            health_cmd;
-            top_cmd;
-            stats_cmd;
-            metrics_check_cmd;
-            edit_cmd;
-            info_cmd;
-          ]))
+          (List.map
+             (fun (name, doc, term) -> Cmd.v (Cmd.info name ~doc) term)
+             commands)))

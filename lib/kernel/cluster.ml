@@ -323,7 +323,7 @@ type hedge_state = {
 
 (* Cluster-level critical-path counters (profiling only): per-category
    nanoseconds from finished request spans, mapped phase-by-phase so
-   [Health.Share_of_latency] watchdogs can fire online, without
+   a [Health.Ratio] watchdog over them can fire online, without
    assembling a timeline. *)
 type profile_counters = {
   pc_service : Metrics.counter;

@@ -83,8 +83,8 @@ type options = {
           [Drain_stall] (parked behind a draining object) — and
           publishes per-category latency counters
           ([eden.profile.{service,queue,wire,directory,total}_ns],
-          fed from finished spans) for
-          {!Eden_obs.Health.Share_of_latency} watchdogs.  Off, the
+          fed from finished spans), which a
+          {!Eden_obs.Health.Ratio} watchdog can read.  Off, the
           journal stream, cost profile and metric set are exactly
           those of earlier releases; {!Eden_obs.Critical} still
           attributes exactly, just with coarser categories. *)

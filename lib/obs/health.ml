@@ -13,7 +13,6 @@ type signal =
   | Share of string * string
   | Quantile of string * float
   | Gauge_max of string
-  | Share_of_latency of string
 
 type cmp = Above | Below
 
@@ -70,43 +69,6 @@ let default_rules =
       r_threshold = 256.0;
     };
   ]
-
-(* Profiler-fed rules: the cluster publishes per-category critical
-   path nanoseconds as [eden.profile.<category>_ns] counters (with
-   profiling on), so a watchdog can fire when a category's share of
-   attributed latency shifts.  Not in [default_rules]: the counters
-   exist only with [use_profiling], and the default health report must
-   stay byte-identical with profiling off. *)
-let profile_rules =
-  [
-    {
-      r_name = "latency-share-wire";
-      r_signal = Share_of_latency "wire";
-      r_cmp = Above;
-      r_threshold = 0.5;
-    };
-    {
-      r_name = "latency-share-queue";
-      r_signal = Share_of_latency "queue";
-      r_cmp = Above;
-      r_threshold = 0.5;
-    };
-    {
-      r_name = "latency-share-directory";
-      r_signal = Share_of_latency "directory";
-      r_cmp = Above;
-      r_threshold = 0.4;
-    };
-    {
-      r_name = "latency-share-backoff";
-      r_signal = Share_of_latency "backoff";
-      r_cmp = Above;
-      r_threshold = 0.3;
-    };
-  ]
-
-let profile_counter c = "eden.profile." ^ c ^ "_ns"
-let profile_total = "eden.profile.total_ns"
 
 let default_config =
   {
@@ -275,12 +237,6 @@ let eval_signal t s k =
   | Gauge_max name ->
     let m = Window.max_last (Hashtbl.find t.hs_gauges name).gt_win k in
     if m = neg_infinity then nan else m
-  | Share_of_latency c ->
-    let n =
-      Window.sum_last (Hashtbl.find t.hs_counters (profile_counter c)).ct_win k
-    in
-    let d = Window.sum_last (Hashtbl.find t.hs_counters profile_total).ct_win k in
-    if d <= 0.0 then nan else n /. d
 
 let breaches rule v =
   (not (Float.is_nan v))
@@ -324,10 +280,7 @@ let create ?(on_transition = fun _ ~firing:_ ~value:_ -> ()) cfg reg =
         track_counter t a;
         track_counter t b
       | Quantile (n, _) -> track_hist t n
-      | Gauge_max n -> track_gauge t n
-      | Share_of_latency c ->
-        track_counter t (profile_counter c);
-        track_counter t profile_total)
+      | Gauge_max n -> track_gauge t n)
     cfg.hc_rules;
   (* Baseline: absorb pre-existing totals so the first tick's deltas
      measure the first tick only. *)
@@ -375,7 +328,6 @@ let signal_to_string = function
   | Share (a, b) -> Printf.sprintf "share(%s,%s)" a b
   | Quantile (n, q) -> Printf.sprintf "p%g(%s)" (q *. 100.0) n
   | Gauge_max n -> Printf.sprintf "max(%s)" n
-  | Share_of_latency c -> Printf.sprintf "latency-share(%s)" c
 
 let cmp_to_string = function Above -> ">" | Below -> "<"
 

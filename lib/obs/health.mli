@@ -21,7 +21,10 @@ type signal =
   | Ratio of string * string
       (** Windowed delta of the first counter divided by the windowed
           delta of the second ([nan] when the denominator is zero) —
-          e.g. retries per invocation. *)
+          e.g. retries per invocation, or, with the cluster's
+          profiling on, a critical-path category's share of attributed
+          latency: [Ratio ("eden.profile.wire_ns",
+          "eden.profile.total_ns")]. *)
   | Share of string * string
       (** [a / (a + b)] over windowed counter deltas — e.g. cache hits
           against misses. *)
@@ -33,15 +36,6 @@ type signal =
       (** Maximum of the gauge across label sets and across the ticks
           of the window — depth-style signals (queues, in-flight
           checkpoints) alert on their recent worst case. *)
-  | Share_of_latency of string
-      (** A critical-path category's share of attributed latency over
-          the window: the windowed delta of
-          [eden.profile.<category>_ns] divided by that of
-          [eden.profile.total_ns] (the counters the cluster feeds from
-          finished spans with [use_profiling] on; [nan] while no
-          requests finish).  Lets a watchdog fire on attribution
-          shifts — wire time suddenly dominating, directory hops
-          blowing up — rather than on raw latency alone. *)
 
 type cmp = Above | Below
 
@@ -58,14 +52,6 @@ type config = {
   hc_long : int;  (** long-window length in ticks; also ring size *)
   hc_rules : rule list;
 }
-
-val profile_rules : rule list
-(** Watchdogs over the profiler's latency attribution: wire or queue
-    share above one half, directory share above 0.4, backoff share
-    above 0.3.  Separate from {!default_config}'s rules because the
-    [eden.profile.*] counters exist only with
-    [Cluster.options.use_profiling]; append to [hc_rules] when
-    profiling is on. *)
 
 val default_config : config
 (** Watchdogs over the standard cluster metrics — p99 invocation
