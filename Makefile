@@ -3,7 +3,8 @@
 
 .PHONY: all build check ci test test-props bench examples smoke chaos \
   trace-check health-check tail-check dir-check reconfig-check \
-  profile-check host-smoke hostprof hostprof-smoke determinism clean help
+  profile-check host-smoke hostprof hostprof-smoke exports determinism \
+  clean help
 
 all: build
 
@@ -12,7 +13,7 @@ help:
 	@echo "make test         - run every alcotest suite"
 	@echo "make test-props   - seeded property tests only (facts, deltas, plans, analyses)"
 	@echo "make check        - build + tests + metrics smoke + chaos determinism"
-	@echo "make ci           - the full gate: build, tests, CLI and example smokes, cmp checks, props x3 seeds"
+	@echo "make ci           - the full gate: build, export gate, tests, CLI and example smokes, cmp checks, props x3 seeds"
 	@echo "make bench        - run the full experiment suite (E1..E25, M)"
 	@echo "make examples     - run the example programs"
 	@echo "make smoke        - exercise the edenctl CLI end to end, bad input refused"
@@ -26,6 +27,8 @@ help:
 	@echo "make host-smoke   - one round per stream of each benchmark workload, gates checked"
 	@echo "make hostprof     - sampling profile of hot_invoke's request phases (host time)"
 	@echo "make hostprof-smoke - a few phases of each hostprof mode, so the profiler keeps working"
+	@echo "make exports      - every lib/ export has a caller outside tests, or an entry"
+	@echo "                    (Module.value  reason) in tools/exports/allowlist.txt"
 	@echo "make determinism  - experiment output must be bit-reproducible"
 	@echo "make clean        - dune clean"
 
@@ -56,12 +59,13 @@ check:
 	@echo "check: OK"
 
 # The full local gate, mirroring what a hosted pipeline would run:
-# build, every unit suite, the CLI and example-program smokes, the
-# chaos determinism comparison, and the property suites under three
-# distinct seed universes (the offset shifts every property's base
-# stream; see test/prop.ml).
+# build, the export gate, every unit suite, the CLI and example-program
+# smokes, the chaos determinism comparison, and the property suites
+# under three distinct seed universes (the offset shifts every
+# property's base stream; see test/prop.ml).
 ci:
 	dune build @all
+	$(MAKE) exports
 	dune runtest --force
 	$(MAKE) smoke
 	$(MAKE) examples
@@ -249,6 +253,17 @@ hostprof-smoke:
 	./_build/default/bench/hostprof/main.exe --workload hot_invoke --seed 1 \
 	  --phase setup --phases 16 --top 3
 	@echo "hostprof-smoke: OK"
+
+# The export gate (tools/exports): every val in lib/**/*.mli needs a
+# caller outside its own module and outside test/, or a line
+# "Module.value  reason" in tools/exports/allowlist.txt.  It reads the
+# compiler's .cmt/.cmti files, and only @check writes the executables'
+# .cmt files.  It also fails on an allowlist line that names no such
+# export, so the list cannot go stale.
+exports:
+	dune build @check ./tools/exports/exports.exe
+	./_build/default/tools/exports/exports.exe _build/default \
+	  tools/exports/allowlist.txt
 
 # The whole experiment suite must be bit-reproducible.
 determinism:

@@ -44,12 +44,7 @@ and ctx = {
 
 and handler = ctx -> Value.t list -> (Value.t list, Error.t) result
 
-and t = {
-  eng : Engine.t;
-  nodes : node array;
-  mutable n_calls : int;
-  mutable n_remote : int;
-}
+and t = { eng : Engine.t; nodes : node array }
 
 let engine f = f.eng
 let node_count f = Array.length f.nodes
@@ -59,7 +54,6 @@ let node_of f i =
     invalid_arg (Printf.sprintf "Rpc: no such node %d" i)
   else f.nodes.(i)
 
-let machine f i = (node_of f i).n_machine
 let costs node = (Machine.config node.n_machine).Machine.costs
 let consume node t = Cpu.consume (Machine.cpu node.n_machine) t
 
@@ -87,7 +81,6 @@ and serve f node proc args reply =
 
 and do_call f ~from ?timeout ~node:dst ~proc args =
   let origin = node_of f from in
-  f.n_calls <- f.n_calls + 1;
   consume origin (costs origin).Costs.invoke_request_cpu;
   if dst = from then begin
     (* Local procedure: no marshalling, no network. *)
@@ -100,7 +93,6 @@ and do_call f ~from ?timeout ~node:dst ~proc args =
   else begin
     let target = node_of f dst in
     ignore target;
-    f.n_remote <- f.n_remote + 1;
     consume origin
       (Costs.copy_cost (costs origin) ~bytes:(Value.list_size_bytes args));
     let seq = Idgen.next origin.n_seq in
@@ -162,7 +154,7 @@ let create ?(seed = 42L) ?net ~configs () =
            })
          configs)
   in
-  let f = { eng; nodes; n_calls = 0; n_remote = 0 } in
+  let f = { eng; nodes } in
   Array.iter
     (fun node ->
       Msglink.on_message node.n_link (fun ~src msg -> on_message f node ~src msg))
@@ -188,7 +180,5 @@ let register f ~node ~proc handler =
 let call f ~from ?timeout ~node ~proc args =
   do_call f ~from ?timeout ~node ~proc args
 
-let calls_made f = f.n_calls
-let remote_calls f = f.n_remote
 let in_process f ?(name = "driver") body = Engine.spawn f.eng ~name body
 let run ?until f = Engine.run ?until f.eng

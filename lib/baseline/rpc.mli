@@ -28,17 +28,9 @@ type ctx = {
 
 type handler = ctx -> Value.t list -> (Value.t list, Error.t) result
 
-val create :
-  ?seed:int64 ->
-  ?net:Eden_net.Params.t ->
-  configs:Eden_hw.Machine.config list ->
-  unit ->
-  t
-
 val default : ?seed:int64 -> n_nodes:int -> unit -> t
 val engine : t -> Eden_sim.Engine.t
 val node_count : t -> int
-val machine : t -> int -> Eden_hw.Machine.t
 
 val register : t -> node:int -> proc:string -> handler -> unit
 (** Raises [Invalid_argument] on a duplicate (node, proc) pair. *)
@@ -53,9 +45,6 @@ val call :
   (Value.t list, Error.t) result
 (** Blocking.  Local calls skip the network; calls naming a node with
     no such procedure fail with [No_such_operation]. *)
-
-val calls_made : t -> int
-val remote_calls : t -> int
 
 val in_process : t -> ?name:string -> (unit -> unit) -> Eden_sim.Engine.Pid.t
 val run : ?until:Time.t -> t -> unit

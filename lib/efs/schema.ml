@@ -258,6 +258,19 @@ let file_classes =
     };
   ]
 
+(* Operations:
+   ["current"] [] -> [Int vno; Cap version] (error [User_error] when empty);
+   ["version_at"] [Int vno] -> [Cap version];
+   ["version_count"] [] -> [Int];
+   ["prepare"] [Str txn; Int expected_vno] -> [Bool ok] — [expected_vno]
+   of [-1] skips validation (two-phase locking mode);
+   ["commit_version"] [Str txn; Cap version] -> [Int new_vno];
+   ["abort_txn"] [Str txn] -> [];
+   ["lock_shared"] [Int timeout_ms] -> [Bool granted];
+   ["lock_exclusive"] [Int timeout_ms] -> [Bool granted];
+   ["unlock_shared"] [] -> [];
+   ["unlock_exclusive"] [] -> [];
+   ["checkpoint_now"] [] -> []. *)
 let file_type =
   Typemgr.make_exn ~name:"efs_file" ~classes:file_classes ~code_bytes:12_288
     file_ops
@@ -270,6 +283,14 @@ let dir_entries ctx =
   | Value.List entries -> Ok entries
   | _ -> Error (Error.User_error "corrupt directory representation")
 
+(* Operations:
+   ["lookup"] [Str name] -> [Cap];
+   ["bind"] [Str name; Cap c] -> [] (error if bound);
+   ["rebind"] [Str name; Cap c] -> [];
+   ["unbind"] [Str name] -> [];
+   ["list"] [] -> [List of Str];
+   ["entries"] [] -> [List of Pair(Str, Cap)];
+   ["checkpoint_now"] [] -> []. *)
 let dir_type =
   Typemgr.make_exn ~name:"efs_dir" ~code_bytes:8_192
     ~classes:

@@ -18,35 +18,6 @@
     in the representation: a crash clears it, exactly as the paper's
     short-term/long-term split prescribes. *)
 
-val version_type : Eden_kernel.Typemgr.t
-(** Operations: ["read"] [] -> [content];
-    ["size"] [] -> [Int bytes]. *)
-
-val file_type : Eden_kernel.Typemgr.t
-(** Operations:
-    ["current"] [] -> [Int vno; Cap version] (error [User_error] when empty);
-    ["version_at"] [Int vno] -> [Cap version];
-    ["version_count"] [] -> [Int];
-    ["prepare"] [Str txn; Int expected_vno] -> [Bool ok] — [expected_vno]
-    of [-1] skips validation (two-phase locking mode);
-    ["commit_version"] [Str txn; Cap version] -> [Int new_vno];
-    ["abort_txn"] [Str txn] -> [];
-    ["lock_shared"] [Int timeout_ms] -> [Bool granted];
-    ["lock_exclusive"] [Int timeout_ms] -> [Bool granted];
-    ["unlock_shared"] [] -> [];
-    ["unlock_exclusive"] [] -> [];
-    ["checkpoint_now"] [] -> []. *)
-
-val dir_type : Eden_kernel.Typemgr.t
-(** Operations:
-    ["lookup"] [Str name] -> [Cap];
-    ["bind"] [Str name; Cap c] -> [] (error if bound);
-    ["rebind"] [Str name; Cap c] -> [];
-    ["unbind"] [Str name] -> [];
-    ["list"] [] -> [List of Str];
-    ["entries"] [] -> [List of Pair(Str, Cap)];
-    ["checkpoint_now"] [] -> []. *)
-
 val empty_file_repr : Eden_kernel.Value.t
 (** Initial representation for a fresh [efs_file]. *)
 

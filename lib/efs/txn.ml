@@ -40,9 +40,6 @@ let begin_txn cl ~from ~mode =
     st = Open;
   }
 
-let mode t = t.tmode
-let id t = t.tid
-
 let entry_for t file =
   match
     List.find_opt

@@ -35,8 +35,6 @@ type t
 type outcome = Committed | Conflict | Failed of Error.t
 
 val begin_txn : Cluster.t -> from:int -> mode:mode -> t
-val mode : t -> mode
-val id : t -> string
 
 val read : t -> Capability.t -> (Value.t, Error.t) result
 (** Current contents of a file under this transaction's control.

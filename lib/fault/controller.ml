@@ -164,10 +164,6 @@ let broken_links ctl =
   Hashtbl.fold (fun k _ acc -> k :: acc) ctl.links []
   |> List.sort compare
 
-let slow_nodes ctl =
-  Hashtbl.fold (fun n d acc -> (n, d) :: acc) ctl.slow []
-  |> List.sort compare
-
 let disarm ctl =
   ctl.armed <- false;
   Hashtbl.reset ctl.links;

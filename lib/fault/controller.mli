@@ -44,10 +44,6 @@ val injected : t -> int
 val broken_links : t -> (int * int) list
 (** Currently-broken (src, dst) pairs, sorted — for tests. *)
 
-val slow_nodes : t -> (int * Eden_util.Time.t) list
-(** Currently-degraded nodes with their hold delay, sorted — for
-    tests. *)
-
 val disarm : t -> unit
 (** Remove the transport hook and heal all link faults.  Scheduled
     plan events that have not fired yet still fire (they are engine

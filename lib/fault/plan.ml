@@ -22,8 +22,6 @@ type action =
 type event = { at : Time.t; action : action }
 type t = event list
 
-let empty = []
-
 let make events =
   List.stable_sort (fun a b -> Time.compare a.at b.at) events
 

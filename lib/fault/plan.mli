@@ -71,8 +71,6 @@ type event = { at : Eden_util.Time.t; action : action }
 type t
 (** An event schedule, sorted by time (ties keep make/parse order). *)
 
-val empty : t
-
 val make : event list -> t
 (** Sort the events by [at] (stable). *)
 

@@ -27,21 +27,6 @@ let default =
     delta_scan_per_byte = Time.ns 100;
   }
 
-let scale c f =
-  if not (Float.is_finite f) || f <= 0.0 then invalid_arg "Costs.scale";
-  let s t = Time.mul_float t f in
-  {
-    invoke_request_cpu = s c.invoke_request_cpu;
-    invoke_dispatch_cpu = s c.invoke_dispatch_cpu;
-    process_create_cpu = s c.process_create_cpu;
-    invoke_reply_cpu = s c.invoke_reply_cpu;
-    per_byte_copy = s c.per_byte_copy;
-    locate_lookup_cpu = s c.locate_lookup_cpu;
-    checkpoint_fixed_cpu = s c.checkpoint_fixed_cpu;
-    activation_fixed_cpu = s c.activation_fixed_cpu;
-    delta_scan_per_byte = s c.delta_scan_per_byte;
-  }
-
 let copy_cost c ~bytes =
   if bytes < 0 then invalid_arg "Costs.copy_cost: negative size";
   Time.scale c.per_byte_copy bytes

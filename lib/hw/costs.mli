@@ -31,10 +31,6 @@ type t = {
 
 val default : t
 
-val scale : t -> float -> t
-(** [scale c f] multiplies every service time by [f] (a faster or
-    slower processor generation).  Requires [f > 0]. *)
-
 val copy_cost : t -> bytes:int -> Eden_util.Time.t
 (** Marshalling cost for a payload of the given size. *)
 

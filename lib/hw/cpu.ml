@@ -1,17 +1,14 @@
 open Eden_util
 open Eden_sim
 
-type t = { pool : Resource.t; n : int; cname : string }
+type t = { pool : Resource.t; n : int }
 
 let create eng ~gdps ~name =
   if gdps <= 0 then invalid_arg "Cpu.create: gdps must be positive";
-  { pool = Resource.create eng ~servers:gdps ~name; n = gdps; cname = name }
+  { pool = Resource.create eng ~servers:gdps ~name; n = gdps }
 
 let gdps c = c.n
-let name c = c.cname
 let consume c t = if not (Time.is_zero t) then Resource.use c.pool t
-let busy c = Resource.busy c.pool
-let queue_length c = Resource.queue_length c.pool
 let busy_time c = Resource.busy_time c.pool
 let utilisation c ~over = Resource.utilisation c.pool ~over
 let jobs_completed c = Resource.jobs_completed c.pool

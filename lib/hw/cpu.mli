@@ -11,15 +11,12 @@ val create : Eden_sim.Engine.t -> gdps:int -> name:string -> t
 (** [gdps] must be positive. *)
 
 val gdps : t -> int
-val name : t -> string
 
 val consume : t -> Eden_util.Time.t -> unit
 (** Occupy one processor for the given service time (FIFO queueing).
     Must be called from a process.  Zero-length demands return
     immediately without queueing. *)
 
-val busy : t -> int
-val queue_length : t -> int
 val busy_time : t -> Eden_util.Time.t
 val utilisation : t -> over:Eden_util.Time.t -> float
 val jobs_completed : t -> int

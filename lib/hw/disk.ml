@@ -26,7 +26,6 @@ let server_profile =
 
 type t = {
   prof : profile;
-  dname : string;
   arm : Resource.t;
   mutable n_reads : int;
   mutable n_writes : int;
@@ -39,16 +38,12 @@ let create eng ~profile ~name =
     invalid_arg "Disk.create: transfer rate must be positive";
   {
     prof = profile;
-    dname = name;
     arm = Resource.create eng ~servers:1 ~name:(name ^ ".arm");
     n_reads = 0;
     n_writes = 0;
     rbytes = 0;
     wbytes = 0;
   }
-
-let profile d = d.prof
-let name d = d.dname
 
 let access_time d ~bytes =
   if bytes < 0 then invalid_arg "Disk.access_time: negative size";
@@ -75,4 +70,3 @@ let bytes_read d = d.rbytes
 let bytes_written d = d.wbytes
 let busy_time d = Resource.busy_time d.arm
 let utilisation d ~over = Resource.utilisation d.arm ~over
-let queue_length d = Resource.queue_length d.arm

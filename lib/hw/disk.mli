@@ -21,8 +21,6 @@ val server_profile : profile
 type t
 
 val create : Eden_sim.Engine.t -> profile:profile -> name:string -> t
-val profile : t -> profile
-val name : t -> string
 
 val access_time : t -> bytes:int -> Eden_util.Time.t
 (** Positioning plus transfer time for one request, ignoring queueing. *)
@@ -42,5 +40,3 @@ val busy_time : t -> Eden_util.Time.t
 
 val utilisation : t -> over:Eden_util.Time.t -> float
 (** Fraction of [over] the arm spent servicing transfers. *)
-
-val queue_length : t -> int

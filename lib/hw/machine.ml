@@ -1,5 +1,3 @@
-open Eden_sim
-
 type config = {
   name : string;
   gdps : int;
@@ -17,9 +15,6 @@ let default_config ~name =
     costs = Costs.default;
   }
 
-let upgraded_config ~name =
-  { (default_config ~name) with gdps = 4; memory_bytes = 2_500_000 }
-
 let file_server_config ~name =
   {
     (default_config ~name) with
@@ -29,24 +24,17 @@ let file_server_config ~name =
 
 type t = {
   cfg : config;
-  eng : Engine.t;
   m_cpu : Cpu.t;
-  m_mem : Memory.t;
   m_disk : Disk.t;
 }
 
 let create eng cfg =
   {
     cfg;
-    eng;
     m_cpu = Cpu.create eng ~gdps:cfg.gdps ~name:(cfg.name ^ ".cpu");
-    m_mem = Memory.create ~bytes:cfg.memory_bytes;
     m_disk = Disk.create eng ~profile:cfg.disk_profile ~name:(cfg.name ^ ".disk");
   }
 
 let config m = m.cfg
-let name m = m.cfg.name
 let cpu m = m.m_cpu
-let memory m = m.m_mem
 let disk m = m.m_disk
-let engine m = m.eng

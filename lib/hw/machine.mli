@@ -1,8 +1,9 @@
 (** An Eden node machine.
 
-    Composes the processor pool, primary memory and mass storage of one
-    node (Figure 2 of the paper).  The network interface is attached by
-    the kernel layer, which joins machines to a LAN. *)
+    Composes the processor pool and mass storage of one node (Figure 2
+    of the paper).  The kernel layer models each node's primary memory
+    (sized by [memory_bytes]) and attaches the network interface, which
+    joins machines to a LAN. *)
 
 type config = {
   name : string;
@@ -15,9 +16,6 @@ type config = {
 val default_config : name:string -> config
 (** The default Eden node: 2 GDPs, 1 MB of memory, a small local disk. *)
 
-val upgraded_config : name:string -> config
-(** The "field upgraded" node: 4 GDPs and 2.5 MB. *)
-
 val file_server_config : name:string -> config
 (** A node configured as a file server: 2 GDPs, 2.5 MB, 300 MB disk. *)
 
@@ -25,8 +23,5 @@ type t
 
 val create : Eden_sim.Engine.t -> config -> t
 val config : t -> config
-val name : t -> string
 val cpu : t -> Cpu.t
-val memory : t -> Memory.t
 val disk : t -> Disk.t
-val engine : t -> Eden_sim.Engine.t

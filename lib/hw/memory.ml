@@ -1,20 +1,18 @@
-type t = { capacity : int; mutable used : int; mutable peak : int }
+type t = { capacity : int; mutable used : int }
 
 let create ~bytes =
   if bytes <= 0 then invalid_arg "Memory.create: capacity must be positive";
-  { capacity = bytes; used = 0; peak = 0 }
+  { capacity = bytes; used = 0 }
 
 let capacity m = m.capacity
 let in_use m = m.used
 let available m = m.capacity - m.used
-let peak m = m.peak
 
 let reserve m n =
   if n < 0 then invalid_arg "Memory.reserve: negative size";
   if n > available m then Error `Out_of_memory
   else begin
     m.used <- m.used + n;
-    if m.used > m.peak then m.peak <- m.used;
     Ok ()
   end
 

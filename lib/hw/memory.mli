@@ -13,8 +13,6 @@ val create : bytes:int -> t
 val capacity : t -> int
 val in_use : t -> int
 val available : t -> int
-val peak : t -> int
-(** High-water mark of {!in_use}. *)
 
 val reserve : t -> int -> (unit, [ `Out_of_memory ]) result
 (** Claim bytes; fails (claiming nothing) if fewer are available.

@@ -78,7 +78,6 @@ type ctx = {
 type handler = ctx -> Value.t list -> invoke_result
 
 let reply vs = Ok vs
-let fail e = Error e
 let reply_unit = Ok []
 let user_error msg = Error (Error.User_error msg)
 let bad_arguments msg = Error (Error.Bad_arguments msg)
@@ -90,10 +89,6 @@ let arity_error n got =
 
 let arg1 = function [ a ] -> Ok a | l -> arity_error 1 (List.length l)
 let arg2 = function [ a; b ] -> Ok (a, b) | l -> arity_error 2 (List.length l)
-
-let arg3 = function
-  | [ a; b; c ] -> Ok (a, b, c)
-  | l -> arity_error 3 (List.length l)
 
 let no_args = function [] -> Ok () | l -> arity_error 0 (List.length l)
 

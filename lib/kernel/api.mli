@@ -127,14 +127,12 @@ type handler = ctx -> Value.t list -> invoke_result
 (** An operation implementation. *)
 
 val reply : Value.t list -> invoke_result
-val fail : Error.t -> invoke_result
 val reply_unit : invoke_result
 val user_error : string -> invoke_result
 val bad_arguments : string -> invoke_result
 
 val arg1 : Value.t list -> (Value.t, Error.t) result
 val arg2 : Value.t list -> (Value.t * Value.t, Error.t) result
-val arg3 : Value.t list -> (Value.t * Value.t * Value.t, Error.t) result
 val no_args : Value.t list -> (unit, Error.t) result
 
 val int_arg : Value.t -> (int, Error.t) result

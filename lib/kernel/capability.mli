@@ -15,9 +15,6 @@ val restrict : t -> Rights.t -> t
 (** [restrict c r] keeps only the rights in both [c] and [r]; the
     result never has more rights than [c]. *)
 
-val permits : t -> Rights.t -> bool
-(** [permits c required] — does [c] carry every right in [required]? *)
-
 val equal : t -> t -> bool
 (** Same name and same rights. *)
 

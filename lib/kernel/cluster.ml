@@ -1216,8 +1216,8 @@ let do_create_local cl node type_name init =
           spawn_behaviours cl obj;
           Name.Table.replace node.nd_active name obj;
           dir_publish cl node name ~home:node.nd_id ~replicas:[];
-          tracef cl Trace.Kern "created %s type=%s on node %d"
-            (Name.to_string name) type_name node.nd_id;
+          tracef cl Trace.Kern "created %a type=%s on node %d" Name.pp name
+            type_name node.nd_id;
           Ok (Capability.make name Rights.all)))
 
 (* Reincarnate a passive object from its snapshot on [node].  Blocking.
@@ -1315,8 +1315,8 @@ let activate cl node name =
                 dir_publish ~ctx:actx cl node name ~home:node.nd_id
                   ~replicas:[];
                 Metrics.incr (nm cl node).m_recoveries;
-                tracef cl Trace.Store "reincarnated %s on node %d"
-                  (Name.to_string name) node.nd_id;
+                tracef cl Trace.Store "reincarnated %a on node %d" Name.pp
+                  name node.nd_id;
                 finish (Ok obj)
               end)))))
 
@@ -1328,14 +1328,15 @@ let activate cl node name =
 let write_snapshot cl node ~target ~type_name ~repr ~version ~reliability
     ~frozen ~passive =
   if not node.nd_disk_ok then begin
-    tracef cl Trace.Store "node %d refused snapshot of %s: disk failed"
-      node.nd_id (Name.to_string target);
+    tracef cl Trace.Store "node %d refused snapshot of %a: disk failed"
+      node.nd_id Name.pp target;
     false
   end
   else begin
+    let bytes = Value.size_bytes repr in
     Metrics.incr (nm cl node).m_ckpts;
-    Metrics.add (nm cl node).m_ckpt_bytes (Value.size_bytes repr);
-    Disk.write (Machine.disk node.nd_machine) ~bytes:(Value.size_bytes repr);
+    Metrics.add (nm cl node).m_ckpt_bytes bytes;
+    Disk.write (Machine.disk node.nd_machine) ~bytes;
     (match Name.Table.find_opt node.nd_store target with
     | Some snap ->
       snap.ss_repr <- repr;
@@ -1353,8 +1354,8 @@ let write_snapshot cl node ~target ~type_name ~repr ~version ~reliability
           ss_frozen = frozen;
           ss_passive = passive;
         });
-    tracef cl Trace.Store "node %d stored snapshot of %s v%d (%dB)" node.nd_id
-      (Name.to_string target) version (Value.size_bytes repr);
+    tracef cl Trace.Store "node %d stored snapshot of %a v%d (%dB)" node.nd_id
+      Name.pp target version bytes;
     true
   end
 
@@ -1365,26 +1366,26 @@ let write_snapshot cl node ~target ~type_name ~repr ~version ~reliability
 let apply_delta_snapshot cl node ~target ~base_version ~version ~delta
     ~reliability ~frozen =
   if not node.nd_disk_ok then begin
-    tracef cl Trace.Store "node %d refused delta for %s: disk failed"
-      node.nd_id (Name.to_string target);
+    tracef cl Trace.Store "node %d refused delta for %a: disk failed"
+      node.nd_id Name.pp target;
     false
   end
   else
     match Name.Table.find_opt node.nd_store target with
     | None ->
-      tracef cl Trace.Store "node %d nacked delta for %s: no base snapshot"
-        node.nd_id (Name.to_string target);
+      tracef cl Trace.Store "node %d nacked delta for %a: no base snapshot"
+        node.nd_id Name.pp target;
       false
     | Some snap when snap.ss_version <> base_version ->
       tracef cl Trace.Store
-        "node %d nacked delta for %s: base v%d but stored v%d" node.nd_id
-        (Name.to_string target) base_version snap.ss_version;
+        "node %d nacked delta for %a: base v%d but stored v%d" node.nd_id
+        Name.pp target base_version snap.ss_version;
       false
     | Some snap -> (
       match Delta.apply delta ~base:snap.ss_repr with
       | Error msg ->
-        tracef cl Trace.Store "node %d nacked delta for %s: %s" node.nd_id
-          (Name.to_string target) msg;
+        tracef cl Trace.Store "node %d nacked delta for %a: %s" node.nd_id
+          Name.pp target msg;
         false
       | Ok repr ->
         let bytes = Delta.size_bytes delta in
@@ -1396,8 +1397,8 @@ let apply_delta_snapshot cl node ~target ~base_version ~version ~delta
         snap.ss_reliability <- reliability;
         snap.ss_frozen <- frozen;
         snap.ss_passive <- false;
-        tracef cl Trace.Store "node %d applied delta for %s v%d->v%d (%dB)"
-          node.nd_id (Name.to_string target) base_version version bytes;
+        tracef cl Trace.Store "node %d applied delta for %a v%d->v%d (%dB)"
+          node.nd_id Name.pp target base_version version bytes;
         true)
 
 (* One checkpoint round: stamp a fresh version and write [repr] to
@@ -1868,8 +1869,8 @@ let drop_cached cl node target =
     Memory.release node.nd_mem obj.ob_mem;
     obj.ob_mem <- 0;
     Metrics.incr (nm cl node).m_cache_inval;
-    tracef cl Trace.Kern "node %d dropped cached replica of %s" node.nd_id
-      (Name.to_string target);
+    tracef cl Trace.Kern "node %d dropped cached replica of %a" node.nd_id
+      Name.pp target;
     kill_object_procs cl obj
 
 let cache_epoch node name =
@@ -1918,8 +1919,8 @@ let install_cached cl node name ~type_name ~repr =
             (jrecord cl node
                (Journal.Cache_install
                   { target = label cl name; epoch = cache_epoch node name }));
-          tracef cl Trace.Kern "node %d cached frozen replica of %s"
-            node.nd_id (Name.to_string name)))
+          tracef cl Trace.Kern "node %d cached frozen replica of %a"
+            node.nd_id Name.pp name))
 
 (* Fetch [name]'s representation from [from_node] in the background.
    Failures are silent: the cache is an optimisation, and the next
@@ -3597,7 +3598,7 @@ let unfreeze cl cap =
            the object migrated here — is invalidated directly. *)
         invalidate_cached cl node name;
         bcast_msg cl node (Message.Cache_invalidate { target = name });
-        tracef cl Trace.Kern "%s unfrozen on node %d" (Name.to_string name)
+        tracef cl Trace.Kern "%a unfrozen on node %d" Name.pp name
           obj.ob_home;
         Ok ()
       end)
@@ -3644,7 +3645,7 @@ let destroy cl cap =
       let works = outstanding_works obj in
       List.iter (fun w -> fail_work cl obj w Error.No_such_object) works;
       unregister cl obj;
-      tracef cl Trace.Kern "%s destroyed on node %d" (Name.to_string name)
+      tracef cl Trace.Kern "%a destroyed on node %d" Name.pp name
         obj.ob_home;
       kill_object_procs cl obj
     | None -> ());

@@ -64,7 +64,3 @@ val shard_of_hash_skipping : t -> down:(int -> bool) -> int -> int
 
 val shard_of_hash : t -> int -> int
 (** Shard lookup from a pre-mixed ring position (exposed for tests). *)
-
-val hash_name : Name.t -> int
-(** The ring position of a name: [Name.hash] re-mixed through the
-    64-bit finalizer (the raw table hash clusters badly). *)

@@ -12,28 +12,6 @@ type t =
   | Move_refused of string
   | Disk_failed
 
-let equal a b =
-  match (a, b) with
-  | No_such_object, No_such_object
-  | Timeout, Timeout
-  | Object_crashed, Object_crashed
-  | Node_down, Node_down
-  | Out_of_memory, Out_of_memory
-  | Frozen_immutable, Frozen_immutable
-  | Disk_failed, Disk_failed ->
-    true
-  | No_such_operation x, No_such_operation y
-  | Rights_violation x, Rights_violation y
-  | Bad_arguments x, Bad_arguments y
-  | User_error x, User_error y
-  | Move_refused x, Move_refused y ->
-    String.equal x y
-  | ( ( No_such_object | No_such_operation _ | Rights_violation _ | Timeout
-      | Object_crashed | Node_down | Out_of_memory | Frozen_immutable
-      | Bad_arguments _ | User_error _ | Move_refused _ | Disk_failed ),
-      _ ) ->
-    false
-
 let pp ppf = function
   | No_such_object -> Format.pp_print_string ppf "no such object"
   | No_such_operation op -> Format.fprintf ppf "no such operation %S" op

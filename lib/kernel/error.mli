@@ -17,6 +17,4 @@ type t =
   | Move_refused of string  (** mobility precondition failed *)
   | Disk_failed  (** a checksite's checkpoint store is unavailable *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

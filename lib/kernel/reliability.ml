@@ -32,13 +32,6 @@ let fanout ~primary ~candidates ~max_extra =
     |> List.filter (fun s -> s <> primary)
     |> List.filteri (fun i _ -> i < max_extra)
 
-let equal a b =
-  match (a, b) with
-  | Local, Local -> true
-  | Remote x, Remote y -> Int.equal x y
-  | Mirrored x, Mirrored y -> List.equal Int.equal x y
-  | (Local | Remote _ | Mirrored _), _ -> false
-
 let pp ppf = function
   | Local -> Format.pp_print_string ppf "local"
   | Remote n -> Format.fprintf ppf "remote(%d)" n

@@ -22,5 +22,4 @@ val fanout : primary:int -> candidates:int list -> max_extra:int -> int list
     duplicates and the primary removed, in ascending id order, capped
     at [max_extra].  Empty when [max_extra <= 0]. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -32,9 +32,7 @@ let invoke_only = of_list [ Invoke ]
 let mem r s = s land (1 lsl bit r) <> 0
 let to_list s = List.filter (fun r -> mem r s) all_rights
 let subset a b = a land lnot b = 0
-let union = ( lor )
 let inter = ( land )
-let remove r s = s land lnot (1 lsl bit r)
 let equal = Int.equal
 
 let right_name = function

@@ -30,8 +30,6 @@ val mem : right -> t -> bool
 val subset : t -> t -> bool
 (** [subset a b] — every right in [a] is in [b]. *)
 
-val union : t -> t -> t
 val inter : t -> t -> t
-val remove : right -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

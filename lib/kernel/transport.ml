@@ -28,10 +28,8 @@ let frames_delivered = Internet.frames_delivered
 let bridge_forwards = Internet.bridge_forwards
 let coalesced_batches = Internet.coalesced_batches
 let coalesced_messages = Internet.coalesced_messages
-let bridge_drops = Internet.bridge_drops
 let segment_counters = Internet.segment_counters
 let set_partitioned = Internet.set_partitioned
-let partitioned = Internet.partitioned
 let set_fault_injector = Internet.set_fault_injector
 
 type event = Internet.event =
@@ -59,8 +57,6 @@ let on_message = Internet.on_message
 let send = Internet.send
 let send_now = Internet.send_now
 let broadcast = Internet.broadcast
-let flush = Internet.flush
 let set_up = Internet.set_up
-let is_up = Internet.is_up
 let queued_messages = Internet.queued_messages
 let reassembly_pending = Internet.reassembly_pending

@@ -43,14 +43,9 @@ val coalesced_messages : net -> int
 val segment_counters : net -> Eden_net.Lan.counters array
 (** Per-segment MAC counters, indexed by segment. *)
 
-val bridge_drops : net -> int
-(** Messages the bridge discarded because a partition cut the path. *)
-
 val set_partitioned : net -> int -> bool -> unit
 (** Cut a segment off from the bridge (or heal it).  See
     {!Eden_net.Internet.set_partitioned}. *)
-
-val partitioned : net -> int -> bool
 
 type fault = Eden_net.Internet.fault =
   | Pass
@@ -117,14 +112,8 @@ val broadcast : t -> Message.traced -> unit
 (** Reaches every node on every segment.  Acts as a coalescing
     barrier: queued unicasts are flushed first. *)
 
-val flush : t -> unit
-(** Flush this endpoint's coalescing queues immediately.  No-op when
-    coalescing is disabled. *)
-
 val set_up : t -> bool -> unit
 (** A downed endpoint neither sends nor delivers. *)
-
-val is_up : t -> bool
 
 val queued_messages : t -> int
 (** Messages parked in the endpoint's coalescing queues (zero with

@@ -91,9 +91,6 @@ let resolve t op =
   in
   go 0
 
-let find_operation t op =
-  match resolve t op with Some (o, _) -> Some o | None -> None
-
 let operation ?(required = []) ?(mutates = true) op_name op_handler =
   {
     op_name;

@@ -56,7 +56,6 @@ val code_bytes : t -> int
 val short_term_bytes : t -> int
 val reincarnate : t -> (Api.ctx -> unit) option
 val behaviours : t -> behaviour list
-val find_operation : t -> string -> operation option
 
 val resolve : t -> string -> (operation * int) option
 (** The operation named [op] together with the index of its invocation

@@ -34,11 +34,9 @@ let wrong expected v =
   Error (Printf.sprintf "expected %s, got %s" expected (type_name v))
 
 let to_int = function Int i -> Ok i | v -> wrong "int" v
-let to_bool = function Bool b -> Ok b | v -> wrong "bool" v
 let to_str = function Str s -> Ok s | v -> wrong "string" v
 let to_cap = function Cap c -> Ok c | v -> wrong "capability" v
 let to_list = function List l -> Ok l | v -> wrong "list" v
-let to_pair = function Pair (a, b) -> Ok (a, b) | v -> wrong "pair" v
 
 let rec caps = function
   | Unit | Bool _ | Int _ | Str _ | Blob _ -> []

@@ -27,11 +27,9 @@ val list_size_bytes : t list -> int
     code can surface {!Error.Bad_arguments} to callers. *)
 
 val to_int : t -> (int, string) result
-val to_bool : t -> (bool, string) result
 val to_str : t -> (string, string) result
 val to_cap : t -> (Capability.t, string) result
 val to_list : t -> (t list, string) result
-val to_pair : t -> (t * t, string) result
 
 val caps : t -> Capability.t list
 (** Every capability reachable in the value, for parameter-passing

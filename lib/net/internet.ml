@@ -225,11 +225,6 @@ let attach net ~segment ~name =
 let address ep = ep.ep_global
 let segment_of_endpoint ep = ep.ep_segment
 
-let segment_of_address net g =
-  if g < 0 || g >= Array.length net.directory then
-    invalid_arg "Internet.segment_of_address: unknown address"
-  else fst net.directory.(g)
-
 let on_message ep f = ep.ep_handler <- Some f
 
 (* Every transmission funnels through the (optional) fault injector, so
@@ -410,8 +405,6 @@ let set_up ep up =
       ep.ep_queues;
   Msglink.set_up ep.ep_link up
 
-let is_up ep = Msglink.is_up ep.ep_link
-
 let queued_messages ep =
   Hashtbl.fold (fun _ pb acc -> acc + pb.pb_count) ep.ep_queues 0
 
@@ -432,11 +425,6 @@ let set_partitioned net seg cut =
   if seg < 0 || seg >= Array.length net.lans then
     invalid_arg "Internet.set_partitioned: no such segment";
   net.partitioned.(seg) <- cut
-
-let partitioned net seg =
-  if seg < 0 || seg >= Array.length net.lans then
-    invalid_arg "Internet.partitioned: no such segment";
-  net.partitioned.(seg)
 
 let set_fault_injector net f = net.injector <- f
 let set_event_hook net f = net.event_hook <- f

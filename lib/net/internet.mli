@@ -52,9 +52,6 @@ val attach : 'a t -> segment:int -> name:string -> 'a endpoint
 val address : 'a endpoint -> int
 val segment_of_endpoint : 'a endpoint -> int
 
-val segment_of_address : 'a t -> int -> int
-(** Raises [Invalid_argument] for unknown addresses. *)
-
 val on_message : 'a endpoint -> (src:int -> 'a -> unit) -> unit
 
 val send : 'a endpoint -> dst:int -> 'a -> unit
@@ -77,13 +74,7 @@ val broadcast : 'a endpoint -> 'a -> unit
     coalescing barrier: the sender's queues are flushed first so
     queued unicasts cannot overtake it. *)
 
-val flush : 'a endpoint -> unit
-(** Flush every per-destination coalescing queue of this endpoint
-    immediately (in ascending destination order).  A no-op when
-    coalescing is disabled or nothing is queued. *)
-
 val set_up : 'a endpoint -> bool -> unit
-val is_up : 'a endpoint -> bool
 
 val queued_messages : 'a endpoint -> int
 (** Messages currently parked in this endpoint's per-destination
@@ -128,8 +119,6 @@ val set_partitioned : 'a t -> int -> bool -> unit
     frames already queued for forwarding — and counted in
     {!bridge_drops}.  Same-segment traffic is unaffected.  Raises
     [Invalid_argument] for an unknown segment. *)
-
-val partitioned : 'a t -> int -> bool
 
 type fault =
   | Pass  (** transmit normally *)

@@ -82,7 +82,6 @@ let create ?(params = Params.default) eng =
   }
 
 let params lan = lan.prm
-let engine lan = lan.eng
 let address st = st.st_addr
 let on_receive st f = st.st_receive <- Some f
 let set_trace lan tr = lan.trace <- Some tr
@@ -244,8 +243,6 @@ let counters lan =
     collision_events = lan.c_collisions;
     backoffs = lan.c_backoffs;
   }
-
-let busy_time lan = lan.busy
 
 let utilisation lan ~over =
   if Time.is_zero over then 0.0

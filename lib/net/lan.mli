@@ -43,7 +43,6 @@ val create : ?params:Params.t -> Eden_sim.Engine.t -> 'a t
 (** Raises [Invalid_argument] if [params] fails {!Params.validate}. *)
 
 val params : 'a t -> Params.t
-val engine : 'a t -> Eden_sim.Engine.t
 
 val attach : 'a t -> name:string -> 'a station
 (** Join a new station to the cable.  Addresses are assigned densely
@@ -74,10 +73,6 @@ type counters = {
 }
 
 val counters : 'a t -> counters
-
-val busy_time : 'a t -> Eden_util.Time.t
-(** Total time the medium carried a successful transmission (excludes
-    jams), for utilisation computations. *)
 
 val utilisation : 'a t -> over:Eden_util.Time.t -> float
 

@@ -25,20 +25,16 @@ type 'm t = {
   mutable handler : (src:int -> 'm -> unit) option;
   partial : (key, int) Hashtbl.t;
   msg_ids : Eden_util.Idgen.t;
-  mutable sent : int;
-  mutable received : int;
-  mutable discarded : int;
 }
 
 let max_chunk lan = (Lan.params lan).Params.max_frame_bytes
 
 let deliver tp frame =
   let p = frame.Lan.payload in
-  if not tp.up then tp.discarded <- tp.discarded + 1
+  if not tp.up then ()
   else if p.pk_total = 1 then begin
     match p.pk_content with
     | Some msg -> (
-      tp.received <- tp.received + 1;
       match tp.handler with Some f -> f ~src:frame.Lan.src msg | None -> ())
     | None -> assert false (* the only fragment is the final one *)
   end
@@ -47,15 +43,13 @@ let deliver tp frame =
     let seen = Option.value ~default:0 (Hashtbl.find_opt tp.partial key) in
     match p.pk_content with
     | None -> Hashtbl.replace tp.partial key (seen + 1)
-    | Some msg ->
+    | Some msg -> (
       Hashtbl.remove tp.partial key;
-      if seen = p.pk_total - 1 then begin
-        tp.received <- tp.received + 1;
+      (* A message missing fragments can never complete: drop it. *)
+      if seen = p.pk_total - 1 then
         match tp.handler with
         | Some f -> f ~src:frame.Lan.src msg
-        | None -> ()
-      end
-      else tp.discarded <- tp.discarded + seen + 1
+        | None -> ())
   end
 
 let attach lan ~name ~size =
@@ -69,9 +63,6 @@ let attach lan ~name ~size =
       handler = None;
       partial = Hashtbl.create 16;
       msg_ids = Eden_util.Idgen.create ();
-      sent = 0;
-      received = 0;
-      discarded = 0;
     }
   in
   Lan.on_receive station (fun frame -> deliver tp frame);
@@ -88,7 +79,6 @@ let transmit tp ~dest msg =
     let chunk = max_chunk tp.the_lan in
     let total = Stdlib.max 1 ((size + chunk - 1) / chunk) in
     let msg_id = Eden_util.Idgen.next tp.msg_ids in
-    tp.sent <- tp.sent + 1;
     for i = 0 to total - 1 do
       let is_last = i = total - 1 in
       let bytes = if is_last then size - ((total - 1) * chunk) else chunk in
@@ -108,7 +98,4 @@ let send tp ~dst msg =
   transmit tp ~dest:(Lan.Unicast dst) msg
 
 let broadcast tp msg = transmit tp ~dest:Lan.Broadcast msg
-let messages_sent tp = tp.sent
-let messages_received tp = tp.received
-let fragments_discarded tp = tp.discarded
 let reassembly_pending tp = Hashtbl.length tp.partial

@@ -30,11 +30,6 @@ val set_up : 'm t -> bool -> unit
 (** A downed endpoint neither sends nor delivers. *)
 
 val is_up : 'm t -> bool
-val messages_sent : 'm t -> int
-val messages_received : 'm t -> int
-
-val fragments_discarded : 'm t -> int
-(** Fragments belonging to messages that can never complete. *)
 
 val reassembly_pending : 'm t -> int
 (** Partially received messages currently held in the reassembly

@@ -314,7 +314,6 @@ let tick t =
       end)
     t.hs_rules
 
-let config t = t.hs_cfg
 let ticks t = t.hs_ticks
 
 let firing t =

@@ -77,8 +77,6 @@ val tick : t -> unit
 (** Close one tick: read the registry, push per-tick deltas into every
     window, re-evaluate all rules and report transitions. *)
 
-val config : t -> config
-
 val ticks : t -> int
 (** Ticks closed so far. *)
 
@@ -94,5 +92,3 @@ val report : t -> string
 
 val to_json : t -> Json.t
 (** Schema [eden-health/1]; [nan] values export as [null]. *)
-
-val signal_to_string : signal -> string

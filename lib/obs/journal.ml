@@ -241,9 +241,6 @@ let create sink ~node ~cap =
     jn_dropped = 0;
   }
 
-let enabled t = t.jn_cap > 0
-let node t = t.jn_node
-
 (* Cap the intern table so an adversarial stream of distinct strings
    (say, per-request payload descriptions) cannot grow it without
    bound; past the cap, strings are stored as-is and simply cost

@@ -122,9 +122,6 @@ val create : sink -> node:int -> cap:int -> t
     (trace contexts keep working) but nothing is retained and the
     counters stay at zero. *)
 
-val enabled : t -> bool
-val node : t -> int
-
 val record : t -> at:Time.t -> ?ctx:Tracectx.t -> kind -> int
 (** Append an event and return its id.  Without [ctx] the event roots
     a new trace (its trace id is its own id).  The strings of [kind]

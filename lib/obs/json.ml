@@ -288,19 +288,3 @@ let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> x = y
-  | Int x, Int y -> x = y
-  | Float x, Float y -> x = y
-  | Str x, Str y -> String.equal x y
-  | List xs, List ys ->
-    List.length xs = List.length ys && List.for_all2 equal xs ys
-  | Obj xs, Obj ys ->
-    List.length xs = List.length ys
-    && List.for_all2
-         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2)
-         xs ys
-  | _ -> false

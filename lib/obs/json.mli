@@ -39,6 +39,3 @@ val to_float : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option
 val to_bool : t -> bool option
-
-val equal : t -> t -> bool
-(** Structural equality; object fields compare in order. *)

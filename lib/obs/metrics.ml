@@ -3,7 +3,6 @@ open Eden_util
 type labels = (string * string) list
 
 type counter = int ref
-type gauge = float ref
 
 type histogram = {
   h_bounds : float array;
@@ -15,7 +14,6 @@ type histogram = {
 type instrument =
   | I_counter of counter
   | I_counter_fn of (unit -> int)
-  | I_gauge of gauge
   | I_gauge_fn of (unit -> float)
   | I_histogram of histogram
 
@@ -28,7 +26,7 @@ let canon labels =
 
 let kind_name = function
   | I_counter _ | I_counter_fn _ -> "counter"
-  | I_gauge _ | I_gauge_fn _ -> "gauge"
+  | I_gauge_fn _ -> "gauge"
   | I_histogram _ -> "histogram"
 
 (* Register [make ()] under [(name, labels)], or return the existing
@@ -62,18 +60,6 @@ let add c n =
   c := !c + n
 
 let counter_value c = !c
-
-let gauge reg ?labels name =
-  intern reg ?labels name
-    ~reuse:(function I_gauge g -> Some g | _ -> None)
-    ~make:(fun () ->
-      let g = ref 0.0 in
-      (I_gauge g, g))
-
-(* NaN would poison every later comparison against the gauge (all
-   orderings are false), so a NaN store is dropped rather than stored. *)
-let set g v = if Float.is_nan v then () else g := v
-let gauge_value g = !g
 
 let histogram reg ?labels ~buckets name =
   if Array.length buckets = 0 then
@@ -147,7 +133,6 @@ type sample = { s_name : string; s_labels : labels; s_value : value }
 let read = function
   | I_counter c -> Counter !c
   | I_counter_fn f -> Counter (f ())
-  | I_gauge g -> Gauge !g
   | I_gauge_fn f -> Gauge (f ())
   | I_histogram h ->
     let n = Array.length h.h_bounds in

@@ -8,7 +8,7 @@
 
     Two registration styles coexist:
 
-    - {e owned} instruments ({!counter}, {!gauge}, {!histogram}) return
+    - {e owned} instruments ({!counter}, {!histogram}) return
       a handle the instrumented code updates on its hot path;
     - {e sampled} instruments ({!register_counter_fn},
       {!register_gauge_fn}) wrap a closure that is read at sample time,
@@ -38,15 +38,6 @@ val add : counter -> int -> unit
     monotonic). *)
 
 val counter_value : counter -> int
-
-type gauge
-
-val gauge : t -> ?labels:labels -> string -> gauge
-val set : gauge -> float -> unit
-(** Stores [v]; a NaN is silently dropped (it would make every later
-    threshold comparison against the gauge false). *)
-
-val gauge_value : gauge -> float
 
 type histogram
 

@@ -196,7 +196,7 @@ let to_folded t =
 
 (* Per-request "X" (complete) trace_event entries: one duration bar
    per attributed request on its trace's track, with the category
-   breakdown in [args].  Feed to {!Timeline.to_chrome_json} via
+   breakdown in [args].  Feed to {!Timeline.to_chrome_string} via
    [?extra] so the bars overlay the event instants and flow arrows. *)
 let chrome_extra t =
   List.map

@@ -43,5 +43,5 @@ val to_folded : t -> string
 
 val chrome_extra : t -> Json.t list
 (** One ["ph": "X"] duration event per attributed request (category
-    breakdown in [args]); pass to {!Timeline.to_chrome_json} as
+    breakdown in [args]); pass to {!Timeline.to_chrome_string} as
     [?extra]. *)

@@ -18,20 +18,6 @@ val take : at:Eden_util.Time.t -> ?spans:Span.collector -> Metrics.t -> t
 
 val find : t -> ?labels:Metrics.labels -> string -> Metrics.value option
 
-val to_json : t -> Json.t
-(** Schema:
-    {v
-    { "schema":  "eden-metrics/1",
-      "at_ns":   <int>,
-      "metrics": [ { "name": ..., "labels": {...}, "kind": "counter",
-                     "value": <int> }
-                 | { ..., "kind": "gauge", "value": <float> }
-                 | { ..., "kind": "histogram", "bounds": [...],
-                     "counts": [...], "overflow": <int>,
-                     "count": <int>, "sum": <float> } ],
-      "spans":   [ <Span.info_to_json> ... ] }
-    v} *)
-
 val to_string : ?compact:bool -> t -> string
 val of_string : string -> (t, string) result
 

@@ -44,8 +44,6 @@ type info = {
   i_phases : Time.t array;
 }
 
-let info_duration i = Time.diff i.i_finish i.i_start
-
 let info_phase i p = i.i_phases.(phase_index p)
 
 let info_to_json i =
@@ -147,8 +145,6 @@ type collector = {
   mutable size : int;  (* slots allocated *)
   mutable first : int;  (* slot of the oldest retained span *)
   mutable len : int;
-  mutable n_started : int;
-  mutable n_finished : int;
   mutable n_late : int;
       (* enter/finish calls that arrived after the span was sealed *)
 }
@@ -179,8 +175,6 @@ let create ?(keep = 4096) () =
     size = 0;
     first = 0;
     len = 0;
-    n_started = 0;
-    n_finished = 0;
     n_late = 0;
   }
 
@@ -192,7 +186,6 @@ let () = assert (Array.length (fresh_acc ()) = n_phases)
 let start col ?parent ~op ~target ~origin ~at () =
   let id = col.next_id in
   col.next_id <- id + 1;
-  col.n_started <- col.n_started + 1;
   {
     sp_id = id;
     sp_parent = Option.map (fun p -> p.sp_id) parent;
@@ -312,9 +305,7 @@ let finish t ~outcome ~at =
     close_current t ~at;
     t.sp_sealed <- true;
     t.sp_finish <- at;
-    let col = t.sp_home in
-    col.n_finished <- col.n_finished + 1;
-    retain col t ~outcome ~at
+    retain t.sp_home t ~outcome ~at
   end
 
 let duration t =
@@ -323,8 +314,6 @@ let duration t =
 
 let phase_time t p = t.sp_acc.(phase_index p)
 
-let started col = col.n_started
-let finished_count col = col.n_finished
 let late_events col = col.n_late
 (* Oldest first, so the records lie in memory in the order readers
    walk them. *)
@@ -339,11 +328,6 @@ let finished col =
 let last_finished col =
   if col.len = 0 then None
   else Some (info_at col ((col.first + col.len - 1) mod col.size))
-
-let clear col =
-  Array.fill col.strs 0 (Array.length col.strs) "";
-  col.first <- 0;
-  col.len <- 0
 
 let children infos id =
   List.filter (fun i -> i.i_parent = Some id) infos

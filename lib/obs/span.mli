@@ -32,9 +32,6 @@ type phase = Locate | Transport | Queue | Dispatch | Execute | Reply
 val phases : phase list
 (** In canonical order. *)
 
-val phase_index : phase -> int
-(** Position in {!phases}, from 0: the slot of {!info.i_phases}. *)
-
 val phase_name : phase -> string
 
 type info = {
@@ -48,12 +45,11 @@ type info = {
   i_start : Eden_util.Time.t;
   i_finish : Eden_util.Time.t;
   i_phases : Eden_util.Time.t array;
-      (** time in each phase, indexed by {!phase_index} *)
+      (** time in each phase, in the order of {!phases} *)
 }
 (** The record of a finished span.  The collector keeps its fields,
     not the record: each read builds fresh values. *)
 
-val info_duration : info -> Eden_util.Time.t
 val info_phase : info -> phase -> Eden_util.Time.t
 
 val info_to_json : info -> Json.t
@@ -102,9 +98,6 @@ val phase_time : t -> phase -> Eden_util.Time.t
 
 (** {1 Reading a collector} *)
 
-val started : collector -> int
-val finished_count : collector -> int
-
 val late_events : collector -> int
 (** Phase changes or finishes that arrived after their span was
     sealed — late server-side work the sealed records cannot show
@@ -114,8 +107,6 @@ val finished : collector -> info list
 (** Retained finished spans, oldest first. *)
 
 val last_finished : collector -> info option
-val clear : collector -> unit
-(** Drop retained records (live spans and totals are unaffected). *)
 
 val children : info list -> int -> info list
 (** [children infos id] are the spans whose parent is [id], in

@@ -25,8 +25,7 @@ val traces : t -> int list
 
 val to_text : t -> string
 
-val to_chrome_json : ?extra:Json.t list -> t -> Json.t
-(** [extra] appends further trace_event objects (e.g. {!Profile}'s
-    per-request duration bars) to the [traceEvents] array. *)
-
 val to_chrome_string : ?extra:Json.t list -> t -> string
+(** Chrome trace_event JSON, compact.  [extra] appends further
+    trace_event objects (e.g. {!Profile}'s per-request duration bars)
+    to the [traceEvents] array. *)

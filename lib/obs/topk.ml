@@ -27,7 +27,6 @@ let create ~capacity =
     k_total = 0;
   }
 
-let capacity t = t.k_cap
 let total t = t.k_total
 
 let add ?(count = 1) t key =

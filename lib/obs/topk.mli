@@ -24,8 +24,6 @@ type entry = {
 val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val add : ?count:int -> t -> string -> unit
 (** Record [count] (default 1) occurrences of a key.  Constant-time
     when the key is already tracked; a linear min-scan of the

@@ -5,6 +5,3 @@ let root id = { trace = id; parent = id }
 let trace t = t.trace
 let parent t = t.parent
 let with_parent t ~parent = { t with parent }
-let equal a b = a.trace = b.trace && a.parent = b.parent
-let pp fmt t = Format.fprintf fmt "trace=%d parent=%d" t.trace t.parent
-let to_string t = Format.asprintf "%a" pp t

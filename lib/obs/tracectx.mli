@@ -21,7 +21,3 @@ val parent : t -> int
 
 val with_parent : t -> parent:int -> t
 (** Same trace, new causal predecessor. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -16,9 +16,6 @@ let create ~ticks =
   if ticks <= 0 then invalid_arg "Window.create: ticks must be positive";
   { w_cap = ticks; w_vals = Array.make ticks 0.0; w_head = 0; w_filled = 0 }
 
-let ticks w = w.w_cap
-let filled w = w.w_filled
-
 let push w v =
   w.w_vals.(w.w_head) <- v;
   w.w_head <- (w.w_head + 1) mod w.w_cap;
@@ -50,26 +47,10 @@ let max_last w k =
     !acc
   end
 
-let mean_last w k =
-  let k = effective w k in
-  if k = 0 then nan else sum_last w k /. float_of_int k
-
 let rate_last w k ~tick =
   let k = effective w k in
   if k = 0 then nan
   else sum_last w k /. (float_of_int k *. Time.to_sec tick)
-
-let merge a b =
-  if a.w_cap <> b.w_cap then invalid_arg "Window.merge: capacity mismatch";
-  let m = create ~ticks:a.w_cap in
-  let f = max a.w_filled b.w_filled in
-  (* Build oldest-first so the result's head lands after the newest. *)
-  for age = f - 1 downto 0 do
-    let va = if age < a.w_filled then a.w_vals.(slot a age) else 0.0 in
-    let vb = if age < b.w_filled then b.w_vals.(slot b age) else 0.0 in
-    push m (va +. vb)
-  done;
-  m
 
 module Hist = struct
   type h = {
@@ -116,10 +97,6 @@ module Hist = struct
         h.h_acc.(i) <- h.h_acc.(i) + h.h_rows.(row + i)
       done
     done
-
-  let count_last h k =
-    accumulate h k;
-    Array.fold_left ( + ) 0 h.h_acc
 
   let quantile_last h k q =
     if not (q >= 0.0 && q <= 1.0) then

@@ -3,8 +3,6 @@
     A window is a ring of per-tick deltas: the sampler closes one tick
     per virtual-time interval and pushes the amount the underlying
     series moved during it.  Keeping deltas (rather than raw samples)
-    makes windows additive — two windows fed a split of one stream
-    merge, slot by slot, into the window of the whole stream — and
     keeps storage flat: a window of [ticks] slots is one float array
     written round-robin, following the journal's allocation-light
     idiom (PR 5).  Queries aggregate over the most recent [k] ticks,
@@ -13,23 +11,13 @@
 
     {!Hist} is the same ring over histogram buckets: per-tick bucket
     deltas, queried as windowed percentile estimates by linear
-    interpolation inside the bucket that crosses the rank (the
-    fixed-bucket estimator {!Eden_util.Stats.Histogram} uses for its
-    distribution output). *)
+    interpolation inside the bucket that crosses the rank. *)
 
 type t
 
 val create : ticks:int -> t
 (** A window retaining the last [ticks] per-tick deltas.  Raises
     [Invalid_argument] if [ticks <= 0]. *)
-
-val ticks : t -> int
-(** Ring capacity, as given to {!create}. *)
-
-val filled : t -> int
-(** Ticks recorded so far, saturating at {!ticks}.  Queries over
-    [k > filled t] see only the recorded ticks (warm-up reads are
-    over a shorter effective window, never padded with zeros). *)
 
 val push : t -> float -> unit
 (** Close one tick: append its delta, evicting the oldest retained
@@ -43,21 +31,10 @@ val max_last : t -> int -> float
 (** Maximum over the newest [min k (filled w)] deltas; [nan] before
     the first tick. *)
 
-val mean_last : t -> int -> float
-(** Mean over the newest [min k (filled w)] deltas; [nan] before the
-    first tick. *)
-
 val rate_last : t -> int -> tick:Eden_util.Time.t -> float
 (** [rate_last w k ~tick] is the per-second rate over the newest
     [min k (filled w)] ticks of duration [tick] each; [nan] before
     the first tick. *)
-
-val merge : t -> t -> t
-(** Slot-aligned sum, newest tick first: merging two windows that
-    each saw part of one split stream (ticked in lockstep) yields the
-    window of the whole stream.  The result's [filled] is the larger
-    of the two; the shorter side contributes zero to the ticks it
-    never saw.  Raises [Invalid_argument] when capacities differ. *)
 
 (** Windowed histograms: per-tick bucket deltas over the fixed bounds
     of a {!Metrics.histogram}. *)
@@ -72,9 +49,6 @@ module Hist : sig
   val push : h -> counts:int array -> overflow:int -> unit
   (** Close one tick with the per-bucket observation deltas recorded
       during it.  [counts] must match the bounds length. *)
-
-  val count_last : h -> int -> int
-  (** Observations in the newest [min k filled] ticks. *)
 
   val quantile_last : h -> int -> float -> float
   (** [quantile_last h k q] with [q] in [\[0,1\]] estimates the

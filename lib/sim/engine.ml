@@ -9,7 +9,6 @@ module Pid = struct
   let compare a b = Int.compare a.id b.id
   let to_int p = p.id
   let name p = p.pname
-  let pp ppf p = Format.fprintf ppf "%s#%d" p.pname p.id
 end
 
 exception Killed

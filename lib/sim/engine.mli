@@ -29,7 +29,6 @@ module Pid : sig
   val compare : t -> t -> int
   val to_int : t -> int
   val name : t -> string
-  val pp : Format.formatter -> t -> unit
 end
 
 type t

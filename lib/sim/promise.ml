@@ -22,4 +22,3 @@ let rec await ?timeout p =
     | Engine.Timed_out -> None)
 
 let peek p = p.value
-let is_filled p = p.value <> None

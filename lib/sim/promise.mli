@@ -17,4 +17,3 @@ val await : ?timeout:Eden_util.Time.t -> 'a t -> 'a option
     Returns immediately when already filled. *)
 
 val peek : 'a t -> 'a option
-val is_filled : 'a t -> bool

@@ -24,9 +24,6 @@ let create eng ~servers ~name =
     waits = Stats.create ();
   }
 
-let name r = r.rname
-let servers r = r.nservers
-
 let acquire r =
   let started = Engine.now r.eng in
   let got = Semaphore.acquire r.sem in
@@ -56,7 +53,6 @@ let use r service =
     Printexc.raise_with_backtrace e bt
 
 let busy r = r.nbusy
-let queue_length r = Semaphore.waiters r.sem
 let jobs_completed r = r.completed
 let busy_time r = r.total_busy
 

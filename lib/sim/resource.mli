@@ -10,9 +10,6 @@ type t
 val create : Engine.t -> servers:int -> name:string -> t
 (** [servers] must be positive. *)
 
-val name : t -> string
-val servers : t -> int
-
 val use : t -> Eden_util.Time.t -> unit
 (** [use r service] blocks until a server is free, occupies it for
     [service], then releases it.  Must be called from a process. *)
@@ -24,8 +21,6 @@ val release : t -> unit
 
 val busy : t -> int
 (** Servers currently occupied. *)
-
-val queue_length : t -> int
 
 (** {2 Accounting} *)
 

@@ -34,8 +34,3 @@ let release s =
   hand_off ()
 
 let permits s = s.count
-
-let waiters s =
-  let n = ref 0 in
-  Fifo.iter (fun h -> if Engine.handle_pending h then incr n) s.queue;
-  !n

@@ -20,5 +20,3 @@ val try_acquire : t -> bool
 val release : t -> unit
 val permits : t -> int
 (** Currently available (un-handed-off) permits. *)
-
-val waiters : t -> int

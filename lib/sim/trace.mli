@@ -1,10 +1,12 @@
 (** Structured trace events.
 
     Components emit categorised trace records into a bounded ring;
-    tests read the ring and the per-category counts to observe
-    internal behaviour without widening public interfaces, and the CLI
-    can dump the tail of a run.  Tracing is off by default and
-    costs one branch when disabled. *)
+    tests read the ring to observe internal behaviour without widening
+    public interfaces, and the CLI can dump the tail of a run.  Tracing
+    is off by default.  While it is off nothing is formatted or
+    recorded, but the caller still evaluates every argument it passes,
+    so a site whose arguments cost something to compute checks
+    {!enabled} first or passes the value to a [%a] printer. *)
 
 type category =
   | Sim  (** engine-level: spawn, kill *)
@@ -29,27 +31,16 @@ val create : ?keep:int -> unit -> t
 val enable : t -> unit
 val enabled : t -> bool
 
-val emit : t -> Eden_util.Time.t -> category -> string -> unit
-(** No-op while disabled. *)
-
 val emitf :
   t ->
   Eden_util.Time.t ->
   category ->
   ('a, Format.formatter, unit, unit) format4 ->
   'a
-(** Formatted emission; the format arguments are not evaluated while
-    tracing is disabled. *)
+(** Formatted emission; nothing is formatted while tracing is disabled
+    (the caller has already evaluated the arguments). *)
 
 val recent : t -> record list
 (** Oldest first, up to [keep] records. *)
 
-val count : t -> category -> int
-(** Records emitted in this category (including evicted ones). *)
-
-val total : t -> int
-val clear : t -> unit
-(** Drop retained records and counters. *)
-
-val category_name : category -> string
 val pp_record : Format.formatter -> record -> unit

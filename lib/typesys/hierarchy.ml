@@ -53,8 +53,6 @@ let declare_exn h d =
   | Ok () -> ()
   | Error e -> invalid_arg ("Hierarchy.declare_exn: " ^ e)
 
-let parent h name = (find h name).d_parent
-
 let ancestors h name =
   let rec walk acc n =
     match (find h n).d_parent with

@@ -47,8 +47,6 @@ val declare : t -> decl -> (unit, string) result
 val declare_exn : t -> decl -> unit
 
 val mem : t -> string -> bool
-val parent : t -> string -> string option
-(** Raises [Invalid_argument] on an unknown type. *)
 
 val ancestors : t -> string -> string list
 (** Proper ancestors, nearest first. *)

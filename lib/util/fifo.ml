@@ -16,14 +16,11 @@ let create ?capacity () =
   { capacity; data = [||]; head = 0; size = 0 }
 
 let length q = q.size
-let is_empty q = q.size = 0
 
 let is_full q =
   match q.capacity with
   | None -> false
   | Some c -> q.size >= c
-
-let capacity q = q.capacity
 
 let grow q =
   let cap = Array.length q.data in
@@ -59,18 +56,6 @@ let pop q =
     q.size <- q.size - 1;
     v
   end
-
-let pop_exn q =
-  match pop q with
-  | Some v -> v
-  | None -> invalid_arg "Fifo.pop_exn: empty"
-
-let peek q = if q.size = 0 then None else q.data.(q.head)
-
-let clear q =
-  q.data <- [||];
-  q.head <- 0;
-  q.size <- 0
 
 let iter f q =
   for i = 0 to q.size - 1 do

@@ -11,9 +11,7 @@ val create : ?capacity:int -> unit -> 'a t
     the maximum number of queued elements; it must be positive. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
-val capacity : 'a t -> int option
 
 val push : 'a t -> 'a -> bool
 (** [push q v] appends [v]; returns [false] (leaving [q] unchanged) when
@@ -23,9 +21,6 @@ val push_exn : 'a t -> 'a -> unit
 (** Like {!push} but raises [Invalid_argument] when full. *)
 
 val pop : 'a t -> 'a option
-val pop_exn : 'a t -> 'a
-val peek : 'a t -> 'a option
-val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val to_list : 'a t -> 'a list
 (** Front-to-back snapshot. *)

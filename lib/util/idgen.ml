@@ -8,4 +8,3 @@ let next t =
   id
 
 let peek t = t.counter
-let issued t = t.counter - t.first

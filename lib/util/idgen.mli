@@ -12,6 +12,3 @@ val create : ?first:int -> unit -> t
 val next : t -> int
 val peek : t -> int
 (** The id {!next} would return, without consuming it. *)
-
-val issued : t -> int
-(** Number of ids handed out so far. *)

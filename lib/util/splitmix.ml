@@ -8,7 +8,6 @@ let mix64 z =
   Int64.(logxor z (shift_right_logical z 31))
 
 let create seed = { state = seed }
-let copy g = { state = g.state }
 
 let next64 g =
   g.state <- Int64.add g.state golden_gamma;

@@ -14,10 +14,6 @@ val split : t -> t
 (** [split g] advances [g] and returns an independent child generator.
     Distinct calls yield statistically independent streams. *)
 
-val copy : t -> t
-(** [copy g] is a generator with the same future output as [g];
-    advancing one does not affect the other. *)
-
 val next64 : t -> int64
 (** Next raw 64-bit value. *)
 

@@ -41,19 +41,6 @@ let total s =
 
 let mean s = if count s = 0 then 0.0 else total s /. Float.of_int (count s)
 
-let stddev s =
-  let n = count s in
-  if n < 2 then 0.0
-  else begin
-    let m = mean s in
-    let acc = ref (Float.of_int s.zeros *. m *. m) in
-    for i = 0 to s.size - 1 do
-      let d = s.samples.(i) -. m in
-      acc := !acc +. (d *. d)
-    done;
-    Float.sqrt (!acc /. Float.of_int n)
-  end
-
 let ensure_nonempty s fn =
   if count s = 0 then invalid_arg (Printf.sprintf "Stats.%s: empty sample" fn)
 
@@ -145,52 +132,4 @@ module Running = struct
   let max_value r =
     if r.n = 0.0 then invalid_arg "Stats.Running.max_value: empty sample";
     r.hi
-end
-
-module Histogram = struct
-  type h = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable under : int;
-    mutable over : int;
-  }
-
-  let create ~lo ~hi ~buckets =
-    if not (lo < hi) then invalid_arg "Histogram.create: lo >= hi";
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets <= 0";
-    { lo; hi; counts = Array.make buckets 0; under = 0; over = 0 }
-
-  let add h x =
-    if x < h.lo then h.under <- h.under + 1
-    else if x >= h.hi then h.over <- h.over + 1
-    else begin
-      let n = Array.length h.counts in
-      let idx =
-        Float.to_int ((x -. h.lo) /. (h.hi -. h.lo) *. Float.of_int n)
-      in
-      let idx = Stdlib.min (n - 1) idx in
-      h.counts.(idx) <- h.counts.(idx) + 1
-    end
-
-  let bucket_counts h = Array.copy h.counts
-  let underflow h = h.under
-  let overflow h = h.over
-
-  let total h =
-    Array.fold_left ( + ) 0 h.counts + h.under + h.over
-
-  let pp ppf h =
-    let n = Array.length h.counts in
-    let width = (h.hi -. h.lo) /. Float.of_int n in
-    let peak = Array.fold_left Stdlib.max 1 h.counts in
-    for i = 0 to n - 1 do
-      let bar = h.counts.(i) * 40 / peak in
-      Format.fprintf ppf "[%10.4g, %10.4g) %6d %s@."
-        (h.lo +. (Float.of_int i *. width))
-        (h.lo +. (Float.of_int (i + 1) *. width))
-        h.counts.(i) (String.make bar '#')
-    done;
-    if h.under > 0 then Format.fprintf ppf "underflow %d@." h.under;
-    if h.over > 0 then Format.fprintf ppf "overflow %d@." h.over
 end

@@ -1,12 +1,11 @@
 (** Sample statistics for experiment measurements.
 
-    {!t} accumulates full samples and reports mean, standard deviation
-    and exact percentiles; samples equal to [+0.0] are only counted, so
-    a mostly-zero sample (queueing delays at a free server) costs
-    storage in proportion to its non-zero values.  {!Running} keeps
-    count, sum and extremes in constant space, for per-event figures
-    that only need a mean.  {!Histogram} buckets values for
-    distribution-shaped output. *)
+    {!t} accumulates full samples and reports mean, extremes and exact
+    percentiles; samples equal to [+0.0] are only counted, so a
+    mostly-zero sample (queueing delays at a free server) costs storage
+    in proportion to its non-zero values.  {!Running} keeps count, sum
+    and extremes in constant space, for per-event figures that only
+    need a mean. *)
 
 type t
 
@@ -19,9 +18,6 @@ val count : t -> int
 val total : t -> float
 val mean : t -> float
 (** 0 on an empty sample. *)
-
-val stddev : t -> float
-(** Population standard deviation; 0 on samples of size < 2. *)
 
 val min_value : t -> float
 (** Raises [Invalid_argument] on an empty sample. *)
@@ -69,20 +65,4 @@ module Running : sig
 
   val max_value : r -> float
   (** Raises [Invalid_argument] on an empty stream. *)
-end
-
-module Histogram : sig
-  type h
-
-  val create : lo:float -> hi:float -> buckets:int -> h
-  (** Linear buckets spanning [\[lo, hi)]; out-of-range values land in
-      underflow/overflow counters.  Requires [lo < hi] and
-      [buckets > 0]. *)
-
-  val add : h -> float -> unit
-  val bucket_counts : h -> int array
-  val underflow : h -> int
-  val overflow : h -> int
-  val total : h -> int
-  val pp : Format.formatter -> h -> unit
 end

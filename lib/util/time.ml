@@ -39,7 +39,6 @@ let equal = Int.equal
 let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 let ( <= ) (a : t) (b : t) = Stdlib.( <= ) a b
 let ( > ) (a : t) (b : t) = Stdlib.( > ) a b
-let ( >= ) (a : t) (b : t) = Stdlib.( >= ) a b
 let min (a : t) (b : t) = Stdlib.min a b
 let max (a : t) (b : t) = Stdlib.max a b
 let is_zero t = t = 0

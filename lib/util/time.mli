@@ -48,7 +48,6 @@ val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
 
 val min : t -> t -> t
 val max : t -> t -> t

@@ -14,11 +14,6 @@
 open Eden_util
 open Eden_kernel
 
-val compiler_type : Typemgr.t
-(** Operation ["compile"] [Cap file] -> [Int object_bytes].  Cost:
-    fixed front-end time plus per-byte compilation time.  Non-mutating,
-    so replicas can serve it. *)
-
 val install :
   Cluster.t ->
   node:int ->

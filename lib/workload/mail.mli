@@ -10,16 +10,6 @@
 open Eden_util
 open Eden_kernel
 
-val mailbox_type : Typemgr.t
-(** Operations: ["deposit"] [Str from; Str body] -> [];
-    ["fetch_all"] [] -> [List of Pair(from, body)] (empties the box);
-    ["count"] [] -> [Int]. *)
-
-val registry_type : Typemgr.t
-(** Operations: ["register"] [Str user; Cap mailbox] -> [];
-    ["lookup"] [Str user] -> [Cap mailbox];
-    ["users"] [] -> [List of Str]. *)
-
 val register_types : Cluster.t -> unit
 
 type setup = {

@@ -326,7 +326,7 @@ let run_chaos ?plan ?options ?coalesce ?(frozen_reads = false) ~seed () =
   }
 
 let test_chaos_no_faults_no_failures () =
-  let r = run_chaos ~plan:Plan.empty ~seed:3 () in
+  let r = run_chaos ~plan:(Plan.make []) ~seed:3 () in
   check_int "no faults injected" 0 r.injected;
   check_int "no lost replies without faults" 0 r.failed;
   check_int "all requests completed" requests r.ok;

@@ -10,18 +10,6 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* Costs *)
 
-let test_costs_scale () =
-  let c = Costs.default in
-  let double = Costs.scale c 2.0 in
-  check_int "request doubled"
-    (2 * Time.to_ns c.Costs.invoke_request_cpu)
-    (Time.to_ns double.Costs.invoke_request_cpu);
-  check_int "per-byte doubled"
-    (2 * Time.to_ns c.Costs.per_byte_copy)
-    (Time.to_ns double.Costs.per_byte_copy);
-  Alcotest.check_raises "bad factor" (Invalid_argument "Costs.scale")
-    (fun () -> ignore (Costs.scale c 0.0))
-
 let test_copy_cost () =
   let c = Costs.default in
   check_int "zero bytes" 0 (Time.to_ns (Costs.copy_cost c ~bytes:0));
@@ -46,8 +34,7 @@ let test_memory_accounting () =
   check_int "failed reserve claims nothing" 600 (Memory.in_use m);
   Memory.release m 200;
   check_int "after release" 400 (Memory.in_use m);
-  check_bool "fits now" true (Memory.reserve m 500 = Ok ());
-  check_int "peak tracks high water" 900 (Memory.peak m)
+  check_bool "fits now" true (Memory.reserve m 500 = Ok ())
 
 let test_memory_errors () =
   let m = Memory.create ~bytes:100 in
@@ -134,9 +121,6 @@ let test_machine_configs () =
   let d = Machine.default_config ~name:"n" in
   check_int "default gdps" 2 d.Machine.gdps;
   check_int "default memory" 1_000_000 d.Machine.memory_bytes;
-  let u = Machine.upgraded_config ~name:"n" in
-  check_int "upgraded gdps" 4 u.Machine.gdps;
-  check_int "upgraded memory" 2_500_000 u.Machine.memory_bytes;
   let f = Machine.file_server_config ~name:"n" in
   check_int "server disk" 300_000_000
     f.Machine.disk_profile.Disk.capacity_bytes
@@ -144,10 +128,7 @@ let test_machine_configs () =
 let test_machine_composition () =
   let eng = Engine.create () in
   let m = Machine.create eng (Machine.default_config ~name:"node7") in
-  Alcotest.(check string) "name" "node7" (Machine.name m);
-  check_int "cpu pool size" 2 (Cpu.gdps (Machine.cpu m));
-  check_int "memory budget" 1_000_000 (Memory.capacity (Machine.memory m));
-  Alcotest.(check string) "disk named" "node7.disk" (Disk.name (Machine.disk m))
+  check_int "cpu pool size" 2 (Cpu.gdps (Machine.cpu m))
 
 let prop_memory_reserve_release_balances =
   QCheck.Test.make ~name:"memory reserve/release balances" ~count:200
@@ -166,7 +147,6 @@ let () =
     [
       ( "costs",
         [
-          Alcotest.test_case "scale" `Quick test_costs_scale;
           Alcotest.test_case "copy cost" `Quick test_copy_cost;
         ] );
       ( "memory",

@@ -20,7 +20,7 @@ let expect_error label expected = function
     Alcotest.(check bool)
       (Printf.sprintf "%s: got %s" label (Error.to_string e))
       true
-      (Error.equal e expected)
+      (e = expected)
 
 let counter_type =
   Typemgr.make_exn ~name:"counter2"

@@ -20,7 +20,7 @@ let expect_error label expected = function
     Alcotest.(check bool)
       (Printf.sprintf "%s: got %s" label (Error.to_string e))
       true
-      (Error.equal e expected)
+      (e = expected)
 
 let counter_type =
   Typemgr.make_exn ~name:"counter3"
@@ -248,7 +248,7 @@ let test_remote_create_on_dead_node () =
             let* node = int_arg v in
             match ctx.create_object ~type_name:"counter3" ~node (Value.Int 0) with
             | Ok cap -> reply [ Value.Cap cap ]
-            | Error e -> fail e);
+            | Error e -> Error e);
       ]
   in
   let cl = Cluster.default ~n_nodes:3 () in

@@ -51,22 +51,15 @@ let test_rights_sets () =
   check_bool "lacks aux4" false (Rights.mem (Rights.Aux 4) r);
   check_bool "subset of all" true (Rights.subset r Rights.all);
   check_bool "all not subset" false (Rights.subset Rights.all r);
-  check_bool "none subset of anything" true (Rights.subset Rights.none r);
-  let without = Rights.remove (Rights.Aux 3) r in
-  check_bool "removed" false (Rights.mem (Rights.Aux 3) without);
-  check_bool "others kept" true (Rights.mem Rights.Invoke without)
+  check_bool "none subset of anything" true (Rights.subset Rights.none r)
 
 let test_rights_algebra () =
   let a = Rights.of_list [ Rights.Invoke; Rights.Aux 0 ] in
   let b = Rights.of_list [ Rights.Aux 0; Rights.Kernel_grant ] in
-  let u = Rights.union a b and i = Rights.inter a b in
-  check_bool "union holds all three" true
-    (Rights.mem Rights.Invoke u
-    && Rights.mem (Rights.Aux 0) u
-    && Rights.mem Rights.Kernel_grant u);
+  let i = Rights.inter a b in
   check_bool "intersection is aux0 only" true
     (Rights.equal i (Rights.of_list [ Rights.Aux 0 ]));
-  check_int "roundtrip via to_list" 3 (List.length (Rights.to_list u));
+  check_int "roundtrip via to_list" 2 (List.length (Rights.to_list a));
   Alcotest.check_raises "aux out of range"
     (Invalid_argument "Rights: Aux index out of range") (fun () ->
       ignore (Rights.of_list [ Rights.Aux 12 ]))
@@ -80,10 +73,10 @@ let test_capability_restrict () =
   let weak = Capability.restrict full Rights.invoke_only in
   check_bool "same object" true (Capability.same_object full weak);
   check_bool "not equal" false (Capability.equal full weak);
-  check_bool "weak permits invoke" true
-    (Capability.permits weak Rights.invoke_only);
+  check_bool "weak keeps invoke" true
+    (Rights.subset Rights.invoke_only (Capability.rights weak));
   check_bool "weak lacks move" false
-    (Capability.permits weak (Rights.of_list [ Rights.Kernel_move ]));
+    (Rights.mem Rights.Kernel_move (Capability.rights weak));
   (* Restriction can only shrink: restricting the weak cap by ALL
      rights yields the weak cap again. *)
   check_bool "cannot amplify" true
@@ -111,10 +104,6 @@ let test_value_accessors () =
   check_bool "to_int ok" true (Value.to_int (Value.Int 3) = Ok 3);
   check_bool "to_int err" true (Result.is_error (Value.to_int Value.Unit));
   check_bool "to_str ok" true (Value.to_str (Value.Str "x") = Ok "x");
-  check_bool "to_bool ok" true (Value.to_bool (Value.Bool true) = Ok true);
-  check_bool "to_pair ok" true
-    (Value.to_pair (Value.Pair (Value.Int 1, Value.Int 2))
-    = Ok (Value.Int 1, Value.Int 2));
   check_bool "to_list ok" true (Value.to_list (Value.List []) = Ok [])
 
 let test_value_caps_extraction () =
@@ -143,12 +132,14 @@ let test_value_equal_and_pp () =
 (* ------------------------------------------------------------------ *)
 (* Error *)
 
+(* The kernel suites compare errors with [=], so [Error.t] must stay a
+   plain value whose payload takes part in equality. *)
 let test_error_equal_and_strings () =
-  check_bool "same" true (Error.equal Error.Timeout Error.Timeout);
+  check_bool "same" true (Error.Timeout = Error.Timeout);
   check_bool "payload matters" false
-    (Error.equal (Error.User_error "a") (Error.User_error "b"));
+    (Error.User_error "a" = Error.User_error "b");
   check_bool "different constructors" false
-    (Error.equal Error.Timeout Error.No_such_object);
+    (Error.Timeout = Error.No_such_object);
   check_string "timeout" "timeout" (Error.to_string Error.Timeout);
   check_string "rights" "insufficient rights for \"put\""
     (Error.to_string (Error.Rights_violation "put"))
@@ -278,12 +269,11 @@ let prop_capability_restrict =
       let base = rand_rights rng in
       let mask = rand_rights rng in
       let chain = rand_rights rng in
-      let need = rand_rights rng in
-      (base, mask, chain, need))
-    ~show:(fun (base, mask, chain, need) ->
-      Format.asprintf "base=%a mask=%a chain=%a need=%a" Rights.pp base
-        Rights.pp mask Rights.pp chain Rights.pp need)
-    (fun (base, mask, chain, need) ->
+      (base, mask, chain))
+    ~show:(fun (base, mask, chain) ->
+      Format.asprintf "base=%a mask=%a chain=%a" Rights.pp base Rights.pp mask
+        Rights.pp chain)
+    (fun (base, mask, chain) ->
       let fail fmt = Printf.ksprintf Result.error fmt in
       let cap = Capability.make name base in
       let r = Capability.restrict cap mask in
@@ -306,10 +296,6 @@ let prop_capability_restrict =
         let again = Capability.restrict r chain in
         if not (Rights.subset (Capability.rights again) base) then
           fail "chain amplified rights"
-        else if
-          Capability.permits r need
-          <> Rights.subset need (Capability.rights r)
-        then fail "permits disagrees with subset"
         else Ok ())
 
 (* ------------------------------------------------------------------ *)
@@ -549,8 +535,8 @@ let test_typemgr_validation () =
   match Typemgr.make ~name:"t" [ op "x" ] with
   | Ok tm ->
     check_string "name" "t" (Typemgr.name tm);
-    check_bool "find" true (Typemgr.find_operation tm "x" <> None);
-    check_bool "missing" true (Typemgr.find_operation tm "y" = None);
+    check_bool "find" true (Typemgr.resolve tm "x" <> None);
+    check_bool "missing" true (Typemgr.resolve tm "y" = None);
     (* Default classes: one singleton per op with limit 1. *)
     check_int "default classes" 1 (List.length (Typemgr.classes tm));
     (* [resolve] names the class by its index in declaration order. *)
@@ -627,9 +613,6 @@ let test_api_arg_helpers () =
   check_bool "arg1 arity" true (Result.is_error (Api.arg1 []));
   check_bool "arg2 ok" true
     (Api.arg2 [ Value.Int 1; Value.Int 2 ] = Ok (Value.Int 1, Value.Int 2));
-  check_bool "arg3 ok" true
-    (Api.arg3 [ Value.Int 1; Value.Int 2; Value.Int 3 ]
-    = Ok (Value.Int 1, Value.Int 2, Value.Int 3));
   check_bool "no_args ok" true (Api.no_args [] = Ok ());
   check_bool "no_args arity" true (Result.is_error (Api.no_args [ Value.Unit ]));
   (match Api.int_arg (Value.Str "x") with

@@ -387,9 +387,7 @@ let test_msglink_small_message () =
   Msglink.send links.(0) ~dst:1 "hello";
   Engine.run eng;
   Alcotest.(check (option (pair int string)))
-    "delivered" (Some (0, "hello")) !got;
-  check_int "one sent" 1 (Msglink.messages_sent links.(0));
-  check_int "one received" 1 (Msglink.messages_received links.(1))
+    "delivered" (Some (0, "hello")) !got
 
 let test_msglink_fragmentation () =
   (* A message over the max frame size crosses as several frames and is
@@ -416,8 +414,6 @@ let test_msglink_down_endpoint_drops () =
   Msglink.send links.(0) ~dst:1 "lost";
   Engine.run eng;
   check_int "nothing delivered" 0 !got;
-  check_bool "fragment discarded" true
-    (Msglink.fragments_discarded links.(1) >= 1);
   (* Back up: new messages flow again; the lost one stays lost. *)
   Msglink.set_up links.(1) true;
   Msglink.send links.(0) ~dst:1 "after";
@@ -518,9 +514,8 @@ let test_inet_broadcast_spans_segments () =
 
 let test_inet_addressing () =
   let eng = Engine.create () in
-  let inet, eps = make_inet eng in
+  let _, eps = make_inet eng in
   check_int "global addresses dense" 3 (Internet.address eps.(3));
-  check_int "segment of address" 1 (Internet.segment_of_address inet 2);
   check_int "segment of endpoint" 0 (Internet.segment_of_endpoint eps.(1));
   Alcotest.check_raises "unknown dst"
     (Invalid_argument "Internet.send: unknown destination") (fun () ->
@@ -574,7 +569,6 @@ let test_partition_drops_cross_segment () =
   let got = ref 0 in
   Internet.on_message eps.(2) (fun ~src:_ _ -> incr got);
   Internet.set_partitioned inet 1 true;
-  check_bool "partitioned" true (Internet.partitioned inet 1);
   Internet.send eps.(0) ~dst:2 "into the void";
   Engine.run eng;
   check_int "nothing crossed" 0 !got;

@@ -30,14 +30,16 @@ let test_registry_basics () =
   Metrics.incr c';
   check_int "shared by name" 6 (Metrics.counter_value c);
   (* Labels are order-insensitive. *)
-  let g = Metrics.gauge reg ~labels:[ ("a", "1"); ("b", "2") ] "depth" in
-  Metrics.set g 3.5;
-  let g' = Metrics.gauge reg ~labels:[ ("b", "2"); ("a", "1") ] "depth" in
-  check_bool "label order irrelevant" true (Metrics.gauge_value g' = 3.5);
+  let d = Metrics.counter reg ~labels:[ ("a", "1"); ("b", "2") ] "depth" in
+  Metrics.add d 3;
+  let d' = Metrics.counter reg ~labels:[ ("b", "2"); ("a", "1") ] "depth" in
+  check_int "label order irrelevant" 3 (Metrics.counter_value d');
   (* Kind mismatch on an existing name is rejected. *)
   check_bool "kind mismatch raises" true
     (try
-       ignore (Metrics.gauge reg ~labels:[ ("node", "0") ] "inv");
+       ignore
+         (Metrics.histogram reg ~labels:[ ("node", "0") ] ~buckets:[| 1.0 |]
+            "inv");
        false
      with Invalid_argument _ -> true);
   (* Counters are monotonic. *)
@@ -86,18 +88,12 @@ let test_histogram_buckets () =
        with Invalid_argument _ -> true)
   | _ -> Alcotest.fail "histogram sample missing"
 
-(* Measurement-bug inputs must be dropped, not recorded: a NaN gauge
-   store would poison every later comparison, and a NaN/negative/
-   infinite observation would corrupt bucket counts or the sum. *)
+(* Measurement-bug inputs must be dropped, not recorded: a NaN/
+   negative/infinite observation would corrupt bucket counts or the
+   sum. *)
 let test_metrics_guards () =
   let reg = Metrics.create () in
-  let g = Metrics.gauge reg "depth" in
-  Metrics.set g 2.0;
-  Metrics.set g nan;
-  check_bool "NaN set dropped" true (Metrics.gauge_value g = 2.0);
-  Metrics.set g (-3.0);
-  check_bool "negative gauge is a level, kept" true
-    (Metrics.gauge_value g = -3.0);
+  Metrics.register_gauge_fn reg "depth" (fun () -> 2.0);
   let h = Metrics.histogram reg ~buckets:[| 1.0; 2.0 |] "lat" in
   Metrics.observe h 1.5;
   (* Virtual time cannot go negative, so the duration guard lives at
@@ -128,7 +124,6 @@ let test_metrics_guards () =
 let test_window_basics () =
   let w = Window.create ~ticks:4 in
   check_bool "empty sum" true (Window.sum_last w 4 = 0.0);
-  check_bool "empty mean is nan" true (Float.is_nan (Window.mean_last w 4));
   check_bool "empty max is nan" true (Float.is_nan (Window.max_last w 4));
   List.iter (Window.push w) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
   (* Ring of 4: the 1.0 has been evicted. *)
@@ -137,24 +132,11 @@ let test_window_basics () =
   check_bool "deeper query clamps to filled" true
     (Window.sum_last w 100 = 14.0);
   check_bool "max over last 3" true (Window.max_last w 3 = 5.0);
-  check_bool "mean over last 2" true (Window.mean_last w 2 = 4.5);
   check_bool "rate: sum / elapsed" true
     (Window.rate_last w 2 ~tick:(Time.of_sec 0.5) = 9.0);
   check_bool "zero ticks rejected" true
     (try
        ignore (Window.create ~ticks:0);
-       false
-     with Invalid_argument _ -> true);
-  (* Merge sums slot-wise across windows of the same shape. *)
-  let a = Window.create ~ticks:3 and b = Window.create ~ticks:3 in
-  List.iter (Window.push a) [ 1.0; 2.0; 3.0 ];
-  List.iter (Window.push b) [ 10.0; 20.0; 30.0 ];
-  let m = Window.merge a b in
-  check_bool "merged newest slot" true (Window.sum_last m 1 = 33.0);
-  check_bool "merged full window" true (Window.sum_last m 3 = 66.0);
-  check_bool "merge rejects shape mismatch" true
-    (try
-       ignore (Window.merge a (Window.create ~ticks:4));
        false
      with Invalid_argument _ -> true)
 
@@ -166,8 +148,6 @@ let test_window_hist_quantile () =
   (* Tick 1: 10 fast, tick 2: 10 slow. *)
   Window.Hist.push h ~counts:[| 10; 0; 0 |] ~overflow:0;
   Window.Hist.push h ~counts:[| 0; 0; 10 |] ~overflow:0;
-  check_int "counts accumulate over the window" 20
-    (Window.Hist.count_last h 3);
   check_bool "p25 stays in the fast bucket" true
     (Window.Hist.quantile_last h 3 0.25 <= 0.01);
   check_bool "p99 reaches the slow bucket" true
@@ -201,8 +181,6 @@ let test_window_hist_quantile_edges () =
   (* Zero-count ticks age the observations out of the window. *)
   Window.Hist.push h ~counts:[| 0 |] ~overflow:0;
   Window.Hist.push h ~counts:[| 0 |] ~overflow:0;
-  check_int "no observations left in the window" 0
-    (Window.Hist.count_last h 2);
   let v = Window.Hist.quantile_last h 2 0.5 in
   check_bool "aged-out window reports nan" true (Float.is_nan v);
   (* The nan is a disarm signal, not a number: a threshold comparison
@@ -398,7 +376,7 @@ let test_span_phases_sum () =
   (* finish is idempotent; enter on a finished span is a no-op. *)
   Span.finish sp ~outcome:"late" ~at:(Time.ms 5);
   Span.enter sp Span.Execute ~at:(Time.ms 5);
-  check_int "still one retained" 1 (Span.finished_count col);
+  check_int "still one retained" 1 (List.length (Span.finished col));
   check_string "first outcome wins" "ok"
     (match Span.last_finished col with
     | Some i -> i.Span.i_outcome
@@ -413,7 +391,6 @@ let test_span_retention () =
     in
     Span.finish sp ~outcome:"ok" ~at:(Time.us i)
   done;
-  check_int "all counted" 4 (Span.finished_count col);
   check_bool "only the last two retained" true
     (List.map (fun i -> i.Span.i_op) (Span.finished col) = [ "3"; "4" ])
 
@@ -445,7 +422,7 @@ let test_span_json_pinned () =
 let test_snapshot_roundtrip () =
   let reg = Metrics.create () in
   Metrics.add (Metrics.counter reg ~labels:[ ("node", "0") ] "inv") 3;
-  Metrics.set (Metrics.gauge reg "util") 0.12345678901;
+  Metrics.register_gauge_fn reg "util" (fun () -> 0.12345678901);
   let h = Metrics.histogram reg ~buckets:[| 0.001; 0.01 |] "lat" in
   Metrics.observe h 0.002;
   Metrics.observe h 0.5;
@@ -566,7 +543,7 @@ let test_remote_span_matches_latency () =
       (* The span's end-to-end duration is the observed virtual-time
          latency, and the phase durations partition it exactly. *)
       check_int "span duration = observed latency" (Time.to_ns latency)
-        (Time.to_ns (Span.info_duration info));
+        (Time.to_ns (Time.diff info.Span.i_finish info.Span.i_start));
       let phase_sum =
         Array.fold_left (fun acc d -> acc + Time.to_ns d) 0 info.Span.i_phases
       in
@@ -681,12 +658,11 @@ let test_tracectx () =
   let c = Tracectx.with_parent r ~parent:9 in
   check_int "same trace" 7 (Tracectx.trace c);
   check_int "new parent" 9 (Tracectx.parent c);
-  check_bool "equal" true (Tracectx.equal c (Tracectx.make ~trace:7 ~parent:9))
+  check_bool "equal" true (c = Tracectx.make ~trace:7 ~parent:9)
 
 let test_journal_ring () =
   let sink = Journal.sink () in
   let j = Journal.create sink ~node:0 ~cap:4 in
-  check_bool "enabled" true (Journal.enabled j);
   for i = 0 to 9 do
     ignore
       (Journal.record j ~at:(Time.ms i) (Journal.Retry { op = "x"; attempt = i }))
@@ -700,7 +676,6 @@ let test_journal_ring () =
   (* cap 0 disables retention but still allocates ids from the shared
      sink, so trace contexts stay meaningful. *)
   let j0 = Journal.create sink ~node:1 ~cap:0 in
-  check_bool "disabled" false (Journal.enabled j0);
   let id = Journal.record j0 ~at:Time.zero (Journal.Send { msg = "m"; dst = None }) in
   check_int "sink ids keep advancing" 10 id;
   check_int "nothing retained" 0 (List.length (Journal.events j0));

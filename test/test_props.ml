@@ -408,7 +408,7 @@ let gen_span_info rng =
     i_outcome = (if Splitmix.bool rng then "ok" else gen_string rng);
     i_start = Time.ns start;
     i_finish = Time.ns (start + Splitmix.int rng 1_000_000);
-    (* One slot per phase, indexed by [Span.phase_index]. *)
+    (* One slot per phase, in the order of [Span.phases]. *)
     i_phases =
       Array.of_list
         (List.map (fun _ -> Time.ns (Splitmix.int rng 500_000)) Span.phases);
@@ -647,59 +647,7 @@ let plan_roundtrip =
         else Error "re-rendered text differs")
 
 (* ------------------------------------------------------------------ *)
-(* Health-plane structures: window-merge algebra and the space-saving
-   error bounds. *)
-
-(* A per-tick stream of small integer-valued deltas (exact as floats,
-   so equality checks need no epsilon), plus a coin per tick deciding
-   which of two windows receives it. *)
-let gen_window_stream rng =
-  let ticks = Splitmix.int_in rng 1 12 in
-  let len = Splitmix.int rng 30 in
-  let stream =
-    List.init len (fun _ ->
-        (float_of_int (Splitmix.int rng 100), Splitmix.bool rng))
-  in
-  (ticks, stream)
-
-let window_merge_algebra =
-  Prop.case ~name:"Window.merge of a split stream = window of the whole"
-    ~base:0xB1A0_0001L ~gen:gen_window_stream
-    ~show:(fun (ticks, stream) ->
-      Printf.sprintf "ticks=%d stream=[%s]" ticks
-        (String.concat ";"
-           (List.map
-              (fun (v, left) -> Printf.sprintf "%g%s" v (if left then "l" else "r"))
-              stream)))
-    (fun (ticks, stream) ->
-      let whole = Eden_obs.Window.create ~ticks in
-      let left = Eden_obs.Window.create ~ticks in
-      let right = Eden_obs.Window.create ~ticks in
-      (* The two windows tick in lockstep: every tick lands in both,
-         the value going to one side and zero to the other. *)
-      List.iter
-        (fun (v, goes_left) ->
-          Eden_obs.Window.push whole v;
-          Eden_obs.Window.push left (if goes_left then v else 0.0);
-          Eden_obs.Window.push right (if goes_left then 0.0 else v))
-        stream;
-      let merged = Eden_obs.Window.merge left right in
-      let depths = List.init (ticks + 2) (fun k -> k + 1) in
-      let mismatch =
-        List.find_opt
-          (fun k ->
-            Eden_obs.Window.sum_last merged k
-            <> Eden_obs.Window.sum_last whole k
-            || Eden_obs.Window.max_last merged k
-               < Eden_obs.Window.max_last whole k)
-          (List.filter (fun k -> stream <> [] || k = 1) depths)
-      in
-      match mismatch with
-      | None ->
-        if Eden_obs.Window.filled merged = Eden_obs.Window.filled whole then
-          Ok ()
-        else Error "filled differs after merge"
-      | Some k -> Error (Printf.sprintf "sum_last %d differs" k))
+(* Health-plane structures: the space-saving error bounds. *)
 
 (* A seeded Zipf-ish stream over more keys than the sketch holds. *)
 let gen_topk_stream rng =
@@ -2004,7 +1952,7 @@ let () =
             test_span_json_missing_phases;
         ] );
       ("fault_plan", [ plan_roundtrip ]);
-      ("health", [ window_merge_algebra; topk_error_bounds ]);
+      ("health", [ topk_error_bounds ]);
       ("pqueue", [ heap_matches_model; tiers_merge_as_one; cleared_keep_their_place ]);
       ( "directory",
         [

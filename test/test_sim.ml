@@ -1007,8 +1007,7 @@ let test_promise_timeout () =
     Engine.spawn eng (fun () -> got := Promise.await ~timeout:(t_ms 2) pr)
   in
   Engine.run eng;
-  check_bool "timed out" true (!got = None);
-  check_bool "still unfilled" false (Promise.is_filled pr)
+  check_bool "timed out" true (!got = None)
 
 (* ------------------------------------------------------------------ *)
 (* Resource *)
@@ -1143,17 +1142,15 @@ let test_resource_invalid () =
 
 let test_trace_disabled_by_default () =
   let tr = Trace.create () in
-  Trace.emit tr Time.zero Trace.Kern "hidden";
-  check_int "nothing recorded" 0 (Trace.total tr)
+  Trace.emitf tr Time.zero Trace.Kern "hidden";
+  check_bool "nothing recorded" true (Trace.recent tr = [])
 
 let test_trace_roundtrip () =
   let tr = Trace.create ~keep:2 () in
   Trace.enable tr;
-  Trace.emit tr (t_ms 1) Trace.Net "one";
-  Trace.emit tr (t_ms 2) Trace.Net "two";
-  Trace.emit tr (t_ms 3) Trace.Kern "three";
-  check_int "net count" 2 (Trace.count tr Trace.Net);
-  check_int "kern count" 1 (Trace.count tr Trace.Kern);
+  Trace.emitf tr (t_ms 1) Trace.Net "one";
+  Trace.emitf tr (t_ms 2) Trace.Net "two";
+  Trace.emitf tr (t_ms 3) Trace.Kern "three";
   let tail = Trace.recent tr in
   Alcotest.(check (list string))
     "ring keeps last 2" [ "two"; "three" ]
@@ -1167,7 +1164,7 @@ let test_trace_emitf_lazy () =
     (if false then "" else if !evaluated then "x" else "y");
   (* The argument expression above ran (strict evaluation), but emitf
      must at least not record anything. *)
-  check_int "not recorded" 0 (Trace.total tr);
+  check_bool "not recorded" true (Trace.recent tr = []);
   Trace.enable tr;
   Trace.emitf tr Time.zero Trace.Sim "n=%d" 42;
   Alcotest.(check (list string))

@@ -217,7 +217,7 @@ let test_compile_with_explicit_classes_over_inherited_ops () =
   | Ok tm ->
     check_int "one explicit class" 1 (List.length (Typemgr.classes tm));
     check_bool "covers inherited ops" true
-      (Typemgr.find_operation tm "write" <> None)
+      (Typemgr.resolve tm "write" <> None)
   | Error e -> Alcotest.failf "compile: %s" e
 
 let test_deep_chain () =

@@ -24,7 +24,6 @@ let test_time_arith () =
   check_int "divide" 1_500_000 (Time.to_ns (Time.divide a 2));
   check_int "mul_float" 4_500_000 (Time.to_ns (Time.mul_float a 1.5));
   check_bool "lt" true Time.(b < a);
-  check_bool "ge" true Time.(a >= a);
   check_int "min" (Time.to_ns b) (Time.to_ns (Time.min a b));
   check_int "max" (Time.to_ns a) (Time.to_ns (Time.max a b))
 
@@ -50,16 +49,6 @@ let test_splitmix_deterministic () =
   for _ = 1 to 100 do
     Alcotest.(check int64) "same stream" (Splitmix.next64 a) (Splitmix.next64 b)
   done
-
-let test_splitmix_copy_independent () =
-  let a = Splitmix.create 7L in
-  let b = Splitmix.copy a in
-  let va = Splitmix.next64 a in
-  let vb = Splitmix.next64 b in
-  Alcotest.(check int64) "copy repeats" va vb;
-  ignore (Splitmix.next64 a);
-  (* b is one draw behind now; next draws differ in general *)
-  check_bool "copies do not alias" true (Splitmix.next64 b = va || true)
 
 let test_splitmix_split_differs () =
   let g = Splitmix.create 1L in
@@ -179,9 +168,9 @@ let test_fifo_order () =
     (List.init 100 (fun i -> i + 1))
     (Fifo.to_list q);
   for i = 1 to 100 do
-    check_int "pop order" i (Fifo.pop_exn q)
+    Alcotest.(check (option int)) "pop order" (Some i) (Fifo.pop q)
   done;
-  check_bool "empty after" true (Fifo.is_empty q)
+  check_int "empty after" 0 (Fifo.length q)
 
 let test_fifo_wraparound () =
   let q = Fifo.create () in
@@ -191,7 +180,8 @@ let test_fifo_wraparound () =
       Fifo.push_exn q ((round * 10) + i)
     done;
     for i = 0 to 5 do
-      check_int "wrap pop" ((round * 10) + i) (Fifo.pop_exn q)
+      Alcotest.(check (option int))
+        "wrap pop" (Some ((round * 10) + i)) (Fifo.pop q)
     done
   done
 
@@ -201,8 +191,7 @@ let test_fifo_capacity () =
   check_bool "push 2" true (Fifo.push q 2);
   check_bool "full" true (Fifo.is_full q);
   check_bool "push refused" false (Fifo.push q 3);
-  Alcotest.(check (option int)) "capacity" (Some 2) (Fifo.capacity q);
-  check_int "pop" 1 (Fifo.pop_exn q);
+  Alcotest.(check (option int)) "pop" (Some 1) (Fifo.pop q);
   check_bool "room again" true (Fifo.push q 3);
   Alcotest.(check (list int)) "contents" [ 2; 3 ] (Fifo.to_list q)
 
@@ -211,8 +200,7 @@ let test_fifo_invalid () =
     (Invalid_argument "Fifo.create: capacity must be positive") (fun () ->
       ignore (Fifo.create ~capacity:0 () : int Fifo.t));
   let q = Fifo.create () in
-  Alcotest.check_raises "pop empty" (Invalid_argument "Fifo.pop_exn: empty")
-    (fun () -> ignore (Fifo.pop_exn q : int))
+  Alcotest.(check (option int)) "pop empty" None (Fifo.pop q)
 
 let prop_fifo_preserves_order =
   QCheck.Test.make ~name:"fifo preserves order" ~count:200
@@ -230,7 +218,6 @@ let test_stats_moments () =
   List.iter (Stats.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   check_int "count" 8 (Stats.count s);
   Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "stddev" 2.0 (Stats.stddev s);
   Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min_value s);
   Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max_value s);
   Alcotest.(check (float 1e-9)) "total" 40.0 (Stats.total s)
@@ -248,7 +235,6 @@ let test_stats_percentiles () =
 let test_stats_empty () =
   let s = Stats.create () in
   Alcotest.(check (float 1e-9)) "mean empty" 0.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "stddev empty" 0.0 (Stats.stddev s);
   Alcotest.check_raises "min empty"
     (Invalid_argument "Stats.min_value: empty sample") (fun () ->
       ignore (Stats.min_value s));
@@ -312,19 +298,6 @@ let test_stats_merge_preserves_samples () =
   check_int "merge with empty" 2 (Stats.count e);
   Alcotest.(check (float 1e-9)) "empty merge mean" 3.0 (Stats.mean e)
 
-let test_histogram_edges () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  (* The range is half-open [lo, hi): lo itself is in-range, hi is
-     overflow, and a bucket boundary belongs to the upper bucket. *)
-  List.iter (Stats.Histogram.add h) [ 0.0; 1.0; 9.999; 10.0; -0.001 ];
-  let counts = Stats.Histogram.bucket_counts h in
-  check_int "lo lands in bucket 0" 1 counts.(0);
-  check_int "boundary rounds up" 1 counts.(1);
-  check_int "just below hi" 1 counts.(9);
-  check_int "hi overflows" 1 (Stats.Histogram.overflow h);
-  check_int "just below lo underflows" 1 (Stats.Histogram.underflow h);
-  check_int "all accounted" 5 (Stats.Histogram.total h)
-
 let test_stats_add_after_sort () =
   let s = Stats.create () in
   Stats.add s 5.0;
@@ -332,17 +305,6 @@ let test_stats_add_after_sort () =
   Stats.add s 1.0;
   Alcotest.(check (float 1e-9)) "min after re-add" 1.0 (Stats.min_value s);
   Alcotest.(check (float 1e-9)) "max after re-add" 5.0 (Stats.max_value s)
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; -1.0; 10.0; 42.0 ];
-  let counts = Stats.Histogram.bucket_counts h in
-  check_int "bucket 0" 1 counts.(0);
-  check_int "bucket 1" 2 counts.(1);
-  check_int "bucket 9" 1 counts.(9);
-  check_int "underflow" 1 (Stats.Histogram.underflow h);
-  check_int "overflow" 2 (Stats.Histogram.overflow h);
-  check_int "total" 7 (Stats.Histogram.total h)
 
 let prop_stats_mean_bounded =
   QCheck.Test.make ~name:"mean within min..max" ~count:200
@@ -415,7 +377,6 @@ let test_idgen () =
   check_int "first" 0 (Idgen.next g);
   check_int "second" 1 (Idgen.next g);
   check_int "peek" 2 (Idgen.peek g);
-  check_int "issued" 2 (Idgen.issued g);
   let g2 = Idgen.create ~first:100 () in
   check_int "custom first" 100 (Idgen.next g2)
 
@@ -433,7 +394,6 @@ let () =
       ( "splitmix",
         [
           Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;
-          Alcotest.test_case "copy" `Quick test_splitmix_copy_independent;
           Alcotest.test_case "split" `Quick test_splitmix_split_differs;
           Alcotest.test_case "bounds" `Quick test_splitmix_bounds;
           Alcotest.test_case "invalid" `Quick test_splitmix_invalid;
@@ -465,9 +425,7 @@ let () =
             test_stats_percentile_boundaries;
           Alcotest.test_case "merge preserves samples" `Quick
             test_stats_merge_preserves_samples;
-          Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
           Alcotest.test_case "add after sort" `Quick test_stats_add_after_sort;
-          Alcotest.test_case "histogram" `Quick test_histogram;
           qt prop_stats_mean_bounded;
           qt prop_stats_percentile_monotone;
         ] );
