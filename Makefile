@@ -102,7 +102,8 @@ REJECTED = "demo --nodes 0" "demo --nodes=-2" "stats --nodes 0" \
   "heartbeat --nodes 3 --kill 7" "heartbeat --nodes 3 --kill=-1" \
   "synth --locality 1.5" "synth --requests=-1" "metrics-check /tmp"
 
-# Exercise the CLI end to end, then check that bad input is refused.
+# Exercise the CLI end to end, check that --trace prints the journal
+# (a send event among its lines), then check that bad input is refused.
 smoke:
 	dune exec bin/edenctl.exe -- info
 	dune exec bin/edenctl.exe -- demo --nodes 4
@@ -111,6 +112,9 @@ smoke:
 	printf 'mk doc d\nappend d hello\nshow d\nquit\n' | \
 	  dune exec bin/edenctl.exe -- edit --nodes 2
 	dune build ./bin/edenctl.exe
+	./_build/default/bin/edenctl.exe demo --nodes 4 --trace | \
+	  grep -Eq '^\[[^]]*\] n[0-9]+ #[0-9]+ trace=[0-9]+( parent=[0-9]+)? send ' \
+	  || { echo "smoke: demo --trace printed no journal send line"; exit 1; }
 	@for args in $(REJECTED); do \
 	  err=$$(./_build/default/bin/edenctl.exe $$args 2>&1 >/dev/null); rc=$$?; \
 	  if [ $$rc -eq 0 ] || [ $$rc -eq 125 ] || [ -z "$$err" ]; then \

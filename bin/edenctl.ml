@@ -50,7 +50,10 @@ let outputs =
     const (fun trace metrics_out -> { trace; metrics_out })
     $ Arg.(
         value & flag
-        & info [ "trace" ] ~doc:"Dump the kernel trace tail after the run.")
+        & info [ "trace" ]
+            ~doc:
+              "Print the journal events retained at the end of the run, one \
+               line each in execution order.")
     $ file_opt "metrics-out"
         "Write the final metrics snapshot (counters, gauges, histograms and \
          invocation spans) to $(docv) as JSON.")
@@ -203,8 +206,6 @@ let drive cl f =
   ignore (Cluster.in_process cl f);
   Cluster.run cl
 
-let setup_trace cl enabled = if enabled then Trace.enable (Cluster.trace cl)
-
 let summary cl =
   Printf.printf "\nsimulated time %s; %d invocations (%d remote); %d events\n"
     (Time.to_string (Engine.now (Cluster.engine cl)))
@@ -212,25 +213,22 @@ let summary cl =
     (Cluster.stats_remote_invocations cl)
     (Engine.events_processed (Cluster.engine cl))
 
-(* The end of every scenario that takes [outputs]: the trace tail, the
-   metrics snapshot, the summary line. *)
+(* The end of every scenario that takes [outputs]: the journal events,
+   the metrics snapshot, the summary line. *)
 let finish o cl =
   if o.trace then begin
     print_endline "--- trace tail ---";
     List.iter
-      (fun r -> print_endline (Format.asprintf "%a" Trace.pp_record r))
-      (Trace.recent (Cluster.trace cl))
+      (Format.printf "%a@." Eden_obs.Journal.pp_event)
+      (Eden_obs.Timeline.events (Cluster.timeline cl))
   end;
   write_opt "metrics snapshot" o.metrics_out (fun path ->
       Eden_obs.Snapshot.write_file (Cluster.metrics_snapshot cl) ~path);
   summary cl
 
-(* A scenario on the default cluster: [prepare] registers its types
-   before tracing is armed, [body] drives the run. *)
-let scenario ?(prepare = ignore) c o body =
+(* A scenario on the default cluster: [body] drives the run. *)
+let scenario c o body =
   let cl = default_cluster c in
-  prepare cl;
-  setup_trace cl o.trace;
   body cl;
   finish o cl
 
@@ -271,9 +269,8 @@ let counter_type =
     ]
 
 let run_demo c o =
-  scenario c o
-    ~prepare:(fun cl -> Cluster.register_type cl counter_type)
-    (fun cl ->
+  scenario c o (fun cl ->
+      Cluster.register_type cl counter_type;
       drive cl (fun () ->
           match
             Cluster.create_object cl ~node:0 ~type_name:"ctl_counter"
@@ -294,7 +291,8 @@ let run_demo c o =
 (* mail *)
 
 let run_mail c o users messages =
-  scenario c o ~prepare:Eden_workload.Mail.register_types (fun cl ->
+  scenario c o (fun cl ->
+      Eden_workload.Mail.register_types cl;
       let setup = ref None in
       drive cl (fun () ->
           match
@@ -323,7 +321,6 @@ let run_synth c (locality, requests) f o =
      the protocol for any checkpoint traffic (e.g. a fault plan forcing
      recovery). *)
   let cl = default_cluster ~options:f.options ?coalesce:f.coalesce c in
-  setup_trace cl o.trace;
   let ctl =
     Option.map
       (fun file ->
@@ -365,7 +362,8 @@ let run_synth c (locality, requests) f o =
 
 let run_efs c o txns optimistic =
   let open Eden_efs in
-  scenario c o ~prepare:Schema.register (fun cl ->
+  scenario c o (fun cl ->
+      Schema.register cl;
       let mode = if optimistic then Txn.Optimistic else Txn.Locking in
       let committed = ref 0 and conflicts = ref 0 in
       let file = ref None in
@@ -523,7 +521,7 @@ let availability label ~ok ~failed ctl =
    mirrored counters under a deterministic fault plan, driven entirely
    by the virtual clock and the seed.  Returns the finished cluster for
    post-run inspection. *)
-let chaos_workload ?health ?(profiling = false) ?(trace = false) w =
+let chaos_workload ?health ?(profiling = false) w =
   let { common = { nodes; seed }; requests; features = f } = w in
   if nodes < 2 then die "chaos needs --nodes >= 2\n";
   (* Two bridged segments once the cluster is big enough, so partition
@@ -541,7 +539,6 @@ let chaos_workload ?health ?(profiling = false) ?(trace = false) w =
       ?coalesce:f.coalesce ?health ~configs ()
   in
   Cluster.register_type cl (chaos_type ~async:f.ckpt_async);
-  setup_trace cl trace;
   (* Spares are valid fault-plan targets (join admits them), so the
      plan validates against the full rack, not just the members. *)
   let rack = nodes + f.spares and segments = List.length segments in
@@ -631,7 +628,7 @@ let chaos_workload ?health ?(profiling = false) ?(trace = false) w =
   availability "chaos" ~ok:!ok ~failed:!failed ctl;
   cl
 
-let run_chaos w o = finish o (chaos_workload ~trace:o.trace w)
+let run_chaos w o = finish o (chaos_workload w)
 
 (* ------------------------------------------------------------------ *)
 (* reconfig: online membership change under load.  A paced counter
@@ -668,7 +665,6 @@ let run_reconfig c requests f o =
         { f.options with Cluster.use_directory = true; use_ckpt_delta = true }
   in
   Cluster.register_type cl counter_type;
-  setup_trace cl o.trace;
   let horizon = Time.ms (10 * requests) in
   let plan =
     match f.fault_plan with

@@ -3,9 +3,9 @@ open Eden_sim
 
 type t = { pool : Resource.t; n : int }
 
-let create eng ~gdps ~name =
+let create eng ~gdps =
   if gdps <= 0 then invalid_arg "Cpu.create: gdps must be positive";
-  { pool = Resource.create eng ~servers:gdps ~name; n = gdps }
+  { pool = Resource.create eng ~servers:gdps; n = gdps }
 
 let gdps c = c.n
 let consume c t = if not (Time.is_zero t) then Resource.use c.pool t

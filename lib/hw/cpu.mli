@@ -7,7 +7,7 @@
 
 type t
 
-val create : Eden_sim.Engine.t -> gdps:int -> name:string -> t
+val create : Eden_sim.Engine.t -> gdps:int -> t
 (** [gdps] must be positive. *)
 
 val gdps : t -> int

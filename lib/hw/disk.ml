@@ -33,12 +33,12 @@ type t = {
   mutable wbytes : int;
 }
 
-let create eng ~profile ~name =
+let create eng ~profile =
   if profile.transfer_bps <= 0 then
     invalid_arg "Disk.create: transfer rate must be positive";
   {
     prof = profile;
-    arm = Resource.create eng ~servers:1 ~name:(name ^ ".arm");
+    arm = Resource.create eng ~servers:1;
     n_reads = 0;
     n_writes = 0;
     rbytes = 0;

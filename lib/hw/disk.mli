@@ -20,7 +20,7 @@ val server_profile : profile
 
 type t
 
-val create : Eden_sim.Engine.t -> profile:profile -> name:string -> t
+val create : Eden_sim.Engine.t -> profile:profile -> t
 
 val access_time : t -> bytes:int -> Eden_util.Time.t
 (** Positioning plus transfer time for one request, ignoring queueing. *)

@@ -31,8 +31,8 @@ type t = {
 let create eng cfg =
   {
     cfg;
-    m_cpu = Cpu.create eng ~gdps:cfg.gdps ~name:(cfg.name ^ ".cpu");
-    m_disk = Disk.create eng ~profile:cfg.disk_profile ~name:(cfg.name ^ ".disk");
+    m_cpu = Cpu.create eng ~gdps:cfg.gdps;
+    m_disk = Disk.create eng ~profile:cfg.disk_profile;
   }
 
 let config m = m.cfg

@@ -61,7 +61,9 @@ type ctx = {
   random : Eden_util.Splitmix.t;  (** per-object deterministic stream *)
   compute : Eden_util.Time.t -> unit;
       (** consume CPU service time on this node's processor pool *)
-  log : string -> unit;  (** App-category trace *)
+  log : string -> unit;
+      (** record a [Log] event for this object in its home node's
+          journal; each message roots its own trace *)
   (* representation *)
   get_repr : unit -> Value.t;
   set_repr : Value.t -> (unit, Error.t) result;

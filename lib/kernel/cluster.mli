@@ -147,7 +147,6 @@ val default :
     Requires [n_nodes >= 1]. *)
 
 val engine : t -> Eden_sim.Engine.t
-val trace : t -> Eden_sim.Trace.t
 
 val network : t -> Transport.net
 (** The cluster's internetwork, for frame counters and topology

@@ -189,7 +189,7 @@ val size_bytes : t -> int
     on it to time every frame. *)
 
 val describe : t -> string
-(** Short human-readable tag for tracing and journals: {!render} of
+(** The message's text as its journal events show it: {!render} of
     the message's journal facts. *)
 
 (** {2 Journal facts}

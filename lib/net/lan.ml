@@ -56,7 +56,7 @@ and 'a t = {
   mutable c_collisions : int;
   mutable c_backoffs : int;
   latencies : Stats.Running.r;
-  mutable trace : Trace.t option;
+  mutable collision_hook : (int -> unit) option;
 }
 
 let create ?(params = Params.default) eng =
@@ -78,18 +78,13 @@ let create ?(params = Params.default) eng =
     c_collisions = 0;
     c_backoffs = 0;
     latencies = Stats.Running.create ();
-    trace = None;
+    collision_hook = None;
   }
 
 let params lan = lan.prm
 let address st = st.st_addr
 let on_receive st f = st.st_receive <- Some f
-let set_trace lan tr = lan.trace <- Some tr
-
-let tracef lan fmt =
-  match lan.trace with
-  | Some tr -> Trace.emitf tr (Engine.now lan.eng) Trace.Net fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.err_formatter fmt
+let on_collision lan f = lan.collision_hook <- Some f
 
 let deliver lan frame addr =
   let st = lan.stations.(addr) in
@@ -146,7 +141,9 @@ and close_window lan =
   | _ ->
     let several = List.rev newest_first in
     lan.c_collisions <- lan.c_collisions + 1;
-    tracef lan "collision among %d stations" (List.length several);
+    (match lan.collision_hook with
+    | Some f -> f (List.length several)
+    | None -> ());
     Engine.schedule lan.eng ~after:lan.prm.jam (fun () ->
         lan.state <- Idle;
         wake_waiters lan);
@@ -174,8 +171,6 @@ and transmit lan a =
 and collided lan a =
   if a.a_n >= lan.prm.max_attempts then begin
     lan.c_dropped <- lan.c_dropped + 1;
-    tracef lan "station %d dropped frame after %d attempts" a.a_st.st_addr
-      a.a_n;
     next_frame a.a_st
   end
   else begin

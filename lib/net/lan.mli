@@ -81,5 +81,7 @@ val latency_stats : 'a t -> Eden_util.Stats.Running.r
     and extremes, kept in constant space however many frames a run
     delivers. *)
 
-val set_trace : 'a t -> Eden_sim.Trace.t -> unit
-(** Emit [Net] trace records for sends, collisions and drops. *)
+val on_collision : 'a t -> (int -> unit) -> unit
+(** Call the function with the number of colliding stations each time
+    a contention window closes on a collision; a later call replaces
+    the hook.  {!counters} counts collisions but not their sizes. *)

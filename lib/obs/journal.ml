@@ -29,6 +29,7 @@ type kind =
   | Net_flush of { dst : int; msgs : int }
   | Net_hold of { dst : int option; by : Time.t }
   | Drain_stall of { target : string }
+  | Log of { target : string; text : string }
 
 let kind_name = function
   | Send _ -> "send"
@@ -59,6 +60,7 @@ let kind_name = function
   | Net_flush _ -> "net_flush"
   | Net_hold _ -> "net_hold"
   | Drain_stall _ -> "drain_stall"
+  | Log _ -> "log"
 
 let pp_dst = function Some d -> Printf.sprintf "n%d" d | None -> "*"
 
@@ -105,6 +107,7 @@ let describe_kind = function
   | Net_hold { dst; by } ->
     Printf.sprintf "net hold %s by %s" (pp_dst dst) (Time.to_string by)
   | Drain_stall { target } -> Printf.sprintf "drain stall %s" target
+  | Log { target; text } -> Printf.sprintf "log %s: %s" target text
 
 type event = {
   ev_id : int;
@@ -231,7 +234,7 @@ let create sink ~node ~cap =
     jn_node = node;
     jn_cap = cap;
     jn_intern = Strtbl.create 64;
-    jn_memo = Array.make 21 "";
+    jn_memo = Array.make 23 "";
     jn_ints = make_ints 0;
     jn_strs = [||];
     jn_size = 0;
@@ -380,6 +383,9 @@ let store t ~slot ~id ~at ~trace ~parent kind =
   | Drain_stall { target } ->
     set t ~slot ~id ~at ~trace ~parent ~tag:27 ~a1:(-1) ~a2:(-1)
       ~s1:(intern t 20 target) ~s2:""
+  | Log { target; text } ->
+    set t ~slot ~id ~at ~trace ~parent ~tag:30 ~a1:(-1) ~a2:(-1)
+      ~s1:(intern t 21 target) ~s2:(intern t 22 text)
 
 (* Tags of the message events stored as facts ([tag_bits] low bits of
    the tag word); the renderer's code and argument sit above them. *)
@@ -423,6 +429,7 @@ let decode ~tag ~a1 ~a2 ~s1 ~s2 =
   | 25 -> Net_flush { dst = a1; msgs = a2 }
   | 26 -> Net_hold { dst = dec_opt a1; by = Time.ns a2 }
   | 27 -> Drain_stall { target = s1 }
+  | 30 -> Log { target = s1; text = s2 }
   | _ -> assert false
 
 let grow t =

@@ -83,6 +83,9 @@ type kind =
       (** the work item arrived while [target] was draining and was
           stashed until reactivation elsewhere; subsequent queue time
           is attributed to the drain category.  Profiling-gated. *)
+  | Log of { target : string; text : string }
+      (** an object's free-text note ([Api.ctx.log]), recorded at its
+          home node; each roots its own trace *)
 
 val kind_name : kind -> string
 val describe_kind : kind -> string

@@ -2,7 +2,6 @@ open Eden_util
 
 type t = {
   eng : Engine.t;
-  rname : string;
   nservers : int;
   sem : Semaphore.t;
   mutable nbusy : int;
@@ -11,11 +10,10 @@ type t = {
   waits : Stats.t;
 }
 
-let create eng ~servers ~name =
+let create eng ~servers =
   if servers <= 0 then invalid_arg "Resource.create: servers must be positive";
   {
     eng;
-    rname = name;
     nservers = servers;
     sem = Semaphore.create eng ~init:servers;
     nbusy = 0;

@@ -7,7 +7,7 @@
 
 type t
 
-val create : Engine.t -> servers:int -> name:string -> t
+val create : Engine.t -> servers:int -> t
 (** [servers] must be positive. *)
 
 val use : t -> Eden_util.Time.t -> unit

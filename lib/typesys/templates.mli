@@ -37,6 +37,6 @@ val with_auto_checkpoint : every:int -> Typemgr.t -> Typemgr.t
     short-term state: it restarts at zero on reincarnation. *)
 
 val with_operation_log : Typemgr.t -> Typemgr.t
-(** Wrap every operation to emit an [App]-category trace record on
-    completion (operation name and outcome) — the standard
-    observability template. *)
+(** Wrap every operation to [Api.ctx.log] its name and outcome on
+    completion (a [Log] journal event) — the standard observability
+    template. *)

@@ -53,7 +53,7 @@ let test_memory_errors () =
 
 let test_cpu_parallelism () =
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~gdps:2 ~name:"cpu" in
+  let cpu = Cpu.create eng ~gdps:2 in
   for _ = 1 to 6 do
     ignore (Engine.spawn eng (fun () -> Cpu.consume cpu (Time.ms 10)))
   done;
@@ -67,7 +67,7 @@ let test_cpu_parallelism () =
 
 let test_cpu_zero_demand () =
   let eng = Engine.create () in
-  let cpu = Cpu.create eng ~gdps:1 ~name:"cpu" in
+  let cpu = Cpu.create eng ~gdps:1 in
   let _ =
     Engine.spawn eng (fun () ->
         Cpu.consume cpu Time.zero;
@@ -82,7 +82,7 @@ let test_cpu_zero_demand () =
 
 let test_disk_access_time () =
   let eng = Engine.create () in
-  let d = Disk.create eng ~profile:Disk.small_profile ~name:"d" in
+  let d = Disk.create eng ~profile:Disk.small_profile in
   (* seek 30ms + half rotation 8ms + 1KB at 500KB/s = 2.048ms *)
   check_int "1KB access" 40_048_000
     (Time.to_ns (Disk.access_time d ~bytes:1_024));
@@ -90,7 +90,7 @@ let test_disk_access_time () =
 
 let test_disk_serialises () =
   let eng = Engine.create () in
-  let d = Disk.create eng ~profile:Disk.small_profile ~name:"d" in
+  let d = Disk.create eng ~profile:Disk.small_profile in
   for _ = 1 to 3 do
     ignore (Engine.spawn eng (fun () -> Disk.write d ~bytes:1_024))
   done;
@@ -103,7 +103,7 @@ let test_disk_serialises () =
 
 let test_disk_counters () =
   let eng = Engine.create () in
-  let d = Disk.create eng ~profile:Disk.server_profile ~name:"d" in
+  let d = Disk.create eng ~profile:Disk.server_profile in
   let _ =
     Engine.spawn eng (fun () ->
         Disk.read d ~bytes:4_096;

@@ -712,6 +712,7 @@ let test_journal_kind_roundtrip () =
       Journal.Net_hold { dst = Some 1; by = Time.us 7 };
       Journal.Net_hold { dst = None; by = Time.ms 2 };
       Journal.Drain_stall { target = "obj#1" };
+      Journal.Log { target = "obj#1"; text = "get: ok" };
     ]
   in
   let j = Journal.create (Journal.sink ()) ~node:0 ~cap:64 in

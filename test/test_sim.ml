@@ -1014,7 +1014,7 @@ let test_promise_timeout () =
 
 let test_resource_serialises () =
   let eng = Engine.create () in
-  let cpu = Resource.create eng ~servers:2 ~name:"cpu" in
+  let cpu = Resource.create eng ~servers:2 in
   for _ = 1 to 6 do
     ignore (Engine.spawn eng (fun () -> Resource.use cpu (t_ms 10)))
   done;
@@ -1028,7 +1028,7 @@ let test_resource_serialises () =
 
 let test_resource_wait_stats () =
   let eng = Engine.create () in
-  let r = Resource.create eng ~servers:1 ~name:"disk" in
+  let r = Resource.create eng ~servers:1 in
   for _ = 1 to 3 do
     ignore (Engine.spawn eng (fun () -> Resource.use r (t_ms 2)))
   done;
@@ -1043,7 +1043,7 @@ let test_resource_wait_stats () =
    positive waits it saw. *)
 let test_resource_zero_waits_bounded () =
   let eng = Engine.create () in
-  let r = Resource.create eng ~servers:1 ~name:"cpu" in
+  let r = Resource.create eng ~servers:1 in
   ignore
     (Engine.spawn eng (fun () ->
          for _ = 1 to 20_000 do
@@ -1069,7 +1069,7 @@ let test_resource_zero_waits_bounded () =
    the same count, extremes, mean and percentiles. *)
 let test_resource_wait_stats_exact () =
   let eng = Engine.create ~seed:5L () in
-  let r = Resource.create eng ~servers:2 ~name:"cpu" in
+  let r = Resource.create eng ~servers:2 in
   let rng = Splitmix.create 13L in
   let naive = ref [] in
   for _ = 1 to 400 do
@@ -1116,7 +1116,7 @@ let test_resource_kill_releases () =
      killed inside [Engine.delay] receives [Killed] when its delay
      would have ended, so the server frees at 10 ms. *)
   let eng = Engine.create () in
-  let r = Resource.create eng ~servers:1 ~name:"disk" in
+  let r = Resource.create eng ~servers:1 in
   let victim = Engine.spawn eng (fun () -> Resource.use r (t_ms 10)) in
   let done_at = ref Time.zero in
   ignore
@@ -1135,41 +1135,7 @@ let test_resource_invalid () =
   let eng = Engine.create () in
   Alcotest.check_raises "zero servers"
     (Invalid_argument "Resource.create: servers must be positive") (fun () ->
-      ignore (Resource.create eng ~servers:0 ~name:"x"))
-
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_disabled_by_default () =
-  let tr = Trace.create () in
-  Trace.emitf tr Time.zero Trace.Kern "hidden";
-  check_bool "nothing recorded" true (Trace.recent tr = [])
-
-let test_trace_roundtrip () =
-  let tr = Trace.create ~keep:2 () in
-  Trace.enable tr;
-  Trace.emitf tr (t_ms 1) Trace.Net "one";
-  Trace.emitf tr (t_ms 2) Trace.Net "two";
-  Trace.emitf tr (t_ms 3) Trace.Kern "three";
-  let tail = Trace.recent tr in
-  Alcotest.(check (list string))
-    "ring keeps last 2" [ "two"; "three" ]
-    (List.map (fun r -> r.Trace.message) tail)
-
-let test_trace_emitf_lazy () =
-  let tr = Trace.create () in
-  (* Disabled: the closure below must not run. *)
-  let evaluated = ref false in
-  Trace.emitf tr Time.zero Trace.Sim "%s"
-    (if false then "" else if !evaluated then "x" else "y");
-  (* The argument expression above ran (strict evaluation), but emitf
-     must at least not record anything. *)
-  check_bool "not recorded" true (Trace.recent tr = []);
-  Trace.enable tr;
-  Trace.emitf tr Time.zero Trace.Sim "n=%d" 42;
-  Alcotest.(check (list string))
-    "formatted" [ "n=42" ]
-    (List.map (fun r -> r.Trace.message) (Trace.recent tr))
+      ignore (Resource.create eng ~servers:0))
 
 (* ------------------------------------------------------------------ *)
 (* Engine stress / properties *)
@@ -1402,12 +1368,5 @@ let () =
             test_resource_wait_stats_exact;
           Alcotest.test_case "kill releases" `Quick test_resource_kill_releases;
           Alcotest.test_case "invalid" `Quick test_resource_invalid;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick
-            test_trace_disabled_by_default;
-          Alcotest.test_case "roundtrip" `Quick test_trace_roundtrip;
-          Alcotest.test_case "emitf" `Quick test_trace_emitf_lazy;
         ] );
     ]

@@ -1,7 +1,6 @@
 (* Tests for the standard object templates (paper sec. 4.1: "language
    subsystems will provide standard object templates"). *)
 
-open Eden_sim
 open Eden_kernel
 open Eden_typesys
 
@@ -175,8 +174,6 @@ let test_operation_log () =
   let tm = Templates.with_operation_log (Templates.register_type ~name:"lc") in
   let cl = Cluster.default ~n_nodes:1 () in
   Cluster.register_type cl tm;
-  let tr = Cluster.trace cl in
-  Trace.enable tr;
   let _ =
     Cluster.in_process cl (fun () ->
         match
@@ -188,19 +185,16 @@ let test_operation_log () =
           ignore (Cluster.invoke cl ~from:0 cap ~op:"write" [ Value.Int 1 ]))
   in
   Cluster.run cl;
-  let app_records =
-    List.filter
-      (fun r -> r.Trace.category = Trace.App)
-      (Trace.recent tr)
+  let logs =
+    List.filter_map
+      (fun (e : Eden_obs.Journal.event) ->
+        match e.ev_kind with
+        | Eden_obs.Journal.Log { text; _ } -> Some text
+        | _ -> None)
+      (Eden_obs.Timeline.events (Cluster.timeline cl))
   in
-  check_int "two operations logged" 2 (List.length app_records);
-  check_bool "read logged ok" true
-    (List.exists
-       (fun r ->
-         String.length r.Trace.message >= 8
-         && String.sub r.Trace.message (String.length r.Trace.message - 8) 8
-            = "read: ok")
-       app_records)
+  check_int "two operations logged" 2 (List.length logs);
+  check_bool "read logged ok" true (List.mem "read: ok" logs)
 
 let () =
   Alcotest.run "eden_templates"
