@@ -133,13 +133,10 @@ type pending =
   | P_invoke of inv_outcome Promise.t
   | P_clone of clone_state
   | P_locate of locate_state
-  | P_create of (Capability.t, Error.t) result Promise.t
-  | P_ack of bool Promise.t
-  | P_cache of (string * Value.t) option Promise.t
-      (* a frozen representation being fetched for the replica cache *)
-  | P_dir of (node_id * node_id list) option Promise.t
-      (* a directory lookup in flight: [Some (home, replicas)] from
-         the shard's [Dir_put] reply, [None] from its [Dir_nack] *)
+  | P_reply of Message.t Promise.t
+      (* any other request: filled with the one reply message that
+         echoes its id (a create, move, replica, checkpoint, cache or
+         directory reply); the requester decodes it *)
 
 (* One name's record at its registry shard: the last published home,
    the replica sites accumulated across publishes, and the publish
@@ -308,17 +305,15 @@ type health_plane = {
 let topk_capacity = 64
 
 (* Cluster-wide remote round-trip telemetry for hedged retries: the
-   requester path bumps a cumulative bucket count per observed RTT and
-   an engine sampler closes one tick at a time into a sliding
+   requester path bumps the open tick's bucket count per observed RTT
+   and an engine sampler closes one tick at a time into a sliding
    {!Window.Hist}, exactly the windowed-quantile machinery the health
    plane's burn-rate rules use.  The hedge threshold is then a live
    quantile of recent RTTs rather than a guessed constant. *)
 type hedge_state = {
   hs_hist : Window.Hist.h;
-  hs_cum : int array;  (* cumulative per-bucket observation counts *)
-  mutable hs_cum_over : int;
-  hs_prev : int array;  (* the counts at the last closed tick *)
-  mutable hs_prev_over : int;
+  hs_tick : int array;  (* per-bucket observations in the open tick *)
+  mutable hs_tick_over : int;
 }
 
 (* Cluster-level critical-path counters (profiling only): per-category
@@ -378,6 +373,10 @@ type t = {
       (* epoch -> the ring for that membership, captured at bump time
          and built on first lookup, so a node serving through an old
          view keeps resolving against the exact ring its view names *)
+  c_make_ctx : t -> obj -> Api.ctx;
+      (* [make_ctx]: type code calls back into the invocation and
+         mobility paths, which are defined after the code that builds
+         objects *)
 }
 
 let locate_window = Time.ms 3
@@ -431,10 +430,18 @@ exception Fatal of string
 (* -------------------------------------------------------------------- *)
 (* Small helpers *)
 
+let ( let* ) = Result.bind
+
 let node_of cl i =
   if i < 0 || i >= Array.length cl.nodes then
     invalid_arg (Printf.sprintf "Cluster: no such node %d" i)
   else cl.nodes.(i)
+
+(* A node named by a caller, for moving or replicating an object to. *)
+let node_in_range cl i =
+  if i < 0 || i >= Array.length cl.nodes then
+    Error (Error.Move_refused "no such node")
+  else Ok ()
 
 let costs node = (Machine.config node.nd_machine).Machine.costs
 let cpu node = Machine.cpu node.nd_machine
@@ -461,13 +468,6 @@ let new_request_id node =
   { Message.origin = node.nd_id; seq = next_seq node }
 
 let add_pending node seq p = Itbl.replace node.nd_pending seq p
-
-let take_pending node seq =
-  match Itbl.find_opt node.nd_pending seq with
-  | None -> None
-  | Some p ->
-    Itbl.remove node.nd_pending seq;
-    Some p
 
 let deadline_of ?timeout eng =
   Option.map (fun d -> Time.add (Engine.now eng) d) timeout
@@ -562,6 +562,40 @@ let bcast_msg ?ctx cl node msg =
     Transport.broadcast node.nd_tp (Message.traced ~ctx msg)
   end
 
+(* ---- Request/reply: one reply slot per outstanding request ---- *)
+
+(* A fresh request id with a reply slot registered under it. *)
+let expect cl node =
+  let req_id = new_request_id node in
+  let pr = Promise.create cl.eng in
+  add_pending node req_id.Message.seq (P_reply pr);
+  (req_id, pr)
+
+(* [expect], then send the request [mk] builds around the id. *)
+let request ?ctx cl node ~dst mk =
+  let ((req_id, _) as slot) = expect cl node in
+  send_msg ?ctx cl node ~dst (mk req_id);
+  slot
+
+(* Wait for the slot's reply ([None] on timeout), then drop the slot. *)
+let await_reply ?timeout node (req_id, pr) =
+  let r = Promise.await ?timeout pr in
+  Itbl.remove node.nd_pending req_id.Message.seq;
+  r
+
+(* A reply reached a request that expects another kind of message. *)
+let wrong_reply () = raise (Fatal "pending kind mismatch for reply")
+
+(* Hand a reply to the request it echoes.  A reply that outlived its
+   request's timeout finds no slot and is dropped. *)
+let reply node (req_id : Message.request_id) msg =
+  match Itbl.find_opt node.nd_pending req_id.seq with
+  | Some (P_reply pr) ->
+    Itbl.remove node.nd_pending req_id.seq;
+    ignore (Promise.fill pr msg)
+  | Some (P_invoke _ | P_clone _ | P_locate _) -> wrong_reply ()
+  | None -> ()
+
 (* ---- Hedge telemetry (see {!hedge_state}) ---- *)
 
 let hedge_observe cl rtt =
@@ -574,19 +608,14 @@ let hedge_observe cl rtt =
       if i >= n || s <= latency_buckets.(i) then i else idx (i + 1)
     in
     let i = idx 0 in
-    if i = n then hs.hs_cum_over <- hs.hs_cum_over + 1
-    else hs.hs_cum.(i) <- hs.hs_cum.(i) + 1
+    if i = n then hs.hs_tick_over <- hs.hs_tick_over + 1
+    else hs.hs_tick.(i) <- hs.hs_tick.(i) + 1
 
+(* [Window.Hist.push] copies the counts, so the open tick is reused. *)
 let hedge_close_tick hs =
-  let n = Array.length hs.hs_cum in
-  let deltas = Array.make n 0 in
-  for i = 0 to n - 1 do
-    deltas.(i) <- hs.hs_cum.(i) - hs.hs_prev.(i);
-    hs.hs_prev.(i) <- hs.hs_cum.(i)
-  done;
-  let overflow = hs.hs_cum_over - hs.hs_prev_over in
-  hs.hs_prev_over <- hs.hs_cum_over;
-  Window.Hist.push hs.hs_hist ~counts:deltas ~overflow
+  Window.Hist.push hs.hs_hist ~counts:hs.hs_tick ~overflow:hs.hs_tick_over;
+  Array.fill hs.hs_tick 0 (Array.length hs.hs_tick) 0;
+  hs.hs_tick_over <- 0
 
 (* The wait after which a hedged retry fires, or [None] while the
    estimator has nothing to stand on.  An empty window estimates [nan]
@@ -739,167 +768,28 @@ let dir_resolve ?ctx cl node target ~deadline =
       Metrics.incr (nm cl node).m_dir_misses;
       `Miss)
   else begin
-    let req_id = new_request_id node in
-    let pr = Promise.create cl.eng in
-    add_pending node req_id.Message.seq (P_dir pr);
-    send_msg ?ctx cl node ~dst:shard
-      (Message.Dir_get { req_id; target; reply_to = node.nd_id });
+    let slot =
+      request ?ctx cl node ~dst:shard (fun req_id ->
+          Message.Dir_get { req_id; target; reply_to = node.nd_id })
+    in
     let window =
       match remaining cl.eng deadline with
       | Some left when Time.(left < dir_window) -> left
       | Some _ | None -> dir_window
     in
-    let answer = Promise.await ~timeout:window pr in
-    Itbl.remove node.nd_pending req_id.Message.seq;
-    match answer with
-    | Some (Some (home, replicas)) -> `Hit (home, replicas)
-    | Some None -> `Miss
+    match await_reply ~timeout:window node slot with
+    | Some (Message.Dir_put { home; replicas; _ }) -> `Hit (home, replicas)
+    | Some (Message.Dir_nack _) -> `Miss
+    | Some _ -> wrong_reply ()
     | None -> `Dead
   end
 
-(* -------------------------------------------------------------------- *)
-(* Forward declarations via references (the invocation path, object
-   crash and activation are mutually recursive through ctx closures). *)
-
-let ref_do_invoke :
-    (t ->
-    from:node_id ->
-    ?timeout:Time.t ->
-    ?retry:Api.retry ->
-    ?parent:Span.t ->
-    Capability.t ->
-    op:string ->
-    Value.t list ->
-    Api.invoke_result)
-    ref =
-  ref (fun _ ~from:_ ?timeout:_ ?retry:_ ?parent:_ _ ~op:_ _ ->
-      raise (Fatal "not initialised"))
-
-let ref_do_crash : (t -> obj -> unit) ref =
-  ref (fun _ _ -> raise (Fatal "not initialised"))
-
-let ref_do_checkpoint : (t -> obj -> (unit, Error.t) result) ref =
-  ref (fun _ _ -> raise (Fatal "not initialised"))
-
-let ref_do_checkpoint_async : (t -> obj -> (unit, Error.t) result) ref =
-  ref (fun _ _ -> raise (Fatal "not initialised"))
-
-let ref_do_move : (t -> obj -> to_node:node_id -> self_inflight:bool -> (unit, Error.t) result) ref =
-  ref (fun _ _ ~to_node:_ ~self_inflight:_ -> raise (Fatal "not initialised"))
-
-let ref_do_replicate : (t -> obj -> to_node:node_id -> (unit, Error.t) result) ref =
-  ref (fun _ _ ~to_node:_ -> raise (Fatal "not initialised"))
-
-let ref_do_create :
-    (t -> from:node_id -> node:node_id -> type_name:string -> Value.t ->
-    (Capability.t, Error.t) result)
-    ref =
-  ref (fun _ ~from:_ ~node:_ ~type_name:_ _ -> raise (Fatal "not initialised"))
-
-(* -------------------------------------------------------------------- *)
-(* The kernel interface handed to type code *)
-
-let make_ctx cl obj =
-  let find_or_add tbl key create =
-    match Hashtbl.find_opt tbl key with
-    | Some v -> v
-    | None ->
-      let v = create () in
-      Hashtbl.replace tbl key v;
-      v
-  in
-  {
-    Api.self = Capability.make obj.ob_name Rights.all;
-    node_id = (fun () -> obj.ob_home);
-    now = (fun () -> Engine.now cl.eng);
-    random = obj.ob_rng;
-    compute = (fun t -> consume (home cl obj) t);
-    log =
-      (fun text ->
-        ignore
-          (jrecord cl (home cl obj)
-             (Journal.Log { target = obj.ob_label; text })));
-    get_repr = (fun () -> obj.ob_repr);
-    set_repr =
-      (fun v ->
-        if obj.ob_frozen then Error Error.Frozen_immutable
-        else begin
-          let node = home cl obj in
-          let old_size = Value.size_bytes obj.ob_repr in
-          let new_size = Value.size_bytes v in
-          if new_size > old_size then begin
-            match Memory.reserve node.nd_mem (new_size - old_size) with
-            | Error `Out_of_memory -> Error Error.Out_of_memory
-            | Ok () ->
-              obj.ob_mem <- obj.ob_mem + (new_size - old_size);
-              obj.ob_repr <- v;
-              Ok ()
-          end
-          else begin
-            Memory.release node.nd_mem (old_size - new_size);
-            obj.ob_mem <- obj.ob_mem - (old_size - new_size);
-            obj.ob_repr <- v;
-            Ok ()
-          end
-        end);
-    invoke =
-      (fun ?timeout ?retry cap ~op args ->
-        !ref_do_invoke cl ~from:obj.ob_home ?timeout ?retry cap ~op args);
-    invoke_async =
-      (fun ?timeout ?retry cap ~op args ->
-        (* Capture the parent span here: the spawned process has its
-           own pid, so the per-pid lookup would miss it. *)
-        let parent = current_span cl in
-        let pr = Promise.create cl.eng in
-        let pid =
-          Engine.spawn cl.eng ~name:"invoke_async" (fun () ->
-              let r =
-                !ref_do_invoke cl ~from:obj.ob_home ?timeout ?retry ?parent
-                  cap ~op args
-              in
-              ignore (Promise.fill pr r))
-        in
-        Engine.set_daemon cl.eng pid;
-        pr);
-    create_object =
-      (fun ~type_name ?node init ->
-        let target = Option.value ~default:obj.ob_home node in
-        !ref_do_create cl ~from:obj.ob_home ~node:target ~type_name init);
-    checkpoint = (fun () -> !ref_do_checkpoint cl obj);
-    checkpoint_async = (fun () -> !ref_do_checkpoint_async cl obj);
-    set_reliability =
-      (fun r ->
-        match Reliability.validate r ~node_count:(Array.length cl.nodes) with
-        | Error e -> Error (Error.Bad_arguments e)
-        | Ok () ->
-          obj.ob_reliability <- r;
-          Ok ());
-    crash = (fun () -> !ref_do_crash cl obj);
-    move_to =
-      (fun n ->
-        if n < 0 || n >= Array.length cl.nodes then
-          Error (Error.Move_refused "no such node")
-        else !ref_do_move cl obj ~to_node:n ~self_inflight:true);
-    freeze = (fun () -> obj.ob_frozen <- true);
-    replicate_to = (fun n -> !ref_do_replicate cl obj ~to_node:n);
-    semaphore =
-      (fun name ~init ->
-        find_or_add obj.ob_sems name (fun () ->
-            Semaphore.create cl.eng ~init));
-    port =
-      (fun name ->
-        find_or_add obj.ob_ports name (fun () -> Mailbox.create cl.eng));
-    spawn_subprocess =
-      (fun f ->
-        ignore
-          (spawn_tracked cl obj.ob_proc_pids ~name:(obj.ob_label ^ ".sub") f));
-  }
-
+(* The kernel interface of [obj], built on first use (see [make_ctx]). *)
 let obj_ctx cl obj =
   match obj.ob_ctx with
   | Some ctx -> ctx
   | None ->
-    let ctx = make_ctx cl obj in
+    let ctx = cl.c_make_ctx cl obj in
     obj.ob_ctx <- Some ctx;
     ctx
 
@@ -924,7 +814,7 @@ let resolve_inv_pending cl node ~src seq outcome =
         Itbl.remove node.nd_pending seq;
         ignore (Promise.fill cs.cp_pr (outcome, src))
       end)
-  | Some (P_locate _ | P_create _ | P_ack _ | P_cache _ | P_dir _) ->
+  | Some (P_locate _ | P_reply _) ->
     raise (Fatal "pending kind mismatch for invocation reply")
   | None -> (
     (* Late reply after the requester gave up (or after a faster clone
@@ -1136,6 +1026,20 @@ let load_type_code node tm =
 let object_footprint tm repr =
   Value.size_bytes repr + Typemgr.short_term_bytes tm
 
+(* The admission check every path that brings an object into a node's
+   memory makes: the type is registered, its code is loaded here, and
+   the object's footprint is reserved.  Returns the type and the bytes
+   reserved. *)
+let admit cl node ~type_name ~repr =
+  match Hashtbl.find_opt cl.types type_name with
+  | None -> Error (Error.Bad_arguments ("unknown type " ^ type_name))
+  | Some tm -> (
+    let* () = load_type_code node tm in
+    let footprint = object_footprint tm repr in
+    match Memory.reserve node.nd_mem footprint with
+    | Error `Out_of_memory -> Error Error.Out_of_memory
+    | Ok () -> Ok (tm, footprint))
+
 (* -------------------------------------------------------------------- *)
 (* Object construction (shared by create / activate / replicate) *)
 
@@ -1187,30 +1091,19 @@ let build_obj cl ~name ~tm ~repr ~frozen ~reliability ~home ~is_replica ~mem =
 let do_create_local cl node type_name init =
   if not node.nd_up then Error Error.Node_down
   else
-    match Hashtbl.find_opt cl.types type_name with
-    | None -> Error (Error.Bad_arguments ("unknown type " ^ type_name))
-    | Some tm -> (
-      match load_type_code node tm with
-      | Error e -> Error e
-      | Ok () -> (
-        let footprint = object_footprint tm init in
-        match Memory.reserve node.nd_mem footprint with
-        | Error `Out_of_memory -> Error Error.Out_of_memory
-        | Ok () ->
-          consume node (costs node).Costs.process_create_cpu;
-          let name =
-            Name.make ~birth_node:node.nd_id ~serial:(next_seq node)
-          in
-          let obj =
-            build_obj cl ~name ~tm ~repr:init ~frozen:false
-              ~reliability:Reliability.Local ~home:node.nd_id
-              ~is_replica:false ~mem:footprint
-          in
-          spawn_coordinator cl obj;
-          spawn_behaviours cl obj;
-          Name.Table.replace node.nd_active name obj;
-          dir_publish cl node name ~home:node.nd_id ~replicas:[];
-          Ok (Capability.make name Rights.all)))
+    let* tm, footprint = admit cl node ~type_name ~repr:init in
+    consume node (costs node).Costs.process_create_cpu;
+    let name = Name.make ~birth_node:node.nd_id ~serial:(next_seq node) in
+    let obj =
+      build_obj cl ~name ~tm ~repr:init ~frozen:false
+        ~reliability:Reliability.Local ~home:node.nd_id ~is_replica:false
+        ~mem:footprint
+    in
+    spawn_coordinator cl obj;
+    spawn_behaviours cl obj;
+    Name.Table.replace node.nd_active name obj;
+    dir_publish cl node name ~home:node.nd_id ~replicas:[];
+    Ok (Capability.make name Rights.all)
 
 (* Reincarnate a passive object from its snapshot on [node].  Blocking.
    Concurrent activations of the same object on one node coalesce. *)
@@ -1237,78 +1130,70 @@ let activate cl node name =
           ignore (Promise.fill pr r);
           r
         in
-        match Hashtbl.find_opt cl.types snap.ss_type with
-        | None ->
-          finish (Error (Error.Bad_arguments ("unknown type " ^ snap.ss_type)))
-        | Some tm -> (
-          match load_type_code node tm with
-          | Error e -> finish (Error e)
-          | Ok () -> (
-            let footprint = object_footprint tm snap.ss_repr in
-            match Memory.reserve node.nd_mem footprint with
-            | Error `Out_of_memory -> finish (Error Error.Out_of_memory)
-            | Ok () ->
-              (* Read the long-term representation from disk. *)
-              Disk.read (Machine.disk node.nd_machine)
-                ~bytes:(Value.size_bytes snap.ss_repr);
-              consume node (costs node).Costs.activation_fixed_cpu;
-              let obj =
-                build_obj cl ~name ~tm ~repr:snap.ss_repr
-                  ~frozen:snap.ss_frozen ~reliability:snap.ss_reliability
-                  ~home:node.nd_id ~is_replica:false ~mem:footprint
-              in
-              obj.ob_ckpt_sites <-
-                Reliability.checksites snap.ss_reliability ~home:node.nd_id;
-              obj.ob_ckpt_version <- snap.ss_version;
-              obj.ob_ckpt_base <- Some (snap.ss_version, snap.ss_repr);
-              (* Seed the acked table optimistically: checksites are
-                 usually at the version we just restored.  A site that
-                 is actually behind nacks its first delta, which falls
-                 back to a full write and repairs the entry. *)
-              List.iter
-                (fun site ->
-                  Hashtbl.replace obj.ob_ckpt_acked site snap.ss_version)
-                obj.ob_ckpt_sites;
-              snap.ss_passive <- false;
-              let actx =
-                Tracectx.root
-                  (jrecord cl node
-                     (Journal.Activate
-                        {
-                          target = label cl name;
-                          version = snap.ss_version;
-                        }))
-              in
-              (* Tell sibling checksites the object lives again. *)
-              List.iter
-                (fun site ->
-                  if site <> node.nd_id then
-                    send_msg ~ctx:actx cl node ~dst:site
-                      (Message.Ckpt_mark
-                         {
-                           target = name;
-                           passive = false;
-                           version = snap.ss_version;
-                         }))
-                obj.ob_ckpt_sites;
-              (* The reincarnation condition handler runs before any
-                 invocation is dispatched. *)
-              (match Typemgr.reincarnate tm with
-              | None -> ()
-              | Some handler -> handler (obj_ctx cl obj));
-              if obj.ob_status = Dead then
-                finish (Error Error.Object_crashed)
-              else begin
-                spawn_coordinator cl obj;
-                spawn_behaviours cl obj;
-                Name.Table.replace node.nd_active name obj;
-                (* Reincarnation is a home change the shard must hear
-                   about, or it keeps naming the dead home. *)
-                dir_publish ~ctx:actx cl node name ~home:node.nd_id
-                  ~replicas:[];
-                Metrics.incr (nm cl node).m_recoveries;
-                finish (Ok obj)
-              end)))))
+        match admit cl node ~type_name:snap.ss_type ~repr:snap.ss_repr with
+        | Error e -> finish (Error e)
+        | Ok (tm, footprint) ->
+          (* Read the long-term representation from disk. *)
+          Disk.read (Machine.disk node.nd_machine)
+            ~bytes:(Value.size_bytes snap.ss_repr);
+          consume node (costs node).Costs.activation_fixed_cpu;
+          let obj =
+            build_obj cl ~name ~tm ~repr:snap.ss_repr
+              ~frozen:snap.ss_frozen ~reliability:snap.ss_reliability
+              ~home:node.nd_id ~is_replica:false ~mem:footprint
+          in
+          obj.ob_ckpt_sites <-
+            Reliability.checksites snap.ss_reliability ~home:node.nd_id;
+          obj.ob_ckpt_version <- snap.ss_version;
+          obj.ob_ckpt_base <- Some (snap.ss_version, snap.ss_repr);
+          (* Seed the acked table optimistically: checksites are
+             usually at the version we just restored.  A site that
+             is actually behind nacks its first delta, which falls
+             back to a full write and repairs the entry. *)
+          List.iter
+            (fun site ->
+              Hashtbl.replace obj.ob_ckpt_acked site snap.ss_version)
+            obj.ob_ckpt_sites;
+          snap.ss_passive <- false;
+          let actx =
+            Tracectx.root
+              (jrecord cl node
+                 (Journal.Activate
+                    {
+                      target = label cl name;
+                      version = snap.ss_version;
+                    }))
+          in
+          (* Tell sibling checksites the object lives again. *)
+          List.iter
+            (fun site ->
+              if site <> node.nd_id then
+                send_msg ~ctx:actx cl node ~dst:site
+                  (Message.Ckpt_mark
+                     {
+                       target = name;
+                       passive = false;
+                       version = snap.ss_version;
+                     }))
+            obj.ob_ckpt_sites;
+          (* The reincarnation condition handler runs before any
+             invocation is dispatched. *)
+          (match Typemgr.reincarnate tm with
+          | None -> ()
+          | Some handler -> handler (obj_ctx cl obj));
+          if obj.ob_status = Dead then
+            finish (Error Error.Object_crashed)
+          else begin
+            spawn_coordinator cl obj;
+            spawn_behaviours cl obj;
+            Name.Table.replace node.nd_active name obj;
+            (* Reincarnation is a home change the shard must hear
+               about, or it keeps naming the dead home. *)
+            dir_publish ~ctx:actx cl node name ~home:node.nd_id
+              ~replicas:[];
+            Metrics.incr (nm cl node).m_recoveries;
+            finish (Ok obj)
+          end)))
 
 (* -------------------------------------------------------------------- *)
 (* Checkpointing, crash, reincarnation *)
@@ -1414,43 +1299,35 @@ let checkpoint_round cl obj ~repr =
     in
     let site_at site v = Hashtbl.find_opt obj.ob_ckpt_acked site = Some v in
     let send_full site =
-      let req_id = new_request_id node in
-      let pr = Promise.create cl.eng in
-      add_pending node req_id.Message.seq (P_ack pr);
       Metrics.add metrics.m_ckpt_full_bytes (Value.size_bytes repr);
-      send_msg ~ctx cl node ~dst:site
-        (Message.Ckpt_write
-           {
-             req_id;
-             target = obj.ob_name;
-             type_name;
-             repr;
-             version;
-             reliability = obj.ob_reliability;
-             frozen = obj.ob_frozen;
-             reply_to = node.nd_id;
-           });
-      (req_id, pr)
+      request ~ctx cl node ~dst:site (fun req_id ->
+          Message.Ckpt_write
+            {
+              req_id;
+              target = obj.ob_name;
+              type_name;
+              repr;
+              version;
+              reliability = obj.ob_reliability;
+              frozen = obj.ob_frozen;
+              reply_to = node.nd_id;
+            })
     in
     let send_delta site ~base_version d =
-      let req_id = new_request_id node in
-      let pr = Promise.create cl.eng in
-      add_pending node req_id.Message.seq (P_ack pr);
       Metrics.add metrics.m_ckpt_delta_bytes (Delta.size_bytes d);
-      send_msg ~ctx cl node ~dst:site
-        (Message.Ckpt_delta
-           {
-             req_id;
-             target = obj.ob_name;
-             type_name;
-             delta = d;
-             base_version;
-             version;
-             reliability = obj.ob_reliability;
-             frozen = obj.ob_frozen;
-             reply_to = node.nd_id;
-           });
-      (req_id, pr)
+      request ~ctx cl node ~dst:site (fun req_id ->
+          Message.Ckpt_delta
+            {
+              req_id;
+              target = obj.ob_name;
+              type_name;
+              delta = d;
+              base_version;
+              version;
+              reliability = obj.ob_reliability;
+              frozen = obj.ob_frozen;
+              reply_to = node.nd_id;
+            })
     in
     (* Launch every remote write first so they overlap each other and
        the local disk write. *)
@@ -1461,11 +1338,8 @@ let checkpoint_round cl obj ~repr =
           else
             match delta with
             | Some (bv, d) when site_at site bv ->
-              let req_id, pr = send_delta site ~base_version:bv d in
-              Some (site, req_id, pr, true)
-            | _ ->
-              let req_id, pr = send_full site in
-              Some (site, req_id, pr, false))
+              Some (site, send_delta site ~base_version:bv d, true)
+            | _ -> Some (site, send_full site, false))
         sites
     in
     let write_local_full () =
@@ -1498,22 +1372,19 @@ let checkpoint_round cl obj ~repr =
     (* Await the remote acknowledgements against the shared deadline;
        a nacked delta re-sends the full representation, still under
        the same deadline. *)
-    let rec await_ack site req_id pr was_delta =
-      match Promise.await ?timeout:(remaining cl.eng deadline) pr with
-      | Some true -> true
-      | Some false when was_delta ->
-        Itbl.remove node.nd_pending req_id.Message.seq;
+    let rec await_ack site slot was_delta =
+      match await_reply ?timeout:(remaining cl.eng deadline) node slot with
+      | Some (Message.Ckpt_ack { ok = true; _ }) -> true
+      | Some (Message.Ckpt_ack { ok = false; _ }) when was_delta ->
         Metrics.incr metrics.m_ckpt_fallbacks;
-        let req_id', pr' = send_full site in
-        await_ack site req_id' pr' false
-      | Some false | None ->
-        Itbl.remove node.nd_pending req_id.Message.seq;
-        false
+        await_ack site (send_full site) false
+      | Some (Message.Ckpt_ack _) | None -> false
+      | Some _ -> wrong_reply ()
     in
     let ok_sites, failed =
       List.fold_left
-        (fun (oks, failed) (site, req_id, pr, was_delta) ->
-          if await_ack site req_id pr was_delta then (site :: oks, failed)
+        (fun (oks, failed) (site, slot, was_delta) ->
+          if await_ack site slot was_delta then (site :: oks, failed)
           else (oks, site :: failed))
         ( (if local_ok then [ node.nd_id ] else []),
           if local_failed then [ node.nd_id ] else [] )
@@ -1715,22 +1586,20 @@ let do_move cl obj ~to_node ~self_inflight =
     wait_drain ();
     (* Ship the representation; the Move_transfer message carries the
        object's long-term state across the wire. *)
-    let transfer_id = new_request_id source in
-    let pr = Promise.create cl.eng in
-    add_pending source transfer_id.Message.seq (P_ack pr);
-    send_msg cl source ~dst:to_node
-      (Message.Move_transfer
-         {
-           target = obj.ob_name;
-           type_name = Typemgr.name obj.ob_type;
-           repr = obj.ob_repr;
-           frozen = obj.ob_frozen;
-           reliability = obj.ob_reliability;
-           from_node = source.nd_id;
-           transfer_id;
-         });
-    let accepted = Promise.await ~timeout:ack_timeout pr in
-    Itbl.remove source.nd_pending transfer_id.Message.seq;
+    let accepted =
+      await_reply ~timeout:ack_timeout source
+        (request cl source ~dst:to_node (fun transfer_id ->
+             Message.Move_transfer
+               {
+                 target = obj.ob_name;
+                 type_name = Typemgr.name obj.ob_type;
+                 repr = obj.ob_repr;
+                 frozen = obj.ob_frozen;
+                 reliability = obj.ob_reliability;
+                 from_node = source.nd_id;
+                 transfer_id;
+               }))
+    in
     (* Whatever the outcome, requests stashed while draining must be
        re-admitted once the object is running again. *)
     let resume_and_flush () =
@@ -1746,7 +1615,7 @@ let do_move cl obj ~to_node ~self_inflight =
       flush ()
     in
     match accepted with
-    | Some true ->
+    | Some (Message.Move_ack { accepted = true; _ }) ->
       (* Behaviours stop at the source and restart at the target. *)
       let behaviours = obj.ob_behaviour_pids in
       obj.ob_behaviour_pids <- [];
@@ -1767,9 +1636,10 @@ let do_move cl obj ~to_node ~self_inflight =
          directory user a nack round before the fallback repairs it. *)
       dir_publish cl source obj.ob_name ~home:to_node ~replicas:[];
       Ok ()
-    | Some false ->
+    | Some (Message.Move_ack _) ->
       resume_and_flush ();
       Error Error.Out_of_memory
+    | Some _ -> wrong_reply ()
     | None ->
       resume_and_flush ();
       Error Error.Node_down
@@ -1781,28 +1651,26 @@ let do_replicate cl obj ~to_node =
     Error (Error.Move_refused "only frozen objects can be replicated")
   else if to_node = obj.ob_home then Ok ()
   else begin
-    let transfer_id = new_request_id node in
-    let pr = Promise.create cl.eng in
-    add_pending node transfer_id.Message.seq (P_ack pr);
-    send_msg cl node ~dst:to_node
-      (Message.Replica_install
-         {
-           target = obj.ob_name;
-           type_name = Typemgr.name obj.ob_type;
-           repr = obj.ob_repr;
-           transfer_id;
-           from_node = node.nd_id;
-         });
-    let accepted = Promise.await ~timeout:ack_timeout pr in
-    Itbl.remove node.nd_pending transfer_id.Message.seq;
-    match accepted with
-    | Some true ->
+    let slot =
+      request cl node ~dst:to_node (fun transfer_id ->
+          Message.Replica_install
+            {
+              target = obj.ob_name;
+              type_name = Typemgr.name obj.ob_type;
+              repr = obj.ob_repr;
+              transfer_id;
+              from_node = node.nd_id;
+            })
+    in
+    match await_reply ~timeout:ack_timeout node slot with
+    | Some (Message.Replica_ack { accepted = true; _ }) ->
       (* Same-home publish: the shard unions [to_node] into the
          entry's replica set, seeding requesters' clone sets. *)
       dir_publish cl node obj.ob_name ~home:obj.ob_home
         ~replicas:[ to_node ];
       Ok ()
-    | Some false -> Error Error.Out_of_memory
+    | Some (Message.Replica_ack _) -> Error Error.Out_of_memory
+    | Some _ -> wrong_reply ()
     | None -> Error Error.Node_down
   end
 
@@ -1858,27 +1726,20 @@ let install_cached cl node name ~type_name ~repr =
     && (not (Name.Table.mem node.nd_active name))
     && not (Name.Table.mem node.nd_replicas name)
   then
-    match Hashtbl.find_opt cl.types type_name with
-    | None -> ()
-    | Some tm -> (
-      match load_type_code node tm with
-      | Error _ -> ()
-      | Ok () -> (
-        let footprint = object_footprint tm repr in
-        match Memory.reserve node.nd_mem footprint with
-        | Error `Out_of_memory -> ()
-        | Ok () ->
-          let obj =
-            build_obj cl ~name ~tm ~repr ~frozen:true
-              ~reliability:Reliability.Local ~home:node.nd_id
-              ~is_replica:true ~mem:footprint
-          in
-          spawn_coordinator cl obj;
-          Name.Table.replace node.nd_cache name obj;
-          ignore
-            (jrecord cl node
-               (Journal.Cache_install
-                  { target = label cl name; epoch = cache_epoch node name }))))
+    match admit cl node ~type_name ~repr with
+    | Error _ -> ()
+    | Ok (tm, footprint) ->
+      let obj =
+        build_obj cl ~name ~tm ~repr ~frozen:true
+          ~reliability:Reliability.Local ~home:node.nd_id ~is_replica:true
+          ~mem:footprint
+      in
+      spawn_coordinator cl obj;
+      Name.Table.replace node.nd_cache name obj;
+      ignore
+        (jrecord cl node
+           (Journal.Cache_install
+              { target = label cl name; epoch = cache_epoch node name }))
 
 (* Fetch [name]'s representation from [from_node] in the background.
    Failures are silent: the cache is an optimisation, and the next
@@ -1898,23 +1759,23 @@ let cache_fetch ?ctx cl node name ~from_node =
              ~finally:(fun () -> Name.Table.remove node.nd_fetching name)
              (fun () ->
                let epoch = cache_epoch node name in
-               let req_id = new_request_id node in
-               let pr = Promise.create cl.eng in
-               add_pending node req_id.Message.seq (P_cache pr);
-               send_msg ?ctx cl node ~dst:from_node
-                 (Message.Cache_fetch
-                    { req_id; target = name; reply_to = node.nd_id });
-               let payload = Promise.await ~timeout:ack_timeout pr in
-               Itbl.remove node.nd_pending req_id.Message.seq;
-               match payload with
-               | Some (Some (type_name, repr)) ->
+               let slot =
+                 request ?ctx cl node ~dst:from_node (fun req_id ->
+                     Message.Cache_fetch
+                       { req_id; target = name; reply_to = node.nd_id })
+               in
+               match await_reply ~timeout:ack_timeout node slot with
+               | Some
+                   (Message.Cache_data { payload = Some (type_name, repr); _ })
+                 ->
                  (* A version bump that raced the reply (e.g. the
                     unfreeze invalidation overtaking a delayed
                     [Cache_data]) makes the payload pre-thaw garbage:
                     discard it rather than install a stale replica. *)
                  if cache_epoch node name = epoch then
                    install_cached cl node name ~type_name ~repr
-               | Some None | None -> ())))
+               | Some (Message.Cache_data _) | None -> ()
+               | Some _ -> wrong_reply ())))
   end
 
 (* -------------------------------------------------------------------- *)
@@ -1928,6 +1789,12 @@ let enqueue_work cl obj w =
     let ok = Mailbox.try_send obj.ob_queue w in
     assert ok
   end
+
+(* This node holds the authoritative passive snapshot of [name]. *)
+let passive_at node name =
+  match Name.Table.find_opt node.nd_store name with
+  | Some snap -> snap.ss_passive
+  | None -> false
 
 (* Broadcast locate; prefer an actively-hosting node, else a replica,
    else a passive checksite. *)
@@ -2258,21 +2125,6 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
       (Option.map fst outcome)
   end
 
-let dispatch_local_and_wait ?ctx cl obj ~deadline ~span cap ~op args =
-  let pr = Promise.create cl.eng in
-  enqueue_work cl obj
-    {
-      w_op = op;
-      w_args = args;
-      w_presented = Capability.rights cap;
-      w_route = Reply_local pr;
-      w_span = span;
-      w_ctx = ctx;
-    };
-  match Promise.await ?timeout:(remaining cl.eng deadline) pr with
-  | Some r -> r
-  | None -> Error Error.Timeout
-
 let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
   let node = node_of cl from in
   if not node.nd_up then Error Error.Node_down
@@ -2313,164 +2165,166 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
       (* A nack retry re-opens the Locate phase. *)
       Span.enter sp Span.Locate ~at:(Engine.now cl.eng);
       consume node (costs node).Costs.locate_lookup_cpu;
-      (* Local fast paths: active object, replica, or authoritative
-         passive snapshot on this very node. *)
-      match Name.Table.find_opt node.nd_active name with
-      | Some obj -> dispatch_local_and_wait ~ctx:ictx cl obj ~deadline ~span cap ~op args
+      (* Local fast paths: active object, replica, cached replica, or
+         authoritative passive snapshot on this very node. *)
+      let local =
+        match Name.Table.find_opt node.nd_active name with
+        | Some _ as o -> o
+        | None -> (
+          match Name.Table.find_opt node.nd_replicas name with
+          | Some _ as o -> o
+          | None when not cl.opts.use_replica_cache -> None
+          | None -> (
+            match Name.Table.find_opt node.nd_cache name with
+            | Some _ as o ->
+              Metrics.incr (nm cl node).m_cache_hit;
+              o
+            | None -> None))
+      in
+      match local with
+      | Some obj -> dispatch ~deadline obj
+      | None when passive_at node name ->
+        let* obj = activate cl node name in
+        dispatch ~deadline obj
       | None -> (
-        match Name.Table.find_opt node.nd_replicas name with
-        | Some obj ->
-          dispatch_local_and_wait ~ctx:ictx cl obj ~deadline ~span cap ~op args
-        | None -> (
-        match
-          if cl.opts.use_replica_cache then
-            Name.Table.find_opt node.nd_cache name
-          else None
-        with
-        | Some obj ->
-          Metrics.incr (nm cl node).m_cache_hit;
-          dispatch_local_and_wait ~ctx:ictx cl obj ~deadline ~span cap ~op args
-        | None -> (
-          let local_passive =
-            match Name.Table.find_opt node.nd_store name with
-            | Some snap when snap.ss_passive -> true
-            | Some _ | None -> false
+        (* Remote: follow a hint if we have one, else locate. *)
+        let hinted =
+          if not cl.opts.use_hint_cache then None
+          else
+            match Name.Table.find_opt node.nd_hints name with
+            | Some h when h <> node.nd_id -> Some h
+            | Some _ | None -> (
+              match Name.Table.find_opt node.nd_forward name with
+              | Some h when h <> node.nd_id -> Some h
+              | Some _ | None -> None)
+        in
+        (match hinted with
+        | Some _ -> Metrics.incr (nm cl node).m_hint_hit
+        | None -> Metrics.incr (nm cl node).m_hint_miss);
+        (* The broadcast locate: the authoritative path, and the
+           directory's fallback.  Finding the active home here repairs
+           the registry for the next requester. *)
+        let broadcast_locate () =
+          match locate ~ctx:ictx cl node name ~deadline with
+          | `Found (at_node, residence) when at_node <> node.nd_id ->
+            if cl.opts.use_hint_cache then
+              Name.Table.replace node.nd_hints name at_node;
+            if residence = Message.Res_active then
+              dir_publish ~ctx:ictx cl node name ~home:at_node ~replicas:[];
+            (* Choosing a passive site after a full quiet window
+               authorises that site to reincarnate. *)
+            `Send (at_node, residence = Message.Res_passive, false)
+          | `Found (_, Message.Res_passive) ->
+            (* Our own snapshot is the newest surviving state: the
+               quiet window authorises reincarnating it right here. *)
+            `Activate
+          | `Found (_, _) ->
+            (* We were told the object is on this very node: it must
+               have just (re)activated here; retry the local fast
+               paths. *)
+            `Retry
+          | `Nowhere -> `Nowhere
+          | `Deadline -> `Deadline
+        in
+        let dst =
+          match hinted with
+          | Some h -> `Send (h, false, false)
+          | None -> (
+            if not (use_dir && dir_enabled cl) then broadcast_locate ()
+            else
+              match dir_resolve ~ctx:ictx cl node name ~deadline with
+              | `Hit (dhome, replicas) when dhome <> node.nd_id ->
+                Metrics.incr (nm cl node).m_dir_hits;
+                ignore
+                  (jrecord cl node ~ctx:ictx
+                     (Journal.Dir_hit { target = tname; home = dhome }));
+                List.iter (learn_clone_site cl node name) replicas;
+                (* A directory answer is a hint, never activation
+                   authority: only a full broadcast quiet window may
+                   authorise reincarnation. *)
+                `Send (dhome, false, true)
+              | `Hit _ ->
+                (* The registry names this very node, but every local
+                   fast path already missed: stale self-entry, fall
+                   back. *)
+                dir_fallback ();
+                broadcast_locate ()
+              | `Miss ->
+                ignore
+                  (jrecord cl node ~ctx:ictx
+                     (Journal.Dir_miss { target = tname }));
+                dir_fallback ();
+                broadcast_locate ()
+              | `Dead ->
+                dir_fallback ();
+                broadcast_locate ())
+        in
+        match dst with
+        | `Nowhere -> Error Error.No_such_object
+        | `Deadline -> Error Error.Timeout
+        | `Activate ->
+          let* obj = activate cl node name in
+          dispatch ~deadline obj
+        | `Retry ->
+          if nack_budget <= 0 then Error Error.No_such_object
+          else attempt ~deadline ~nack_budget:(nack_budget - 1) ~use_dir
+        | `Send (dst, may_activate, via_dir) -> (
+          (* Clone set: every other site known to serve reads of this
+             (frozen, replicated) name.  Empty for ordinary objects, so
+             the single-destination path is untouched. *)
+          let clones =
+            if not cl.opts.speculate.Api.sp_clone then []
+            else
+              match Name.Table.find_opt node.nd_clone_sites name with
+              | None -> []
+              | Some sites ->
+                Reliability.fanout ~primary:dst
+                  ~candidates:(List.filter (fun s -> s <> node.nd_id) sites)
+                  ~max_extra:(cl.opts.speculate.Api.sp_max_sites - 1)
           in
-          if local_passive then
-            match activate cl node name with
-            | Ok obj ->
-              dispatch_local_and_wait ~ctx:ictx cl obj ~deadline ~span cap ~op args
-            | Error e -> Error e
-          else begin
-            (* Remote: follow a hint if we have one, else locate. *)
-            let hinted =
-              if not cl.opts.use_hint_cache then None
-              else
-                match Name.Table.find_opt node.nd_hints name with
-                | Some h when h <> node.nd_id -> Some h
-                | Some _ | None -> (
-                  match Name.Table.find_opt node.nd_forward name with
-                  | Some h when h <> node.nd_id -> Some h
-                  | Some _ | None -> None)
-            in
-            (match hinted with
-            | Some _ -> Metrics.incr (nm cl node).m_hint_hit
-            | None -> Metrics.incr (nm cl node).m_hint_miss);
-            (* The broadcast locate: the authoritative path, and the
-               directory's fallback.  Finding the active home here
-               repairs the registry for the next requester. *)
-            let broadcast_locate () =
-              match locate ~ctx:ictx cl node name ~deadline with
-              | `Found (at_node, residence) when at_node <> node.nd_id ->
-                if cl.opts.use_hint_cache then
-                  Name.Table.replace node.nd_hints name at_node;
-                if residence = Message.Res_active then
-                  dir_publish ~ctx:ictx cl node name ~home:at_node
-                    ~replicas:[];
-                (* Choosing a passive site after a full quiet window
-                   authorises that site to reincarnate. *)
-                `Send (at_node, residence = Message.Res_passive, false)
-              | `Found (_, Message.Res_passive) ->
-                (* Our own snapshot is the newest surviving state:
-                   the quiet window authorises reincarnating it
-                   right here. *)
-                `Activate
-              | `Found (_, _) ->
-                (* We were told the object is on this very node: it
-                   must have just (re)activated here; retry the local
-                   fast paths. *)
-                `Retry
-              | `Nowhere -> `Nowhere
-              | `Deadline -> `Deadline
-            in
-            let dst =
-              match hinted with
-              | Some h -> `Send (h, false, false)
-              | None ->
-                if not (use_dir && dir_enabled cl) then broadcast_locate ()
-                else (
-                  match dir_resolve ~ctx:ictx cl node name ~deadline with
-                  | `Hit (dhome, replicas) when dhome <> node.nd_id ->
-                    Metrics.incr (nm cl node).m_dir_hits;
-                    ignore
-                      (jrecord cl node ~ctx:ictx
-                         (Journal.Dir_hit { target = tname; home = dhome }));
-                    List.iter (learn_clone_site cl node name) replicas;
-                    (* A directory answer is a hint, never activation
-                       authority: only a full broadcast quiet window
-                       may authorise reincarnation. *)
-                    `Send (dhome, false, true)
-                  | `Hit _ ->
-                    (* The registry names this very node, but every
-                       local fast path already missed: stale
-                       self-entry, fall back. *)
-                    dir_fallback ();
-                    broadcast_locate ()
-                  | `Miss ->
-                    ignore
-                      (jrecord cl node ~ctx:ictx
-                         (Journal.Dir_miss { target = tname }));
-                    dir_fallback ();
-                    broadcast_locate ()
-                  | `Dead ->
-                    dir_fallback ();
-                    broadcast_locate ())
-            in
-            match dst with
-            | `Nowhere -> Error Error.No_such_object
-            | `Deadline -> Error Error.Timeout
-            | `Activate -> (
-              match activate cl node name with
-              | Ok obj ->
-                dispatch_local_and_wait ~ctx:ictx cl obj ~deadline ~span cap ~op args
-              | Error e -> Error e)
-            | `Retry ->
-              if nack_budget <= 0 then Error Error.No_such_object
-              else attempt ~deadline ~nack_budget:(nack_budget - 1) ~use_dir
-            | `Send (dst, may_activate, via_dir) -> (
-              (* Clone set: every other site known to serve reads of
-                 this (frozen, replicated) name.  Empty for ordinary
-                 objects, so the single-destination path is untouched. *)
-              let clones =
-                if not cl.opts.speculate.Api.sp_clone then []
-                else
-                  match Name.Table.find_opt node.nd_clone_sites name with
-                  | None -> []
-                  | Some sites ->
-                    Reliability.fanout ~primary:dst
-                      ~candidates:
-                        (List.filter (fun s -> s <> node.nd_id) sites)
-                      ~max_extra:(cl.opts.speculate.Api.sp_max_sites - 1)
-              in
-              match
-                send_request_and_wait ~ctx:ictx cl node ~dst ~clones ~deadline
-                  ~may_activate ~span cap ~op args
-              with
-              | `Result r -> r
-              | `Nacked ->
-                Metrics.incr (nm cl node).m_nacks;
-                Name.Table.remove node.nd_hints name;
-                Name.Table.remove node.nd_forward name;
-                if via_dir then begin
-                  (* The shard pointed at a node that cannot serve.
-                     Lazily invalidate its entry (it drops it only if
-                     it still names this home) and retry on the
-                     broadcast path.  With the invalidation disarmed
-                     (test scaffolding) the stale entry keeps winning
-                     until the nack budget runs out — the regression
-                     this fallback exists to prevent. *)
-                  Metrics.incr (nm cl node).m_dir_nacks;
-                  if cl.c_dir_nack_fallback then begin
-                    dir_invalidate ~ctx:ictx cl node name ~stale_home:dst;
-                    dir_fallback ()
-                  end
-                end;
-                if nack_budget <= 0 then Error Error.No_such_object
-                else
-                  attempt ~deadline ~nack_budget:(nack_budget - 1)
-                    ~use_dir:
-                      (use_dir && not (via_dir && cl.c_dir_nack_fallback)))
-          end)))
+          match
+            send_request_and_wait ~ctx:ictx cl node ~dst ~clones ~deadline
+              ~may_activate ~span cap ~op args
+          with
+          | `Result r -> r
+          | `Nacked ->
+            Metrics.incr (nm cl node).m_nacks;
+            Name.Table.remove node.nd_hints name;
+            Name.Table.remove node.nd_forward name;
+            if via_dir then begin
+              (* The shard pointed at a node that cannot serve.  Lazily
+                 invalidate its entry (it drops it only if it still
+                 names this home) and retry on the broadcast path.
+                 With the invalidation disarmed (test scaffolding) the
+                 stale entry keeps winning until the nack budget runs
+                 out — the regression this fallback exists to
+                 prevent. *)
+              Metrics.incr (nm cl node).m_dir_nacks;
+              if cl.c_dir_nack_fallback then begin
+                dir_invalidate ~ctx:ictx cl node name ~stale_home:dst;
+                dir_fallback ()
+              end
+            end;
+            if nack_budget <= 0 then Error Error.No_such_object
+            else
+              attempt ~deadline ~nack_budget:(nack_budget - 1)
+                ~use_dir:(use_dir && not (via_dir && cl.c_dir_nack_fallback))))
+    (* Serve the request from an object on this node.  (In [attempt]'s
+       recursive group, so the two share one closure.) *)
+    and dispatch ~deadline obj =
+      let pr = Promise.create cl.eng in
+      enqueue_work cl obj
+        {
+          w_op = op;
+          w_args = args;
+          w_presented = Capability.rights cap;
+          w_route = Reply_local pr;
+          w_span = span;
+          w_ctx = Some ictx;
+        };
+      match Promise.await ?timeout:(remaining cl.eng deadline) pr with
+      | Some r -> r
+      | None -> Error Error.Timeout
     in
     (* [?timeout] bounds each attempt; a timed-out attempt may be
        re-issued under the caller's retry policy after a capped
@@ -2516,19 +2370,117 @@ let do_create cl ~from ~node:target ~type_name init =
   if not origin.nd_up then Error Error.Node_down
   else if target = from then do_create_local cl origin type_name init
   else begin
-    let tnode = node_of cl target in
-    ignore tnode;
-    let req_id = new_request_id origin in
-    let pr = Promise.create cl.eng in
-    add_pending origin req_id.Message.seq (P_create pr);
+    ignore (node_of cl target);
+    let ((req_id, _) as slot) = expect cl origin in
     consume origin
       (Costs.copy_cost (costs origin) ~bytes:(Value.size_bytes init));
     send_msg cl origin ~dst:target
       (Message.Create_request { req_id; type_name; init; reply_to = from });
-    let r = Promise.await ~timeout:ack_timeout pr in
-    Itbl.remove origin.nd_pending req_id.Message.seq;
-    match r with None -> Error Error.Node_down | Some result -> result
+    match await_reply ~timeout:ack_timeout origin slot with
+    | Some (Message.Create_reply { result; _ }) -> result
+    | Some _ -> wrong_reply ()
+    | None -> Error Error.Node_down
   end
+
+(* -------------------------------------------------------------------- *)
+(* The kernel interface handed to type code.  It calls back into the
+   invocation, creation, checkpoint and mobility paths above, which
+   reach it through [cl.c_make_ctx] (see [obj_ctx]). *)
+
+let make_ctx cl obj =
+  let find_or_add tbl key create =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+      let v = create () in
+      Hashtbl.replace tbl key v;
+      v
+  in
+  {
+    Api.self = Capability.make obj.ob_name Rights.all;
+    node_id = (fun () -> obj.ob_home);
+    now = (fun () -> Engine.now cl.eng);
+    random = obj.ob_rng;
+    compute = (fun t -> consume (home cl obj) t);
+    log =
+      (fun text ->
+        ignore
+          (jrecord cl (home cl obj)
+             (Journal.Log { target = obj.ob_label; text })));
+    get_repr = (fun () -> obj.ob_repr);
+    set_repr =
+      (fun v ->
+        if obj.ob_frozen then Error Error.Frozen_immutable
+        else begin
+          let node = home cl obj in
+          let old_size = Value.size_bytes obj.ob_repr in
+          let new_size = Value.size_bytes v in
+          if new_size > old_size then begin
+            match Memory.reserve node.nd_mem (new_size - old_size) with
+            | Error `Out_of_memory -> Error Error.Out_of_memory
+            | Ok () ->
+              obj.ob_mem <- obj.ob_mem + (new_size - old_size);
+              obj.ob_repr <- v;
+              Ok ()
+          end
+          else begin
+            Memory.release node.nd_mem (old_size - new_size);
+            obj.ob_mem <- obj.ob_mem - (old_size - new_size);
+            obj.ob_repr <- v;
+            Ok ()
+          end
+        end);
+    invoke =
+      (fun ?timeout ?retry cap ~op args ->
+        do_invoke cl ~from:obj.ob_home ?timeout ?retry cap ~op args);
+    invoke_async =
+      (fun ?timeout ?retry cap ~op args ->
+        (* Capture the parent span here: the spawned process has its
+           own pid, so the per-pid lookup would miss it. *)
+        let parent = current_span cl in
+        let pr = Promise.create cl.eng in
+        let pid =
+          Engine.spawn cl.eng ~name:"invoke_async" (fun () ->
+              let r =
+                do_invoke cl ~from:obj.ob_home ?timeout ?retry ?parent
+                  cap ~op args
+              in
+              ignore (Promise.fill pr r))
+        in
+        Engine.set_daemon cl.eng pid;
+        pr);
+    create_object =
+      (fun ~type_name ?node init ->
+        let target = Option.value ~default:obj.ob_home node in
+        do_create cl ~from:obj.ob_home ~node:target ~type_name init);
+    checkpoint = (fun () -> do_checkpoint cl obj);
+    checkpoint_async = (fun () -> do_checkpoint_async cl obj);
+    set_reliability =
+      (fun r ->
+        match Reliability.validate r ~node_count:(Array.length cl.nodes) with
+        | Error e -> Error (Error.Bad_arguments e)
+        | Ok () ->
+          obj.ob_reliability <- r;
+          Ok ());
+    crash = (fun () -> do_crash cl obj);
+    move_to =
+      (fun n ->
+        let* () = node_in_range cl n in
+        do_move cl obj ~to_node:n ~self_inflight:true);
+    freeze = (fun () -> obj.ob_frozen <- true);
+    replicate_to = (fun n -> do_replicate cl obj ~to_node:n);
+    semaphore =
+      (fun name ~init ->
+        find_or_add obj.ob_sems name (fun () ->
+            Semaphore.create cl.eng ~init));
+    port =
+      (fun name ->
+        find_or_add obj.ob_ports name (fun () -> Mailbox.create cl.eng));
+    spawn_subprocess =
+      (fun f ->
+        ignore
+          (spawn_tracked cl obj.ob_proc_pids ~name:(obj.ob_label ^ ".sub") f));
+  }
 
 (* -------------------------------------------------------------------- *)
 (* Destruction: erase one node's knowledge of an object, killing any
@@ -2759,38 +2711,26 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
              let result = do_create_local cl node type_name init in
              send_msg ~ctx:hctx cl node ~dst:reply_to
                (Message.Create_reply { req_id; result })))
-    | Message.Create_reply { req_id; result } -> (
-      match take_pending node req_id.Message.seq with
-      | Some (P_create pr) -> ignore (Promise.fill pr result)
-      | Some _ -> raise (Fatal "pending kind mismatch for create reply")
-      | None -> ())
+    | Message.Create_reply { req_id = id; _ }
+    | Message.Move_ack { transfer_id = id; _ }
+    | Message.Ckpt_ack { req_id = id; _ }
+    | Message.Replica_ack { transfer_id = id; _ }
+    | Message.Cache_data { req_id = id; _ } ->
+      reply node id msg
     | Message.Move_transfer
-        { target; type_name; repr; frozen = _; reliability = _; from_node;
+        { target = _; type_name; repr; frozen = _; reliability = _; from_node;
           transfer_id } ->
       ignore
         (spawn_kproc cl node ~name:"k:move_in" (fun () ->
              let accepted =
-               match Hashtbl.find_opt cl.types type_name with
-               | None -> false
-               | Some tm -> (
-                 match load_type_code node tm with
-                 | Error _ -> false
-                 | Ok () -> (
-                   let footprint = object_footprint tm repr in
-                   match Memory.reserve node.nd_mem footprint with
-                   | Error `Out_of_memory -> false
-                   | Ok () ->
-                     consume node (costs node).Costs.activation_fixed_cpu;
-                     true))
+               match admit cl node ~type_name ~repr with
+               | Error _ -> false
+               | Ok _ ->
+                 consume node (costs node).Costs.activation_fixed_cpu;
+                 true
              in
-             ignore target;
              send_msg ~ctx:hctx cl node ~dst:from_node
                (Message.Move_ack { transfer_id; accepted })))
-    | Message.Move_ack { transfer_id; accepted } -> (
-      match take_pending node transfer_id.Message.seq with
-      | Some (P_ack pr) -> ignore (Promise.fill pr accepted)
-      | Some _ -> raise (Fatal "pending kind mismatch for move ack")
-      | None -> ())
     | Message.Ckpt_write
         { req_id; target; type_name; repr; version; reliability; frozen;
           reply_to } ->
@@ -2813,11 +2753,6 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
              in
              send_msg ~ctx:hctx cl node ~dst:reply_to
                (Message.Ckpt_ack { req_id; ok })))
-    | Message.Ckpt_ack { req_id; ok } -> (
-      match take_pending node req_id.Message.seq with
-      | Some (P_ack pr) -> ignore (Promise.fill pr ok)
-      | Some _ -> raise (Fatal "pending kind mismatch for ckpt ack")
-      | None -> ())
     | Message.Ckpt_delete { target } -> Name.Table.remove node.nd_store target
     | Message.Ckpt_mark { target; passive; version } -> (
       (* A mark stamped below the stored snapshot's version is stale
@@ -2832,40 +2767,26 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
       ignore
         (spawn_kproc cl node ~name:"k:replica" (fun () ->
              let accepted =
-               match Hashtbl.find_opt cl.types type_name with
-               | None -> false
-               | Some tm -> (
-                 match load_type_code node tm with
-                 | Error _ -> false
-                 | Ok () -> (
-                   let footprint = object_footprint tm repr in
-                   match Memory.reserve node.nd_mem footprint with
-                   | Error `Out_of_memory -> false
-                   | Ok () ->
-                     if Name.Table.mem node.nd_replicas target then begin
-                       (* Already replicated here; release the double
-                          reservation and accept idempotently. *)
-                       Memory.release node.nd_mem footprint;
-                       true
-                     end
-                     else begin
-                       let obj =
-                         build_obj cl ~name:target ~tm ~repr ~frozen:true
-                           ~reliability:Reliability.Local ~home:node.nd_id
-                           ~is_replica:true ~mem:footprint
-                       in
-                       spawn_coordinator cl obj;
-                       Name.Table.replace node.nd_replicas target obj;
-                       true
-                     end))
+               match admit cl node ~type_name ~repr with
+               | Error _ -> false
+               | Ok (_, footprint) when Name.Table.mem node.nd_replicas target
+                 ->
+                 (* Already replicated here; release the double
+                    reservation and accept idempotently. *)
+                 Memory.release node.nd_mem footprint;
+                 true
+               | Ok (tm, footprint) ->
+                 let obj =
+                   build_obj cl ~name:target ~tm ~repr ~frozen:true
+                     ~reliability:Reliability.Local ~home:node.nd_id
+                     ~is_replica:true ~mem:footprint
+                 in
+                 spawn_coordinator cl obj;
+                 Name.Table.replace node.nd_replicas target obj;
+                 true
              in
              send_msg ~ctx:hctx cl node ~dst:from_node
                (Message.Replica_ack { transfer_id; accepted })))
-    | Message.Replica_ack { transfer_id; accepted } -> (
-      match take_pending node transfer_id.Message.seq with
-      | Some (P_ack pr) -> ignore (Promise.fill pr accepted)
-      | Some _ -> raise (Fatal "pending kind mismatch for replica ack")
-      | None -> ())
     | Message.Destroy_notice { target } -> forget_object cl node target
     | Message.Cache_fetch { req_id; target; reply_to } ->
       (* Serve the frozen representation if we still hold one; [None]
@@ -2883,11 +2804,6 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
       in
       send_msg ~ctx:hctx cl node ~dst:reply_to
         (Message.Cache_data { req_id; target; payload })
-    | Message.Cache_data { req_id; target = _; payload } -> (
-      match take_pending node req_id.Message.seq with
-      | Some (P_cache pr) -> ignore (Promise.fill pr payload)
-      | Some _ -> raise (Fatal "pending kind mismatch for cache data")
-      | None -> ())
     | Message.Cache_invalidate { target } ->
       (* The version bump from unfreeze.  Purge location knowledge,
          the cached replica and the clone set (the object can mutate
@@ -2904,11 +2820,7 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
          the shard.  The origin check is load-bearing: sequence
          numbers are node-local, so a foreign publish must never
          resolve an unrelated pending entry here. *)
-      if req_id.Message.origin = node.nd_id then (
-        match take_pending node req_id.Message.seq with
-        | Some (P_dir pr) -> ignore (Promise.fill pr (Some (home, replicas)))
-        | Some _ -> raise (Fatal "pending kind mismatch for dir reply")
-        | None -> () (* answer outlived its window; the fallback ran *))
+      if req_id.Message.origin = node.nd_id then reply node req_id msg
       else dir_store node ~target ~home ~replicas ~lease
     | Message.Dir_get { req_id; target; reply_to } -> (
       (* Serve the registry.  The reply echoes the requester's own
@@ -2940,11 +2852,7 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
          shard's miss reply; a foreign id is a requester's lazy
          NACK-on-wrong-home invalidation, honoured only while the
          entry still names the home the requester found stale. *)
-      if req_id.Message.origin = node.nd_id then (
-        match take_pending node req_id.Message.seq with
-        | Some (P_dir pr) -> ignore (Promise.fill pr None)
-        | Some _ -> raise (Fatal "pending kind mismatch for dir nack")
-        | None -> ())
+      if req_id.Message.origin = node.nd_id then reply node req_id msg
       else (
         match Name.Table.find_opt node.nd_dir target with
         | Some e when e.de_home = home -> Name.Table.remove node.nd_dir target
@@ -2964,17 +2872,6 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
   end
 
 (* -------------------------------------------------------------------- *)
-(* Tying the recursive knot *)
-
-let () = ref_do_invoke := do_invoke
-let () = ref_do_crash := do_crash
-let () = ref_do_checkpoint := do_checkpoint
-let () = ref_do_checkpoint_async := do_checkpoint_async
-let () = ref_do_move := do_move
-let () = ref_do_replicate := do_replicate
-let () = ref_do_create := do_create
-
-(* -------------------------------------------------------------------- *)
 (* Cluster construction and public operations *)
 
 (* The paper's node abstraction (sec. 4.3): each node machine is itself
@@ -2984,7 +2881,6 @@ let () = ref_do_create := do_create
    when a machine restarts. *)
 let node_type_for cl =
   let open Api in
-  let ( let* ) = Result.bind in
   Typemgr.make_exn ~name:"eden_node" ~code_bytes:0 ~short_term_bytes:0
     [
       Typemgr.operation "info" ~mutates:false (fun ctx args ->
@@ -3285,10 +3181,8 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
                hs_hist =
                  Window.Hist.create ~ticks:hedge_ticks
                    ~bounds:latency_buckets;
-               hs_cum = Array.make (Array.length latency_buckets) 0;
-               hs_cum_over = 0;
-               hs_prev = Array.make (Array.length latency_buckets) 0;
-               hs_prev_over = 0;
+               hs_tick = Array.make (Array.length latency_buckets) 0;
+               hs_tick_over = 0;
              }
          else None);
       c_profile =
@@ -3311,6 +3205,7 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
       c_epoch = 0;
       c_members = List.init n_members Fun.id;
       c_rings = Hashtbl.create 8;
+      c_make_ctx = make_ctx;
     }
   in
   (* The hedge estimator's tick, like the health sampler a daemon on
@@ -3504,84 +3399,66 @@ let require_right cap right opname =
   if Rights.mem right (Capability.rights cap) then Ok ()
   else Error (Error.Rights_violation opname)
 
+let primary cl cap =
+  Option.to_result ~none:Error.No_such_object
+    (find_primary cl (Capability.name cap))
+
+(* Each operation checks rights, then the node argument, then that the
+   object exists, and reports the first failure. *)
 let move cl cap ~to_node =
-  match require_right cap Rights.Kernel_move "move" with
-  | Error e -> Error e
-  | Ok () -> (
-    if to_node < 0 || to_node >= Array.length cl.nodes then
-      Error (Error.Move_refused "no such node")
-    else
-      match find_primary cl (Capability.name cap) with
-      | None -> Error Error.No_such_object
-      | Some obj -> do_move cl obj ~to_node ~self_inflight:false)
+  let* () = require_right cap Rights.Kernel_move "move" in
+  let* () = node_in_range cl to_node in
+  let* obj = primary cl cap in
+  do_move cl obj ~to_node ~self_inflight:false
 
 let freeze cl cap =
-  match require_right cap Rights.Kernel_checkpoint "freeze" with
-  | Error e -> Error e
-  | Ok () -> (
-    match find_primary cl (Capability.name cap) with
-    | None -> Error Error.No_such_object
-    | Some obj ->
-      obj.ob_frozen <- true;
-      Ok ())
+  let* () = require_right cap Rights.Kernel_checkpoint "freeze" in
+  let* obj = primary cl cap in
+  obj.ob_frozen <- true;
+  Ok ()
 
 let unfreeze cl cap =
-  match require_right cap Rights.Kernel_checkpoint "unfreeze" with
-  | Error e -> Error e
-  | Ok () -> (
-    let name = Capability.name cap in
-    match find_primary cl name with
-    | None -> Error Error.No_such_object
-    | Some obj ->
-      if not obj.ob_frozen then Ok ()
-      else if
-        Array.exists
-          (fun node -> node.nd_up && Name.Table.mem node.nd_replicas name)
-          cl.nodes
-      then Error (Error.Move_refused "object has pinned replicas")
-      else begin
-        obj.ob_frozen <- false;
-        let node = home cl obj in
-        (* The version bump: every cached copy of the pre-thaw
-           representation is now stale.  [Cache_invalidate] purges
-           hints and cached replicas cluster-wide (broadcasts bypass
-           the unicast fault injector, so it is reliable under chaos
-           too); it carries no request id, so it can never be mistaken
-           for a reply to some unrelated request in flight on a
-           receiving node.  The broadcast skips the sender, so the
-           home node — which may itself hold a cached copy from before
-           the object migrated here — is invalidated directly. *)
-        invalidate_cached cl node name;
-        bcast_msg cl node (Message.Cache_invalidate { target = name });
-        Ok ()
-      end)
+  let* () = require_right cap Rights.Kernel_checkpoint "unfreeze" in
+  let* obj = primary cl cap in
+  let name = obj.ob_name in
+  if not obj.ob_frozen then Ok ()
+  else if
+    Array.exists
+      (fun node -> node.nd_up && Name.Table.mem node.nd_replicas name)
+      cl.nodes
+  then Error (Error.Move_refused "object has pinned replicas")
+  else begin
+    obj.ob_frozen <- false;
+    let node = home cl obj in
+    (* The version bump: every cached copy of the pre-thaw
+       representation is now stale.  [Cache_invalidate] purges hints
+       and cached replicas cluster-wide (broadcasts bypass the unicast
+       fault injector, so it is reliable under chaos too); it carries
+       no request id, so it can never be mistaken for a reply to some
+       unrelated request in flight on a receiving node.  The broadcast
+       skips the sender, so the home node — which may itself hold a
+       cached copy from before the object migrated here — is
+       invalidated directly. *)
+    invalidate_cached cl node name;
+    bcast_msg cl node (Message.Cache_invalidate { target = name });
+    Ok ()
+  end
 
 let replicate cl cap ~to_node =
-  match require_right cap Rights.Kernel_checkpoint "replicate" with
-  | Error e -> Error e
-  | Ok () -> (
-    if to_node < 0 || to_node >= Array.length cl.nodes then
-      Error (Error.Move_refused "no such node")
-    else
-      match find_primary cl (Capability.name cap) with
-      | None -> Error Error.No_such_object
-      | Some obj -> do_replicate cl obj ~to_node)
+  let* () = require_right cap Rights.Kernel_checkpoint "replicate" in
+  let* () = node_in_range cl to_node in
+  let* obj = primary cl cap in
+  do_replicate cl obj ~to_node
 
 let checkpoint_of cl cap =
-  match require_right cap Rights.Kernel_checkpoint "checkpoint" with
-  | Error e -> Error e
-  | Ok () -> (
-    match find_primary cl (Capability.name cap) with
-    | None -> Error Error.No_such_object
-    | Some obj -> do_checkpoint cl obj)
+  let* () = require_right cap Rights.Kernel_checkpoint "checkpoint" in
+  let* obj = primary cl cap in
+  do_checkpoint cl obj
 
 let checkpoint_async_of cl cap =
-  match require_right cap Rights.Kernel_checkpoint "checkpoint" with
-  | Error e -> Error e
-  | Ok () -> (
-    match find_primary cl (Capability.name cap) with
-    | None -> Error Error.No_such_object
-    | Some obj -> do_checkpoint_async cl obj)
+  let* () = require_right cap Rights.Kernel_checkpoint "checkpoint" in
+  let* obj = primary cl cap in
+  do_checkpoint_async cl obj
 
 let destroy cl cap =
   match require_right cap Rights.Kernel_destroy "destroy" with

@@ -308,6 +308,96 @@ let test_async_then_sync_serialise () =
         "snapshot settled" [ 1; 2 ]
         (Cluster.checkpoint_sites cl cap))
 
+(* ------------------------------------------------------------------ *)
+(* Every request/reply protocol, pinned across commits *)
+
+(* A type whose one operation creates a [chunky] object on another
+   node: the kernel's remote create, issued from inside a handler. *)
+let spawner_type =
+  Typemgr.make_exn ~name:"spawner"
+    [
+      Typemgr.operation "spawn" (fun ctx args ->
+          let* a, init = arg2 args in
+          let* node = int_arg a in
+          let* cap = ctx.create_object ~type_name:"chunky" ~node init in
+          reply [ Value.Cap cap ]);
+    ]
+
+(* One run that drives every request/reply exchange the kernel has:
+   remote create, mirrored full, delta and async checkpoints, a move,
+   freeze + replicate, frozen reads that fetch into the replica cache,
+   and directory lookups that hit and (after the lease runs out) miss.
+   The digest of the merged timeline and the final metrics snapshot is
+   pinned, so any change to the order or content of a protocol's steps
+   fails here. *)
+let test_protocol_digest () =
+  let options =
+    {
+      Cluster.default_options with
+      Cluster.use_replica_cache = true;
+      use_ckpt_delta = true;
+      use_directory = true;
+    }
+  in
+  let cl =
+    with_cluster ~seed:29L ~options ~n:5 (fun cl ->
+        Cluster.register_type cl spawner_type;
+        let sp =
+          ok_or_fail "create spawner"
+            (Cluster.create_object cl ~node:0 ~type_name:"spawner" Value.Unit)
+        in
+        let cap =
+          match
+            Cluster.invoke cl ~from:0 sp ~op:"spawn"
+              [
+                Value.Int 3;
+                Value.List (List.map (fun i -> Value.Int i) [ 1; 2; 3; 4 ]);
+              ]
+          with
+          | Ok [ Value.Cap c ] -> c
+          | Ok _ -> Alcotest.fail "spawn: unexpected shape"
+          | Error e -> Alcotest.failf "spawn: %s" (Error.to_string e)
+        in
+        mirror cl cap [ 1; 2 ];
+        ignore (ok_or_fail "ckpt full" (Cluster.checkpoint_of cl cap));
+        touch cl ~from:1 cap 2 30;
+        ignore (ok_or_fail "ckpt delta" (Cluster.checkpoint_of cl cap));
+        touch cl ~from:2 cap 0 10;
+        ignore (ok_or_fail "ckpt async" (Cluster.checkpoint_async_of cl cap));
+        Engine.delay (Time.s 2);
+        ignore (ok_or_fail "move" (Cluster.move cl cap ~to_node:4));
+        touch cl ~from:1 cap 1 20;
+        ignore (ok_or_fail "freeze" (Cluster.freeze cl cap));
+        ignore (ok_or_fail "replicate" (Cluster.replicate cl cap ~to_node:2));
+        for round = 1 to 4 do
+          List.iter
+            (fun from ->
+              check_bool
+                (Printf.sprintf "read %d from %d" round from)
+                true
+                (get_chunks cl ~from cap = [ 10; 20; 30; 4 ]))
+            [ 0; 1; 3 ];
+          Engine.delay (Time.ms 50)
+        done;
+        let late = new_chunky cl ~node:2 [ 7 ] in
+        Engine.delay (Time.s 11);
+        List.iter
+          (fun from -> ignore (get_chunks cl ~from late))
+          [ 0; 1; 3; 4 ];
+        cl)
+  in
+  check_bool "cache hits" true (total_counter cl "eden.replica_cache.hits" > 0);
+  check_bool "directory hits" true (total_counter cl "eden.dir.hits" > 0);
+  check_bool "delta bytes" true (total_counter cl "eden.ckpt.delta_bytes" > 0);
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (Eden_obs.Timeline.to_text (Cluster.timeline cl)
+         ^ Snapshot.to_string (Cluster.metrics_snapshot cl)))
+  in
+  Alcotest.(check string) "protocol digest"
+    "16a9f16c23fbf494e5976e97cba2b76d" digest
+
 let () =
   Alcotest.run "eden_ckpt"
     [
@@ -332,4 +422,6 @@ let () =
           Alcotest.test_case "serialises with sync" `Quick
             test_async_then_sync_serialise;
         ] );
+      ( "protocols",
+        [ Alcotest.test_case "pinned digest" `Quick test_protocol_digest ] );
     ]
