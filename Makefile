@@ -209,12 +209,13 @@ reconfig-check:
 
 # The critical-path profiler: the E25 smoke (three injected
 # bottlenecks — slow node, saturated wire, hot directory shard — each
-# attributed to the right category, < 5% overhead — asserted inside
-# the experiment), then the profile subcommand twice with the same
-# seed — report, flame stacks and JSON must all be byte-identical —
-# and once more under a chaotic fault plan with the checker armed, so
-# the attribution-complete invariant (every request's categories sum
-# exactly to its end-to-end latency) gates the run.
+# attributed to the right category, virtual time unchanged by
+# profiling — asserted inside the experiment), then the profile
+# subcommand twice with the same seed — report, flame stacks and JSON
+# must all be byte-identical — and once more under a chaotic fault
+# plan with the checker armed, so the attribution-complete invariant
+# (every request's categories sum exactly to its end-to-end latency)
+# gates the run.
 profile-check:
 	dune exec bench/main.exe -- E25 --smoke
 	$(call twice,profile --nodes 5 --seed 11 \

@@ -8,8 +8,8 @@
    invocation workload with the plane off and on and compare host CPU
    time with the same paired-ratio methodology (interleaved pairs from
    a compacted heap; median of per-pair ratios — see exp_journal.ml
-   for why medians of absolutes don't cancel machine drift).
-   Acceptance: < 5% overhead.
+   for why medians of absolutes don't cancel machine drift).  The
+   overhead is printed against E20's 5% bar but not gated.
 
    Part B: accuracy of the space-saving hot-object sketch.  Drive a
    seeded Zipf(s=1.2) invocation stream over more distinct objects
@@ -152,9 +152,11 @@ let run () =
   heading "E21" "health-plane overhead and hot-object recovery";
   let cl_on, virt_off, virt_on, t_off, t_on, ratio = measure () in
   if not (Time.equal virt_off virt_on) then
-    note "WARNING: virtual end times differ (%s vs %s) — the health plane \
-          leaked into simulated behaviour"
-      (Time.to_string virt_off) (Time.to_string virt_on);
+    failwith
+      (Printf.sprintf
+         "E21: virtual end times differ (%s vs %s): the health plane leaked \
+          into simulated behaviour"
+         (Time.to_string virt_off) (Time.to_string virt_on));
   let ticks =
     match Cluster.health cl_on with
     | Some h -> Eden_obs.Health.ticks h
@@ -191,8 +193,9 @@ let run () =
   Table.print t;
   note
     "health-plane overhead: %.1f%% host time (median of %d paired off/on \
-     ratios) for %d sampler ticks (acceptance: < 5%%); virtual time is \
-     identical by construction (the sampler observes, never schedules)."
+     ratios) for %d sampler ticks, measured against E20's 5%% bar and \
+     not gated; virtual time is identical (checked: the sampler \
+     observes, never schedules)."
     overhead repeats ticks;
   (* Part B. *)
   let cl, true_top10, reported, recovered = zipf_accuracy () in

@@ -9,7 +9,9 @@
    the intern lookups and the encoded stores.  Run the same seeded
    invocation workload with the default journal capacity and with
    retention disabled ([~journal_cap:0]) and compare host CPU time.
-   Acceptance: < 5% overhead with journaling on.
+   The overhead is printed against a 5% bar but not gated: one run on
+   a shared machine cannot show a host-time figure that close to
+   noise reliably.
 
    Methodology: off/on runs are interleaved in pairs, each run starts
    from a compacted heap, and the reported overhead is the *median of
@@ -86,9 +88,11 @@ let run () =
   heading "E20" "journal overhead on the invocation benchmark";
   let cl_on, virt_off, virt_on, t_off, t_on, ratio = measure () in
   if not (Time.equal virt_off virt_on) then
-    note "WARNING: virtual end times differ (%s vs %s) — journaling leaked \
-          into simulated behaviour"
-      (Time.to_string virt_off) (Time.to_string virt_on);
+    failwith
+      (Printf.sprintf
+         "E20: virtual end times differ (%s vs %s): journaling leaked into \
+          simulated behaviour"
+         (Time.to_string virt_off) (Time.to_string virt_on));
   let events =
     List.fold_left
       (fun acc j -> acc + Eden_obs.Journal.recorded j)
@@ -125,7 +129,7 @@ let run () =
   Table.print t;
   note
     "journal overhead: %.1f%% host time (median of %d paired on/off \
-     ratios) for %d recorded events (acceptance: < 5%%); virtual time \
-     is identical by construction (the envelope cost is paid whether \
-     or not the ring retains)."
+     ratios) for %d recorded events, measured against a 5%% bar and not \
+     gated; virtual time is identical (checked: the envelope cost is \
+     paid whether or not the ring retains)."
     overhead repeats events

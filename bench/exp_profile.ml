@@ -31,11 +31,11 @@
      five counters at span finish.  Re-run E20's paired-ratio
      methodology (compacted heap, off/on interleaved, median of
      per-pair ratios) on E18's locality-free invocation stream with
-     [use_profiling] toggled.  Acceptance: < 5% host time.
+     [use_profiling] toggled, check that virtual end times match, and
+     print the host-time overhead against E20's 5% bar (not gated).
 
    `make profile-check` runs the smoke variant: shorter streams, the
-   same three dominance assertions, overhead reported but not the
-   point. *)
+   same three dominance assertions. *)
 
 open Eden_util
 open Eden_sim
@@ -317,16 +317,17 @@ let overhead ~iters =
   done;
   let virt_off, virt_on = Option.get !virts in
   if not (Time.equal virt_off virt_on) then
-    note
-      "WARNING: virtual end times differ (%s vs %s) — profiling leaked into \
-       simulated behaviour"
-      (Time.to_string virt_off) (Time.to_string virt_on);
+    failwith
+      (Printf.sprintf
+         "E25 overhead: virtual end times differ (%s vs %s): profiling \
+          leaked into simulated behaviour"
+         (Time.to_string virt_off) (Time.to_string virt_on));
   let pct = 100.0 *. (median !ratios -. 1.0) in
   note
     "profiling overhead: %.1f%% host time (median of %d paired off/on \
-     ratios over %d invocations; acceptance: < 5%%); virtual time is \
-     identical by construction (holds and flushes are journaled, never \
-     rescheduled)."
+     ratios over %d invocations), measured against E20's 5%% bar and not \
+     gated; virtual time is identical (checked: holds and flushes are \
+     journaled, never rescheduled)."
     pct o_repeats iters
 
 let run () =

@@ -1,4 +1,4 @@
-(* M1-M14 — Bechamel microbenchmarks of the substrate itself: real
+(* M1-M15 — Bechamel microbenchmarks of the substrate itself: real
    wall-clock cost per operation of the simulator's hot paths.  These
    are not simulated-time experiments; they justify trusting the
    experiment harness to run large configurations. *)
@@ -275,16 +275,27 @@ let m14_directory n =
     (Staged.stage (fun () ->
          ignore (Eden_kernel.Directory.make ~nodes ())))
 
+(* M15: cluster set-up with no objects — machines, LAN, kernels and
+   the metrics registry's per-node instruments — at the benchmark
+   workloads' 8 nodes and at 128, to show how set-up scales with the
+   node count. *)
+let m15_setup n =
+  Test.make
+    ~name:(Printf.sprintf "M15 Cluster.default, %d nodes" n)
+    (Staged.stage (fun () ->
+         ignore (Eden_kernel.Cluster.default ~n_nodes:n ())))
+
 (* Each test with the operations one run stands for. *)
 let tests =
   [ (m1_engine_event, 1); (m2_process, 1); (m3_semaphore, 1); (m4_pqueue, 1);
     (m5_value_size, 1); (m6_splitmix, 1); (m7_full_stack, 1);
     (m8_lan_unicast, 1); (m9_span, 1); (m10_event_with_timeouts, 1);
     (m11_deep_process, 1); (m12_journal_send, 1);
-    (m13_analysis, m13_events); (m14_directory 8, 1); (m14_directory 128, 1) ]
+    (m13_analysis, m13_events); (m14_directory 8, 1); (m14_directory 128, 1);
+    (m15_setup 8, 1); (m15_setup 128, 1) ]
 
 let run () =
-  Common.heading "M1-M14" "substrate microbenchmarks (real time, Bechamel)";
+  Common.heading "M1-M15" "substrate microbenchmarks (real time, Bechamel)";
   let cfg =
     Benchmark.cfg ~limit:500
       ~quota:(Bechamel.Time.second 0.25)

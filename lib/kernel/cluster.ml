@@ -71,8 +71,10 @@ type obj = {
   ob_proc_pids : Engine.Pid.t Itbl.t;
       (* live invocation processes and subprocesses, by pid *)
   mutable ob_ctx : Api.ctx option;  (* the kernel interface, built once *)
-  ob_sems : (string, Semaphore.t) Hashtbl.t;
-  ob_ports : (string, Value.t Mailbox.t) Hashtbl.t;
+  mutable ob_sems : (string, Semaphore.t) Hashtbl.t option;
+  mutable ob_ports : (string, Value.t Mailbox.t) Hashtbl.t option;
+      (* named semaphores and ports; built on first use, as most
+         objects never name one *)
   ob_rng : Splitmix.t;
   mutable ob_mem : int;  (* bytes reserved on the current home *)
   mutable ob_ckpt_sites : node_id list;
@@ -83,9 +85,10 @@ type obj = {
       (* (version, repr) as of the last checkpoint round — the diff
          base for delta checkpoints.  Values are immutable, so holding
          the old representation is free (structure is shared). *)
-  ob_ckpt_acked : (node_id, int) Hashtbl.t;
+  mutable ob_ckpt_acked : (node_id, int) Hashtbl.t option;
       (* highest version each checksite acknowledged; a site at the
-         current base version gets a delta, anyone else a full write *)
+         current base version gets a delta, anyone else a full write.
+         Built on the first ack. *)
   mutable ob_ckpt_inflight : bool;
       (* a checkpoint round is running; concurrent requests coalesce *)
   mutable ob_ckpt_queued : bool;
@@ -1074,18 +1077,35 @@ let build_obj cl ~name ~tm ~repr ~frozen ~reliability ~home ~is_replica ~mem =
     ob_behaviour_pids = [];
     ob_proc_pids = Itbl.create 8;
     ob_ctx = None;
-    ob_sems = Hashtbl.create 4;
-    ob_ports = Hashtbl.create 4;
+    ob_sems = None;
+    ob_ports = None;
     ob_rng = Splitmix.split cl.c_rng;
     ob_mem = mem;
     ob_ckpt_sites = [];
     ob_ckpt_version = 0;
     ob_ckpt_base = None;
-    ob_ckpt_acked = Hashtbl.create 4;
+    ob_ckpt_acked = None;
     ob_ckpt_inflight = false;
     ob_ckpt_queued = false;
     ob_ckpt_idle = Condition.create cl.eng;
   }
+
+(* The table in an object's [slot], built on first insert. *)
+let table slot ~set =
+  match slot with
+  | Some tbl -> tbl
+  | None ->
+    let tbl = Hashtbl.create 4 in
+    set (Some tbl);
+    tbl
+
+let ckpt_ack obj site version =
+  Hashtbl.replace
+    (table obj.ob_ckpt_acked ~set:(fun t -> obj.ob_ckpt_acked <- t))
+    site version
+
+let ckpt_unack obj site =
+  Option.iter (fun acked -> Hashtbl.remove acked site) obj.ob_ckpt_acked
 
 (* Create a brand-new object on [node].  Blocking. *)
 let do_create_local cl node type_name init =
@@ -1152,7 +1172,7 @@ let activate cl node name =
              back to a full write and repairs the entry. *)
           List.iter
             (fun site ->
-              Hashtbl.replace obj.ob_ckpt_acked site snap.ss_version)
+              ckpt_ack obj site snap.ss_version)
             obj.ob_ckpt_sites;
           snap.ss_passive <- false;
           let actx =
@@ -1297,7 +1317,11 @@ let checkpoint_round cl obj ~repr =
                ~bytes:(Value.size_bytes repr));
           Some (bv, Delta.diff ~base ~target:repr)
     in
-    let site_at site v = Hashtbl.find_opt obj.ob_ckpt_acked site = Some v in
+    let site_at site v =
+      match obj.ob_ckpt_acked with
+      | Some acked -> Hashtbl.find_opt acked site = Some v
+      | None -> false
+    in
     let send_full site =
       Metrics.add metrics.m_ckpt_full_bytes (Value.size_bytes repr);
       request ~ctx cl node ~dst:site (fun req_id ->
@@ -1390,15 +1414,13 @@ let checkpoint_round cl obj ~repr =
           if local_failed then [ node.nd_id ] else [] )
         remote_acks
     in
-    List.iter
-      (fun site -> Hashtbl.replace obj.ob_ckpt_acked site version)
-      ok_sites;
-    List.iter (fun site -> Hashtbl.remove obj.ob_ckpt_acked site) failed;
+    List.iter (fun site -> ckpt_ack obj site version) ok_sites;
+    List.iter (ckpt_unack obj) failed;
     (* Remove snapshots at sites no longer in the checksite set. *)
     List.iter
       (fun old_site ->
         if not (List.mem old_site sites) then begin
-          Hashtbl.remove obj.ob_ckpt_acked old_site;
+          ckpt_unack obj old_site;
           if old_site = node.nd_id then
             Name.Table.remove node.nd_store obj.ob_name
           else
@@ -2388,7 +2410,8 @@ let do_create cl ~from ~node:target ~type_name init =
    reach it through [cl.c_make_ctx] (see [obj_ctx]). *)
 
 let make_ctx cl obj =
-  let find_or_add tbl key create =
+  let find_or_add slot ~set key create =
+    let tbl = table slot ~set in
     match Hashtbl.find_opt tbl key with
     | Some v -> v
     | None ->
@@ -2471,11 +2494,12 @@ let make_ctx cl obj =
     replicate_to = (fun n -> do_replicate cl obj ~to_node:n);
     semaphore =
       (fun name ~init ->
-        find_or_add obj.ob_sems name (fun () ->
-            Semaphore.create cl.eng ~init));
+        find_or_add obj.ob_sems ~set:(fun t -> obj.ob_sems <- t) name
+          (fun () -> Semaphore.create cl.eng ~init));
     port =
       (fun name ->
-        find_or_add obj.ob_ports name (fun () -> Mailbox.create cl.eng));
+        find_or_add obj.ob_ports ~set:(fun t -> obj.ob_ports <- t) name
+          (fun () -> Mailbox.create cl.eng));
     spawn_subprocess =
       (fun f ->
         ignore

@@ -17,41 +17,178 @@ type instrument =
   | I_gauge_fn of (unit -> float)
   | I_histogram of histogram
 
-type t = { tbl : (string * labels, instrument) Hashtbl.t }
+(* Label lists are hashed, compared and ordered through their strings
+   alone: the generic hash and compare walk a list in C one tagged
+   field at a time, and registration is most of a short cluster's
+   set-up. *)
+let rec labels_equal a b =
+  match (a, b) with
+  | [], [] -> true
+  | (ka, va) :: ra, (kb, vb) :: rb ->
+    String.equal ka kb && String.equal va vb && labels_equal ra rb
+  | _ -> false
 
-let create () = { tbl = Hashtbl.create 64 }
+(* The generic compare's order on label lists: pair by pair, key
+   before value, and a list before any longer list it begins. *)
+let rec compare_labels a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | (ka, va) :: ra, (kb, vb) :: rb -> (
+    match String.compare ka kb with
+    | 0 -> (
+      match String.compare va vb with 0 -> compare_labels ra rb | c -> c)
+    | c -> c)
 
-let canon labels =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+module Names = Hashtbl.Make (String)
+
+(* Values only: the keys of one name's label sets are nearly always
+   the same, and lookups still compare them. *)
+let hash_labels labels =
+  List.fold_left (fun h (_, v) -> (h * 31) + String.hash v) 0 labels
+
+(* The instruments registered under one name, in a chained table by
+   label set.  Entries keep their hash, so growing the table rehashes
+   nothing. *)
+type bucket =
+  | Nil
+  | Entry of {
+      labels : labels;
+      hash : int;
+      inst : instrument;
+      mutable next : bucket;
+    }
+
+type family = {
+  f_name : string;
+  mutable f_buckets : bucket array;  (* a power of two long *)
+  mutable f_size : int;
+  mutable f_next : family option;
+      (* the name registered after this one last time *)
+}
+
+(* Two levels: a name table (a few dozen names, whatever the node
+   count) over one label-set table per name, so a cluster's set-up
+   never regrows a table holding every instrument.
+
+   Two memos skip most hashing at set-up, where a cluster registers
+   the same names in the same order for every node, all under one
+   label list: the family after the last one used is tried before the
+   name table, and the last label list's hash is kept. *)
+type t = {
+  names : family Names.t;
+  mutable last : family;
+  mutable last_labels : labels;
+  mutable last_hash : int;
+}
+
+(* The buckets are an array literal, which is allocated inline; an
+   [Array.make] is a C call, and a cluster's set-up makes some sixty
+   families. *)
+let new_family name =
+  {
+    f_name = name;
+    f_buckets = [| Nil; Nil; Nil; Nil; Nil; Nil; Nil; Nil |];
+    f_size = 0;
+    f_next = None;
+  }
+
+let create () =
+  {
+    names = Names.create 64;
+    last = new_family "";
+    last_labels = [];
+    last_hash = hash_labels [];
+  }
+
+(* A list of one pair or none is kept as the caller's, so the label
+   hash memo recognises it when the caller passes it again. *)
+let canon = function
+  | ([] | [ _ ]) as labels -> labels
+  | labels -> List.stable_sort (fun (a, _) (b, _) -> String.compare a b) labels
 
 let kind_name = function
   | I_counter _ | I_counter_fn _ -> "counter"
   | I_gauge_fn _ -> "gauge"
   | I_histogram _ -> "histogram"
 
-(* Register [make ()] under [(name, labels)], or return the existing
-   instrument when [reuse] accepts it. *)
-let intern reg ?(labels = []) name ~reuse ~make =
-  let key = (name, canon labels) in
-  match Hashtbl.find_opt reg.tbl key with
-  | Some existing -> (
-    match reuse existing with
-    | Some v -> v
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Metrics: %S already registered as a %s" name
-           (kind_name existing)))
+let family reg name =
+  let f =
+    match reg.last.f_next with
+    | Some f when String.equal f.f_name name -> f
+    | _ -> (
+      match Names.find_opt reg.names name with
+      | Some f -> f
+      | None ->
+        let f = new_family name in
+        Names.add reg.names name f;
+        f)
+  in
+  (match reg.last.f_next with
+  | Some next when next == f -> ()
+  | _ -> reg.last.f_next <- Some f);
+  reg.last <- f;
+  f
+
+let rec find labels hash = function
+  | Nil -> None
+  | Entry e ->
+    if e.hash = hash && labels_equal e.labels labels then Some e.inst
+    else find labels hash e.next
+
+let grow f =
+  let old = f.f_buckets in
+  let buckets = Array.make (2 * Array.length old) Nil in
+  let mask = Array.length buckets - 1 in
+  let rec move = function
+    | Nil -> ()
+    | Entry e as cell ->
+      let rest = e.next in
+      let i = e.hash land mask in
+      e.next <- buckets.(i);
+      buckets.(i) <- cell;
+      move rest
+  in
+  Array.iter move old;
+  f.f_buckets <- buckets
+
+let already_registered name inst =
+  invalid_arg
+    (Printf.sprintf "Metrics: %S already registered as a %s" name
+       (kind_name inst))
+
+(* The instrument registered under [(name, labels)]; [fresh] is
+   registered there first when there is none. *)
+let intern reg ?(labels = []) name fresh =
+  let labels = canon labels in
+  let f = family reg name in
+  if labels != reg.last_labels then begin
+    reg.last_labels <- labels;
+    reg.last_hash <- hash_labels labels
+  end;
+  let hash = reg.last_hash in
+  let i = hash land (Array.length f.f_buckets - 1) in
+  match find labels hash f.f_buckets.(i) with
+  | Some inst -> inst
   | None ->
-    let inst, v = make () in
-    Hashtbl.replace reg.tbl key inst;
-    v
+    f.f_buckets.(i) <-
+      Entry { labels; hash; inst = fresh; next = f.f_buckets.(i) };
+    f.f_size <- f.f_size + 1;
+    if f.f_size > 2 * Array.length f.f_buckets then grow f;
+    fresh
+
+let fold_family fn f acc =
+  let rec chain acc = function
+    | Nil -> acc
+    | Entry e -> chain (fn e.labels e.inst acc) e.next
+  in
+  Array.fold_left chain acc f.f_buckets
 
 let counter reg ?labels name =
-  intern reg ?labels name
-    ~reuse:(function I_counter c -> Some c | _ -> None)
-    ~make:(fun () ->
-      let c = ref 0 in
-      (I_counter c, c))
+  match intern reg ?labels name (I_counter (ref 0)) with
+  | I_counter c -> c
+  | inst -> already_registered name inst
 
 let incr c = Stdlib.incr c
 
@@ -61,6 +198,12 @@ let add c n =
 
 let counter_value c = !c
 
+(* IEEE equality, bound by bound, as the generic [=] on float arrays. *)
+let same_bounds (a : float array) b =
+  let n = Array.length a in
+  let rec from i = i >= n || (a.(i) = b.(i) && from (i + 1)) in
+  n = Array.length b && from 0
+
 let histogram reg ?labels ~buckets name =
   if Array.length buckets = 0 then
     invalid_arg "Metrics.histogram: no buckets";
@@ -69,23 +212,19 @@ let histogram reg ?labels ~buckets name =
       if i > 0 && b <= buckets.(i - 1) then
         invalid_arg "Metrics.histogram: bounds must be strictly increasing")
     buckets;
-  intern reg ?labels name
-    ~reuse:(function
-      | I_histogram h when h.h_bounds = buckets -> Some h
-      | I_histogram _ ->
-        invalid_arg
-          (Printf.sprintf "Metrics: histogram %S bucket mismatch" name)
-      | _ -> None)
-    ~make:(fun () ->
-      let h =
-        {
-          h_bounds = Array.copy buckets;
-          h_counts = Array.make (Array.length buckets + 1) 0;
-          h_sum = 0.0;
-          h_n = 0;
-        }
-      in
-      (I_histogram h, h))
+  let fresh =
+    {
+      h_bounds = Array.copy buckets;
+      h_counts = Array.make (Array.length buckets + 1) 0;
+      h_sum = 0.0;
+      h_n = 0;
+    }
+  in
+  match intern reg ?labels name (I_histogram fresh) with
+  | I_histogram h when h == fresh || same_bounds h.h_bounds buckets -> h
+  | I_histogram _ ->
+    invalid_arg (Printf.sprintf "Metrics: histogram %S bucket mismatch" name)
+  | inst -> already_registered name inst
 
 (* A NaN observation fails every [v <= bound] test and lands in
    overflow while turning [h_sum] into NaN for good; a negative one
@@ -105,15 +244,17 @@ let observe h v =
 
 let observe_time h t = observe h (Time.to_sec t)
 
+(* A collector is never shared: registering one where any instrument
+   already is fails. *)
+let register_fn reg ?labels name fresh =
+  let inst = intern reg ?labels name fresh in
+  if inst != fresh then already_registered name inst
+
 let register_counter_fn reg ?labels name f =
-  intern reg ?labels name
-    ~reuse:(fun _ -> None)
-    ~make:(fun () -> (I_counter_fn f, ()))
+  register_fn reg ?labels name (I_counter_fn f)
 
 let register_gauge_fn reg ?labels name f =
-  intern reg ?labels name
-    ~reuse:(fun _ -> None)
-    ~make:(fun () -> (I_gauge_fn f, ()))
+  register_fn reg ?labels name (I_gauge_fn f)
 
 (* -------------------------------------------------------------------- *)
 (* Sampling *)
@@ -145,14 +286,14 @@ let read = function
         sum = h.h_sum;
       }
 
-let compare_labels a b =
-  compare (a : labels) (b : labels)
-
 let sample reg =
-  Hashtbl.fold
-    (fun (name, labels) inst acc ->
-      { s_name = name; s_labels = labels; s_value = read inst } :: acc)
-    reg.tbl []
+  Names.fold
+    (fun name f acc ->
+      fold_family
+        (fun labels inst acc ->
+          { s_name = name; s_labels = labels; s_value = read inst } :: acc)
+        f acc)
+    reg.names []
   |> List.sort (fun a b ->
          match String.compare a.s_name b.s_name with
          | 0 -> compare_labels a.s_labels b.s_labels
@@ -167,16 +308,17 @@ let iter ?filter reg f =
   let want =
     match filter with None -> fun _ -> true | Some p -> p
   in
-  Hashtbl.iter
-    (fun (name, labels) inst ->
-      if want name then f name labels (read inst))
-    reg.tbl
+  Names.iter
+    (fun name fam ->
+      if want name then
+        fold_family (fun labels inst () -> f name labels (read inst)) fam ())
+    reg.names
 
 let find samples ?(labels = []) name =
   let labels = canon labels in
   List.find_map
     (fun s ->
-      if String.equal s.s_name name && s.s_labels = labels then
+      if String.equal s.s_name name && labels_equal s.s_labels labels then
         Some s.s_value
       else None)
     samples

@@ -400,13 +400,23 @@ let next_tier eng =
    blocked process is a deadlock: resume it with Stalled_waiting, which
    escapes through [run] unless the process catches it. *)
 let handle_idle eng =
-  let blocked = blocked_procs eng in
   (* Daemons (server loops, coordinators) are expected to be blocked at
-     idle; they stay suspended and resume if a later run wakes them. *)
-  let stuck = List.filter (fun p -> not p.p_daemon) blocked in
+     idle; they stay suspended and resume if a later run wakes them.
+     Of the others, the lowest pid is resumed. *)
+  let stuck =
+    Itbl.fold
+      (fun _ p lowest ->
+        match p.p_state with
+        | Blocked _ when not p.p_daemon -> (
+          match lowest with
+          | Some q when Pid.compare q.p_pid p.p_pid < 0 -> lowest
+          | _ -> Some p)
+        | Blocked _ | Sched | Run -> lowest)
+      eng.procs None
+  in
   match stuck with
-  | [] -> false
-  | p :: _ -> (
+  | None -> false
+  | Some p -> (
     match p.p_state with
     | Blocked h -> (
       match h.h_k with

@@ -1300,6 +1300,42 @@ let test_cluster_health () =
     (Json.to_string (Health.to_json h))
     (Json.to_string (Health.to_json h2))
 
+(* A rule over a series the cluster never publishes, or publishes as
+   another kind, reads nothing and so never fires: every series the
+   default rules name must be in a default cluster's snapshot, as the
+   kind the rule reads. *)
+let test_default_rules_published () =
+  let cl =
+    Cluster.default ~health:Health.default_config ~n_nodes:3 ()
+  in
+  let snap = Cluster.metrics_snapshot cl in
+  let published name is_kind =
+    List.exists
+      (fun (s : Metrics.sample) ->
+        String.equal s.s_name name && is_kind s.s_value)
+      snap.Snapshot.metrics
+  in
+  let counter = function Metrics.Counter _ -> true | _ -> false in
+  let gauge = function Metrics.Gauge _ -> true | _ -> false in
+  let histogram = function Metrics.Histogram _ -> true | _ -> false in
+  List.iter
+    (fun (r : Health.rule) ->
+      let series =
+        match r.r_signal with
+        | Health.Rate n -> [ (n, counter) ]
+        | Health.Ratio (a, b) | Health.Share (a, b) ->
+          [ (a, counter); (b, counter) ]
+        | Health.Quantile (n, _) -> [ (n, histogram) ]
+        | Health.Gauge_max n -> [ (n, gauge) ]
+      in
+      List.iter
+        (fun (name, is_kind) ->
+          check_bool
+            (Printf.sprintf "%s reads %s" r.r_name name)
+            true (published name is_kind))
+        series)
+    Health.default_config.hc_rules
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1326,6 +1362,8 @@ let () =
           Alcotest.test_case "watchdog rules" `Quick test_health_unit;
           Alcotest.test_case "cluster health plane" `Quick
             test_cluster_health;
+          Alcotest.test_case "default rules read published series" `Quick
+            test_default_rules_published;
         ] );
       ( "spans",
         [

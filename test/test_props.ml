@@ -1,8 +1,9 @@
 (* Property tests on the {!Prop} harness: 100 seeds per property, each
    seed generating one structured value — messages and their journal
    facts, deltas, span JSON, the fault plan text format, the health
-   plane's structures, the event heap, the directory ring and the trace
-   analyses.  Everything here is pure — no engine, no cluster. *)
+   plane's structures, the metrics registry, the event heap, the
+   directory ring and the trace analyses.  Everything here is pure — no
+   engine, no cluster. *)
 
 open Eden_kernel
 module Splitmix = Eden_util.Splitmix
@@ -1933,6 +1934,301 @@ let assemble_is_sorted_merge =
       then Error "nth disagrees with events"
       else Ok ())
 
+(* ------------------------------------------------------------------ *)
+(* The metrics registry against a list-based model.
+
+   The model keeps every registration in a list under its canonical
+   key (labels stably sorted by key) and finds, orders and compares
+   keys with the generic [compare] and [=] the registry's rules are
+   stated in.  Names, keys and values come from small pools, and half
+   the label lists re-use an earlier one in a shuffled order, so
+   re-registrations, kind and bucket clashes and duplicate keys are
+   common.  Per registration the two must agree on the outcome (the
+   same physical instrument, a fresh one, or the same
+   [Invalid_argument] message); at the end on [sample], on [find] of
+   every key as it was written, and on what [iter] visits. *)
+
+module Metrics = Eden_obs.Metrics
+
+type reg_kind =
+  | K_counter
+  | K_histogram of float array
+  | K_counter_fn of int
+  | K_gauge_fn of float
+
+type reg_op =
+  | Register of string * (string * string) list * reg_kind
+  | Bump of int  (* the [n mod count]-th owned instrument registered *)
+
+type reg_handle = H_counter of Metrics.counter | H_histogram of Metrics.histogram
+
+type model_entry = {
+  me_name : string;
+  me_labels : (string * string) list;
+  me_kind : reg_kind;
+  me_handle : reg_handle option;  (* the registry's, for [==] *)
+  mutable me_count : int;
+  mutable me_obs : float list;
+}
+
+let reg_buckets =
+  [ [| 1.0; 2.0 |]; [| 1.0; 2.0; 4.0 |]; [| 0.5 |]; [||]; [| 2.0; 1.0 |] ]
+
+let gen_reg_ops rng =
+  let pool = ref [] in
+  let labels () =
+    match !pool with
+    | _ :: _ when Splitmix.bool rng ->
+      let l = Splitmix.choose rng (Array.of_list !pool) in
+      let a = Array.of_list l in
+      for i = Array.length a - 1 downto 1 do
+        let j = Splitmix.int rng (i + 1) in
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+      done;
+      Array.to_list a
+    | _ ->
+      let l =
+        Prop.Gen.list ~max_len:3
+          (Prop.Gen.pair
+             (Prop.Gen.choose [ "node"; "seg"; "k" ])
+             (Prop.Gen.choose [ "0"; "1"; "10"; "" ]))
+          rng
+      in
+      pool := l :: !pool;
+      l
+  in
+  List.init (1 + Splitmix.int rng 40) (fun _ ->
+      if Splitmix.int rng 4 = 0 then Bump (Splitmix.int rng 64)
+      else
+        let name = Prop.Gen.choose [ "a"; "b"; "eden.x"; "" ] rng in
+        let kind =
+          match Splitmix.int rng 4 with
+          | 0 -> K_counter
+          | 1 -> K_histogram (Prop.Gen.choose reg_buckets rng)
+          | 2 -> K_counter_fn (Splitmix.int rng 100)
+          | _ -> K_gauge_fn (float_of_int (Splitmix.int rng 100) /. 4.0)
+        in
+        Register (name, labels (), kind))
+
+let show_reg_op = function
+  | Bump n -> Printf.sprintf "bump %d" n
+  | Register (name, labels, kind) ->
+    Printf.sprintf "%s %S {%s}"
+      (match kind with
+      | K_counter -> "counter"
+      | K_histogram b ->
+        Printf.sprintf "histogram [%s]"
+          (String.concat ";" (Array.to_list (Array.map string_of_float b)))
+      | K_counter_fn n -> Printf.sprintf "counter_fn %d" n
+      | K_gauge_fn g -> Printf.sprintf "gauge_fn %g" g)
+      name
+      (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
+
+let show_reg_ops ops = String.concat "; " (List.map show_reg_op ops)
+
+let shrink_reg_ops ops =
+  List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) ops) ops
+
+let model_key labels =
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) labels
+
+let model_kind_name = function
+  | K_counter | K_counter_fn _ -> "counter"
+  | K_gauge_fn _ -> "gauge"
+  | K_histogram _ -> "histogram"
+
+(* What the model expects of one registration: [Ok None] for a fresh
+   instrument, [Ok (Some e)] for [e]'s, or the error message. *)
+let model_register entries name labels kind =
+  let key = model_key labels in
+  let existing =
+    List.find_opt (fun e -> e.me_name = name && e.me_labels = key) entries
+  in
+  let already e =
+    Error
+      (Printf.sprintf "Metrics: %S already registered as a %s" name
+         (model_kind_name e.me_kind))
+  in
+  let increasing b =
+    let ok = ref true in
+    Array.iteri (fun i x -> if i > 0 && x <= b.(i - 1) then ok := false) b;
+    !ok
+  in
+  match (kind, existing) with
+  | K_histogram [||], _ -> Error "Metrics.histogram: no buckets"
+  | K_histogram b, _ when not (increasing b) ->
+    Error "Metrics.histogram: bounds must be strictly increasing"
+  | _, None -> Ok (key, None)
+  | K_counter, Some ({ me_kind = K_counter; _ } as e) -> Ok (key, Some e)
+  | K_histogram b, Some ({ me_kind = K_histogram b'; _ } as e) ->
+    if b = b' then Ok (key, Some e)
+    else Error (Printf.sprintf "Metrics: histogram %S bucket mismatch" name)
+  | _, Some e -> already e
+
+let registry_register reg name labels kind =
+  match kind with
+  | K_counter -> Some (H_counter (Metrics.counter reg ~labels name))
+  | K_histogram buckets ->
+    Some (H_histogram (Metrics.histogram reg ~labels ~buckets name))
+  | K_counter_fn n ->
+    Metrics.register_counter_fn reg ~labels name (fun () -> n);
+    None
+  | K_gauge_fn g ->
+    Metrics.register_gauge_fn reg ~labels name (fun () -> g);
+    None
+
+let same_handle a b =
+  match (a, b) with
+  | H_counter a, H_counter b -> a == b
+  | H_histogram a, H_histogram b -> a == b
+  | _ -> false
+
+let model_value e =
+  match e.me_kind with
+  | K_counter -> Metrics.Counter e.me_count
+  | K_counter_fn n -> Metrics.Counter n
+  | K_gauge_fn g -> Metrics.Gauge g
+  | K_histogram bounds ->
+    let n = Array.length bounds in
+    let counts = Array.make (n + 1) 0 in
+    List.iter
+      (fun v ->
+        let rec slot i = if i >= n || v <= bounds.(i) then i else slot (i + 1) in
+        let i = slot 0 in
+        counts.(i) <- counts.(i) + 1)
+      e.me_obs;
+    Metrics.Histogram
+      {
+        bounds;
+        counts = Array.sub counts 0 n;
+        overflow = counts.(n);
+        count = List.length e.me_obs;
+        sum = List.fold_left ( +. ) 0.0 e.me_obs;
+      }
+
+let registry_matches_model =
+  Prop.case ~name:"registry = list-based model" ~base:0x3E7_0001L
+    ~gen:gen_reg_ops ~shrink:shrink_reg_ops ~show:show_reg_ops (fun ops ->
+      let reg = Metrics.create () in
+      let entries = ref [] in
+      let step = function
+        | Bump n -> (
+          match List.filter (fun e -> e.me_handle <> None) !entries with
+          | [] -> Ok ()
+          | owned ->
+            let e = List.nth owned (n mod List.length owned) in
+            (match e.me_handle with
+            | Some (H_counter c) ->
+              Metrics.incr c;
+              e.me_count <- e.me_count + 1
+            | Some (H_histogram h) ->
+              let v = float_of_int (n mod 5) in
+              Metrics.observe h v;
+              e.me_obs <- v :: e.me_obs
+            | None -> ());
+            Ok ())
+        | Register (name, labels, kind) as op -> (
+          let got =
+            try Ok (registry_register reg name labels kind)
+            with Invalid_argument m -> Error m
+          in
+          let fail fmt =
+            Printf.ksprintf
+              (fun m -> Error (Printf.sprintf "%s: %s" (show_reg_op op) m))
+              fmt
+          in
+          match (model_register !entries name labels kind, got) with
+          | Error want, Error m when want = m -> Ok ()
+          | Error want, _ -> fail "want Invalid_argument %S" want
+          | Ok _, Error m -> fail "unexpected Invalid_argument %S" m
+          | Ok (_, Some e), Ok h -> (
+            match (e.me_handle, h) with
+            | Some a, Some b when same_handle a b -> Ok ()
+            | _ -> fail "re-registration did not return the instrument")
+          | Ok (key, None), Ok h ->
+            let reused =
+              match h with
+              | None -> false
+              | Some h ->
+                List.exists
+                  (fun e ->
+                    match e.me_handle with
+                    | Some h' -> same_handle h h'
+                    | None -> false)
+                  !entries
+            in
+            if reused then fail "a fresh key returned an old instrument"
+            else begin
+              entries :=
+                {
+                  me_name = name;
+                  me_labels = key;
+                  me_kind = kind;
+                  me_handle = h;
+                  me_count = 0;
+                  me_obs = [];
+                }
+                :: !entries;
+              Ok ()
+            end)
+      in
+      let rec steps = function
+        | [] -> Ok ()
+        | op :: rest -> (
+          match step op with Ok () -> steps rest | Error _ as e -> e)
+      in
+      match steps ops with
+      | Error _ as e -> e
+      | Ok () ->
+        let want =
+          List.map
+            (fun e ->
+              {
+                Metrics.s_name = e.me_name;
+                s_labels = e.me_labels;
+                s_value = model_value e;
+              })
+            !entries
+          |> List.sort (fun (a : Metrics.sample) b ->
+                 compare (a.s_name, a.s_labels) (b.s_name, b.s_labels))
+        in
+        let got = Metrics.sample reg in
+        let visited =
+          let acc = ref [] in
+          Metrics.iter reg (fun s_name s_labels s_value ->
+              acc := { Metrics.s_name; s_labels; s_value } :: !acc);
+          List.sort compare !acc
+        in
+        let find_mismatch =
+          List.find_opt
+            (function
+              | Bump _ -> false
+              | Register (name, labels, _) ->
+                let key = model_key labels in
+                let model =
+                  List.find_map
+                    (fun (s : Metrics.sample) ->
+                      if s.s_name = name && s.s_labels = key then
+                        Some s.s_value
+                      else None)
+                    want
+                in
+                Metrics.find got ~labels name <> model)
+            ops
+        in
+        if got <> want then
+          Error
+            (Printf.sprintf "sample differs (%d instruments, model %d)"
+               (List.length got) (List.length want))
+        else if visited <> List.sort compare want then
+          Error "iter visits differ from the model"
+        else
+          match find_mismatch with
+          | Some op -> Error ("find differs: " ^ show_reg_op op)
+          | None -> Ok ())
+
 let () =
   Alcotest.run "eden_props"
     [
@@ -1952,6 +2248,7 @@ let () =
             test_span_json_missing_phases;
         ] );
       ("fault_plan", [ plan_roundtrip ]);
+      ("metrics", [ registry_matches_model ]);
       ("health", [ topk_error_bounds ]);
       ("pqueue", [ heap_matches_model; tiers_merge_as_one; cleared_keep_their_place ]);
       ( "directory",

@@ -676,6 +676,35 @@ let test_stall_raises_when_uncaught () =
     | () -> false
     | exception Engine.Stalled_waiting -> true)
 
+(* At idle the lowest-pid blocked process that is not a daemon is
+   resumed first, whatever order the process table holds them in. *)
+let test_stall_lowest_pid_first () =
+  let eng = Engine.create () in
+  let cond = Condition.create eng in
+  let order = ref [] in
+  let blocker () =
+    match Condition.await cond with
+    | exception Engine.Stalled_waiting ->
+      order := Engine.Pid.to_int (Engine.self ()) :: !order
+    | _ -> ()
+  in
+  let daemon () = ignore (Condition.await cond) in
+  let pids =
+    List.init 40 (fun i ->
+        if i mod 7 = 0 then begin
+          let pid = Engine.spawn eng daemon in
+          Engine.set_daemon eng pid;
+          None
+        end
+        else Some (Engine.Pid.to_int (Engine.spawn eng blocker)))
+    |> List.filter_map Fun.id
+  in
+  Engine.run eng;
+  Alcotest.(check (list int))
+    "resumed in pid order" pids (List.rev !order);
+  check_int "daemons still blocked" 6
+    (List.length (Engine.blocked_processes eng))
+
 let test_daemon_not_stalled () =
   let eng = Engine.create () in
   let cond = Condition.create eng in
@@ -1315,6 +1344,8 @@ let () =
           Alcotest.test_case "detected" `Quick test_stall_detected;
           Alcotest.test_case "raises uncaught" `Quick
             test_stall_raises_when_uncaught;
+          Alcotest.test_case "lowest pid first" `Quick
+            test_stall_lowest_pid_first;
           Alcotest.test_case "daemons exempt" `Quick test_daemon_not_stalled;
         ] );
       ( "condition",
