@@ -398,6 +398,151 @@ let test_protocol_digest () =
   Alcotest.(check string) "protocol digest"
     "16a9f16c23fbf494e5976e97cba2b76d" digest
 
+(* A type that reads other objects from inside its handlers: [relay]
+   through one nested [ctx.invoke], [gather] through one
+   [ctx.invoke_async] per target.  The spans those reads open hang off
+   the handler's span. *)
+let relay_type =
+  Typemgr.make_exn ~name:"relay"
+    [
+      Typemgr.operation "relay" ~mutates:false (fun ctx args ->
+          let* v = arg1 args in
+          let* cap = cap_arg v in
+          ctx.invoke cap ~op:"get" []);
+      Typemgr.operation "gather" ~mutates:false (fun ctx args ->
+          let* v = arg1 args in
+          let* targets =
+            Value.to_list v |> Result.map_error (fun m -> Error.Bad_arguments m)
+          in
+          let* caps =
+            List.fold_right
+              (fun t acc ->
+                let* c = cap_arg t in
+                let* cs = acc in
+                Ok (c :: cs))
+              targets (Ok [])
+          in
+          let pending =
+            List.map (fun cap -> ctx.invoke_async cap ~op:"get" []) caps
+          in
+          let answered =
+            List.filter
+              (fun pr ->
+                match Promise.await pr with Some (Ok _) -> true | _ -> false)
+              pending
+          in
+          reply [ Value.Int (List.length answered) ]);
+    ]
+
+(* One run through every branch of the speculative invocation path:
+   cloned reads of a frozen, replicated object (fan-outs, loser
+   cancels, losers' late replies counted as orphans), hedged requests
+   to a node slowed mid-run, a stale hint that the old home nacks after
+   a crash, and nested [ctx.invoke] / [invoke_async] reads.  The digest
+   of the merged timeline and the final metrics snapshot (spans and
+   their parent links included) is pinned, so any change to what the
+   requester sends, waits for or records fails here. *)
+let test_speculation_digest () =
+  let options =
+    {
+      Cluster.default_options with
+      Cluster.use_replica_cache = true;
+      speculate =
+        { Api.no_speculation with Api.sp_clone = true; sp_hedge = true };
+    }
+  in
+  let cl =
+    with_cluster ~seed:31L ~options ~n:5 (fun cl ->
+        Cluster.register_type cl relay_type;
+        let frozen = new_chunky cl ~node:3 [ 7; 8 ] in
+        ignore (ok_or_fail "freeze" (Cluster.freeze cl frozen));
+        List.iter
+          (fun n ->
+            ignore
+              (ok_or_fail "replicate" (Cluster.replicate cl frozen ~to_node:n)))
+          [ 1; 2 ];
+        let hot = new_chunky cl ~node:2 [ 1; 2; 3 ] in
+        let stale = new_chunky cl ~node:1 [ 5 ] in
+        let relay =
+          ok_or_fail "create relay"
+            (Cluster.create_object cl ~node:4 ~type_name:"relay" Value.Unit)
+        in
+        (* Round trips to feed the hedge estimator, with frozen reads
+           from every node between them. *)
+        for i = 1 to 30 do
+          touch cl ~from:0 hot 0 i;
+          ignore (get_chunks cl ~from:(i mod 5) frozen)
+        done;
+        ignore (get_chunks cl ~from:4 stale);
+        (* Node 2 turns slow: requests to it outrun the latency
+           quantile and are hedged. *)
+        let plan =
+          Plan.make
+            [
+              {
+                Plan.at = Time.ms 1;
+                action = Plan.Slow_node { node = 2; by = Time.ms 6 };
+              };
+              { Plan.at = Time.ms 400; action = Plan.Heal_slow 2 };
+            ]
+        in
+        let _ctl = Controller.arm cl plan in
+        for i = 1 to 20 do
+          touch cl ~from:0 hot 1 i;
+          ignore (get_chunks cl ~from:3 hot)
+        done;
+        Engine.delay (Time.ms 400);
+        (* [stale] leaves node 1, then node 1 crashes and forgets the
+           forwarding entry: node 4's hint now names a node that nacks. *)
+        ignore (ok_or_fail "move" (Cluster.move cl stale ~to_node:3));
+        Cluster.crash_node cl 1;
+        Cluster.restart_node cl 1;
+        check_bool "stale read answered" true
+          (get_chunks cl ~from:4 stale = [ 5 ]);
+        (* Nested reads from inside a handler on node 4. *)
+        for _ = 1 to 3 do
+          (match
+             Cluster.invoke cl ~from:0 relay ~op:"relay" [ Value.Cap frozen ]
+           with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "relay: %s" (Error.to_string e));
+          match
+            Cluster.invoke cl ~from:1 relay ~op:"gather"
+              [
+                Value.List [ Value.Cap frozen; Value.Cap hot; Value.Cap stale ];
+              ]
+          with
+          | Ok [ Value.Int 3 ] -> ()
+          | Ok _ -> Alcotest.fail "gather: not every read answered"
+          | Error e -> Alcotest.failf "gather: %s" (Error.to_string e)
+        done;
+        Engine.delay (Time.s 1);
+        cl)
+  in
+  List.iter
+    (fun name ->
+      check_bool (name ^ " > 0") true (total_counter cl name > 0))
+    [
+      "eden.clone.fanouts";
+      "eden.clone.cancels";
+      "eden.hedge.sent";
+      "eden.nacks";
+      "eden.orphaned_invocations";
+    ];
+  let spans = Eden_obs.Span.finished (Cluster.spans cl) in
+  check_bool "nested reads carry a parent span" true
+    (List.exists
+       (fun (i : Eden_obs.Span.info) -> i.i_parent <> None && i.i_op = "get")
+       spans);
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (Eden_obs.Timeline.to_text (Cluster.timeline cl)
+         ^ Snapshot.to_string (Cluster.metrics_snapshot cl)))
+  in
+  Alcotest.(check string) "speculation digest"
+    "88f82d94e9212ec16a17b24c35a7b668" digest
+
 let () =
   Alcotest.run "eden_ckpt"
     [
@@ -423,5 +568,9 @@ let () =
             test_async_then_sync_serialise;
         ] );
       ( "protocols",
-        [ Alcotest.test_case "pinned digest" `Quick test_protocol_digest ] );
+        [
+          Alcotest.test_case "pinned digest" `Quick test_protocol_digest;
+          Alcotest.test_case "speculation digest" `Quick
+            test_speculation_digest;
+        ] );
     ]
