@@ -165,11 +165,14 @@ health-check:
 # slow-node chaos without taxing p50 — asserted inside the
 # experiment), then the chaos workload with speculation on: the
 # clone-resolution trace invariant must hold and same-seed timelines
-# stay byte-identical.
+# stay byte-identical, and with the replica cache on as well the
+# same-seed snapshots must be byte-identical.
 tail-check:
 	dune exec bench/main.exe -- E22 --smoke
 	$(call twice,trace --nodes 5 --seed 11 --clone --hedge \
 	  --check --text /tmp/eden_tail_@.txt,/tmp/eden_tail_@.txt)
+	$(call twice,chaos --nodes 5 --seed 11 --clone --hedge --replica-cache \
+	  --metrics-out /tmp/eden_tail_@.json,/tmp/eden_tail_@.json)
 	@echo "tail-check: OK (tails cut, clone invariant holds, deterministic)"
 
 # The sharded locate directory: the E23 smoke (O(1) hit-path cost and

@@ -203,3 +203,90 @@ let mean_over cl ~warmup ~iters thunk =
     Stats.add_time s d
   done;
   s
+
+(* ------------------------------------------------------------------ *)
+(* Paired host-time overhead (E20, E21, E25).
+
+   A feature that only observes — the journal, the health plane, the
+   profiler — must leave the virtual-time schedule untouched, so what
+   it costs is host time.  The same seeded invocation stream runs with
+   the feature off and on.  Off/on runs are interleaved in pairs, each
+   run starts from a compacted heap, and the reported overhead is the
+   *median of the per-pair ratios*.  On a shared machine absolute run
+   times drift by tens of percent over seconds; a back-to-back pair
+   sees (nearly) the same machine, so its ratio cancels the drift, and
+   the median discards the pairs a load spike or major collection
+   lands inside.  Comparing a median of off times against a median of
+   on times does neither. *)
+
+(* A locality-free request stream: every node invokes a node-0 object
+   in turn, so most invocations pay the full remote path.  Returns the
+   virtual end time. *)
+let overhead_stream cl ~iters =
+  let nodes = Cluster.node_count cl in
+  drive cl (fun () ->
+      let cap =
+        must "create"
+          (Cluster.create_object cl ~node:0 ~type_name:"bench_obj" Value.Unit)
+      in
+      let args = [ Value.Blob 256; Value.Int 10 ] in
+      for i = 1 to iters do
+        ignore
+          (must "work"
+             (Cluster.invoke cl ~from:(i mod nodes) cap ~op:"work" args))
+      done;
+      Engine.now (Cluster.engine cl))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+type overhead = {
+  ov_on : Cluster.t;  (* the cluster of the last feature-on run *)
+  ov_virt : Time.t;  (* virtual end time, the same off and on *)
+  ov_off_s : float;  (* median host seconds, feature off *)
+  ov_on_s : float;  (* median host seconds, feature on *)
+  ov_ratio : float;  (* median of the per-pair on/off ratios *)
+}
+
+(* [repeats] pairs of [iters]-invocation runs on clusters built by
+   [off] and [on].  A pair whose virtual end times differ fails the
+   experiment [id]: [feature] leaked into simulated behaviour. *)
+let paired_overhead ~id ~feature ~iters ~repeats ~off ~on =
+  (* Compact first, so earlier runs' garbage is not collected on the
+     time of whoever runs later. *)
+  let run make =
+    Gc.compact ();
+    let t0 = Sys.time () in
+    let cl = make () in
+    let virt = overhead_stream cl ~iters in
+    (cl, virt, Sys.time () -. t0)
+  in
+  let offs = ref [] and ons = ref [] and ratios = ref [] in
+  let last = ref None in
+  for _ = 1 to repeats do
+    let _, virt_off, e_off = run off in
+    let cl, virt_on, e_on = run on in
+    if not (Time.equal virt_off virt_on) then
+      failwith
+        (Printf.sprintf
+           "%s: virtual end times differ (%s vs %s): %s leaked into simulated \
+            behaviour"
+           id (Time.to_string virt_off) (Time.to_string virt_on) feature);
+    offs := e_off :: !offs;
+    ons := e_on :: !ons;
+    ratios := (e_on /. e_off) :: !ratios;
+    last := Some (cl, virt_on)
+  done;
+  match !last with
+  | Some (ov_on, ov_virt) ->
+    {
+      ov_on;
+      ov_virt;
+      ov_off_s = median !offs;
+      ov_on_s = median !ons;
+      ov_ratio = median !ratios;
+    }
+  | None -> invalid_arg "paired_overhead: no pairs"

@@ -7,9 +7,10 @@
    tick, and a top-k sketch update per invocation.  Run E20's seeded
    invocation workload with the plane off and on and compare host CPU
    time with the same paired-ratio methodology (interleaved pairs from
-   a compacted heap; median of per-pair ratios — see exp_journal.ml
-   for why medians of absolutes don't cancel machine drift).  The
-   overhead is printed against E20's 5% bar but not gated.
+   a compacted heap; median of per-pair ratios — see
+   {!Common.paired_overhead} for why medians of absolutes don't cancel
+   machine drift).  The overhead is printed against E20's 5% bar but
+   not gated.
 
    Part B: accuracy of the space-saving hot-object sketch.  Drive a
    seeded Zipf(s=1.2) invocation stream over more distinct objects
@@ -19,63 +20,12 @@
    bound within total/capacity. *)
 
 open Eden_util
-open Eden_sim
 open Eden_kernel
 open Common
 
 let nodes = 4
 let iters = 48_000
 let repeats = 7
-
-(* E20's locality-free request stream, with the health plane optional. *)
-let workload ?health () =
-  let cl = fresh_cluster ?health ~n:nodes () in
-  let virt =
-    drive cl (fun () ->
-        let cap =
-          must "create"
-            (Cluster.create_object cl ~node:0 ~type_name:"bench_obj"
-               Value.Unit)
-        in
-        let args = [ Value.Blob 256; Value.Int 10 ] in
-        for i = 1 to iters do
-          ignore
-            (must "work"
-               (Cluster.invoke cl ~from:(i mod nodes) cap ~op:"work" args))
-        done;
-        Engine.now (Cluster.engine cl))
-  in
-  (cl, virt)
-
-let timed_run ?health () =
-  Gc.compact ();
-  let t0 = Sys.time () in
-  let cl, virt = workload ?health () in
-  (cl, virt, Sys.time () -. t0)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-let measure () =
-  let offs = ref [] and ons = ref [] and ratios = ref [] in
-  let last = ref None in
-  for _ = 1 to repeats do
-    let _, virt_off, e_off = timed_run () in
-    offs := e_off :: !offs;
-    let cl, virt_on, e_on =
-      timed_run ~health:Eden_obs.Health.default_config ()
-    in
-    ons := e_on :: !ons;
-    ratios := (e_on /. e_off) :: !ratios;
-    last := Some (cl, virt_off, virt_on)
-  done;
-  match !last with
-  | Some (cl, virt_off, virt_on) ->
-    (cl, virt_off, virt_on, median !offs, median !ons, median !ratios)
-  | None -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Part B: Zipf stream against the top-k rollup. *)
@@ -150,19 +100,18 @@ let zipf_accuracy () =
 
 let run () =
   heading "E21" "health-plane overhead and hot-object recovery";
-  let cl_on, virt_off, virt_on, t_off, t_on, ratio = measure () in
-  if not (Time.equal virt_off virt_on) then
-    failwith
-      (Printf.sprintf
-         "E21: virtual end times differ (%s vs %s): the health plane leaked \
-          into simulated behaviour"
-         (Time.to_string virt_off) (Time.to_string virt_on));
+  let ov =
+    paired_overhead ~id:"E21" ~feature:"the health plane" ~iters ~repeats
+      ~off:(fun () -> fresh_cluster ~n:nodes ())
+      ~on:(fun () ->
+        fresh_cluster ~health:Eden_obs.Health.default_config ~n:nodes ())
+  in
   let ticks =
-    match Cluster.health cl_on with
+    match Cluster.health ov.ov_on with
     | Some h -> Eden_obs.Health.ticks h
     | None -> 0
   in
-  let overhead = 100.0 *. (ratio -. 1.0) in
+  let overhead = 100.0 *. (ov.ov_ratio -. 1.0) in
   let t =
     Table.create
       ~title:
@@ -179,15 +128,15 @@ let run () =
   Table.add_row t
     [
       "off";
-      Printf.sprintf "%.3fs" t_off;
-      Time.to_string virt_off;
+      Printf.sprintf "%.3fs" ov.ov_off_s;
+      Time.to_string ov.ov_virt;
       Table.cell_int 0;
     ];
   Table.add_row t
     [
       "on (default config)";
-      Printf.sprintf "%.3fs" t_on;
-      Time.to_string virt_on;
+      Printf.sprintf "%.3fs" ov.ov_on_s;
+      Time.to_string ov.ov_virt;
       Table.cell_int ticks;
     ];
   Table.print t;

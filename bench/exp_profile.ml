@@ -27,8 +27,8 @@
    - determinism: the profile is a pure function of the trace, so two
      same-seed runs must render byte-identical reports (asserted on
      part A).
-   - overhead: profiling adds journal kinds on the invocation path and
-     five counters at span finish.  Re-run E20's paired-ratio
+   - overhead: profiling adds journal kinds on the invocation path
+     and a per-payload wire tap.  Re-run E20's paired-ratio
      methodology (compacted heap, off/on interleaved, median of
      per-pair ratios) on E18's locality-free invocation stream with
      [use_profiling] toggled, check that virtual end times match, and
@@ -273,56 +273,14 @@ let part_c ~touches =
 let o_nodes = 4
 let o_repeats = 7
 
-let overhead_workload ~profiling ~iters =
-  let options = if profiling then profiled else Cluster.default_options in
-  let cl = fresh_cluster ~options ~n:o_nodes () in
-  let virt =
-    drive cl (fun () ->
-        let cap =
-          must "create"
-            (Cluster.create_object cl ~node:0 ~type_name:"bench_obj"
-               Value.Unit)
-        in
-        let args = [ Value.Blob 256; Value.Int 10 ] in
-        for i = 1 to iters do
-          ignore
-            (must "work"
-               (Cluster.invoke cl ~from:(i mod o_nodes) cap ~op:"work" args))
-        done;
-        Engine.now (Cluster.engine cl))
-  in
-  ignore cl;
-  virt
-
-let timed_run ~profiling ~iters =
-  Gc.compact ();
-  let t0 = Sys.time () in
-  let virt = overhead_workload ~profiling ~iters in
-  (virt, Sys.time () -. t0)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n land 1 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
 let overhead ~iters =
-  let ratios = ref [] in
-  let virts = ref None in
-  for _ = 1 to o_repeats do
-    let virt_off, e_off = timed_run ~profiling:false ~iters in
-    let virt_on, e_on = timed_run ~profiling:true ~iters in
-    ratios := (e_on /. e_off) :: !ratios;
-    virts := Some (virt_off, virt_on)
-  done;
-  let virt_off, virt_on = Option.get !virts in
-  if not (Time.equal virt_off virt_on) then
-    failwith
-      (Printf.sprintf
-         "E25 overhead: virtual end times differ (%s vs %s): profiling \
-          leaked into simulated behaviour"
-         (Time.to_string virt_off) (Time.to_string virt_on));
-  let pct = 100.0 *. (median !ratios -. 1.0) in
+  let ov =
+    paired_overhead ~id:"E25 overhead" ~feature:"profiling" ~iters
+      ~repeats:o_repeats
+      ~off:(fun () -> fresh_cluster ~n:o_nodes ())
+      ~on:(fun () -> fresh_cluster ~options:profiled ~n:o_nodes ())
+  in
+  let pct = 100.0 *. (ov.ov_ratio -. 1.0) in
   note
     "profiling overhead: %.1f%% host time (median of %d paired off/on \
      ratios over %d invocations), measured against E20's 5%% bar and not \

@@ -122,19 +122,19 @@ type locate_state = {
       (* filled as soon as an active/replica site answers *)
 }
 
-(* One speculative fan-out: the same request id sent to every site in
-   the clone set.  The first real result wins (and names the site it
-   came from, so losers can be told apart and cancelled); nacks are
-   only an answer once every site has nacked. *)
-type clone_state = {
-  cp_pr : (inv_outcome * node_id) Promise.t;
-  cp_count : int;  (* sites fanned out to *)
-  mutable cp_nacks : int;
+(* One invocation request: the same request id sent to every site it
+   fans out to — one site for a plain request, the clone set for a
+   speculative read.  The first real result wins (and [fo_from] names
+   the site it came from, so losers can be told apart and cancelled);
+   nacks are only an answer once every site has nacked. *)
+type fanout = {
+  fo_pr : inv_outcome Promise.t;
+  mutable fo_unnacked : int;  (* sites yet to nack, 1 or more at the start *)
+  mutable fo_from : node_id;  (* the site whose answer filled [fo_pr] *)
 }
 
 type pending =
-  | P_invoke of inv_outcome Promise.t
-  | P_clone of clone_state
+  | P_fanout of fanout
   | P_locate of locate_state
   | P_reply of Message.t Promise.t
       (* any other request: filled with the one reply message that
@@ -319,18 +319,6 @@ type hedge_state = {
   mutable hs_tick_over : int;
 }
 
-(* Cluster-level critical-path counters (profiling only): per-category
-   nanoseconds from finished request spans, mapped phase-by-phase so
-   a [Health.Ratio] watchdog over them can fire online, without
-   assembling a timeline. *)
-type profile_counters = {
-  pc_service : Metrics.counter;
-  pc_queue : Metrics.counter;
-  pc_wire : Metrics.counter;
-  pc_directory : Metrics.counter;
-  pc_total : Metrics.counter;
-}
-
 type t = {
   eng : Engine.t;
   c_lan : Transport.net;
@@ -341,30 +329,21 @@ type t = {
   mutable c_node_objects : Capability.t array;
       (* one kernel-created node object per node, fixed names *)
   mutable n_inv : int;
-  mutable n_remote : int;
   c_metrics : Metrics.t;
   c_spans : Span.collector;
   c_lat : Metrics.histogram;  (* end-to-end invocation latency, seconds *)
   c_nm : node_metrics array;
-  c_span_ctx : Span.t Itbl.t;
-      (* pid of a running invocation process -> the span it serves,
-         giving nested [ctx.invoke] calls their parent link *)
   c_jsink : Journal.sink;  (* shared event-id allocator for all journals *)
   c_labels : string Name.Table.t;
       (* each invoked name rendered once ("obj<B.S>"), shared by its
          spans, journal events and hot-object sketch *)
   mutable c_health : health_plane option;
   c_hedge : hedge_state option;  (* present iff hedging is enabled *)
-  c_profile : profile_counters option;  (* present iff profiling is on *)
   c_dir : Directory.t Lazy.t;
       (* the consistent-hash ring mapping names to registry shards at
          the boot membership (epoch 0); a pure function of the member
          set, shared by all nodes.  Built on first lookup, so a
          cluster with the directory off never pays for it. *)
-  mutable c_dir_nack_fallback : bool;
-      (* NACK-on-wrong-home invalidation armed (default).  Test
-         scaffolding: disabling it lets the stale-hint regression show
-         what the fallback exists to prevent. *)
   mutable c_epoch : int;
       (* the newest membership epoch any node has initiated; bumped by
          join and decommission.  Epoch 0 is the boot membership. *)
@@ -458,11 +437,14 @@ let span_enter cl w phase =
   | None -> ()
   | Some sp -> Span.enter sp phase ~at:(Engine.now cl.eng)
 
-(* The span served by the calling process, if it is an invocation
-   process (callable from anywhere; outside a process there is none). *)
-let current_span cl =
+(* The span served by the calling process, if it is one of [obj]'s
+   invocation processes: the parent link of a nested invocation. *)
+let current_span cl obj =
   match Engine.running cl.eng with
-  | Some pid -> Itbl.find_opt cl.c_span_ctx (Engine.Pid.to_int pid)
+  | Some pid -> (
+    match Itbl.find_opt obj.ob_inflight (Engine.Pid.to_int pid) with
+    | Some w -> w.w_span
+    | None -> None)
   | None -> None
 
 let next_seq node = Idgen.next node.nd_seq
@@ -596,7 +578,7 @@ let reply node (req_id : Message.request_id) msg =
   | Some (P_reply pr) ->
     Itbl.remove node.nd_pending req_id.seq;
     ignore (Promise.fill pr msg)
-  | Some (P_invoke _ | P_clone _ | P_locate _) -> wrong_reply ()
+  | Some (P_fanout _ | P_locate _) -> wrong_reply ()
   | None -> ()
 
 (* ---- Hedge telemetry (see {!hedge_state}) ---- *)
@@ -801,22 +783,21 @@ let obj_ctx cl obj =
 
 let resolve_inv_pending cl node ~src seq outcome =
   match Itbl.find_opt node.nd_pending seq with
-  | Some (P_invoke pr) ->
-    Itbl.remove node.nd_pending seq;
-    ignore (Promise.fill pr outcome)
-  | Some (P_clone cs) -> (
+  | Some (P_fanout fo) ->
     (* First real result wins the fan-out.  A nack is one site's
        refusal, not an answer — only unanimity resolves the race. *)
-    match outcome with
-    | Inv_result _ ->
+    let answered =
+      match outcome with
+      | Inv_result _ -> true
+      | Inv_nacked ->
+        fo.fo_unnacked <- fo.fo_unnacked - 1;
+        fo.fo_unnacked = 0
+    in
+    if answered then begin
       Itbl.remove node.nd_pending seq;
-      ignore (Promise.fill cs.cp_pr (outcome, src))
-    | Inv_nacked ->
-      cs.cp_nacks <- cs.cp_nacks + 1;
-      if cs.cp_nacks >= cs.cp_count then begin
-        Itbl.remove node.nd_pending seq;
-        ignore (Promise.fill cs.cp_pr (outcome, src))
-      end)
+      fo.fo_from <- src;
+      ignore (Promise.fill fo.fo_pr outcome)
+    end
   | Some (P_locate _ | P_reply _) ->
     raise (Fatal "pending kind mismatch for invocation reply")
   | None -> (
@@ -827,22 +808,24 @@ let resolve_inv_pending cl node ~src seq outcome =
     | Inv_result _ -> Metrics.incr (nm cl node).m_orphans
     | Inv_nacked -> ())
 
-let deliver_reply ?ctx cl obj route result =
-  let node = home cl obj in
+(* Answer a request served at [node]; [frozen] is the reply's frozen
+   hint.  A remote requester on this very node (the object moved to it
+   mid-request) is resolved in place. *)
+let deliver_reply ?ctx cl node ~frozen route result =
   match route with
   | Reply_local pr -> ignore (Promise.fill pr result)
   | Reply_remote { requester; inv_id } ->
     if requester = node.nd_id then
-      (* The object moved to the requester's node mid-request. *)
       resolve_inv_pending cl node ~src:node.nd_id inv_id.Message.seq
-        (Inv_result (result, obj.ob_frozen))
+        (Inv_result (result, frozen))
     else
       send_msg ?ctx cl node ~dst:requester
-        (Message.Inv_reply { inv_id; result; frozen_hint = obj.ob_frozen })
+        (Message.Inv_reply { inv_id; result; frozen_hint = frozen })
 
 let fail_work cl obj w error =
   span_enter cl w Span.Reply;
-  deliver_reply ?ctx:w.w_ctx cl obj w.w_route (Error error)
+  deliver_reply ?ctx:w.w_ctx cl (home cl obj) ~frozen:obj.ob_frozen w.w_route
+    (Error error)
 
 (* -------------------------------------------------------------------- *)
 (* The coordinator: dispatching invocations inside an object *)
@@ -872,11 +855,7 @@ let serve_work cl obj node op w id =
        w.w_ctx <- Some (Tracectx.with_parent c ~parent:ws)
      | None -> ());
   Itbl.replace obj.ob_inflight id w;
-  (match w.w_span with
-  | Some sp ->
-    Span.enter sp Span.Execute ~at:(Engine.now cl.eng);
-    Itbl.replace cl.c_span_ctx id sp
-  | None -> ());
+  span_enter cl w Span.Execute;
   let result =
     try op.Typemgr.op_handler (obj_ctx cl obj) w.w_args with
     | Engine.Killed as e -> raise e
@@ -885,7 +864,8 @@ let serve_work cl obj node op w id =
   in
   Itbl.remove obj.ob_inflight id;
   span_enter cl w Span.Reply;
-  deliver_reply ?ctx:w.w_ctx cl obj w.w_route result
+  deliver_reply ?ctx:w.w_ctx cl (home cl obj) ~frozen:obj.ob_frozen w.w_route
+    result
 
 let rec start_invocation cl obj slot op w =
   let node = home cl obj in
@@ -924,7 +904,6 @@ and start_invocation_admitted cl obj slot op w =
 and finish_invocation cl obj slot id =
   Itbl.remove obj.ob_proc_pids id;
   Itbl.remove obj.ob_inflight id;
-  Itbl.remove cl.c_span_ctx id;
   slot.cs_running <- slot.cs_running - 1;
   obj.ob_running_total <- obj.ob_running_total - 1;
   Condition.broadcast obj.ob_drained;
@@ -2004,13 +1983,13 @@ let absorb_reply ?ctx cl node ~from_node cap r frozen_hint =
   end
 
 (* Send the request to [dst] — and speculatively to every site in
-   [clones] — and wait for the outcome.  A cloned request shares one
-   id across its whole fan-out: the first real result wins and every
-   other site is sent an urgent [Cancel].  A non-cloned request that
-   outruns the windowed latency quantile is hedged: the same request
-   is re-issued (urgently, same id) without abandoning the original,
-   and the serving side's idempotence table drops whichever copy
-   arrives second. *)
+   [clones] — and wait for the outcome.  One request id covers the
+   whole fan-out, and a plain request is a fan-out of one.  With two or
+   more sites the first real result wins and every other site is sent
+   an urgent [Cancel].  A plain request that outruns the windowed
+   latency quantile is hedged: the same request is re-issued (urgently,
+   same id) without abandoning the original, and the serving side's
+   idempotence table drops whichever copy arrives second. *)
 let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
     ~span cap ~op args =
   let inv_id = new_request_id node in
@@ -2032,7 +2011,11 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
         span;
       }
   in
-  cl.n_remote <- cl.n_remote + 1;
+  let send via site =
+    consume node
+      (Costs.copy_cost (costs node) ~bytes:(Value.list_size_bytes args));
+    via ?ctx cl node ~dst:site (request ~to_site:site)
+  in
   Metrics.incr (nm cl node).m_remote;
   (match span with
   | Some sp ->
@@ -2042,91 +2025,64 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
     Span.enter sp Span.Transport ~at:(Engine.now cl.eng)
   | None -> ());
   let t0 = Engine.now cl.eng in
-  let finish ~from_node outcome =
-    match outcome with
-    | None ->
-      (* The node we trusted never answered: distrust the cached
-         location so the next attempt re-locates instead of sending
-         into the void again. *)
-      Name.Table.remove node.nd_hints name;
-      Name.Table.remove node.nd_forward name;
-      `Result (Error Error.Timeout)
-    | Some (Inv_result (r, frozen_hint)) ->
-      hedge_observe cl (Time.diff (Engine.now cl.eng) t0);
-      absorb_reply ?ctx cl node ~from_node cap r frozen_hint;
-      `Result r
-    | Some Inv_nacked -> `Nacked
+  let count = 1 + List.length clones in
+  let fo =
+    { fo_pr = Promise.create cl.eng; fo_unnacked = count; fo_from = dst }
   in
-  if clones = [] then begin
-    let pr = Promise.create cl.eng in
-    add_pending node inv_id.Message.seq (P_invoke pr);
-    consume node
-      (Costs.copy_cost (costs node) ~bytes:(Value.list_size_bytes args));
-    send_msg ?ctx cl node ~dst (request ~to_site:dst);
-    let hedge_after =
-      if not cl.opts.speculate.Api.sp_hedge then None
-      else
-        match (hedge_threshold cl, remaining cl.eng deadline) with
-        | None, _ -> None
-        | Some h, Some left when Time.(left <= h) -> None
-        | (Some _ as h), _ -> h
-    in
-    let outcome =
-      match hedge_after with
-      | None -> Promise.await ?timeout:(remaining cl.eng deadline) pr
-      | Some h -> (
-        match Promise.await ~timeout:h pr with
-        | Some _ as o -> o
-        | None ->
-          (* The attempt has outrun the recent latency quantile.
-             Prefer an alternative site known to serve this name;
-             otherwise re-send to the same one (a second chance for a
-             dropped or delayed transfer). *)
-          let hedge_dst =
-            match
-              Reliability.fanout ~primary:dst
-                ~candidates:
-                  (List.filter
-                     (fun s -> s <> node.nd_id)
-                     (Option.value ~default:[]
-                        (Name.Table.find_opt node.nd_clone_sites name)))
-                ~max_extra:1
-            with
-            | alt :: _ -> alt
-            | [] -> dst
-          in
-          Metrics.incr (nm cl node).m_hedges;
-          ignore (jrecord cl node ?ctx (Journal.Hedge { op; dst = hedge_dst }));
-          consume node
-            (Costs.copy_cost (costs node) ~bytes:(Value.list_size_bytes args));
-          send_msg_now ?ctx cl node ~dst:hedge_dst (request ~to_site:hedge_dst);
-          Promise.await ?timeout:(remaining cl.eng deadline) pr)
-    in
-    Itbl.remove node.nd_pending inv_id.Message.seq;
-    finish ~from_node:dst outcome
-  end
-  else begin
-    (* Speculative fan-out: primary first, then the clone sites. *)
-    let sites = dst :: clones in
-    let count = List.length sites in
-    let pr = Promise.create cl.eng in
-    add_pending node inv_id.Message.seq
-      (P_clone { cp_pr = pr; cp_count = count; cp_nacks = 0 });
+  add_pending node inv_id.Message.seq (P_fanout fo);
+  if count > 1 then begin
     Metrics.incr (nm cl node).m_clone_fanouts;
-    ignore (jrecord cl node ?ctx (Journal.Clone_fanout { op; sites = count }));
-    List.iter
-      (fun site ->
-        consume node
-          (Costs.copy_cost (costs node) ~bytes:(Value.list_size_bytes args));
-        send_msg ?ctx cl node ~dst:site (request ~to_site:site))
-      sites;
-    let outcome = Promise.await ?timeout:(remaining cl.eng deadline) pr in
-    Itbl.remove node.nd_pending inv_id.Message.seq;
-    let winner =
-      match outcome with
-      | Some (Inv_result _, won) -> Some won
-      | Some (Inv_nacked, _) | None -> None
-    in
+    ignore (jrecord cl node ?ctx (Journal.Clone_fanout { op; sites = count }))
+  end;
+  send send_msg dst;
+  (* Guarded, so a plain request builds no closure for the empty list. *)
+  if clones <> [] then List.iter (send send_msg) clones;
+  let hedge_after =
+    if count > 1 || not cl.opts.speculate.Api.sp_hedge then None
+    else
+      match (hedge_threshold cl, remaining cl.eng deadline) with
+      | None, _ -> None
+      | Some h, Some left when Time.(left <= h) -> None
+      | (Some _ as h), _ -> h
+  in
+  let outcome =
+    match hedge_after with
+    | None -> Promise.await ?timeout:(remaining cl.eng deadline) fo.fo_pr
+    | Some h -> (
+      match Promise.await ~timeout:h fo.fo_pr with
+      | Some _ as o -> o
+      | None ->
+        (* The attempt has outrun the recent latency quantile.  Prefer
+           an alternative site known to serve this name; otherwise
+           re-send to the same one (a second chance for a dropped or
+           delayed transfer). *)
+        let hedge_dst =
+          match
+            Reliability.fanout ~primary:dst
+              ~candidates:
+                (List.filter
+                   (fun s -> s <> node.nd_id)
+                   (Option.value ~default:[]
+                      (Name.Table.find_opt node.nd_clone_sites name)))
+              ~max_extra:1
+          with
+          | alt :: _ -> alt
+          | [] -> dst
+        in
+        Metrics.incr (nm cl node).m_hedges;
+        ignore (jrecord cl node ?ctx (Journal.Hedge { op; dst = hedge_dst }));
+        send send_msg_now hedge_dst;
+        Promise.await ?timeout:(remaining cl.eng deadline) fo.fo_pr)
+  in
+  Itbl.remove node.nd_pending inv_id.Message.seq;
+  (* Only a fan-out names its winner; a plain request's reply is taken
+     as [dst]'s, wherever it was forwarded or hedged to. *)
+  let winner =
+    match outcome with
+    | Some (Inv_result _) when count > 1 -> Some fo.fo_from
+    | Some _ | None -> None
+  in
+  if count > 1 then begin
     (match winner with
     | Some won ->
       ignore (jrecord cl node ?ctx (Journal.Clone_win { op; winner = won }))
@@ -2141,11 +2097,23 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
           send_msg_now ?ctx cl node ~dst:site
             (Message.Cancel { inv_id; target = name })
         end)
-      sites;
-    finish
+      (dst :: clones)
+  end;
+  match outcome with
+  | None ->
+    (* The node we trusted never answered: distrust the cached location
+       so the next attempt re-locates instead of sending into the void
+       again. *)
+    Name.Table.remove node.nd_hints name;
+    Name.Table.remove node.nd_forward name;
+    `Result (Error Error.Timeout)
+  | Some (Inv_result (r, frozen_hint)) ->
+    hedge_observe cl (Time.diff (Engine.now cl.eng) t0);
+    absorb_reply ?ctx cl node
       ~from_node:(Option.value ~default:dst winner)
-      (Option.map fst outcome)
-  end
+      cap r frozen_hint;
+    `Result r
+  | Some Inv_nacked -> `Nacked
 
 let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
   let node = node_of cl from in
@@ -2160,9 +2128,6 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
     (match cl.c_health with
     | Some hp -> Topk.add hp.hp_topk.(from) tname
     | None -> ());
-    let parent =
-      match parent with Some _ as p -> p | None -> current_span cl
-    in
     let sp =
       Span.start cl.c_spans ?parent ~op ~target:tname ~origin:from
         ~at:(Engine.now cl.eng) ()
@@ -2316,21 +2281,17 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
             if via_dir then begin
               (* The shard pointed at a node that cannot serve.  Lazily
                  invalidate its entry (it drops it only if it still
-                 names this home) and retry on the broadcast path.
-                 With the invalidation disarmed (test scaffolding) the
-                 stale entry keeps winning until the nack budget runs
-                 out — the regression this fallback exists to
-                 prevent. *)
+                 names this home) and retry on the broadcast path:
+                 otherwise the stale entry keeps winning until the nack
+                 budget runs out. *)
               Metrics.incr (nm cl node).m_dir_nacks;
-              if cl.c_dir_nack_fallback then begin
-                dir_invalidate ~ctx:ictx cl node name ~stale_home:dst;
-                dir_fallback ()
-              end
+              dir_invalidate ~ctx:ictx cl node name ~stale_home:dst;
+              dir_fallback ()
             end;
             if nack_budget <= 0 then Error Error.No_such_object
             else
               attempt ~deadline ~nack_budget:(nack_budget - 1)
-                ~use_dir:(use_dir && not (via_dir && cl.c_dir_nack_fallback))))
+                ~use_dir:(use_dir && not via_dir)))
     (* Serve the request from an object on this node.  (In [attempt]'s
        recursive group, so the two share one closure.) *)
     and dispatch ~deadline obj =
@@ -2370,19 +2331,6 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
     ignore (jrecord cl node ~ctx:ictx (Journal.Inv_end { op; outcome }));
     Span.finish sp ~outcome ~at:(Engine.now cl.eng);
     Metrics.observe_time cl.c_lat (Span.duration sp);
-    (* Online profile feed: fold the finished span's phase times into
-       the cluster-wide category counters the latency-share watchdogs
-       read.  Coarser than the journal walk (a span cannot split wire
-       from coalesce) but available every tick. *)
-    (match cl.c_profile with
-    | None -> ()
-    | Some pc ->
-      let ns p = Time.to_ns (Span.phase_time sp p) in
-      Metrics.add pc.pc_directory (ns Span.Locate);
-      Metrics.add pc.pc_wire (ns Span.Transport + ns Span.Reply);
-      Metrics.add pc.pc_queue (ns Span.Queue + ns Span.Dispatch);
-      Metrics.add pc.pc_service (ns Span.Execute);
-      Metrics.add pc.pc_total (Time.to_ns (Span.duration sp)));
     r
   end
 
@@ -2455,12 +2403,13 @@ let make_ctx cl obj =
         end);
     invoke =
       (fun ?timeout ?retry cap ~op args ->
-        do_invoke cl ~from:obj.ob_home ?timeout ?retry cap ~op args);
+        let parent = current_span cl obj in
+        do_invoke cl ~from:obj.ob_home ?timeout ?retry ?parent cap ~op args);
     invoke_async =
       (fun ?timeout ?retry cap ~op args ->
         (* Capture the parent span here: the spawned process has its
            own pid, so the per-pid lookup would miss it. *)
-        let parent = current_span cl in
+        let parent = current_span cl obj in
         let pr = Promise.create cl.eng in
         let pid =
           Engine.spawn cl.eng ~name:"invoke_async" (fun () ->
@@ -2532,19 +2481,6 @@ let forget_object cl node target =
 (* -------------------------------------------------------------------- *)
 (* Message handling *)
 
-(* Deliver an error reply for a request handled at this node when no
-   object record exists to route through. *)
-let deliver_reply_at cl node route result =
-  match route with
-  | Reply_local pr -> ignore (Promise.fill pr result)
-  | Reply_remote { requester; inv_id } ->
-    if requester = node.nd_id then
-      resolve_inv_pending cl node ~src:node.nd_id inv_id.Message.seq
-        (Inv_result (result, false))
-    else
-      send_msg cl node ~dst:requester
-        (Message.Inv_reply { inv_id; result; frozen_hint = false })
-
 let handle_inv_request ?ctx cl node ~src:_ r =
   match r with
   | Message.Inv_request
@@ -2599,7 +2535,9 @@ let handle_inv_request ?ctx cl node ~src:_ r =
             (* We cannot serve from a failed store; nack so the
                requester re-locates and finds a healthier checksite. *)
             nack ()
-          | Error e -> deliver_reply_at cl node route (Error e)
+          | Error e ->
+            (* No object record to route through: answer from here. *)
+            deliver_reply cl node ~frozen:false route (Error e)
         else begin
           let forward_to =
             match Name.Table.find_opt node.nd_forward target with
@@ -3134,7 +3072,6 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
       opts = options;
       c_node_objects = [||];
       n_inv = 0;
-      n_remote = 0;
       c_metrics = reg;
       c_spans = Span.create ();
       c_lat =
@@ -3194,7 +3131,6 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
               m_drain_moves =
                 Metrics.counter reg ~labels "eden.drain.moves";
             });
-      c_span_ctx = Itbl.create 64;
       c_labels = Name.Table.create 64;
       c_jsink = jsink;
       c_health = None;
@@ -3209,23 +3145,10 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
                hs_tick_over = 0;
              }
          else None);
-      c_profile =
-        (if options.use_profiling then
-           Some
-             {
-               pc_service = Metrics.counter reg "eden.profile.service_ns";
-               pc_queue = Metrics.counter reg "eden.profile.queue_ns";
-               pc_wire = Metrics.counter reg "eden.profile.wire_ns";
-               pc_directory =
-                 Metrics.counter reg "eden.profile.directory_ns";
-               pc_total = Metrics.counter reg "eden.profile.total_ns";
-             }
-         else None);
       (* The shard map is a pure function of the member set: every
          node computes the same ring, no coordination.  Spares are
          excluded until a join bumps the epoch. *)
       c_dir = lazy (Directory.make ~nodes:(List.init n_members Fun.id) ());
-      c_dir_nack_fallback = true;
       c_epoch = 0;
       c_members = List.init n_members Fun.id;
       c_rings = Hashtbl.create 8;
@@ -3356,7 +3279,6 @@ let health cl = Option.map (fun hp -> hp.hp_health) cl.c_health
    the answer is a pure function of the membership (for tests and
    tooling; the kernel's own routing detours past downed shards). *)
 let directory_shard cl name = Directory.shard (ring_of cl cl.c_epoch) name
-let set_dir_nack_fallback cl enabled = cl.c_dir_nack_fallback <- enabled
 
 let hot_objects cl ?(k = 10) i =
   ignore (node_of cl i);
@@ -3784,7 +3706,11 @@ let checkpoint_sites cl cap =
 
 let active_objects cl i = Name.Table.length (node_of cl i).nd_active
 let stats_invocations cl = cl.n_inv
-let stats_remote_invocations cl = cl.n_remote
+
+let stats_remote_invocations cl =
+  Array.fold_left
+    (fun acc m -> acc + Metrics.counter_value m.m_remote)
+    0 cl.c_nm
 let metrics cl = cl.c_metrics
 let spans cl = cl.c_spans
 

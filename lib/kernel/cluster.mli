@@ -80,14 +80,10 @@ type options = {
           attribution walk sharpens its categories with —
           [Work_start] (queue residency), [Net_flush] (coalescer
           hold), [Net_hold] (injected sender-side hold),
-          [Drain_stall] (parked behind a draining object) — and
-          publishes per-category latency counters
-          ([eden.profile.{service,queue,wire,directory,total}_ns],
-          fed from finished spans), which a
-          {!Eden_obs.Health.Ratio} watchdog can read.  Off, the
-          journal stream, cost profile and metric set are exactly
-          those of earlier releases; {!Eden_obs.Critical} still
-          attributes exactly, just with coarser categories. *)
+          [Drain_stall] (parked behind a draining object).  Off, the
+          journal stream and cost profile are exactly those of
+          earlier releases; {!Eden_obs.Critical} still attributes
+          exactly, just with coarser categories. *)
 }
 
 val default_options : options
@@ -351,13 +347,6 @@ val directory_shard : t -> Name.t -> node_id
     tooling).  The kernel's own routing additionally detours past
     powered-off shards to the next live ring point; this accessor
     reports the canonical owner. *)
-
-val set_dir_nack_fallback : t -> bool -> unit
-(** Test scaffolding: arm or disarm the NACK-on-wrong-home shard
-    invalidation (armed by default).  Disarmed, a stale registry entry
-    is never repaired and a directory-routed request to a moved object
-    burns its whole nack budget — the regression the fallback
-    prevents; see the chaos suite's stale-hint test. *)
 
 val replica_sites : t -> Capability.t -> node_id list
 val checkpoint_sites : t -> Capability.t -> node_id list

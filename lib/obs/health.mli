@@ -21,10 +21,8 @@ type signal =
   | Ratio of string * string
       (** Windowed delta of the first counter divided by the windowed
           delta of the second ([nan] when the denominator is zero) —
-          e.g. retries per invocation, or, with the cluster's
-          profiling on, a critical-path category's share of attributed
-          latency: [Ratio ("eden.profile.wire_ns",
-          "eden.profile.total_ns")]. *)
+          e.g. retries per invocation:
+          [Ratio ("eden.retries", "eden.invocations")]. *)
   | Share of string * string
       (** [a / (a + b)] over windowed counter deltas — e.g. cache hits
           against misses. *)

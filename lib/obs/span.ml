@@ -312,8 +312,6 @@ let duration t =
   if t.sp_sealed then Time.diff t.sp_finish t.sp_start
   else invalid_arg "Span.duration: span not finished"
 
-let phase_time t p = t.sp_acc.(phase_index p)
-
 let late_events col = col.n_late
 (* Oldest first, so the records lie in memory in the order readers
    walk them. *)

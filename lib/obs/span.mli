@@ -91,11 +91,6 @@ val duration : t -> Eden_util.Time.t
 (** Elapsed from start to finish; requires a finished span (raises
     [Invalid_argument] otherwise). *)
 
-val phase_time : t -> phase -> Eden_util.Time.t
-(** Accumulated time in [phase] so far (all visits summed); valid on
-    live and finished spans.  The cluster's online profile counters
-    are fed from this at span finish. *)
-
 (** {1 Reading a collector} *)
 
 val late_events : collector -> int

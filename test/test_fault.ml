@@ -723,9 +723,13 @@ let test_dir_shard_death_fallback () =
    partition leaves the shard naming the old home.  The next
    directory-routed request is nacked by that home; NACK-on-wrong-home
    must invalidate the shard entry and fall back to broadcast, or the
-   stale answer wins every retry and the invocation fails.  Verified
-   failing: with the fallback disabled the same run errors out. *)
-let stale_hint_run ~fallback =
+   stale answer wins every retry and the invocation fails.  A second
+   requester asking the shard while the first is still broadcasting
+   must miss rather than be sent to the stale home again: the
+   broadcast's own republish comes too late to save it.  Verified
+   failing with the shard invalidation dropped: the second requester
+   is nacked too. *)
+let test_dir_stale_hint_nack_fallback () =
   let cl = dir_cluster ~seed:29 () in
   let eng = Cluster.engine cl in
   let cap = ref None in
@@ -751,7 +755,9 @@ let stale_hint_run ~fallback =
       ]
   in
   let _ctl = Controller.arm cl plan in
+  let nacks () = sum_counter (Cluster.metrics_snapshot cl) "eden.dir.nacks" in
   let result = ref (Error Eden_kernel.Error.Timeout) in
+  let second = ref (Error Eden_kernel.Error.Timeout) in
   let _ =
     Cluster.in_process cl (fun () ->
         Engine.delay (Time.ms 100);
@@ -760,33 +766,31 @@ let stale_hint_run ~fallback =
         must "move" (Cluster.move cl cap ~to_node:1);
         Engine.delay (Time.ms 100);
         (* Healed: the shard still names node 0. *)
-        Cluster.set_dir_nack_fallback cl fallback;
-        result :=
-          Cluster.invoke cl ~from:3 ~timeout:(Time.ms 300) cap ~op:"get" [])
+        let first =
+          Cluster.invoke_async cl ~from:3 ~timeout:(Time.ms 300) cap ~op:"get"
+            []
+        in
+        (* The moment the stale home's nack is counted, a second
+           requester asks the shard. *)
+        while nacks () = 0 do
+          Engine.delay (Time.us 100)
+        done;
+        second :=
+          Cluster.invoke cl ~from:2 ~timeout:(Time.ms 300) cap ~op:"get" [];
+        result := Option.get (Promise.await first))
   in
   Cluster.run cl;
   let snap = Cluster.metrics_snapshot cl in
-  (!result, sum_counter snap "eden.dir.nacks",
-   sum_counter snap "eden.dir.fallbacks")
-
-let test_dir_stale_hint_nack_fallback () =
-  (match stale_hint_run ~fallback:true with
-  | Ok [ Value.Int 7 ], nacks, fallbacks ->
-    check_bool "the stale home nacked" true (nacks > 0);
-    check_bool "the nack fell back to broadcast" true (fallbacks > 0)
-  | Ok _, _, _ -> Alcotest.fail "unexpected reply shape"
-  | Error e, _, _ ->
+  match (!result, !second) with
+  | Ok [ Value.Int 7 ], Ok [ Value.Int 7 ] ->
+    check_int "only the first requester met the stale home" 1
+      (sum_counter snap "eden.dir.nacks");
+    check_bool "the nack fell back to broadcast" true
+      (sum_counter snap "eden.dir.fallbacks" > 0)
+  | Ok _, Ok _ -> Alcotest.fail "unexpected reply shape"
+  | Error e, _ | _, Error e ->
     Alcotest.failf "stale entry not recovered: %s"
-      (Eden_kernel.Error.to_string e));
-  (* Verified failing: same run, fallback disabled — the stale entry
-     wins every retry and the invocation errors out. *)
-  match stale_hint_run ~fallback:false with
-  | Error _, nacks, _ ->
-    check_bool "the stale home kept nacking" true (nacks > 0)
-  | Ok _, _, _ ->
-    Alcotest.fail
-      "invocation succeeded with NACK fallback disabled — the regression \
-       guard is not guarding"
+      (Eden_kernel.Error.to_string e)
 
 let test_dir_balance_publishes () =
   (* Policy.balance_once moves objects through Cluster.move, whose

@@ -480,7 +480,22 @@ type live_span = {
   ls_start : int;
   mutable ls_remote : bool;
   mutable ls_done : bool;
+  mutable ls_phase : Span.phase;  (* the open phase *)
+  mutable ls_since : int;  (* when it opened *)
+  ls_acc : int array;  (* time per phase, in the order of [Span.phases] *)
 }
+
+(* Charge the open phase up to [now], as a span does at every phase
+   change and at its finish. *)
+let charge ls now =
+  let rec index i = function
+    | p :: _ when p = ls.ls_phase -> i
+    | _ :: rest -> index (i + 1) rest
+    | [] -> assert false
+  in
+  let i = index 0 Span.phases in
+  ls.ls_acc.(i) <- ls.ls_acc.(i) + (now - ls.ls_since);
+  ls.ls_since <- now
 
 let span_ring_matches_model =
   Prop.case ~name:"Span ring equals a FIFO of info records" ~base:0xA110_0014L
@@ -513,13 +528,21 @@ let span_ring_matches_model =
                 ls_start = !now;
                 ls_remote = false;
                 ls_done = false;
+                ls_phase = Span.Locate;
+                ls_since = !now;
+                ls_acc = Array.make (List.length Span.phases) 0;
               }
             in
             live := Array.append !live [| ls |]
           | _ when Array.length !live = 0 -> ()
           | Sp_enter (i, ph, dt) ->
             now := !now + dt;
-            Span.enter (pick i).ls_span ph ~at:(Time.ns !now)
+            let ls = pick i in
+            Span.enter ls.ls_span ph ~at:(Time.ns !now);
+            if not ls.ls_done then begin
+              charge ls !now;
+              ls.ls_phase <- ph
+            end
           | Sp_remote i ->
             let ls = pick i in
             Span.note_remote ls.ls_span;
@@ -530,6 +553,7 @@ let span_ring_matches_model =
             Span.finish ls.ls_span ~outcome ~at:(Time.ns !now);
             if not ls.ls_done then begin
               ls.ls_done <- true;
+              charge ls !now;
               let info =
                 {
                   Span.i_id = Span.id ls.ls_span;
@@ -541,9 +565,7 @@ let span_ring_matches_model =
                   i_outcome = outcome;
                   i_start = Time.ns ls.ls_start;
                   i_finish = Time.ns !now;
-                  i_phases =
-                    Array.of_list
-                      (List.map (Span.phase_time ls.ls_span) Span.phases);
+                  i_phases = Array.map Time.ns ls.ls_acc;
                 }
               in
               model := !model @ [ info ];
