@@ -17,7 +17,9 @@
    allow, and with [~complete:true], which adds the rules that need
    every event), [Profile.of_timeline] and [Cluster.metrics_snapshot].
    It prints each call's median CPU milliseconds and its minor words
-   per call and per timeline event, and, from a first pass over the
+   per call and per timeline event, a total row summing those figures
+   over the four calls hostbench adds up as [analyze_s] (the extra
+   [~complete:true] run left out), and, from a first pass over the
    calls in that order, the live words and the top of the heap after
    each call and a full major collection.  With [--phase setup] it
    samples K set-ups instead — set-up i builds a fresh cluster on
@@ -225,24 +227,32 @@ let sample_analysis spec ~workload ~seed ~reps =
   step "Cluster.metrics_snapshot" (fun () ->
       ignore (Cluster.metrics_snapshot cl));
   ignore (Sys.opaque_identity vs);
+  (* Each call, and whether hostbench counts it in [analyze_s]. *)
   let calls =
     [
-      ("Cluster.timeline", fun () -> ignore (Cluster.timeline cl));
+      ("Cluster.timeline", true, fun () -> ignore (Cluster.timeline cl));
       ( Printf.sprintf "Check.run ~complete:%b" complete,
+        true,
         fun () -> ignore (Eden_obs.Check.run ~complete tl) );
     ]
     @ (if complete then []
        else
-         [ ("Check.run ~complete:true", fun () -> ignore (Eden_obs.Check.run ~complete:true tl)) ])
+         [ ( "Check.run ~complete:true",
+             false,
+             fun () -> ignore (Eden_obs.Check.run ~complete:true tl) ) ])
     @ [
-        ("Profile.of_timeline", fun () -> ignore (Eden_obs.Profile.of_timeline tl));
-        ("Cluster.metrics_snapshot", fun () -> ignore (Cluster.metrics_snapshot cl));
+        ( "Profile.of_timeline",
+          true,
+          fun () -> ignore (Eden_obs.Profile.of_timeline tl) );
+        ( "Cluster.metrics_snapshot",
+          true,
+          fun () -> ignore (Cluster.metrics_snapshot cl) );
       ]
   in
   let events = Eden_obs.Timeline.length tl in
   let figures =
     List.map
-      (fun (name, f) ->
+      (fun (name, counted, f) ->
         let ms = ref [] and words = ref [] and major = ref [] in
         for _ = 1 to reps do
           let _, promoted0, major0 = Gc.counters () in
@@ -256,13 +266,13 @@ let sample_analysis spec ~workload ~seed ~reps =
              major heap; promotions are counted there too. *)
           major := (major1 -. major0 -. (promoted1 -. promoted0)) :: !major
         done;
-        (name, median !ms, median !words, median !major))
+        (name, counted, median !ms, median !words, median !major))
       calls
   in
   let t0 = Sys.time () in
   armed := true;
   for _ = 1 to reps do
-    List.iter (fun (_, f) -> f ()) calls
+    List.iter (fun (_, _, f) -> f ()) calls
   done;
   armed := false;
   let cpu = Sys.time () -. t0 in
@@ -276,12 +286,22 @@ let sample_analysis spec ~workload ~seed ~reps =
     (List.length (Eden_obs.Timeline.traces tl))
     (if complete then "complete" else "wrapped")
     reps "call" "ms/call" "minor words" "words/event" "major words";
-  List.iter
-    (fun (name, ms, words, major) ->
-      Printf.bprintf b "  %-28s %9.2f %12.0f %12.1f %12.0f\n" name ms words
-        (words /. float_of_int (max 1 events))
-        major)
-    figures;
+  let row name ms words major =
+    Printf.bprintf b "  %-28s %9.2f %12.0f %12.1f %12.0f\n" name ms words
+      (words /. float_of_int (max 1 events))
+      major
+  in
+  List.iter (fun (name, _, ms, words, major) -> row name ms words major) figures;
+  (* The calls hostbench sums as [analyze_s]: a sum of the medians. *)
+  let sum f =
+    List.fold_left
+      (fun acc ((_, counted, _, _, _) as x) -> if counted then acc +. f x else acc)
+      0.0 figures
+  in
+  row "total (analyze_s)"
+    (sum (fun (_, _, ms, _, _) -> ms))
+    (sum (fun (_, _, _, words, _) -> words))
+    (sum (fun (_, _, _, _, major) -> major));
   Printf.bprintf b
     "  heap after each call, first pass (words):\n  %-28s %12s %12s\n" "after"
     "live" "top";

@@ -990,19 +990,27 @@ let spawn_behaviours cl obj =
 (* -------------------------------------------------------------------- *)
 (* Memory and type-code loading *)
 
+(* A crash replaces a node's [nd_mem], and every reservation made in
+   the old one dies with it.  Work that reserves memory and then blocks
+   checks, before it registers anything, that the memory it reserved
+   in is still its node's: otherwise the node crashed (and perhaps
+   restarted) meanwhile, and the work fails as [Node_down]. *)
 let load_type_code node tm =
   let tname = Typemgr.name tm in
   if Hashtbl.mem node.nd_types_loaded tname then Ok ()
   else begin
-    let bytes = Typemgr.code_bytes tm in
-    match Memory.reserve node.nd_mem bytes with
+    let bytes = Typemgr.code_bytes tm and mem = node.nd_mem in
+    match Memory.reserve mem bytes with
     | Error `Out_of_memory -> Error Error.Out_of_memory
     | Ok () ->
       (* Code segments come off the local disk (or, on a diskless
          node, would come from a file server; we model a local read). *)
       Disk.read (Machine.disk node.nd_machine) ~bytes;
-      Hashtbl.replace node.nd_types_loaded tname ();
-      Ok ()
+      if node.nd_mem != mem then Error Error.Node_down
+      else begin
+        Hashtbl.replace node.nd_types_loaded tname ();
+        Ok ()
+      end
   end
 
 let object_footprint tm repr =
@@ -1010,17 +1018,17 @@ let object_footprint tm repr =
 
 (* The admission check every path that brings an object into a node's
    memory makes: the type is registered, its code is loaded here, and
-   the object's footprint is reserved.  Returns the type and the bytes
-   reserved. *)
+   the object's footprint is reserved.  Returns the type, the bytes
+   reserved and the memory they are reserved in. *)
 let admit cl node ~type_name ~repr =
   match Hashtbl.find_opt cl.types type_name with
   | None -> Error (Error.Bad_arguments ("unknown type " ^ type_name))
   | Some tm -> (
     let* () = load_type_code node tm in
-    let footprint = object_footprint tm repr in
-    match Memory.reserve node.nd_mem footprint with
+    let footprint = object_footprint tm repr and mem = node.nd_mem in
+    match Memory.reserve mem footprint with
     | Error `Out_of_memory -> Error Error.Out_of_memory
-    | Ok () -> Ok (tm, footprint))
+    | Ok () -> Ok (tm, footprint, mem))
 
 (* -------------------------------------------------------------------- *)
 (* Object construction (shared by create / activate / replicate) *)
@@ -1090,19 +1098,22 @@ let ckpt_unack obj site =
 let do_create_local cl node type_name init =
   if not node.nd_up then Error Error.Node_down
   else
-    let* tm, footprint = admit cl node ~type_name ~repr:init in
+    let* tm, footprint, mem = admit cl node ~type_name ~repr:init in
     consume node (costs node).Costs.process_create_cpu;
-    let name = Name.make ~birth_node:node.nd_id ~serial:(next_seq node) in
-    let obj =
-      build_obj cl ~name ~tm ~repr:init ~frozen:false
-        ~reliability:Reliability.Local ~home:node.nd_id ~is_replica:false
-        ~mem:footprint
-    in
-    spawn_coordinator cl obj;
-    spawn_behaviours cl obj;
-    Name.Table.replace node.nd_active name obj;
-    dir_publish cl node name ~home:node.nd_id ~replicas:[];
-    Ok (Capability.make name Rights.all)
+    if node.nd_mem != mem then Error Error.Node_down
+    else begin
+      let name = Name.make ~birth_node:node.nd_id ~serial:(next_seq node) in
+      let obj =
+        build_obj cl ~name ~tm ~repr:init ~frozen:false
+          ~reliability:Reliability.Local ~home:node.nd_id ~is_replica:false
+          ~mem:footprint
+      in
+      spawn_coordinator cl obj;
+      spawn_behaviours cl obj;
+      Name.Table.replace node.nd_active name obj;
+      dir_publish cl node name ~home:node.nd_id ~replicas:[];
+      Ok (Capability.make name Rights.all)
+    end
 
 (* Reincarnate a passive object from its snapshot on [node].  Blocking.
    Concurrent activations of the same object on one node coalesce. *)
@@ -1125,73 +1136,81 @@ let activate cl node name =
         let pr = Promise.create cl.eng in
         Name.Table.replace node.nd_activating name pr;
         let finish r =
-          Name.Table.remove node.nd_activating name;
+          (* A crash empties the table; a later activation may own the
+             entry by now. *)
+          (match Name.Table.find_opt node.nd_activating name with
+          | Some p when p == pr -> Name.Table.remove node.nd_activating name
+          | Some _ | None -> ());
           ignore (Promise.fill pr r);
           r
         in
         match admit cl node ~type_name:snap.ss_type ~repr:snap.ss_repr with
         | Error e -> finish (Error e)
-        | Ok (tm, footprint) ->
+        | Ok (tm, footprint, mem) ->
           (* Read the long-term representation from disk. *)
           Disk.read (Machine.disk node.nd_machine)
             ~bytes:(Value.size_bytes snap.ss_repr);
           consume node (costs node).Costs.activation_fixed_cpu;
-          let obj =
-            build_obj cl ~name ~tm ~repr:snap.ss_repr
-              ~frozen:snap.ss_frozen ~reliability:snap.ss_reliability
-              ~home:node.nd_id ~is_replica:false ~mem:footprint
-          in
-          obj.ob_ckpt_sites <-
-            Reliability.checksites snap.ss_reliability ~home:node.nd_id;
-          obj.ob_ckpt_version <- snap.ss_version;
-          obj.ob_ckpt_base <- Some (snap.ss_version, snap.ss_repr);
-          (* Seed the acked table optimistically: checksites are
-             usually at the version we just restored.  A site that
-             is actually behind nacks its first delta, which falls
-             back to a full write and repairs the entry. *)
-          List.iter
-            (fun site ->
-              ckpt_ack obj site snap.ss_version)
-            obj.ob_ckpt_sites;
-          snap.ss_passive <- false;
-          let actx =
-            Tracectx.root
-              (jrecord cl node
-                 (Journal.Activate
-                    {
-                      target = label cl name;
-                      version = snap.ss_version;
-                    }))
-          in
-          (* Tell sibling checksites the object lives again. *)
-          List.iter
-            (fun site ->
-              if site <> node.nd_id then
-                send_msg ~ctx:actx cl node ~dst:site
-                  (Message.Ckpt_mark
-                     {
-                       target = name;
-                       passive = false;
-                       version = snap.ss_version;
-                     }))
-            obj.ob_ckpt_sites;
-          (* The reincarnation condition handler runs before any
-             invocation is dispatched. *)
-          (match Typemgr.reincarnate tm with
-          | None -> ()
-          | Some handler -> handler (obj_ctx cl obj));
-          if obj.ob_status = Dead then
-            finish (Error Error.Object_crashed)
+          if node.nd_mem != mem then finish (Error Error.Node_down)
           else begin
-            spawn_coordinator cl obj;
-            spawn_behaviours cl obj;
-            Name.Table.replace node.nd_active name obj;
-            (* Reincarnation is a home change the shard must hear
-               about, or it keeps naming the dead home. *)
-            dir_publish ~ctx:actx cl node name ~home:node.nd_id
-              ~replicas:[];
-            Metrics.incr (nm cl node).m_recoveries;
-            finish (Ok obj)
+            let obj =
+              build_obj cl ~name ~tm ~repr:snap.ss_repr
+                ~frozen:snap.ss_frozen ~reliability:snap.ss_reliability
+                ~home:node.nd_id ~is_replica:false ~mem:footprint
+            in
+            obj.ob_ckpt_sites <-
+              Reliability.checksites snap.ss_reliability ~home:node.nd_id;
+            obj.ob_ckpt_version <- snap.ss_version;
+            obj.ob_ckpt_base <- Some (snap.ss_version, snap.ss_repr);
+            (* Seed the acked table optimistically: checksites are
+               usually at the version we just restored.  A site that
+               is actually behind nacks its first delta, which falls
+               back to a full write and repairs the entry. *)
+            List.iter
+              (fun site ->
+                ckpt_ack obj site snap.ss_version)
+              obj.ob_ckpt_sites;
+            snap.ss_passive <- false;
+            let actx =
+              Tracectx.root
+                (jrecord cl node
+                   (Journal.Activate
+                      {
+                        target = label cl name;
+                        version = snap.ss_version;
+                      }))
+            in
+            (* Tell sibling checksites the object lives again. *)
+            List.iter
+              (fun site ->
+                if site <> node.nd_id then
+                  send_msg ~ctx:actx cl node ~dst:site
+                    (Message.Ckpt_mark
+                       {
+                         target = name;
+                         passive = false;
+                         version = snap.ss_version;
+                       }))
+              obj.ob_ckpt_sites;
+            (* The reincarnation condition handler runs before any
+               invocation is dispatched. *)
+            (match Typemgr.reincarnate tm with
+            | None -> ()
+            | Some handler -> handler (obj_ctx cl obj));
+            if obj.ob_status = Dead then
+              finish (Error Error.Object_crashed)
+            else if node.nd_mem != mem then finish (Error Error.Node_down)
+            else begin
+              spawn_coordinator cl obj;
+              spawn_behaviours cl obj;
+              Name.Table.replace node.nd_active name obj;
+              (* Reincarnation is a home change the shard must hear
+                 about, or it keeps naming the dead home. *)
+              dir_publish ~ctx:actx cl node name ~home:node.nd_id
+                ~replicas:[];
+              Metrics.incr (nm cl node).m_recoveries;
+              finish (Ok obj)
+            end
           end)))
 
 (* -------------------------------------------------------------------- *)
@@ -1527,6 +1546,9 @@ let kill_object_procs cl obj =
       List.partition (fun p -> Engine.Pid.equal p me) pids
   in
   List.iter (fun p -> Engine.kill cl.eng p) others;
+  (* A mover draining the object waits for in-flight work that will now
+     never finish: wake it to see the object dead. *)
+  Condition.broadcast obj.ob_drained;
   List.iter (fun p -> Engine.kill cl.eng p) mine
 
 let unregister cl obj =
@@ -1579,27 +1601,37 @@ let do_move cl obj ~to_node ~self_inflight =
     obj.ob_status <- Draining;
     let floor = if self_inflight then 1 else 0 in
     let rec wait_drain () =
-      if obj.ob_running_total > floor then begin
+      if obj.ob_status <> Dead && obj.ob_running_total > floor then begin
         ignore (Condition.await obj.ob_drained);
         wait_drain ()
       end
     in
     wait_drain ();
-    (* Ship the representation; the Move_transfer message carries the
-       object's long-term state across the wire. *)
+    (* The target reserves memory for the object when it accepts.  If
+       its memory has been replaced by the time the ack is read, the
+       target crashed since the transfer left, and the reservation (if
+       made before the crash) died with it.  The one reservation this
+       misses is one made after a restart that fell wholly inside the
+       transfer's flight, which leaks on that node. *)
+    let target_mem = target.nd_mem in
+    (* Ship the representation (unless the source crashed while the
+       object drained); the Move_transfer message carries the object's
+       long-term state across the wire. *)
     let accepted =
-      await_reply ~timeout:ack_timeout source
-        (request cl source ~dst:to_node (fun transfer_id ->
-             Message.Move_transfer
-               {
-                 target = obj.ob_name;
-                 type_name = Typemgr.name obj.ob_type;
-                 repr = obj.ob_repr;
-                 frozen = obj.ob_frozen;
-                 reliability = obj.ob_reliability;
-                 from_node = source.nd_id;
-                 transfer_id;
-               }))
+      if obj.ob_status = Dead then None
+      else
+        await_reply ~timeout:ack_timeout source
+          (request cl source ~dst:to_node (fun transfer_id ->
+               Message.Move_transfer
+                 {
+                   target = obj.ob_name;
+                   type_name = Typemgr.name obj.ob_type;
+                   repr = obj.ob_repr;
+                   frozen = obj.ob_frozen;
+                   reliability = obj.ob_reliability;
+                   from_node = source.nd_id;
+                   transfer_id;
+                 }))
     in
     (* Whatever the outcome, requests stashed while draining must be
        re-admitted once the object is running again. *)
@@ -1616,6 +1648,19 @@ let do_move cl obj ~to_node ~self_inflight =
       flush ()
     in
     match accepted with
+    | _ when obj.ob_status = Dead ->
+      (* The source crashed: the object is gone, and a reservation the
+         target made for it goes back. *)
+      (match accepted with
+      | Some (Message.Move_ack { accepted = true; _ })
+        when target.nd_mem == target_mem ->
+        Memory.release target_mem (object_footprint obj.ob_type obj.ob_repr)
+      | _ -> ());
+      Error Error.Object_crashed
+    | Some (Message.Move_ack { accepted = true; _ })
+      when target.nd_mem != target_mem ->
+      resume_and_flush ();
+      Error Error.Node_down
     | Some (Message.Move_ack { accepted = true; _ }) ->
       (* Behaviours stop at the source and restart at the target. *)
       let behaviours = obj.ob_behaviour_pids in
@@ -1729,7 +1774,7 @@ let install_cached cl node name ~type_name ~repr =
   then
     match admit cl node ~type_name ~repr with
     | Error _ -> ()
-    | Ok (tm, footprint) ->
+    | Ok (tm, footprint, _) ->
       let obj =
         build_obj cl ~name ~tm ~repr ~frozen:true
           ~reliability:Reliability.Local ~home:node.nd_id ~is_replica:true
@@ -2731,13 +2776,13 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
              let accepted =
                match admit cl node ~type_name ~repr with
                | Error _ -> false
-               | Ok (_, footprint) when Name.Table.mem node.nd_replicas target
+               | Ok (_, footprint, mem) when Name.Table.mem node.nd_replicas target
                  ->
                  (* Already replicated here; release the double
                     reservation and accept idempotently. *)
-                 Memory.release node.nd_mem footprint;
+                 Memory.release mem footprint;
                  true
-               | Ok (tm, footprint) ->
+               | Ok (tm, footprint, _) ->
                  let obj =
                    build_obj cl ~name:target ~tm ~repr ~frozen:true
                      ~reliability:Reliability.Local ~home:node.nd_id

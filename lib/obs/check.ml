@@ -44,12 +44,6 @@ let run ?(complete = true) (tl : Timeline.t) =
       f p (Array.unsafe_get evs p)
     done
   in
-  (* The position of each event's causal parent, or [-1]. *)
-  let parent_at = Array.make n (-1) in
-  for q = 0 to n - 1 do
-    parent_at.(q) <- Index.parent ix q
-  done;
-
   (* 1. Every recv has a matching send: its parent event exists, is a
      send, and was recorded at the node the receiver names as source. *)
   if complete then
@@ -61,7 +55,7 @@ let run ?(complete = true) (tl : Timeline.t) =
             add "recv-matches-send" (Some e.ev_id)
               (Printf.sprintf "recv of %s has no parent" msg)
           else (
-            let q = parent_at.(pos) in
+            let q = Index.parent ix pos in
             if q < 0 then
               add "recv-matches-send" (Some e.ev_id)
                 (Printf.sprintf "parent #%d of recv %s is not in any journal"
@@ -86,7 +80,7 @@ let run ?(complete = true) (tl : Timeline.t) =
   iter_input (fun pos (e : Journal.event) ->
       let p = e.ev_parent in
       if p >= 0 && p <> e.ev_id then begin
-        let q = parent_at.(pos) in
+        let q = Index.parent ix pos in
         if q >= 0 then begin
           let pe = evs.(q) in
           if Time.compare pe.ev_at e.ev_at > 0 then
@@ -290,5 +284,5 @@ let run ?(complete = true) (tl : Timeline.t) =
                "trace %d (%s.%s): categories sum to %dns but end-to-end \
                 latency is %dns"
                bd.bd_trace bd.bd_target bd.bd_op sum bd.bd_total_ns))
-      (Critical.of_index ix);
+      (fst (Critical.of_index ix));
   List.rev !out

@@ -81,18 +81,21 @@ let directory_message msg =
    id) let the Recv gap be split: the held span is the sender sitting
    on the message — endpoint degradation, charged to service — and
    only the remainder is wire time.  [holds] maps a send id to its
-   held spans; a trace without holds shares one empty table. *)
+   held spans; a trace without holds shares one empty table, which
+   the lookup skips. *)
 let no_holds : (int * int) list Itbl.t = Itbl.create 1
 
 let hold_overlap holds ~parent ~t0 ~t1 =
-  match Itbl.find holds parent with
-  | exception Not_found -> 0
-  | spans ->
-    List.fold_left
-      (fun acc (h0, h1) ->
-        let lo = max t0 h0 and hi = min t1 h1 in
-        acc + max 0 (hi - lo))
-      0 spans
+  if holds == no_holds then 0
+  else
+    match Itbl.find holds parent with
+    | exception Not_found -> 0
+    | spans ->
+      List.fold_left
+        (fun acc (h0, h1) ->
+          let lo = max t0 h0 and hi = min t1 h1 in
+          acc + max 0 (hi - lo))
+        0 spans
 
 let add parts c ns =
   let i = category_index c in
@@ -143,106 +146,115 @@ let charge parts ~holds prev cur =
         gap
     | _ -> add parts Service gap)
 
+(* What one trace's slice holds: no [Inv_begin], a request that began
+   but has no later [Inv_end] (crashed, still running, or cut by ring
+   wrap-around), or a whole request. *)
+type slice = Unbegun | Unended | Whole of breakdown
+
+let ev (evs : Journal.event array) idx i =
+  Array.unsafe_get evs (Array.unsafe_get idx i)
+
 (* Attribute the trace whose events are [evs.(idx.(lo)) ..
-   evs.(idx.(hi - 1))], sorted by id; [None] unless it brackets a
-   whole request (an [Inv_begin] and a later [Inv_end]).  Event ids
-   are allocated in engine execution order, which never runs ahead of
-   virtual time, so the id-sorted walk visits events in nondecreasing
-   [ev_at]: the consecutive gaps tile [begin, end] exactly and the
-   category sums telescope to the end-to-end latency — the
-   attribution-complete invariant (checker rule 8) re-verifies this on
-   every trace.  The walk covers the events whose ids lie in
-   [begin, end]; the first [Inv_begin] and the last [Inv_end] after it
-   bound the request. *)
-let attribute_slice (evs : Journal.event array) idx lo hi =
-  let ev i = Array.unsafe_get evs (Array.unsafe_get idx i) in
-  let rec find_begin i =
-    if i >= hi then None
-    else
-      match (ev i).Journal.ev_kind with
-      | Journal.Inv_begin { op; target } -> Some (ev i, op, target)
-      | _ -> find_begin (i + 1)
-  in
-  match find_begin lo with
-  | None -> None
-  | Some (b, op, target) -> (
-    let b_id = b.Journal.ev_id in
-    let e = ref None and any_hold = ref false in
+   evs.(idx.(hi - 1))], sorted by id.  Event ids are allocated in
+   engine execution order, which never runs ahead of virtual time, so
+   the id-sorted walk visits events in nondecreasing [ev_at]: the
+   consecutive gaps tile [begin, end] exactly and the category sums
+   telescope to the end-to-end latency — the attribution-complete
+   invariant (checker rule 8) re-verifies this on every trace.  The
+   walk covers the events whose ids lie in [begin, end]; the first
+   [Inv_begin] and the last [Inv_end] after it bound the request.  One
+   scan finds both, and whether the slice holds any hold at all; the
+   events before the first [Inv_begin] have ids no greater than its,
+   so no [Inv_end] among them can bound the request. *)
+let attribute_slice evs idx lo hi =
+  let b = ref (-1) and e = ref (-1) and any_hold = ref false in
+  let op = ref "" and target = ref "" and outcome = ref "" in
+  for i = lo to hi - 1 do
+    let x = ev evs idx i in
+    match x.Journal.ev_kind with
+    | Journal.Inv_begin { op = o; target = t } when !b < 0 ->
+      b := i;
+      op := o;
+      target := t
+    | Journal.Inv_end { outcome = o; _ }
+      when !b >= 0 && x.Journal.ev_id > (ev evs idx !b).Journal.ev_id ->
+      e := i;
+      outcome := o
+    | Journal.Net_hold _ -> any_hold := true
+    | _ -> ()
+  done;
+  if !b < 0 then Unbegun
+  else if !e < 0 then Unended
+  else begin
+    let b = ev evs idx !b and e = ev evs idx !e in
+    let b_id = b.Journal.ev_id and e_id = e.Journal.ev_id in
+    let holds =
+      if not !any_hold then no_holds
+      else begin
+        let holds = Itbl.create 7 in
+        for i = lo to hi - 1 do
+          let x = ev evs idx i in
+          match x.Journal.ev_kind with
+          | Journal.Net_hold { by; _ }
+            when x.Journal.ev_parent >= 0
+                 && x.Journal.ev_id >= b_id && x.Journal.ev_id <= e_id ->
+            let parent = x.Journal.ev_parent in
+            let h0 = Time.to_ns x.Journal.ev_at in
+            let prior =
+              match Itbl.find holds parent with
+              | l -> l
+              | exception Not_found -> []
+            in
+            Itbl.replace holds parent ((h0, h0 + Time.to_ns by) :: prior)
+          | _ -> ()
+        done;
+        holds
+      end
+    in
+    let parts = Array.make n_categories 0 in
+    let prev = ref b and started = ref false in
     for i = lo to hi - 1 do
-      let x = ev i in
-      match x.Journal.ev_kind with
-      | Journal.Inv_end { outcome; _ } when x.Journal.ev_id > b_id ->
-        e := Some (x, outcome)
-      | Journal.Net_hold _ -> any_hold := true
-      | _ -> ()
+      let x = ev evs idx i in
+      if x.Journal.ev_id >= b_id && x.Journal.ev_id <= e_id then begin
+        if !started then charge parts ~holds !prev x;
+        prev := x;
+        started := true
+      end
     done;
-    match !e with
-    | None -> None
-    | Some (e, outcome) ->
-      let e_id = e.Journal.ev_id in
-      let in_window x = x.Journal.ev_id >= b_id && x.Journal.ev_id <= e_id in
-      let holds =
-        if not !any_hold then no_holds
-        else begin
-          let holds = Itbl.create 7 in
-          for i = lo to hi - 1 do
-            let x = ev i in
-            match x.Journal.ev_kind with
-            | Journal.Net_hold { by; _ }
-              when x.Journal.ev_parent >= 0 && in_window x ->
-              let parent = x.Journal.ev_parent in
-              let h0 = Time.to_ns x.Journal.ev_at in
-              let prior =
-                match Itbl.find holds parent with
-                | l -> l
-                | exception Not_found -> []
-              in
-              Itbl.replace holds parent ((h0, h0 + Time.to_ns by) :: prior)
-            | _ -> ()
-          done;
-          holds
-        end
-      in
-      let parts = Array.make n_categories 0 in
-      let prev = ref b and started = ref false in
-      for i = lo to hi - 1 do
-        let x = ev i in
-        if in_window x then begin
-          if !started then charge parts ~holds !prev x;
-          prev := x;
-          started := true
-        end
-      done;
-      Some
-        {
-          bd_trace = b.Journal.ev_trace;
-          bd_node = b.Journal.ev_node;
-          bd_op = op;
-          bd_target = target;
-          bd_outcome = outcome;
-          bd_begin = b.Journal.ev_at;
-          bd_total_ns =
-            Time.to_ns e.Journal.ev_at - Time.to_ns b.Journal.ev_at;
-          bd_parts = parts;
-        })
+    Whole
+      {
+        bd_trace = b.Journal.ev_trace;
+        bd_node = b.Journal.ev_node;
+        bd_op = !op;
+        bd_target = !target;
+        bd_outcome = !outcome;
+        bd_begin = b.Journal.ev_at;
+        bd_total_ns =
+          Time.to_ns e.Journal.ev_at - Time.to_ns b.Journal.ev_at;
+        bd_parts = parts;
+      }
+  end
 
 let attribute events =
   let evs = Array.of_list events in
   let n = Array.length evs in
-  attribute_slice evs (Array.init n Fun.id) 0 n
+  match attribute_slice evs (Array.init n Fun.id) 0 n with
+  | Whole bd -> Some bd
+  | Unbegun | Unended -> None
 
 (* Every trace's slice of the index, in ascending trace-id order. *)
 let of_index ix =
   let evs = Index.events ix in
   let members = Index.members ix and bounds = Index.bounds ix in
-  let acc = ref [] in
+  let acc = ref [] and unended = ref 0 in
   for k = Index.traces ix - 1 downto 0 do
     match attribute_slice evs members bounds.(k) bounds.(k + 1) with
-    | Some bd -> acc := bd :: !acc
-    | None -> ()
+    | Whole bd -> acc := bd :: !acc
+    | Unended -> incr unended
+    | Unbegun -> ()
   done;
-  !acc
+  (!acc, !unended)
 
-let breakdowns events = of_index (Index.of_events events)
+let breakdowns events = fst (of_index (Index.of_events events))
 
 let sum_parts bd = Array.fold_left ( + ) 0 bd.bd_parts

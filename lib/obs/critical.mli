@@ -79,6 +79,8 @@ val breakdowns : Journal.event list -> breakdown list
 (** Group a merged event list (e.g. a {!Timeline.t}) by trace and
     attribute every complete request, ascending by trace id. *)
 
-val of_index : Index.t -> breakdown list
+val of_index : Index.t -> breakdown list * int
 (** {!breakdowns} of the list an index was built from, reading its
-    trace slices — for callers that index the list anyway. *)
+    trace slices — for callers that index the list anyway — and the
+    number of traces that hold an [Inv_begin] but were not attributed
+    (crashed, still running, or truncated by ring wrap-around). *)

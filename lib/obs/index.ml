@@ -1,3 +1,5 @@
+open Eden_util
+
 (* Traces are grouped on first use: the checker's rules that work on
    incomplete journals never ask for them. *)
 type groups = {
@@ -18,12 +20,12 @@ let events t = t.ix_events
 let input t i = match t.ix_input with None -> i | Some a -> a.(i)
 let id_at evs p = (Array.unsafe_get evs p).Journal.ev_id
 
-(* The last position whose id is <= [id], or -1.  A parent is usually
-   a few positions behind its child, so the search starts at [from]:
-   steps of 1, 2, 4, ... bracket the answer in the direction of [id],
-   and a bisection of that bracket finds it.  Throughout, [lo] is -1
-   or a position with id <= [id], and [hi] is [n] or one with
-   id > [id]. *)
+(* The last position whose id is <= [id], or -1, searched from any
+   position [from]: steps of 1, 2, 4, ... bracket the answer in the
+   direction of [id], and a bisection of that bracket finds it, so an
+   answer [d] positions from [from] costs O(log d) reads.  Throughout,
+   [lo] is -1 or a position with id <= [id], and [hi] is [n] or one
+   with id > [id]. *)
 let last_le evs id ~from =
   let n = Array.length evs in
   let lo = ref (-1) and hi = ref n in
@@ -50,72 +52,29 @@ let last_le evs id ~from =
   done;
   !lo
 
+(* Ids are allocated densely, so a parent [id p - id] ids back is
+   about as many positions back: the search starts there, clamped to
+   [0, p].  Where no event between the two was dropped the guess is the
+   answer; each id missing in between (another node's events, or
+   events a ring dropped) leaves it one position further off. *)
 let parent t p =
   let evs = t.ix_events in
   let id = evs.(p).Journal.ev_parent in
   if id < 0 then -1
   else
-    let q = last_le evs id ~from:p in
+    let back = id_at evs p - id in
+    let from = if back <= 0 then p else if back >= p then 0 else p - back in
+    let q = last_le evs id ~from in
     if q >= 0 && id_at evs q = id then q else -1
 
-(* A stable LSD radix sort of the positions by trace id, on digits of
-   at most [radix_bits] of the id's offset from the smallest: a run's
-   trace ids span a few hundred thousand, so two passes.  Positions
-   are in id order and the sort is stable, so each trace's positions
-   come out in id order. *)
-let radix_bits = 11
-
-let sort_by_trace evs =
-  let n = Array.length evs in
-  (* The passes read the traces in a scattered order: from one flat
-     array, not from the records. *)
-  let trs = Array.make n 0 in
-  let lo = ref max_int and hi = ref min_int in
-  for p = 0 to n - 1 do
-    let x = (Array.unsafe_get evs p).Journal.ev_trace in
-    trs.(p) <- x;
-    if x < !lo then lo := x;
-    if x > !hi then hi := x
-  done;
-  let tr p = Array.unsafe_get trs p in
-  let lo = !lo in
-  (* [x - lo] read unsigned: exact even when the span overflows. *)
-  let bits = ref 0 in
-  while n > 0 && !bits < Sys.int_size && (!hi - lo) lsr !bits <> 0 do
-    incr bits
-  done;
-  let passes = max 1 ((!bits + radix_bits - 1) / radix_bits) in
-  let width = max 1 ((!bits + passes - 1) / passes) in
-  let mask = (1 lsl width) - 1 in
-  let counts = Array.make (mask + 2) 0 in
-  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
-  for pass = 0 to passes - 1 do
-    let shift = pass * width and s = !src and d = !dst in
-    let digit p = ((tr p - lo) lsr shift) land mask in
-    Array.fill counts 0 (mask + 2) 0;
-    for i = 0 to n - 1 do
-      let k = digit s.(i) + 1 in
-      counts.(k) <- counts.(k) + 1
-    done;
-    for k = 1 to mask + 1 do
-      counts.(k) <- counts.(k) + counts.(k - 1)
-    done;
-    for i = 0 to n - 1 do
-      let p = s.(i) in
-      let k = digit p in
-      d.(counts.(k)) <- p;
-      counts.(k) <- counts.(k) + 1
-    done;
-    src := d;
-    dst := s
-  done;
-  (* The sorted positions, a spare array of the same length, and the
-     traces. *)
-  (!src, !dst, trs)
-
+(* The positions grouped by trace id: a stable radix sort of positions
+   already in id order, so each trace's positions come out in id
+   order.  The sort reads the traces in a scattered order: from one
+   flat array, not from the records.  Its spare array becomes [g_of]. *)
 let group evs ~dups =
   let n = Array.length evs in
-  let g_members, g_of, trs = sort_by_trace evs in
+  let trs = Array.map (fun (e : Journal.event) -> e.Journal.ev_trace) evs in
+  let g_members, g_of = Radix.order trs in
   let tr p = Array.unsafe_get trs p in
   let nt = ref 0 in
   for i = 0 to n - 1 do
@@ -149,15 +108,22 @@ let group evs ~dups =
   end;
   { g_ids; g_of; g_start; g_members }
 
+(* Whether [evs] is in id order, and whether two neighbours share an
+   id: one pass. *)
+let scan evs =
+  let sorted = ref true and dups = ref false in
+  for i = 1 to Array.length evs - 1 do
+    let c = Int.compare (id_at evs i) (id_at evs (i - 1)) in
+    if c < 0 then sorted := false else if c = 0 then dups := true
+  done;
+  (!sorted, !dups)
+
 let of_events list =
   let input = Array.of_list list in
   let n = Array.length input in
-  let sorted = ref true in
-  for i = 1 to n - 1 do
-    if id_at input i < id_at input (i - 1) then sorted := false
-  done;
-  let evs, ix_input =
-    if !sorted then (input, None)
+  let sorted, dups = scan input in
+  let evs, ix_input, dups =
+    if sorted then (input, None, dups)
     else begin
       let perm = Array.init n Fun.id in
       Array.stable_sort
@@ -165,14 +131,11 @@ let of_events list =
         perm;
       let pos = Array.make n 0 in
       Array.iteri (fun p i -> pos.(i) <- p) perm;
-      (Array.map (fun i -> input.(i)) perm, Some pos)
+      let evs = Array.map (fun i -> input.(i)) perm in
+      (evs, Some pos, snd (scan evs))
     end
   in
-  let dups = ref false in
-  for p = 1 to n - 1 do
-    if id_at evs p = id_at evs (p - 1) then dups := true
-  done;
-  { ix_events = evs; ix_input; ix_groups = lazy (group evs ~dups:!dups) }
+  { ix_events = evs; ix_input; ix_groups = lazy (group evs ~dups) }
 
 let groups t = Lazy.force t.ix_groups
 let traces t = Array.length (groups t).g_ids

@@ -28,8 +28,11 @@ val parent : t -> int -> int
     position [p]: the {e last} event with the id its [ev_parent] names
     (the one a table filled in list order with [Hashtbl.replace] would
     hold), or [-1] when it has none or no event has that id.  The
-    search gallops from [p], so a parent [d] positions away costs
-    O(log d) reads. *)
+    search gallops from where a dense run of ids would put the parent
+    ([id p - ev_parent] positions back, clamped to [0, p]), so its cost
+    is set by how far ids are from dense, not by how far back the
+    parent is: O(log m) reads when [m] ids between the two are missing
+    from the list, O(1) when none are. *)
 
 (** {2 Traces} *)
 

@@ -9,49 +9,32 @@ type t = {
   pf_parts : int array;  (* aggregate ns per category *)
 }
 
-(* Quantiles must be byte-reproducible, so they are selections, not
-   interpolations: sort the per-request breakdowns by total latency
-   (trace id as tie-break) and report the nearest-rank request's exact
-   breakdown. *)
-let compare_bd (a : Critical.breakdown) (b : Critical.breakdown) =
-  match Int.compare a.bd_total_ns b.bd_total_ns with
-  | 0 -> Int.compare a.bd_trace b.bd_trace
-  | c -> c
-
-(* Traces with an [Inv_begin]: every attributed request's, plus the
-   ones that never ended. *)
-let began ix =
-  let trace_of = Index.trace_of ix in
-  let seen = Bytes.make (Index.traces ix) '\000' and count = ref 0 in
-  Array.iteri
-    (fun p (e : Journal.event) ->
-      match e.Journal.ev_kind with
-      | Journal.Inv_begin _ ->
-        let k = trace_of.(p) in
-        if Bytes.get seen k = '\000' then begin
-          Bytes.set seen k '\001';
-          incr count
-        end
-      | _ -> ())
-    (Index.events ix);
-  !count
-
 let of_timeline tl =
-  let ix = Index.of_events (Timeline.events tl) in
-  let bds = Critical.of_index ix in
+  let bds, skipped = Critical.of_index (Index.of_events (Timeline.events tl)) in
   let parts = Array.make Critical.n_categories 0 in
   let total = ref 0 in
   List.iter
     (fun (bd : Critical.breakdown) ->
       total := !total + bd.bd_total_ns;
-      Array.iteri (fun i ns -> parts.(i) <- parts.(i) + ns) bd.bd_parts)
+      for i = 0 to Critical.n_categories - 1 do
+        parts.(i) <- parts.(i) + bd.bd_parts.(i)
+      done)
     bds;
-  let sorted = Array.of_list bds in
-  Array.stable_sort compare_bd sorted;
+  (* Quantiles must be byte-reproducible, so they are selections, not
+     interpolations: sort the per-request breakdowns by total latency
+     (trace id as tie-break) and report the nearest-rank request's
+     exact breakdown.  [bds] ascend by trace id and the sort is stable,
+     so sorting by total alone breaks ties by trace. *)
+  let by_trace = Array.of_list bds in
+  let order, _ =
+    Radix.order
+      (Array.map (fun (bd : Critical.breakdown) -> bd.bd_total_ns) by_trace)
+  in
+  let sorted = Array.map (fun i -> by_trace.(i)) order in
   {
     pf_by_trace = bds;
     pf_sorted = sorted;
-    pf_skipped = began ix - Array.length sorted;
+    pf_skipped = skipped;
     pf_total_ns = !total;
     pf_parts = parts;
   }

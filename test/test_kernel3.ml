@@ -389,99 +389,136 @@ let legitimate = function
     ->
     false
 
+(* One soup, drawn from [seed]: true when every outcome was legitimate
+   and neither run stalled.  Exceptions (an internal assertion, an
+   accounting error) propagate. *)
+let lifecycle_soup seed =
+  let cl = Cluster.default ~seed:(Int64.of_int (seed + 13)) ~n_nodes:4 () in
+  Cluster.register_type cl counter_type;
+  let rng = Splitmix.create (Int64.of_int seed) in
+  let caps = ref [||] in
+  let bad = ref 0 in
+  let record r = if not (legitimate r) then incr bad in
+  let actor () =
+    for _ = 1 to 30 do
+      Engine.delay (Time.ms (1 + Splitmix.int rng 20));
+      let arr = !caps in
+      if Array.length arr > 0 then begin
+        let cap = arr.(Splitmix.int rng (Array.length arr)) in
+        match Splitmix.int rng 8 with
+        | 0 | 1 | 2 ->
+          record
+            (Cluster.invoke cl ~from:0 ~timeout:(Time.s 1) cap ~op:"incr"
+               [])
+        | 3 ->
+          record
+            (Result.map (fun () -> [])
+               (Cluster.checkpoint_of cl cap))
+        | 4 ->
+          record
+            (Result.map
+               (fun () -> [])
+               (Cluster.move cl cap
+                  ~to_node:(Splitmix.int rng 4)))
+        | 5 ->
+          record (Result.map (fun () -> []) (Cluster.freeze cl cap));
+          record
+            (Result.map
+               (fun () -> [])
+               (Cluster.replicate cl cap
+                  ~to_node:(Splitmix.int rng 4)))
+        | 6 ->
+          record
+            (Cluster.invoke cl ~from:0 ~timeout:(Time.s 1) cap
+               ~op:"checkpoint" []);
+          record
+            (Cluster.invoke cl ~from:0 ~timeout:(Time.s 1) cap ~op:"get"
+               [])
+        | _ -> record (Result.map (fun () -> []) (Cluster.destroy cl cap))
+      end
+    done
+  in
+  let chaos () =
+    for _ = 1 to 6 do
+      Engine.delay (Time.ms (10 + Splitmix.int rng 60));
+      (* Node 0 hosts the actors' viewpoint; never kill it. *)
+      let victim = 1 + Splitmix.int rng 3 in
+      Cluster.crash_node cl victim;
+      Engine.delay (Time.ms (5 + Splitmix.int rng 40));
+      Cluster.restart_node cl victim
+    done
+  in
+  let _ =
+    Cluster.in_process cl (fun () ->
+        caps :=
+          Array.init 6 (fun i ->
+              match
+                Cluster.create_object cl ~node:(i mod 4)
+                  ~type_name:"counter3" (Value.Int 0)
+              with
+              | Ok c -> c
+              | Error e -> failwith (Error.to_string e));
+        ignore (Cluster.in_process cl actor);
+        ignore (Cluster.in_process cl actor);
+        ignore (Cluster.in_process cl chaos))
+  in
+  (match Cluster.run cl with
+  | () -> ()
+  | exception Engine.Stalled_waiting -> incr bad);
+  (* Every capability still resolves to a coherent outcome. *)
+  let _ =
+    Cluster.in_process cl (fun () ->
+        Array.iter
+          (fun cap ->
+            record
+              (Cluster.invoke cl ~from:0 ~timeout:(Time.s 2) cap ~op:"get"
+                 []))
+          !caps)
+  in
+  (match Cluster.run cl with
+  | () -> ()
+  | exception Engine.Stalled_waiting -> incr bad);
+  !bad = 0
+
 let prop_cluster_lifecycle_fuzz =
   QCheck.Test.make ~name:"random kernel lifecycle soup stays coherent"
     ~count:25
     QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let cl = Cluster.default ~seed:(Int64.of_int (seed + 13)) ~n_nodes:4 () in
-      Cluster.register_type cl counter_type;
-      let rng = Splitmix.create (Int64.of_int seed) in
-      let caps = ref [||] in
-      let bad = ref 0 in
-      let record r = if not (legitimate r) then incr bad in
-      let actor () =
-        for _ = 1 to 30 do
-          Engine.delay (Time.ms (1 + Splitmix.int rng 20));
-          let arr = !caps in
-          if Array.length arr > 0 then begin
-            let cap = arr.(Splitmix.int rng (Array.length arr)) in
-            match Splitmix.int rng 8 with
-            | 0 | 1 | 2 ->
-              record
-                (Cluster.invoke cl ~from:0 ~timeout:(Time.s 1) cap ~op:"incr"
-                   [])
-            | 3 ->
-              record
-                (Result.map (fun () -> [])
-                   (Cluster.checkpoint_of cl cap))
-            | 4 ->
-              record
-                (Result.map
-                   (fun () -> [])
-                   (Cluster.move cl cap
-                      ~to_node:(Splitmix.int rng 4)))
-            | 5 ->
-              record (Result.map (fun () -> []) (Cluster.freeze cl cap));
-              record
-                (Result.map
-                   (fun () -> [])
-                   (Cluster.replicate cl cap
-                      ~to_node:(Splitmix.int rng 4)))
-            | 6 ->
-              record
-                (Cluster.invoke cl ~from:0 ~timeout:(Time.s 1) cap
-                   ~op:"checkpoint" []);
-              record
-                (Cluster.invoke cl ~from:0 ~timeout:(Time.s 1) cap ~op:"get"
-                   [])
-            | _ -> record (Result.map (fun () -> []) (Cluster.destroy cl cap))
-          end
-        done
-      in
-      let chaos () =
-        for _ = 1 to 6 do
-          Engine.delay (Time.ms (10 + Splitmix.int rng 60));
-          (* Node 0 hosts the actors' viewpoint; never kill it. *)
-          let victim = 1 + Splitmix.int rng 3 in
-          Cluster.crash_node cl victim;
-          Engine.delay (Time.ms (5 + Splitmix.int rng 40));
-          Cluster.restart_node cl victim
-        done
-      in
-      let _ =
-        Cluster.in_process cl (fun () ->
-            caps :=
-              Array.init 6 (fun i ->
-                  match
-                    Cluster.create_object cl ~node:(i mod 4)
-                      ~type_name:"counter3" (Value.Int 0)
-                  with
-                  | Ok c -> c
-                  | Error e -> failwith (Error.to_string e));
-            ignore (Cluster.in_process cl actor);
-            ignore (Cluster.in_process cl actor);
-            ignore (Cluster.in_process cl chaos))
-      in
-      (match Cluster.run cl with
-      | () -> ()
-      | exception Engine.Stalled_waiting -> incr bad);
-      (* Every capability still resolves to a coherent outcome. *)
-      let _ =
-        Cluster.in_process cl (fun () ->
-            Array.iter
-              (fun cap ->
-                record
-                  (Cluster.invoke cl ~from:0 ~timeout:(Time.s 2) cap ~op:"get"
-                     []))
-              !caps)
-      in
-      (match Cluster.run cl with
-      | () -> ()
-      | exception Engine.Stalled_waiting -> incr bad);
-      !bad = 0)
+    lifecycle_soup
+
+(* Inputs the fuzz once failed on, each an operation that straddles a
+   node crash: a destroy of an object registered against memory the
+   restarted node never reserved (86939), a move whose source crashed
+   while it waited for the target's ack (2892), and a run that ended
+   stalled (3196). *)
+let test_soup_input seed () =
+  check_bool (Printf.sprintf "soup %d coherent" seed) true (lifecycle_soup seed)
+
+(* [test_kernel3.exe sweep LO HI]: the soup on every input from LO to HI
+   in turn, so the outcome does not depend on a random seed.  Prints
+   each failing input and exits 1 if there was one. *)
+let sweep lo hi =
+  let failed = ref 0 in
+  for seed = lo to hi do
+    let verdict =
+      match lifecycle_soup seed with
+      | true -> None
+      | false -> Some "incoherent outcome or stall"
+      | exception e -> Some (Printexc.to_string e)
+    in
+    Option.iter
+      (fun why ->
+        incr failed;
+        Printf.printf "soup %d: %s\n%!" seed why)
+      verdict
+  done;
+  Printf.printf "lifecycle sweep %d..%d: %d failed\n" lo hi !failed;
+  exit (if !failed = 0 then 0 else 1)
 
 let () =
+  (match Sys.argv with
+  | [| _; "sweep"; lo; hi |] -> sweep (int_of_string lo) (int_of_string hi)
+  | _ -> ());
   Alcotest.run "eden_kernel3"
     [
       ( "location",
@@ -522,5 +559,10 @@ let () =
           Alcotest.test_case "validation" `Quick test_segment_validation;
         ] );
       ( "fuzz",
-        [ QCheck_alcotest.to_alcotest prop_cluster_lifecycle_fuzz ] );
+        QCheck_alcotest.to_alcotest prop_cluster_lifecycle_fuzz
+        :: List.map
+             (fun seed ->
+               Alcotest.test_case (Printf.sprintf "soup input %d" seed) `Quick
+                 (test_soup_input seed))
+             [ 86939; 2892; 3196 ] );
     ]

@@ -1173,6 +1173,76 @@ let test_analysis_exports_pinned () =
   check_string "analysis exports digest" "96e84f7d5a3a15ec822f4d35108eb72e"
     (analysis_exports_digest ())
 
+(* The same exports over a run the size of the host benchmark's: eight
+   nodes under a closed-loop load — two clients per node, each issuing
+   its next request when the last returns, a quarter of them nested
+   relays — stopped mid-load once every journal ring has wrapped, so
+   the timeline keeps 32,768 events and ends with requests in flight.
+   Pinned, so a rewrite of the analyses' read path must leave every
+   byte of every export as it was. *)
+let closed_loop_exports_digest () =
+  let options = { Cluster.default_options with Cluster.use_profiling = true } in
+  let cl = Cluster.default ~seed:31L ~options ~n_nodes:8 () in
+  Cluster.register_type cl relay_type;
+  let rng = Splitmix.create 31L in
+  let caps = ref [||] in
+  let client from () =
+    for _ = 1 to 400 do
+      let arr = !caps in
+      let cap = arr.(Splitmix.int rng (Array.length arr)) in
+      let op, args =
+        match Splitmix.int rng 4 with
+        | 0 ->
+          ("relay_get", [ Value.Cap arr.(Splitmix.int rng (Array.length arr)) ])
+        | 1 -> ("spin", [])
+        | _ -> ("get", [])
+      in
+      (* Under this load some locates time out: a failed request is
+         part of what the analyses read. *)
+      ignore (Cluster.invoke cl ~from cap ~op args)
+    done
+  in
+  let _ =
+    Cluster.in_process cl (fun () ->
+        caps :=
+          Array.init 16 (fun i ->
+              ok_or_fail "create"
+                (Cluster.create_object cl ~node:(i mod 8) ~type_name:"obs_relay"
+                   (Value.Int i)));
+        for c = 0 to 15 do
+          ignore (Cluster.in_process cl (client (c mod 8)))
+        done)
+  in
+  (* Stopped mid-load, so some requests are still in flight. *)
+  Cluster.run ~until:(Time.s 4) cl;
+  check_bool "rings wrapped" true (Cluster.journal_dropped cl > 0);
+  let tl = Cluster.timeline cl in
+  check_bool "at least 30k events retained" true (Timeline.length tl >= 30_000);
+  let pf = Profile.of_timeline tl in
+  check_bool "requests attributed" true (Profile.requests pf > 0);
+  check_bool "some traces skipped" true (Profile.skipped pf > 0);
+  let violations complete =
+    Json.to_string ~compact:true
+      (Check.violations_to_json (Check.run ~complete tl))
+  in
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [
+            Timeline.to_text tl;
+            Timeline.to_chrome_string ~extra:(Profile.chrome_extra pf) tl;
+            violations false;
+            violations true;
+            Profile.to_text pf;
+            Json.to_string ~compact:true (Profile.to_json pf);
+            Profile.to_folded pf;
+          ]))
+
+let test_closed_loop_exports_pinned () =
+  check_string "closed-loop analysis exports digest"
+    "e61ced6a307820779e8d84d2083ed657"
+    (closed_loop_exports_digest ())
+
 (* Failed invariants are reported by name, in both renderings — a CI
    log or a JSON consumer can tell *which* rule broke without counting
    lines against the documentation. *)
@@ -1418,5 +1488,7 @@ let () =
             test_journal_cap_pressure;
           Alcotest.test_case "analysis exports pinned" `Quick
             test_analysis_exports_pinned;
+          Alcotest.test_case "closed-loop analysis exports pinned" `Quick
+            test_closed_loop_exports_pinned;
         ] );
     ]

@@ -1909,6 +1909,73 @@ let wide_analysis_matches_oracle =
     ~gen:gen_wide_analysis_events ~shrink:shrink_analysis_events
     ~show:show_analysis_events analysis_agrees
 
+(* Long, dense timelines like an assembled run's: 20k-25k events whose
+   ids start far above 0 and run densely but for the gaps rings leave
+   (a few ids here and there, and now and then a run of hundreds), each
+   trace rooted at an event of its own or before the retained window.
+   Parents lie a few positions back, thousands back, before the window
+   (where [Index.parent]'s dense-id guess clamps to position 0), ahead
+   of their child (where it clamps to the child's own position), or at
+   the event itself; a few ids repeat.  The gaps put the guess off by
+   as many positions as ids went missing, so a search that trusted the
+   guess would lose far parents.  Most lists come in id order. *)
+let gen_far_analysis_events rng =
+  let n = 20_000 + Splitmix.int rng 5_000 in
+  let base = (1 lsl 20) + Splitmix.int rng (1 lsl 30) in
+  let pool = Array.make 64 (base - 1 - Splitmix.int rng 50_000) in
+  let id = ref base in
+  let evs =
+    List.init n (fun _ ->
+        (match Splitmix.int rng 400 with
+        | 0 -> id := !id + 100 + Splitmix.int rng 900
+        | k when k < 8 -> id := !id + 1 + Splitmix.int rng 3
+        | k when k < 12 -> () (* a repeated id *)
+        | _ -> incr id);
+        let id = !id in
+        let trace =
+          match Splitmix.int rng 8 with
+          | 0 ->
+            pool.(Splitmix.int rng 64) <- id;
+            id
+          | _ -> pool.(Splitmix.int rng 64)
+        in
+        let parent =
+          match Splitmix.int rng 20 with
+          | 0 | 1 | 2 -> -1
+          | 3 | 4 | 5 | 6 | 7 | 8 | 9 -> id - 1 - Splitmix.int rng 5
+          | 10 | 11 | 12 | 13 | 14 -> id - 1_000 - Splitmix.int rng 8_000
+          | 15 | 16 -> base - 1 - Splitmix.int rng 10_000
+          | 17 | 18 -> id + 1 + Splitmix.int rng 100
+          | _ -> id
+        in
+        let e = gen_analysis_event ~n:8 rng in
+        {
+          e with
+          ev_id = id;
+          ev_trace = trace;
+          ev_parent = parent;
+          ev_at = Time.ns ((id - base) * 1_000 + Splitmix.int_in rng (-300) 2_000);
+        })
+  in
+  if Splitmix.int rng 4 = 0 then begin
+    let a = Array.of_list evs in
+    Splitmix.shuffle rng a;
+    Array.to_list a
+  end
+  else evs
+
+(* A counterexample of 20k events is replayed from its seed, not read. *)
+let show_far_analysis_events evs =
+  match evs with
+  | [] -> "no events"
+  | (e : Journal.event) :: _ ->
+    Printf.sprintf "%d events, the first id %d" (List.length evs) e.ev_id
+
+let far_analysis_matches_oracle =
+  Prop.case ~seeds:12 ~name:"indexed analysis = oracle on far parents"
+    ~gen:gen_far_analysis_events ~show:show_far_analysis_events
+    analysis_agrees
+
 (* [Timeline.assemble] merges the journals newest first with a heap;
    whatever the interleaving, ring sizes (wrapped, disabled) and
    journal count, it must equal the id-sorted concatenation of
@@ -2283,5 +2350,6 @@ let () =
         ] );
       ( "analysis",
         [ analysis_matches_oracle; wide_analysis_matches_oracle;
+          far_analysis_matches_oracle;
           assemble_is_sorted_merge ] );
     ]
