@@ -363,9 +363,11 @@ val stats_remote_invocations : t -> int
     invocations, hint-cache hits and misses, locate broadcasts, nacks
     and checkpoints, plus an end-to-end latency histogram), and
     registers sampled collectors over the network, engine and hardware
-    counters.  Each invocation records an {!Eden_obs.Span} with its
-    locate/transport/queue/dispatch/execute/reply phase breakdown;
-    nested [ctx.invoke] calls carry parent links. *)
+    counters.  Each invocation records an {!Eden_obs.Span} on its
+    requesting node: operation, target, origin, whether it crossed the
+    wire, outcome, start and finish; nested [ctx.invoke] calls carry
+    parent links.  Where an invocation's latency went is the journal's
+    to say ({!Eden_obs.Profile}). *)
 
 val metrics : t -> Eden_obs.Metrics.t
 (** The registry; callers may add their own instruments. *)

@@ -12,7 +12,7 @@ type t =
       reply_to : int;
       hops : int;
       may_activate : bool;
-      span : Eden_obs.Span.t option;
+      span : int option;
     }
   | Inv_reply of {
       inv_id : request_id;

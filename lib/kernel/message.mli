@@ -24,9 +24,10 @@ type t =
               broadcast window, so the receiving checksite may
               reincarnate from its snapshot even if it never saw a
               passivation notice (e.g. after a node power-off) *)
-      span : Eden_obs.Span.t option;
-          (** observability metadata riding along in the simulator's
-              shared address space; does not contribute to
+      span : int option;
+          (** the id of the requester's span, which the serving
+              handler names as the parent of the invocations it makes;
+              observability metadata that does not contribute to
               {!size_bytes} *)
     }
   | Inv_reply of {

@@ -49,7 +49,7 @@ let sample_to_json (s : Metrics.sample) =
 let to_json t =
   Json.Obj
     [
-      ("schema", Json.Str "eden-metrics/1");
+      ("schema", Json.Str "eden-metrics/2");
       ("at_ns", Json.Int (Time.to_ns t.at));
       ("metrics", Json.List (List.map sample_to_json t.metrics));
       ("spans", Json.List (List.map Span.info_to_json t.spans));
@@ -132,7 +132,7 @@ let of_json j =
   in
   let* schema = req "schema" Json.to_str in
   let* () =
-    if String.equal schema "eden-metrics/1" then Ok ()
+    if String.equal schema "eden-metrics/2" then Ok ()
     else Error (Printf.sprintf "snapshot: unknown schema %S" schema)
   in
   let* at_ns = req "at_ns" Json.to_int in

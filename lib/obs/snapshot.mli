@@ -2,7 +2,7 @@
 
     A snapshot pairs the registry's sampled metrics with the retained
     invocation spans at a given virtual time.  It serialises to a
-    stable JSON schema ([eden-metrics/1]) and parses back, so external
+    stable JSON schema ([eden-metrics/2]) and parses back, so external
     tooling — and the repo's own tests — can verify every exported
     number. *)
 

@@ -1,36 +1,5 @@
 open Eden_util
 
-type phase = Locate | Transport | Queue | Dispatch | Execute | Reply
-
-let phases = [ Locate; Transport; Queue; Dispatch; Execute; Reply ]
-
-let phase_index = function
-  | Locate -> 0
-  | Transport -> 1
-  | Queue -> 2
-  | Dispatch -> 3
-  | Execute -> 4
-  | Reply -> 5
-
-let n_phases = 6
-
-let phase_name = function
-  | Locate -> "locate"
-  | Transport -> "transport"
-  | Queue -> "queue"
-  | Dispatch -> "dispatch"
-  | Execute -> "execute"
-  | Reply -> "reply"
-
-let phase_of_name = function
-  | "locate" -> Some Locate
-  | "transport" -> Some Transport
-  | "queue" -> Some Queue
-  | "dispatch" -> Some Dispatch
-  | "execute" -> Some Execute
-  | "reply" -> Some Reply
-  | _ -> None
-
 type info = {
   i_id : int;
   i_parent : int option;
@@ -41,10 +10,7 @@ type info = {
   i_outcome : string;
   i_start : Time.t;
   i_finish : Time.t;
-  i_phases : Time.t array;
 }
-
-let info_phase i p = i.i_phases.(phase_index p)
 
 let info_to_json i =
   Json.Obj
@@ -59,11 +25,6 @@ let info_to_json i =
       ("outcome", Json.Str i.i_outcome);
       ("start_ns", Json.Int (Time.to_ns i.i_start));
       ("end_ns", Json.Int (Time.to_ns i.i_finish));
-      ( "phases_ns",
-        Json.Obj
-          (List.map
-             (fun p -> (phase_name p, Json.Int (Time.to_ns (info_phase i p))))
-             phases) );
     ]
 
 let info_of_json j =
@@ -86,20 +47,6 @@ let info_of_json j =
   let* i_outcome = req "outcome" Json.to_str in
   let* start_ns = req "start_ns" Json.to_int in
   let* end_ns = req "end_ns" Json.to_int in
-  let* ph =
-    match Json.member "phases_ns" j with
-    | Some (Json.Obj fields) ->
-      let ph = Array.make n_phases Time.zero in
-      List.fold_left
-        (fun acc (k, v) ->
-          let* () = acc in
-          match (phase_of_name k, Json.to_int v) with
-          | Some p, Some ns -> Ok (ph.(phase_index p) <- Time.ns ns)
-          | _ -> Error (Printf.sprintf "span: bad phase entry %S" k))
-        (Ok ()) fields
-      |> Result.map (fun () -> ph)
-    | _ -> Error "span: missing phases_ns"
-  in
   Ok
     {
       i_id;
@@ -111,25 +58,24 @@ let info_of_json j =
       i_outcome;
       i_start = Time.ns start_ns;
       i_finish = Time.ns end_ns;
-      i_phases = ph;
     }
 
 (* ---------------------------------------------------------------- *)
 (* Live spans *)
 
 (* Finished spans are kept in a ring, not as [info] records.  A record
-   with its phase array is 19 words that outlive the invocation, so
-   each one is promoted and then re-marked by every major collection
-   for as long as the collector keeps it.  The ring keeps each span
-   as [stride] ints in a [Bigarray], outside the OCaml heap, plus the
-   op, target and outcome strings, which are shared with the caller
-   and cost nothing extra; [finished] and [last_finished] rebuild the
-   [info] values on read.  The ring grows geometrically up to [keep],
-   so a collector that sees few spans stays small.
+   outlives the invocation, so each one is promoted and then re-marked
+   by every major collection for as long as the collector keeps it.
+   The ring keeps each span as [stride] ints in a [Bigarray], outside
+   the OCaml heap, plus the op, target and outcome strings, which are
+   shared with the caller and cost nothing extra; [finished] and
+   [last_finished] rebuild the [info] values on read.  The ring grows
+   geometrically up to [keep], so a collector that sees few spans
+   stays small.
 
    Slot layout: id, parent (-1 for none), origin, remote (0 or 1),
-   start, finish, then the six phase times, all in ns. *)
-let stride = 6 + n_phases
+   start and finish in ns. *)
+let stride = 6
 
 module Ints = Bigarray.Array1
 
@@ -145,8 +91,6 @@ type collector = {
   mutable size : int;  (* slots allocated *)
   mutable first : int;  (* slot of the oldest retained span *)
   mutable len : int;
-  mutable n_late : int;
-      (* enter/finish calls that arrived after the span was sealed *)
 }
 
 type t = {
@@ -157,9 +101,6 @@ type t = {
   sp_origin : int;
   mutable sp_remote : bool;
   sp_start : Time.t;
-  mutable sp_cur : phase;
-  mutable sp_since : Time.t;
-  sp_acc : Time.t array;  (* indexed by phase_index *)
   mutable sp_sealed : bool;
   mutable sp_finish : Time.t;  (* meaningful once sealed *)
   sp_home : collector;
@@ -175,57 +116,25 @@ let create ?(keep = 4096) () =
     size = 0;
     first = 0;
     len = 0;
-    n_late = 0;
   }
-
-(* One zero per phase.  A literal rather than [Array.make], so it is
-   allocated inline with no call into the runtime. *)
-let fresh_acc () = Time.[| zero; zero; zero; zero; zero; zero |]
-let () = assert (Array.length (fresh_acc ()) = n_phases)
 
 let start col ?parent ~op ~target ~origin ~at () =
   let id = col.next_id in
   col.next_id <- id + 1;
   {
     sp_id = id;
-    sp_parent = Option.map (fun p -> p.sp_id) parent;
+    sp_parent = parent;
     sp_op = op;
     sp_target = target;
     sp_origin = origin;
     sp_remote = false;
     sp_start = at;
-    sp_cur = Locate;
-    sp_since = at;
-    sp_acc = fresh_acc ();
     sp_sealed = false;
     sp_finish = at;
     sp_home = col;
   }
 
 let id t = t.sp_id
-
-(* Charge the open phase up to [at].  Virtual time never runs backwards
-   within one invocation, but guard anyway: [Time.diff] raises on a
-   negative difference. *)
-let close_current t ~at =
-  let elapsed = if Time.(at > t.sp_since) then Time.diff at t.sp_since else Time.zero in
-  let i = phase_index t.sp_cur in
-  t.sp_acc.(i) <- Time.add t.sp_acc.(i) elapsed;
-  t.sp_since <- at
-
-(* A phase change or finish on an already-sealed span is a late
-   server-side step (e.g. the requester timed out first).  It cannot
-   change the sealed record, but silently dropping it would hide the
-   straggler entirely — count it instead. *)
-let note_late t = t.sp_home.n_late <- t.sp_home.n_late + 1
-
-let enter t phase ~at =
-  if t.sp_sealed then note_late t
-  else begin
-    close_current t ~at;
-    t.sp_cur <- phase
-  end
-
 let note_remote t = t.sp_remote <- true
 
 let grow col =
@@ -270,9 +179,6 @@ let retain col t ~outcome ~at =
   Ints.unsafe_set ints (b + 3) (if t.sp_remote then 1 else 0);
   Ints.unsafe_set ints (b + 4) (Time.to_ns t.sp_start);
   Ints.unsafe_set ints (b + 5) (Time.to_ns at);
-  for i = 0 to n_phases - 1 do
-    Ints.unsafe_set ints (b + 6 + i) (Time.to_ns (Array.unsafe_get t.sp_acc i))
-  done;
   let sb = slot * 3 in
   col.strs.(sb) <- t.sp_op;
   col.strs.(sb + 1) <- t.sp_target;
@@ -282,10 +188,6 @@ let info_at col slot =
   let b = slot * stride and ints = col.ints in
   let sb = slot * 3 in
   let parent = Ints.unsafe_get ints (b + 1) in
-  let phases = fresh_acc () in
-  for p = 0 to n_phases - 1 do
-    Array.unsafe_set phases p (Time.ns (Ints.unsafe_get ints (b + 6 + p)))
-  done;
   {
     i_id = Ints.unsafe_get ints b;
     i_parent = (if parent < 0 then None else Some parent);
@@ -296,13 +198,10 @@ let info_at col slot =
     i_outcome = col.strs.(sb + 2);
     i_start = Time.ns (Ints.unsafe_get ints (b + 4));
     i_finish = Time.ns (Ints.unsafe_get ints (b + 5));
-    i_phases = phases;
   }
 
 let finish t ~outcome ~at =
-  if t.sp_sealed then note_late t
-  else begin
-    close_current t ~at;
+  if not t.sp_sealed then begin
     t.sp_sealed <- true;
     t.sp_finish <- at;
     retain t.sp_home t ~outcome ~at
@@ -312,7 +211,6 @@ let duration t =
   if t.sp_sealed then Time.diff t.sp_finish t.sp_start
   else invalid_arg "Span.duration: span not finished"
 
-let late_events col = col.n_late
 (* Oldest first, so the records lie in memory in the order readers
    walk them. *)
 let finished col =

@@ -1,38 +1,22 @@
-(** Invocation spans: the phase breakdown of one kernel invocation.
+(** Invocation spans: what was invoked, where from, and how it ended.
 
-    Every invocation gets a span when it enters the kernel.  A span is
-    a small state machine over virtual time: exactly one {!phase} is
-    open at any moment, and {!enter} closes the current phase (charging
-    it the elapsed virtual time) while opening the next.  Because the
-    phases partition the span's lifetime, their durations always sum
-    exactly to the end-to-end latency — even across retries, nacks and
-    forwarding, which simply re-enter earlier phases.
+    Every invocation gets a span when it enters the kernel on the
+    requesting node, and the same node finishes it when the outcome is
+    known.  A span records which operation was invoked on which object
+    and from which node, its parent span, whether the request crossed
+    the wire, its outcome, and its start and finish times in virtual
+    time.
 
-    Phases, in the order a clean remote invocation passes through them:
+    A span carries a parent link when the invocation was made from
+    inside another invocation's handler ([ctx.invoke]), so cross-node
+    call trees are reconstructable from the exported records.  A
+    remote request carries only its span's id, which the serving
+    handler names as the parent of the invocations it makes; no node
+    writes another node's span.
 
-    - [Locate] — requester-side setup: hint-cache lookup, locate
-      broadcasts and their reply windows, nack-driven re-location.
-    - [Transport] — the request on the wire, including marshalling on
-      both ends, MAC contention and any forwarding hops.
-    - [Queue] — waiting in the target object's port for the
-      coordinator.
-    - [Dispatch] — admission: rights and class checks, class-queue
-      waits, invocation-process creation.
-    - [Execute] — the operation handler itself.
-    - [Reply] — result delivery back to the requester, including the
-      wire and reply-side processing.
-
-    A local invocation skips [Transport] (it stays at zero).  Spans
-    carry a parent link when the invocation was made from inside
-    another invocation's handler ([ctx.invoke]), so cross-node call
-    trees are reconstructable from the exported records. *)
-
-type phase = Locate | Transport | Queue | Dispatch | Execute | Reply
-
-val phases : phase list
-(** In canonical order. *)
-
-val phase_name : phase -> string
+    Where the latency went is not a span's business: the critical-path
+    profiler ({!Critical}, {!Profile}) attributes each request's
+    latency from the journal. *)
 
 type info = {
   i_id : int;
@@ -44,13 +28,9 @@ type info = {
   i_outcome : string;  (** ["ok"] or an error tag *)
   i_start : Eden_util.Time.t;
   i_finish : Eden_util.Time.t;
-  i_phases : Eden_util.Time.t array;
-      (** time in each phase, in the order of {!phases} *)
 }
 (** The record of a finished span.  The collector keeps its fields,
     not the record: each read builds fresh values. *)
-
-val info_phase : info -> phase -> Eden_util.Time.t
 
 val info_to_json : info -> Json.t
 val info_of_json : Json.t -> (info, string) result
@@ -62,41 +42,31 @@ type collector
 
 val create : ?keep:int -> unit -> collector
 (** Retain the last [keep] finished spans (default 4096); earlier ones
-    are dropped oldest-first but still counted. *)
+    are dropped oldest-first. *)
 
 val start :
   collector ->
-  ?parent:t ->
+  ?parent:int ->
   op:string ->
   target:string ->
   origin:int ->
   at:Eden_util.Time.t ->
   unit ->
   t
-(** A fresh span with the [Locate] phase open. *)
+(** A fresh span; [parent] is the id of the span that caused it. *)
 
 val id : t -> int
-val enter : t -> phase -> at:Eden_util.Time.t -> unit
-(** Close the open phase and open [phase].  On a finished span (e.g. a
-    server-side step arriving after the requester timed out) the sealed
-    record is left untouched and the call is counted in the
-    collector's {!late_events}. *)
-
 val note_remote : t -> unit
+
 val finish : t -> outcome:string -> at:Eden_util.Time.t -> unit
-(** Close the open phase, seal the span and retain its {!info}.
-    Idempotent; a repeat finish is counted in {!late_events}. *)
+(** Seal the span and retain its {!info}.  Idempotent: the first
+    finish wins. *)
 
 val duration : t -> Eden_util.Time.t
 (** Elapsed from start to finish; requires a finished span (raises
     [Invalid_argument] otherwise). *)
 
 (** {1 Reading a collector} *)
-
-val late_events : collector -> int
-(** Phase changes or finishes that arrived after their span was
-    sealed — late server-side work the sealed records cannot show
-    (exported as the [eden.span.late_events] counter). *)
 
 val finished : collector -> info list
 (** Retained finished spans, oldest first. *)
