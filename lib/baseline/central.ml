@@ -3,14 +3,13 @@ open Eden_kernel
 
 let server_node = 0
 
-let cluster ?seed ?(server_gdps = 8) ?(server_memory = 8_000_000) ~terminals
-    () =
+let cluster ?seed ~terminals () =
   if terminals < 1 then invalid_arg "Central.cluster: need terminals";
   let server =
     {
       (Machine.file_server_config ~name:"central") with
-      Machine.gdps = server_gdps;
-      memory_bytes = server_memory;
+      Machine.gdps = 8;
+      memory_bytes = 8_000_000;
     }
   in
   let terminal i =

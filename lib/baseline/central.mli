@@ -11,13 +11,10 @@ val server_node : int
 
 val cluster :
   ?seed:int64 ->
-  ?server_gdps:int ->
-  ?server_memory:int ->
   terminals:int ->
   unit ->
   Eden_kernel.Cluster.t
-(** A cluster with node 0 as the central server (default: 8 GDPs,
-    8 MB) and [terminals] single-GDP terminal nodes with minimal
+(** A cluster with node 0 as the central server (8 GDPs, 8 MB) and [terminals] single-GDP terminal nodes with minimal
     memory.  Requires [terminals >= 1]. *)
 
 val create_on_server :

@@ -20,16 +20,15 @@
 
 type t
 
-val make : ?vnodes:int -> nodes:int list -> unit -> t
-(** [make ~nodes ()] builds the ring for the given node-id set.
-    [vnodes] (default 512) is the number of virtual points per node.
-    Raises [Invalid_argument] on an empty set, duplicate ids, or a
-    non-positive [vnodes].
+val make : nodes:int list -> t
+(** [make ~nodes] builds the ring for the given node-id set, with 512
+    virtual points per node.  Raises [Invalid_argument] on an empty
+    set or duplicate ids.
 
-    Cost: n × vnodes point hashes and a radix sort of that many ints
+    Cost: n × 512 point hashes and a radix sort of that many ints
     (bench M14: about half a millisecond at 8 nodes and 7–13 ms at
     128 on a 2-vCPU host), and the ring keeps two int arrays of
-    n × vnodes words.  A caller that may never look a name up should
+    n × 512 words.  A caller that may never look a name up should
     defer the build, as the cluster does with [Lazy]. *)
 
 val point : int -> int -> int
@@ -37,9 +36,10 @@ val point : int -> int -> int
     (exposed for tests). *)
 
 val of_points : vnodes:int -> nodes:int list -> (int -> int -> int) -> t
-(** {!make} with the positions drawn from the given function instead
-    of {!point}; position ties go to the lower node id.  Positions
-    must be non-negative ([Invalid_argument] otherwise).  For tests: a
+(** {!make} with [vnodes] points per node and the positions drawn
+    from the given function instead of {!point}; position ties go to
+    the lower node id.  [vnodes] must be positive and positions
+    non-negative ([Invalid_argument] otherwise).  For tests: a
     coarse function forces the ties that real 62-bit positions
     practically never produce. *)
 

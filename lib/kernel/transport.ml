@@ -19,8 +19,8 @@ type coalesce = Internet.coalesce = {
 
 let default_coalesce = Internet.default_coalesce
 
-let create_net ?params ?bridge_latency ?coalesce eng ~segments =
-  Internet.create ?params ?bridge_latency ?coalesce eng ~segments
+let create_net ?params ?coalesce eng ~segments =
+  Internet.create ?params ?coalesce eng ~segments
     ~size:Message.traced_size
 
 let segment_count = Internet.segment_count

@@ -21,7 +21,6 @@ val default_coalesce : coalesce
 
 val create_net :
   ?params:Eden_net.Params.t ->
-  ?bridge_latency:Eden_util.Time.t ->
   ?coalesce:coalesce ->
   Eden_sim.Engine.t ->
   segments:int ->

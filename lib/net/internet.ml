@@ -62,7 +62,6 @@ type 'a t = {
   eng : Engine.t;
   lans : 'a envelope Msglink.lan array;
   wrapped_size : 'a envelope -> int;
-  bridge_latency : Time.t;
   coalesce : coalesce option;
   size : 'a -> int;
   (* global address -> (segment, local msglink address) *)
@@ -92,6 +91,9 @@ type 'a endpoint = {
 let envelope_overhead = 12
 let member_overhead = 4
 
+(* The bridge's store-and-forward delay per hop. *)
+let bridge_latency = Time.us 500
+
 (* The bridge received an envelope on [arrived_on]; carry it to where
    it belongs after the store-and-forward delay.  Partitioned segments
    are checked both on arrival and again when the forward fires, so a
@@ -107,7 +109,7 @@ let bridge_carry net ~arrived_on env =
         net.n_bridge_drops <- net.n_bridge_drops + 1
       else begin
         net.n_bridge_forwards <- net.n_bridge_forwards + 1;
-        Engine.schedule net.eng ~after:net.bridge_latency (fun () ->
+        Engine.schedule net.eng ~after:bridge_latency (fun () ->
             if net.partitioned.(arrived_on) || net.partitioned.(seg) then
               net.n_bridge_drops <- net.n_bridge_drops + 1
             else
@@ -121,7 +123,7 @@ let bridge_carry net ~arrived_on env =
         net.n_bridge_drops <- net.n_bridge_drops + 1
       else begin
         net.n_bridge_forwards <- net.n_bridge_forwards + 1;
-        Engine.schedule net.eng ~after:net.bridge_latency (fun () ->
+        Engine.schedule net.eng ~after:bridge_latency (fun () ->
             if net.partitioned.(arrived_on) then
               net.n_bridge_drops <- net.n_bridge_drops + 1
             else
@@ -135,8 +137,7 @@ let bridge_carry net ~arrived_on env =
       end
     end
 
-let create ?params ?(bridge_latency = Time.us 500) ?coalesce eng ~segments
-    ~size =
+let create ?params ?coalesce eng ~segments ~size =
   if segments < 1 then invalid_arg "Internet.create: need a segment";
   (match coalesce with
   | Some co when co.co_max_bytes < 1 || co.co_max_msgs < 1 ->
@@ -155,7 +156,6 @@ let create ?params ?(bridge_latency = Time.us 500) ?coalesce eng ~segments
       eng;
       lans;
       wrapped_size;
-      bridge_latency;
       coalesce;
       size;
       directory = [||];

@@ -33,14 +33,13 @@ val default_coalesce : coalesce
 
 val create :
   ?params:Params.t ->
-  ?bridge_latency:Eden_util.Time.t ->
   ?coalesce:coalesce ->
   Eden_sim.Engine.t ->
   segments:int ->
   size:('a -> int) ->
   'a t
-(** [segments] must be >= 1.  [bridge_latency] (default 500us) is the
-    store-and-forward delay per bridged hop.  Omitting [coalesce]
+(** [segments] must be >= 1.  Each bridged hop adds a 500us
+    store-and-forward delay.  Omitting [coalesce]
     (the default) sends every unicast as its own wire transfer. *)
 
 val segment_count : 'a t -> int

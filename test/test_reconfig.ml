@@ -299,7 +299,7 @@ let test_lazy_epoch_ring () =
       must_s (Cluster.decommission_node cl 0));
   check_int "two membership steps" 2 (Cluster.epoch cl);
   Alcotest.(check (list int)) "members" [ 1; 2; 3 ] (Cluster.members cl);
-  let ring = Directory.make ~nodes:(Cluster.members cl) () in
+  let ring = Directory.make ~nodes:(Cluster.members cl) in
   let names =
     List.init 256 (fun i -> Name.make ~birth_node:(i mod 4) ~serial:(i + 1))
   in
