@@ -112,8 +112,10 @@ REJECTED = "demo --nodes 0" "demo --nodes=-2" "stats --nodes 0" \
   "heartbeat --nodes 3 --kill 7" "heartbeat --nodes 3 --kill=-1" \
   "synth --locality 1.5" "synth --requests=-1" "metrics-check /tmp"
 
-# Exercise the CLI end to end, check that --trace prints the journal
-# (a send event among its lines), then check that bad input is refused.
+# Exercise the CLI end to end, put a synth run's metrics export
+# through metrics-check (so the snapshot writer and parser agree on
+# the schema), check that --trace prints the journal (a send event
+# among its lines), then check that bad input is refused.
 smoke:
 	dune exec bin/edenctl.exe -- info
 	dune exec bin/edenctl.exe -- demo --nodes 4
@@ -121,6 +123,9 @@ smoke:
 	dune exec bin/edenctl.exe -- efs --txns 6 --optimistic
 	printf 'mk doc d\nappend d hello\nshow d\nquit\n' | \
 	  dune exec bin/edenctl.exe -- edit --nodes 2
+	dune exec bin/edenctl.exe -- synth --nodes 3 --requests 50 \
+	  --metrics-out /tmp/eden_metrics_smoke.json
+	dune exec bin/edenctl.exe -- metrics-check /tmp/eden_metrics_smoke.json
 	dune build ./bin/edenctl.exe
 	./_build/default/bin/edenctl.exe demo --nodes 4 --trace | \
 	  grep -Eq '^\[[^]]*\] n[0-9]+ #[0-9]+ trace=[0-9]+( parent=[0-9]+)? send ' \
