@@ -40,8 +40,8 @@ test:
 	dune runtest --force
 
 # Just the seeded property tests (100 seeds each, greedy shrinking):
-# message sizes and journal facts, the Delta, span JSON and
-# Fault.Plan round-trips, the health-plane and event-heap models, the
+# message sizes and journal facts, the Delta and Fault.Plan
+# round-trips, the health-plane and event-heap models, the
 # directory ring, and the trace analyses against a list-based oracle.
 test-props:
 	dune exec test/test_props.exe
@@ -114,8 +114,10 @@ REJECTED = "demo --nodes 0" "demo --nodes=-2" "stats --nodes 0" \
 
 # Exercise the CLI end to end, put a synth run's metrics export
 # through metrics-check (so the snapshot writer and parser agree on
-# the schema), check that --trace prints the journal (a send event
-# among its lines), then check that bad input is refused.
+# the schema), check that the export gets the same file mode as a
+# trace export in the same directory (both follow the umask), check
+# that --trace prints the journal (a send event among its lines),
+# then check that bad input is refused.
 smoke:
 	dune exec bin/edenctl.exe -- info
 	dune exec bin/edenctl.exe -- demo --nodes 4
@@ -127,6 +129,13 @@ smoke:
 	  --metrics-out /tmp/eden_metrics_smoke.json
 	dune exec bin/edenctl.exe -- metrics-check /tmp/eden_metrics_smoke.json
 	dune build ./bin/edenctl.exe
+	rm -f /tmp/eden_trace_smoke.json
+	./_build/default/bin/edenctl.exe trace --nodes 3 --seed 11 \
+	  --out /tmp/eden_trace_smoke.json > /dev/null
+	m=$$(stat -c %a /tmp/eden_metrics_smoke.json); \
+	t=$$(stat -c %a /tmp/eden_trace_smoke.json); \
+	[ "$$m" = "$$t" ] || { echo "smoke: --metrics-out file is mode $$m," \
+	  "a trace export $$t"; exit 1; }
 	./_build/default/bin/edenctl.exe demo --nodes 4 --trace | \
 	  grep -Eq '^\[[^]]*\] n[0-9]+ #[0-9]+ trace=[0-9]+( parent=[0-9]+)? send ' \
 	  || { echo "smoke: demo --trace printed no journal send line"; exit 1; }

@@ -1,7 +1,8 @@
 (* E25 — critical-path profiler: attribution under injected bottlenecks.
 
-   The profiler's claim is not that it times requests — the span
-   machinery already does — but that it *names the bottleneck*: walk
+   The profiler's claim is not that it times requests — each
+   invocation's [Inv_begin] and [Inv_end] in the journal already do —
+   but that it *names the bottleneck*: walk
    each request's causal trace, attribute every nanosecond of its
    end-to-end latency to a category, and the dominant category points
    at the subsystem to fix.  This experiment injects three bottlenecks

@@ -1,7 +1,7 @@
-(* M1-M15 — Bechamel microbenchmarks of the substrate itself: real
-   wall-clock cost per operation of the simulator's hot paths.  These
-   are not simulated-time experiments; they justify trusting the
-   experiment harness to run large configurations. *)
+(* M1-M15 (M9 retired) — Bechamel microbenchmarks of the substrate
+   itself: real wall-clock cost per operation of the simulator's hot
+   paths.  These are not simulated-time experiments; they justify
+   trusting the experiment harness to run large configurations. *)
 
 open Bechamel
 open Toolkit
@@ -128,18 +128,6 @@ let m8_lan_unicast =
          Lan.send src ~dest:(Lan.Unicast 1) ~bytes:256 ();
          Engine.run eng))
 
-(* M9: an invocation span's lifecycle — start and finish — on a
-   collector retaining the default 4096 records. *)
-let m9_span =
-  let open Eden_obs in
-  let col = Span.create ~keep:4096 () in
-  Test.make ~name:"M9 span lifecycle"
-    (Staged.stage (fun () ->
-         let sp =
-           Span.start col ~op:"work" ~target:"obj" ~origin:0 ~at:Time.zero ()
-         in
-         Span.finish sp ~outcome:"ok" ~at:(Time.us 5)))
-
 (* M10: M1's single event, scheduled and drained while 2,000 timed
    waits are pending: the shape of hot_invoke's queue, where nearly
    every invocation leaves a stale 2 s timeout behind.  The engine is
@@ -232,7 +220,7 @@ let m13_analysis =
           let client = r and server = (r + 1) mod in_flight in
           let node, kind =
             match step with
-            | 0 -> (client, J.Inv_begin { op = "work"; target = "obj<1.7>" })
+            | 0 -> (client, J.Inv_begin { op = "work"; target = "obj<1.7>"; caller = -1 })
             | 1 -> (client, J.Send { msg = "inv_request obj<1.7>.work"; dst = Some server })
             | 2 -> (client, J.Net_flush { dst = server; msgs = 2 })
             | 3 -> (server, J.Recv { msg = "inv_request obj<1.7>.work"; src = client })
@@ -285,7 +273,7 @@ let m15_setup n =
 let tests =
   [ (m1_engine_event, 1); (m2_process, 1); (m3_semaphore, 1); (m4_pqueue, 1);
     (m5_value_size, 1); (m6_splitmix, 1); (m7_full_stack, 1);
-    (m8_lan_unicast, 1); (m9_span, 1); (m10_event_with_timeouts, 1);
+    (m8_lan_unicast, 1); (m10_event_with_timeouts, 1);
     (m11_deep_process, 1); (m12_journal_send, 1);
     (m13_analysis, m13_events); (m14_directory 8, 1); (m14_directory 128, 1);
     (m15_setup 8, 1); (m15_setup 128, 1) ]

@@ -55,8 +55,8 @@ let outputs =
               "Print the journal events retained at the end of the run, one \
                line each in execution order.")
     $ file_opt "metrics-out"
-        "Write the final metrics snapshot (counters, gauges, histograms and \
-         invocation spans) to $(docv) as JSON.")
+        "Write the final metrics snapshot (counters, gauges and \
+         histograms) to $(docv) as JSON.")
 
 let requests ?(doc = "Requests in the stream (one every 10ms of virtual time).")
     default =
@@ -1136,9 +1136,8 @@ let run_metrics_check file =
       in
       match missing with
       | [] ->
-        Printf.printf "metrics-check: OK (%d samples, %d spans, t=%s)\n"
+        Printf.printf "metrics-check: OK (%d samples, t=%s)\n"
           (List.length snap.Eden_obs.Snapshot.metrics)
-          (List.length snap.Eden_obs.Snapshot.spans)
           (Time.to_string snap.Eden_obs.Snapshot.at)
       | _ ->
         List.iter

@@ -2,7 +2,6 @@ open Eden_util
 open Eden_sim
 open Eden_hw
 module Metrics = Eden_obs.Metrics
-module Span = Eden_obs.Span
 module Journal = Eden_obs.Journal
 module Tracectx = Eden_obs.Tracectx
 module Timeline = Eden_obs.Timeline
@@ -25,10 +24,11 @@ type work = {
   w_args : Value.t list;
   w_presented : Rights.t;
   w_route : reply_route;
-  w_span : int option;  (* the id of the requester's span *)
   mutable w_ctx : Tracectx.t option;
       (* the trace context the request arrived with, so the reply (and
          anything else this work causes) extends the same causal chain.
+         Its trace is the requester's [Inv_begin], so it also names the
+         caller of every invocation the handler makes.
          Mutable only for profiling: Work_start / Drain_stall journal
          events re-parent the chain through themselves so queue and
          drain residency are visible as gaps on the causal path. *)
@@ -330,13 +330,12 @@ type t = {
       (* one kernel-created node object per node, fixed names *)
   mutable n_inv : int;
   c_metrics : Metrics.t;
-  c_spans : Span.collector;
   c_lat : Metrics.histogram;  (* end-to-end invocation latency, seconds *)
   c_nm : node_metrics array;
   c_jsink : Journal.sink;  (* shared event-id allocator for all journals *)
   c_labels : string Name.Table.t;
       (* each invoked name rendered once ("obj<B.S>"), shared by its
-         spans, journal events and hot-object sketch *)
+         journal events and hot-object sketch *)
   mutable c_health : health_plane option;
   c_hedge : hedge_state option;  (* present iff hedging is enabled *)
   c_dir : Directory.t Lazy.t;
@@ -432,16 +431,16 @@ let home cl obj = cl.nodes.(obj.ob_home)
 
 let nm cl (node : node) = cl.c_nm.(node.nd_id)
 
-(* The id of the span served by the calling process, if it is one of
-   [obj]'s invocation processes: the parent link of a nested
-   invocation. *)
-let current_span cl obj =
+(* The [Inv_begin] id of the invocation served by the calling
+   process, if it is one of [obj]'s invocation processes, else [-1]:
+   the caller of a nested invocation. *)
+let current_caller cl obj =
   match Engine.running cl.eng with
   | Some pid -> (
     match Itbl.find_opt obj.ob_inflight (Engine.Pid.to_int pid) with
-    | Some w -> w.w_span
-    | None -> None)
-  | None -> None
+    | Some { w_ctx = Some c; _ } -> Tracectx.trace c
+    | Some { w_ctx = None; _ } | None -> -1)
+  | None -> -1
 
 let next_seq node = Idgen.next node.nd_seq
 
@@ -496,8 +495,8 @@ let take_pids tbl =
   List.sort (fun a b -> Engine.Pid.compare b a) pids
 
 (* A name's printed form, rendered on first use and shared after.  A
-   label is old by the time it is reused, so spans and journal rings
-   that keep it cost the minor collector nothing. *)
+   label is old by the time it is reused, so the journal rings that
+   keep it cost the minor collector nothing. *)
 let label cl name =
   match Name.Table.find cl.c_labels name with
   | l -> l
@@ -2027,7 +2026,7 @@ let absorb_reply ?ctx cl node ~from_node cap r frozen_hint =
    same id) without abandoning the original, and the serving side's
    idempotence table drops whichever copy arrives second. *)
 let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
-    ~span cap ~op args =
+    cap ~op args =
   let inv_id = new_request_id node in
   let name = Capability.name cap in
   let request ~to_site =
@@ -2044,7 +2043,7 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
            waking its own activation at every site would multiply the
            object. *)
         may_activate = may_activate && to_site = dst;
-        span;
+        span = None;
       }
   in
   let send via site =
@@ -2144,7 +2143,8 @@ let send_request_and_wait ?ctx cl node ~dst ~clones ~deadline ~may_activate
     `Result r
   | Some Inv_nacked -> `Nacked
 
-let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
+let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?(caller = -1) cap
+    ~op args =
   let node = node_of cl from in
   if not node.nd_up then Error Error.Node_down
   else begin
@@ -2152,21 +2152,17 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
     let tname = label cl name in
     Metrics.incr (nm cl node).m_inv;
     (* Feed the origin node's hot-object sketch; the rendered name is
-       shared with the span and the journal event below, so the health
-       plane adds no allocation of its own here. *)
+       shared with the journal event below, so the health plane adds no
+       allocation of its own here. *)
     (match cl.c_health with
     | Some hp -> Topk.add hp.hp_topk.(from) tname
     | None -> ());
-    let sp =
-      Span.start cl.c_spans ?parent ~op ~target:tname ~origin:from
-        ~at:(Engine.now cl.eng) ()
-    in
-    let span = Some (Span.id sp) in
+    let t0 = Engine.now cl.eng in
     (* The invocation's root journal event: every send, retry and
        downstream handler event hangs off this trace id. *)
     let ictx =
       Tracectx.root
-        (jrecord cl node (Journal.Inv_begin { op; target = tname }))
+        (jrecord cl node (Journal.Inv_begin { op; target = tname; caller }))
     in
     consume node (costs node).Costs.invoke_request_cpu;
     (* Journalled at the moment an attempt abandons the directory for
@@ -2296,10 +2292,9 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
                   ~candidates:(List.filter (fun s -> s <> node.nd_id) sites)
                   ~max_extra:(cl.opts.speculate.Api.sp_max_sites - 1)
           in
-          Span.note_remote sp;
           match
             send_request_and_wait ~ctx:ictx cl node ~dst ~clones ~deadline
-              ~may_activate ~span cap ~op args
+              ~may_activate cap ~op args
           with
           | `Result r -> r
           | `Nacked ->
@@ -2330,7 +2325,6 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
           w_args = args;
           w_presented = Capability.rights cap;
           w_route = Reply_local pr;
-          w_span = span;
           w_ctx = Some ictx;
         };
       match Promise.await ?timeout:(remaining cl.eng deadline) pr with
@@ -2357,8 +2351,7 @@ let do_invoke cl ~from ?timeout ?(retry = Api.no_retry) ?parent cap ~op args =
       match r with Ok _ -> "ok" | Error e -> Error.to_string e
     in
     ignore (jrecord cl node ~ctx:ictx (Journal.Inv_end { op; outcome }));
-    Span.finish sp ~outcome ~at:(Engine.now cl.eng);
-    Metrics.observe_time cl.c_lat (Span.duration sp);
+    Metrics.observe_time cl.c_lat (Time.diff (Engine.now cl.eng) t0);
     r
   end
 
@@ -2431,18 +2424,18 @@ let make_ctx cl obj =
         end);
     invoke =
       (fun ?timeout ?retry cap ~op args ->
-        let parent = current_span cl obj in
-        do_invoke cl ~from:obj.ob_home ?timeout ?retry ?parent cap ~op args);
+        let caller = current_caller cl obj in
+        do_invoke cl ~from:obj.ob_home ?timeout ?retry ~caller cap ~op args);
     invoke_async =
       (fun ?timeout ?retry cap ~op args ->
-        (* Capture the parent span here: the spawned process has its
-           own pid, so the per-pid lookup would miss it. *)
-        let parent = current_span cl obj in
+        (* Capture the caller here: the spawned process has its own
+           pid, so the per-pid lookup would miss it. *)
+        let caller = current_caller cl obj in
         let pr = Promise.create cl.eng in
         let pid =
           Engine.spawn cl.eng ~name:"invoke_async" (fun () ->
               let r =
-                do_invoke cl ~from:obj.ob_home ?timeout ?retry ?parent
+                do_invoke cl ~from:obj.ob_home ?timeout ?retry ~caller
                   cap ~op args
               in
               ignore (Promise.fill pr r))
@@ -2513,12 +2506,12 @@ let handle_inv_request ?ctx cl node ~src:_ r =
   match r with
   | Message.Inv_request
       { inv_id; target; op; args; presented; reply_to; hops; may_activate;
-        span }
+        _ }
     -> (
     let route = Reply_remote { requester = reply_to; inv_id } in
     let w =
       { w_op = op; w_args = args; w_presented = presented; w_route = route;
-        w_span = span; w_ctx = ctx }
+        w_ctx = ctx }
     in
     let nack () =
       send_msg ?ctx cl node ~dst:reply_to
@@ -2585,7 +2578,7 @@ let handle_inv_request ?ctx cl node ~src:_ r =
                    reply_to;
                    hops = hops + 1;
                    may_activate;
-                   span;
+                   span = None;
                  });
             (* Repair the requester's knowledge of the new location. *)
             if reply_to <> node.nd_id then
@@ -3099,7 +3092,6 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
       c_node_objects = [||];
       n_inv = 0;
       c_metrics = reg;
-      c_spans = Span.create ();
       c_lat =
         Metrics.histogram reg ~buckets:latency_buckets
           "eden.invocation_latency_s";
@@ -3738,10 +3730,9 @@ let stats_remote_invocations cl =
     (fun acc m -> acc + Metrics.counter_value m.m_remote)
     0 cl.c_nm
 let metrics cl = cl.c_metrics
-let spans cl = cl.c_spans
 
 let metrics_snapshot cl =
-  Eden_obs.Snapshot.take ~at:(Engine.now cl.eng) ~spans:cl.c_spans cl.c_metrics
+  Eden_obs.Snapshot.take ~at:(Engine.now cl.eng) cl.c_metrics
 
 (* -------------------------------------------------------------------- *)
 (* Running *)

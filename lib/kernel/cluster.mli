@@ -358,25 +358,20 @@ val stats_remote_invocations : t -> int
 
 (** {1 Observability}
 
-    Every cluster owns a metrics registry and a span collector.  The
-    kernel instruments the invocation path (per-node counters for
-    invocations, hint-cache hits and misses, locate broadcasts, nacks
-    and checkpoints, plus an end-to-end latency histogram), and
-    registers sampled collectors over the network, engine and hardware
-    counters.  Each invocation records an {!Eden_obs.Span} on its
-    requesting node: operation, target, origin, whether it crossed the
-    wire, outcome, start and finish; nested [ctx.invoke] calls carry
-    parent links.  Where an invocation's latency went is the journal's
-    to say ({!Eden_obs.Profile}). *)
+    Every cluster owns a metrics registry.  The kernel instruments the
+    invocation path (per-node counters for invocations, hint-cache hits
+    and misses, locate broadcasts, nacks and checkpoints, plus an
+    end-to-end latency histogram), and registers sampled collectors
+    over the network, engine and hardware counters.  What each
+    invocation was (operation, target, origin node, outcome, start and
+    finish, and the invocation that made it) is the journal's record,
+    below: its [Inv_begin] and [Inv_end] events. *)
 
 val metrics : t -> Eden_obs.Metrics.t
 (** The registry; callers may add their own instruments. *)
 
-val spans : t -> Eden_obs.Span.collector
-
 val metrics_snapshot : t -> Eden_obs.Snapshot.t
-(** Sample every instrument and the retained spans at the current
-    virtual time. *)
+(** Sample every instrument at the current virtual time. *)
 
 (** {2 Event journals and causal traces}
 

@@ -25,10 +25,11 @@ type t =
               reincarnate from its snapshot even if it never saw a
               passivation notice (e.g. after a node power-off) *)
       span : int option;
-          (** the id of the requester's span, which the serving
-              handler names as the parent of the invocations it makes;
-              observability metadata that does not contribute to
-              {!size_bytes} *)
+          (** unread, and always [None] from the kernel: the serving
+              handler learns its caller from the trace context the
+              request arrives with.  It stays until the benchmark's
+              replay ([hostbench/replay.ml]), which builds it, drops it
+              too.  It does not contribute to {!size_bytes}. *)
     }
   | Inv_reply of {
       inv_id : request_id;

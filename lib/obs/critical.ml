@@ -172,7 +172,7 @@ let attribute_slice evs idx lo hi =
   for i = lo to hi - 1 do
     let x = ev evs idx i in
     match x.Journal.ev_kind with
-    | Journal.Inv_begin { op = o; target = t } when !b < 0 ->
+    | Journal.Inv_begin { op = o; target = t; _ } when !b < 0 ->
       b := i;
       op := o;
       target := t

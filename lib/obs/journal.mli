@@ -26,7 +26,12 @@ type kind =
   | Coalesce of { dst : int; msgs : int }
       (** a coalesced batch of [msgs] messages left for [dst] *)
   | Retry of { op : string; attempt : int }
-  | Inv_begin of { op : string; target : string }
+  | Inv_begin of { op : string; target : string; caller : int }
+      (** an invocation entered the kernel on this node.  [caller] is
+          the id of the calling invocation's [Inv_begin] when a handler
+          made the call ([ctx.invoke], [ctx.invoke_async]), or [-1]
+          for a call from outside any handler: the links form each
+          request's call tree across nodes. *)
   | Inv_end of { op : string; outcome : string }
   | Ckpt_round of { target : string; version : int }
   | Cache_install of { target : string; epoch : int }

@@ -287,4 +287,3 @@ let to_int = function Int i -> Some i | _ -> None
 let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None

@@ -1,7 +1,7 @@
 (** A minimal self-contained JSON value type, printer and parser.
 
-    The observability layer exports metric snapshots and invocation
-    spans as JSON so that external tooling can re-check every number
+    The observability layer exports metric snapshots, timelines and
+    profiles as JSON so that external tooling can re-check every number
     an experiment reports.  The repository deliberately avoids an
     external JSON dependency; this module implements the subset of RFC
     8259 the exporter needs (and its parser accepts any standard JSON
@@ -38,4 +38,3 @@ val to_float : t -> float option
 
 val to_str : t -> string option
 val to_list : t -> t list option
-val to_bool : t -> bool option

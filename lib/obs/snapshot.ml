@@ -1,17 +1,8 @@
 open Eden_util
 
-type t = {
-  at : Time.t;
-  metrics : Metrics.sample list;
-  spans : Span.info list;
-}
+type t = { at : Time.t; metrics : Metrics.sample list }
 
-let take ~at ?spans reg =
-  {
-    at;
-    metrics = Metrics.sample reg;
-    spans = (match spans with Some c -> Span.finished c | None -> []);
-  }
+let take ~at reg = { at; metrics = Metrics.sample reg }
 
 let find t ?labels name = Metrics.find t.metrics ?labels name
 
@@ -49,10 +40,9 @@ let sample_to_json (s : Metrics.sample) =
 let to_json t =
   Json.Obj
     [
-      ("schema", Json.Str "eden-metrics/2");
+      ("schema", Json.Str "eden-metrics/3");
       ("at_ns", Json.Int (Time.to_ns t.at));
       ("metrics", Json.List (List.map sample_to_json t.metrics));
-      ("spans", Json.List (List.map Span.info_to_json t.spans));
     ]
 
 let ( let* ) r f = Result.bind r f
@@ -132,7 +122,7 @@ let of_json j =
   in
   let* schema = req "schema" Json.to_str in
   let* () =
-    if String.equal schema "eden-metrics/2" then Ok ()
+    if String.equal schema "eden-metrics/3" then Ok ()
     else Error (Printf.sprintf "snapshot: unknown schema %S" schema)
   in
   let* at_ns = req "at_ns" Json.to_int in
@@ -146,20 +136,7 @@ let of_json j =
       (Ok []) l
     |> Result.map List.rev
   in
-  let* spans =
-    match Json.member "spans" j with
-    | None -> Ok []
-    | Some (Json.List l) ->
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          let* s = Span.info_of_json x in
-          Ok (s :: acc))
-        (Ok []) l
-      |> Result.map List.rev
-    | Some _ -> Error "snapshot: spans must be a list"
-  in
-  Ok { at = Time.ns at_ns; metrics; spans }
+  Ok { at = Time.ns at_ns; metrics }
 
 let to_string ?compact t = Json.to_string ?compact (to_json t)
 
@@ -177,16 +154,21 @@ let rec mkdir_p dir =
 
 (* Write-then-rename so a reader polling [path] never observes a torn
    file: the temp file lives in the same directory, making the rename
-   atomic on POSIX filesystems. *)
+   atomic on POSIX filesystems.  It is created 0666 under the umask,
+   like any other export, not 0600 as [Filename.temp_file] would. *)
 let write_file ?compact t ~path =
   let dir = Filename.dirname path in
   mkdir_p dir;
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
+  let tmp, oc =
+    Filename.open_temp_file ~perms:0o666 ~temp_dir:dir
+      (Filename.basename path) ".tmp"
+  in
   (try
-     Out_channel.with_open_text tmp (fun oc ->
-         Out_channel.output_string oc (to_string ?compact t);
-         Out_channel.output_char oc '\n')
+     Out_channel.output_string oc (to_string ?compact t);
+     Out_channel.output_char oc '\n';
+     Out_channel.close oc
    with e ->
+     Out_channel.close_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path
@@ -291,6 +273,5 @@ let pp_table t =
     Buffer.add_char b '\n'
   end;
   Buffer.add_string b
-    (Printf.sprintf "spans retained: %d (virtual time %s)\n"
-       (List.length t.spans) (Time.to_string t.at));
+    (Printf.sprintf "virtual time %s\n" (Time.to_string t.at));
   Buffer.contents b

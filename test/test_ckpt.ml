@@ -396,12 +396,12 @@ let test_protocol_digest () =
          ^ Snapshot.to_string (Cluster.metrics_snapshot cl)))
   in
   Alcotest.(check string) "protocol digest"
-    "5a910e21c9dc5510f2fbe5c3ef58e0e8" digest
+    "5314980788e22d34823f5f587bd8c441" digest
 
 (* A type that reads other objects from inside its handlers: [relay]
    through one nested [ctx.invoke], [gather] through one
-   [ctx.invoke_async] per target.  The spans those reads open hang off
-   the handler's span. *)
+   [ctx.invoke_async] per target.  The journal names the handler's
+   invocation as the caller of each read. *)
 let relay_type =
   Typemgr.make_exn ~name:"relay"
     [
@@ -439,8 +439,8 @@ let relay_type =
    cancels, losers' late replies counted as orphans), hedged requests
    to a node slowed mid-run, a stale hint that the old home nacks after
    a crash, and nested [ctx.invoke] / [invoke_async] reads.  The digest
-   of the merged timeline and the final metrics snapshot (spans and
-   their parent links included) is pinned, so any change to what the
+   of the merged timeline (the nested reads' caller links included)
+   and the final metrics snapshot is pinned, so any change to what the
    requester sends, waits for or records fails here. *)
 let test_speculation_digest () =
   let options =
@@ -529,11 +529,13 @@ let test_speculation_digest () =
       "eden.nacks";
       "eden.orphaned_invocations";
     ];
-  let spans = Eden_obs.Span.finished (Cluster.spans cl) in
-  check_bool "nested reads carry a parent span" true
+  check_bool "nested reads name their caller" true
     (List.exists
-       (fun (i : Eden_obs.Span.info) -> i.i_parent <> None && i.i_op = "get")
-       spans);
+       (fun (e : Eden_obs.Journal.event) ->
+         match e.ev_kind with
+         | Eden_obs.Journal.Inv_begin { op = "get"; caller; _ } -> caller >= 0
+         | _ -> false)
+       (Eden_obs.Timeline.events (Cluster.timeline cl)));
   let digest =
     Digest.to_hex
       (Digest.string
@@ -541,7 +543,7 @@ let test_speculation_digest () =
          ^ Snapshot.to_string (Cluster.metrics_snapshot cl)))
   in
   Alcotest.(check string) "speculation digest"
-    "1d16239a5ec1b28b65df5106d750489c" digest
+    "6a52f69262d2a5bb44e76f66da680db8" digest
 
 let () =
   Alcotest.run "eden_ckpt"

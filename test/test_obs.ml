@@ -1,5 +1,5 @@
-(* Tests for the observability library: metrics registry, invocation
-   spans, JSON snapshots, and the kernel's instrumentation of the
+(* Tests for the observability library: metrics registry, JSON
+   snapshots, event journals, and the kernel's instrumentation of the
    invocation path. *)
 
 open Eden_util
@@ -342,47 +342,6 @@ let test_health_unit () =
          }))
 
 (* ------------------------------------------------------------------ *)
-(* Spans *)
-
-let test_span_retention () =
-  let col = Span.create ~keep:2 () in
-  for i = 1 to 4 do
-    let sp =
-      Span.start col ~op:(string_of_int i) ~target:"t" ~origin:0
-        ~at:Time.zero ()
-    in
-    Span.finish sp ~outcome:"ok" ~at:(Time.us i);
-    (* A repeat finish changes nothing: the first outcome wins. *)
-    Span.finish sp ~outcome:"late" ~at:(Time.ms 5);
-    check_int "duration from the first finish" (i * 1000)
-      (Time.to_ns (Span.duration sp))
-  done;
-  check_bool "only the last two retained" true
-    (List.map (fun i -> i.Span.i_op) (Span.finished col) = [ "3"; "4" ]);
-  check_bool "first outcomes kept" true
-    (List.for_all (fun i -> i.Span.i_outcome = "ok") (Span.finished col))
-
-(* The export format is pinned: a fixed span prints exactly this
-   string, and parses back to the same record. *)
-let test_span_json_pinned () =
-  let col = Span.create () in
-  let parent = Span.start col ~op:"outer" ~target:"a" ~origin:0 ~at:Time.zero () in
-  let sp =
-    Span.start col ~parent:(Span.id parent) ~op:"get" ~target:"obj#7"
-      ~origin:3 ~at:(Time.us 10) ()
-  in
-  Span.note_remote sp;
-  Span.finish sp ~outcome:"ok" ~at:(Time.us 47);
-  match Span.last_finished col with
-  | None -> Alcotest.fail "no finished span"
-  | Some info ->
-    check_string "info_to_json"
-      {|{"id":1,"parent":0,"op":"get","target":"obj#7","origin":3,"remote":true,"outcome":"ok","start_ns":10000,"end_ns":47000}|}
-      (Json.to_string ~compact:true (Span.info_to_json info));
-    check_bool "parses back equal" true
-      (Span.info_of_json (Span.info_to_json info) = Ok info)
-
-(* ------------------------------------------------------------------ *)
 (* Snapshot JSON *)
 
 let test_snapshot_roundtrip () =
@@ -392,18 +351,7 @@ let test_snapshot_roundtrip () =
   let h = Metrics.histogram reg ~buckets:[| 0.001; 0.01 |] "lat" in
   Metrics.observe h 0.002;
   Metrics.observe h 0.5;
-  let col = Span.create () in
-  let parent =
-    Span.start col ~op:"outer" ~target:"a" ~origin:0 ~at:Time.zero ()
-  in
-  let child =
-    Span.start col ~parent:(Span.id parent) ~op:"inner" ~target:"b"
-      ~origin:1 ~at:(Time.us 5) ()
-  in
-  Span.note_remote child;
-  Span.finish child ~outcome:"ok" ~at:(Time.us 9);
-  Span.finish parent ~outcome:"timeout" ~at:(Time.us 20);
-  let snap = Snapshot.take ~at:(Time.ms 3) ~spans:col reg in
+  let snap = Snapshot.take ~at:(Time.ms 3) reg in
   (* Compact and indented renderings parse back to the same value. *)
   List.iter
     (fun compact ->
@@ -411,33 +359,28 @@ let test_snapshot_roundtrip () =
       | Error e -> Alcotest.failf "reparse failed: %s" e
       | Ok snap' ->
         check_bool "roundtrip preserves everything" true (snap' = snap))
-    [ true; false ];
-  (* Parent links survive the trip. *)
-  match Snapshot.of_string (Snapshot.to_string snap) with
-  | Error e -> Alcotest.failf "reparse failed: %s" e
-  | Ok snap' ->
-    let inner =
-      match Span.children snap'.Snapshot.spans (Span.id parent) with
-      | [ i ] -> i
-      | l -> Alcotest.failf "expected one child, got %d" (List.length l)
-    in
-    check_string "child op" "inner" inner.Span.i_op;
-    check_bool "child remote" true inner.Span.i_remote
+    [ true; false ]
 
 let test_snapshot_rejects_garbage () =
   check_bool "not json" true (Result.is_error (Snapshot.of_string "{"));
   check_bool "wrong schema" true
     (Result.is_error (Snapshot.of_string "{\"schema\":\"nope\"}"));
-  (* Schema 1 carried per-span phase times; its exports are refused
-     rather than read as schema 2. *)
-  check_bool "schema 1 refused" true
-    (Snapshot.of_string
-       {|{"schema":"eden-metrics/1","at_ns":0,"metrics":[],"spans":[]}|}
-    = Error {|snapshot: unknown schema "eden-metrics/1"|});
-  check_bool "schema 2 accepted" true
+  (* Schemas 1 and 2 carried invocation spans (schema 1 with per-span
+     phase times); their exports are refused rather than read as
+     schema 3. *)
+  List.iter
+    (fun v ->
+      let schema = Printf.sprintf "eden-metrics/%d" v in
+      check_bool (schema ^ " refused") true
+        (Snapshot.of_string
+           (Printf.sprintf {|{"schema":%S,"at_ns":0,"metrics":[],"spans":[]}|}
+              schema)
+        = Error (Printf.sprintf "snapshot: unknown schema %S" schema)))
+    [ 1; 2 ];
+  check_bool "schema 3 accepted" true
     (Result.is_ok
        (Snapshot.of_string
-          {|{"schema":"eden-metrics/2","at_ns":0,"metrics":[],"spans":[]}|}))
+          {|{"schema":"eden-metrics/3","at_ns":0,"metrics":[]}|}))
 
 (* Regression: [edenctl chaos --metrics-out results/run1/snap.json]
    used to die with Sys_error when the directory tree did not exist.
@@ -483,6 +426,12 @@ let relay_type =
           let* target = cap_arg v in
           let* r = ctx.invoke target ~op:"get" [] in
           reply r);
+      Typemgr.operation "relay_get_async" ~mutates:false (fun ctx args ->
+          let* v = arg1 args in
+          let* target = cap_arg v in
+          match Promise.await (ctx.invoke_async target ~op:"get" []) with
+          | Some r -> r
+          | None -> Error Error.Timeout);
     ]
 
 let with_cluster ?seed ?(n = 3) body =
@@ -495,7 +444,72 @@ let with_cluster ?seed ?(n = 3) body =
   | Some r -> r
   | None -> Alcotest.fail "driver did not complete"
 
-let test_remote_span_matches_latency () =
+(* One invocation as the journal records it: its [Inv_begin] on the
+   requesting node and the [Inv_end] of the trace that event roots. *)
+type inv = {
+  iv_id : int;  (* the [Inv_begin]'s id, which is its trace *)
+  iv_op : string;
+  iv_caller : int;
+  iv_origin : int;
+  iv_remote : bool;  (* a [Send] in the trace: the request left the node *)
+  iv_outcome : string;
+  iv_start : Time.t;
+  iv_finish : Time.t;
+}
+
+(* Every invocation in [cl]'s timeline, in the order they began. *)
+let invocations cl =
+  let evs = Timeline.events (Cluster.timeline cl) in
+  List.filter_map
+    (fun (b : Journal.event) ->
+      match b.ev_kind with
+      | Journal.Inv_begin { op; caller; _ } ->
+        let trace =
+          List.filter (fun (e : Journal.event) -> e.ev_trace = b.ev_id) evs
+        in
+        let outcome, finish =
+          match
+            List.find_map
+              (fun (e : Journal.event) ->
+                match e.ev_kind with
+                | Journal.Inv_end { outcome; _ } -> Some (outcome, e.ev_at)
+                | _ -> None)
+              trace
+          with
+          | Some x -> x
+          | None -> Alcotest.failf "invocation #%d never ended" b.ev_id
+        in
+        Some
+          {
+            iv_id = b.ev_id;
+            iv_op = op;
+            iv_caller = caller;
+            iv_origin = b.ev_node;
+            iv_remote =
+              List.exists
+                (fun (e : Journal.event) ->
+                  match e.ev_kind with Journal.Send _ -> true | _ -> false)
+                trace;
+            iv_outcome = outcome;
+            iv_start = b.ev_at;
+            iv_finish = finish;
+          }
+      | _ -> None)
+    evs
+
+let the_invocation cl op =
+  match List.filter (fun i -> i.iv_op = op) (invocations cl) with
+  | [ i ] -> i
+  | l -> Alcotest.failf "expected one %s invocation, got %d" op (List.length l)
+
+let latency_sum cl =
+  match
+    Snapshot.find (Cluster.metrics_snapshot cl) "eden.invocation_latency_s"
+  with
+  | Some (Metrics.Histogram v) -> v.Metrics.sum
+  | _ -> Alcotest.fail "latency histogram missing"
+
+let test_remote_invocation_latency () =
   with_cluster (fun cl ->
       let cap =
         ok_or_fail "create"
@@ -507,23 +521,22 @@ let test_remote_span_matches_latency () =
       ignore
         (ok_or_fail "invoke" (Cluster.invoke cl ~from:0 cap ~op:"spin" []));
       let latency = Time.diff (Engine.now eng) t0 in
-      let info =
-        match Span.last_finished (Cluster.spans cl) with
-        | Some i -> i
-        | None -> Alcotest.fail "no span recorded"
-      in
-      check_string "span op" "spin" info.Span.i_op;
-      check_int "origin node" 0 info.Span.i_origin;
-      check_bool "crossed the wire" true info.Span.i_remote;
-      check_string "outcome" "ok" info.Span.i_outcome;
-      (* The span's end-to-end duration is the observed virtual-time
-         latency, which covers the handler's compute. *)
-      check_int "span duration = observed latency" (Time.to_ns latency)
-        (Time.to_ns (Time.diff info.Span.i_finish info.Span.i_start));
+      let inv = the_invocation cl "spin" in
+      check_int "origin node" 0 inv.iv_origin;
+      check_bool "crossed the wire" true inv.iv_remote;
+      check_string "outcome" "ok" inv.iv_outcome;
+      (* Inv_begin to Inv_end is the observed virtual-time latency,
+         which covers the handler's compute, and it is what the
+         latency histogram observed. *)
+      let journalled = Time.diff inv.iv_finish inv.iv_start in
+      check_int "journal latency = observed latency" (Time.to_ns latency)
+        (Time.to_ns journalled);
+      check_bool "journal latency = histogram sum" true
+        (Float.equal (Time.to_sec journalled) (latency_sum cl));
       check_bool "latency covers the handler's compute" true
         Time.(latency >= us 50))
 
-let test_local_span () =
+let test_local_invocation () =
   with_cluster (fun cl ->
       let cap =
         ok_or_fail "create"
@@ -531,17 +544,17 @@ let test_local_span () =
              (Value.Int 1))
       in
       ignore (ok_or_fail "invoke" (Cluster.invoke cl ~from:0 cap ~op:"get" []));
-      let info =
-        match Span.last_finished (Cluster.spans cl) with
-        | Some i -> i
-        | None -> Alcotest.fail "no span recorded"
-      in
-      check_bool "local" false info.Span.i_remote;
-      check_int "origin node" 0 info.Span.i_origin;
-      check_string "outcome" "ok" info.Span.i_outcome;
-      check_bool "no parent" true (info.Span.i_parent = None))
+      let inv = the_invocation cl "get" in
+      check_bool "local" false inv.iv_remote;
+      check_int "origin node" 0 inv.iv_origin;
+      check_string "outcome" "ok" inv.iv_outcome;
+      check_int "no caller" (-1) inv.iv_caller)
 
-let test_nested_invoke_parent_link () =
+(* A handler on node 0 reads an object on node 1 through [ctx.invoke]
+   or [ctx.invoke_async]: the nested invocation's caller is the outer
+   invocation's [Inv_begin], even though the outer request came from
+   node 2 and the async read runs in a process of its own. *)
+let nested_call_links op () =
   with_cluster (fun cl ->
       let a =
         ok_or_fail "create a"
@@ -553,29 +566,18 @@ let test_nested_invoke_parent_link () =
           (Cluster.create_object cl ~node:1 ~type_name:"obs_relay"
              (Value.Int 42))
       in
-      (match
-         Cluster.invoke cl ~from:2 a ~op:"relay_get" [ Value.Cap b ]
-       with
+      (match Cluster.invoke cl ~from:2 a ~op [ Value.Cap b ] with
       | Ok [ Value.Int 42 ] -> ()
       | Ok _ -> Alcotest.fail "unexpected relay result"
       | Error e -> Alcotest.failf "relay: %s" (Error.to_string e));
-      let infos = Span.finished (Cluster.spans cl) in
-      let outer =
-        match
-          List.find_opt (fun i -> i.Span.i_op = "relay_get") infos
-        with
-        | Some i -> i
-        | None -> Alcotest.fail "outer span missing"
-      in
-      match Span.children infos outer.Span.i_id with
-      | [ inner ] ->
-        check_string "nested op" "get" inner.Span.i_op;
-        (* ctx.invoke runs in A's handler on node 0. *)
-        check_int "nested origin is the handler's node" 0
-          inner.Span.i_origin;
-        check_bool "nested finished inside the outer span" true
-          Time.(inner.Span.i_finish <= outer.Span.i_finish)
-      | l -> Alcotest.failf "expected one child span, got %d" (List.length l))
+      let outer = the_invocation cl op and inner = the_invocation cl "get" in
+      check_int "the outer call has no caller" (-1) outer.iv_caller;
+      check_int "the nested call's caller is the outer call" outer.iv_id
+        inner.iv_caller;
+      (* The handler runs on node 0, where the nested call begins. *)
+      check_int "nested origin is the handler's node" 0 inner.iv_origin;
+      check_bool "nested finished inside the outer call" true
+        Time.(inner.iv_finish <= outer.iv_finish))
 
 let test_cluster_snapshot_contents () =
   with_cluster (fun cl ->
@@ -614,7 +616,17 @@ let test_cluster_snapshot_contents () =
       | Some (Metrics.Histogram v) ->
         check_int "every invocation observed" 5 v.Metrics.count
       | _ -> Alcotest.fail "latency histogram missing");
-      check_int "spans retained" 5 (List.length snap.Snapshot.spans);
+      (* The journal holds the same five invocations, and their
+         begin-to-end times are what the histogram summed. *)
+      let invs = invocations cl in
+      check_int "invocations journalled" 5 (List.length invs);
+      check_bool "journal latencies = histogram sum" true
+        (Float.equal
+           (List.fold_left
+              (fun acc i ->
+                acc +. Time.to_sec (Time.diff i.iv_finish i.iv_start))
+              0.0 invs)
+           (latency_sum cl));
       (* The exported snapshot passes its own round trip. *)
       check_bool "export parses" true
         (Result.is_ok (Snapshot.of_string (Snapshot.to_string snap))))
@@ -670,7 +682,10 @@ let test_journal_kind_roundtrip () =
       Journal.Delay { dst = None; msgs = 4 };
       Journal.Coalesce { dst = 2; msgs = 6 };
       Journal.Retry { op = "get"; attempt = 2 };
-      Journal.Inv_begin { op = "get"; target = "obj#1" };
+      Journal.Inv_begin { op = "get"; target = "obj#1"; caller = -1 };
+      Journal.Inv_begin { op = "get"; target = "obj#1"; caller = 0 };
+      Journal.Inv_begin
+        { op = "put"; target = "obj#2"; caller = (1 lsl 40) + 12345 };
       Journal.Inv_end { op = "get"; outcome = "ok" };
       Journal.Ckpt_round { target = "obj#1"; version = 3 };
       Journal.Cache_install { target = "obj#1"; epoch = 1 };
@@ -866,7 +881,7 @@ let test_attribution () =
   let j1 = Journal.create sink ~node:1 ~cap:64 in
   let b =
     Journal.record j0 ~at:Time.zero
-      (Journal.Inv_begin { op = "get"; target = "obj<1.1>" })
+      (Journal.Inv_begin { op = "get"; target = "obj<1.1>"; caller = -1 })
   in
   let ctx = Tracectx.root b in
   let s =
@@ -925,7 +940,7 @@ let test_attribution_categories () =
   let j = Journal.create sink ~node:0 ~cap:64 in
   let b =
     Journal.record j ~at:Time.zero
-      (Journal.Inv_begin { op = "get"; target = "obj<1.9>" })
+      (Journal.Inv_begin { op = "get"; target = "obj<1.9>"; caller = -1 })
   in
   let ctx = Tracectx.root b in
   let d =
@@ -977,7 +992,7 @@ let test_profile_unit () =
   let request ~start ~dur =
     let b =
       Journal.record j ~at:start
-        (Journal.Inv_begin { op = "get"; target = "obj<0.1>" })
+        (Journal.Inv_begin { op = "get"; target = "obj<0.1>"; caller = -1 })
     in
     ignore
       (Journal.record j
@@ -991,7 +1006,7 @@ let test_profile_unit () =
   (* A begun-but-never-finished request is skipped, not guessed at. *)
   ignore
     (Journal.record j ~at:(Time.us 300)
-       (Journal.Inv_begin { op = "get"; target = "obj<0.1>" }));
+       (Journal.Inv_begin { op = "get"; target = "obj<0.1>"; caller = -1 }));
   let pf = Profile.of_timeline (Journal.events j) in
   check_int "requests" 3 (Profile.requests pf);
   check_int "skipped" 1 (Profile.skipped pf);
@@ -1141,7 +1156,7 @@ let analysis_exports_digest () =
           ]))
 
 let test_analysis_exports_pinned () =
-  check_string "analysis exports digest" "96e84f7d5a3a15ec822f4d35108eb72e"
+  check_string "analysis exports digest" "281bfb04848d5ad1c1d3f1f9e57d846e"
     (analysis_exports_digest ())
 
 (* The same exports over a run the size of the host benchmark's: eight
@@ -1211,7 +1226,7 @@ let closed_loop_exports_digest () =
 
 let test_closed_loop_exports_pinned () =
   check_string "closed-loop analysis exports digest"
-    "e61ced6a307820779e8d84d2083ed657"
+    "fd4aa61887ebbbe3b88199649fe45565"
     (closed_loop_exports_digest ())
 
 (* Failed invariants are reported by name, in both renderings — a CI
@@ -1406,11 +1421,6 @@ let () =
           Alcotest.test_case "default rules read published series" `Quick
             test_default_rules_published;
         ] );
-      ( "spans",
-        [
-          Alcotest.test_case "retention" `Quick test_span_retention;
-          Alcotest.test_case "json pinned" `Quick test_span_json_pinned;
-        ] );
       ( "snapshot",
         [
           Alcotest.test_case "json roundtrip" `Quick test_snapshot_roundtrip;
@@ -1422,11 +1432,13 @@ let () =
       ( "cluster",
         [
           Alcotest.test_case "remote span = latency" `Quick
-            test_remote_span_matches_latency;
+            test_remote_invocation_latency;
           Alcotest.test_case "local span" `Quick
-            test_local_span;
+            test_local_invocation;
           Alcotest.test_case "parent links" `Quick
-            test_nested_invoke_parent_link;
+            (nested_call_links "relay_get");
+          Alcotest.test_case "parent links, async" `Quick
+            (nested_call_links "relay_get_async");
           Alcotest.test_case "snapshot contents" `Quick
             test_cluster_snapshot_contents;
         ] );

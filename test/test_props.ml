@@ -1,6 +1,6 @@
 (* Property tests on the {!Prop} harness: 100 seeds per property, each
    seed generating one structured value — messages and their journal
-   facts, deltas, span JSON, the fault plan text format, the health
+   facts, deltas, the fault plan text format, the health
    plane's structures, the metrics registry, the event heap, the
    directory ring and the trace analyses.  Everything here is pure — no
    engine, no cluster. *)
@@ -10,6 +10,7 @@ module Splitmix = Eden_util.Splitmix
 module Pqueue = Eden_util.Pqueue
 module Time = Eden_util.Time
 module Plan = Eden_fault.Plan
+module Json = Eden_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)
@@ -389,208 +390,6 @@ let delta_never_larger =
       and fs = Delta.size_bytes (Delta.Whole target) in
       if ds <= fs then Ok ()
       else Error (Printf.sprintf "delta %dB vs full %dB" ds fs))
-
-(* ------------------------------------------------------------------ *)
-(* Span export JSON *)
-
-module Span = Eden_obs.Span
-module Json = Eden_obs.Json
-
-let gen_span_info rng =
-  let start = Splitmix.int rng 1_000_000 in
-  {
-    Span.i_id = Splitmix.int rng 100_000;
-    i_parent =
-      (if Splitmix.bool rng then Some (Splitmix.int rng 100_000) else None);
-    i_op = gen_string rng;
-    i_target = gen_string rng;
-    i_origin = Splitmix.int rng 16;
-    i_remote = Splitmix.bool rng;
-    i_outcome = (if Splitmix.bool rng then "ok" else gen_string rng);
-    i_start = Time.ns start;
-    i_finish = Time.ns (start + Splitmix.int rng 1_000_000);
-  }
-
-let show_span_info i = Json.to_string ~compact:true (Span.info_to_json i)
-
-let span_info_roundtrip =
-  Prop.case ~name:"Span.info_of_json (info_to_json i) = Ok i"
-    ~base:0xA110_0008L ~gen:gen_span_info ~show:show_span_info (fun i ->
-      match Span.info_of_json (Span.info_to_json i) with
-      | Ok i' when i' = i -> Ok ()
-      | Ok i' -> Error (Printf.sprintf "decoded to %s" (show_span_info i'))
-      | Error e -> Error e)
-
-(* The collector's ring against a list model of the FIFO of [info]
-   records it replaced: random starts, time steps, remote marks and
-   finishes (repeats included) with a small [keep], so the ring grows
-   and wraps.  The model builds each record from the live span when it
-   finishes and drops the oldest past [keep]. *)
-type span_op =
-  | Sp_start of int * string  (* parent choice (negative: none), op *)
-  | Sp_step of int  (* dt *)
-  | Sp_remote of int
-  | Sp_finish of int * string * int  (* span choice, outcome, dt *)
-
-let gen_span_ops rng =
-  (* A [keep] past 64 makes the ring grow (from 64 slots, doubling)
-     before it wraps. *)
-  let keep, n =
-    if Splitmix.bool rng then (1 + Splitmix.int rng 6, Splitmix.int rng 80)
-    else (65 + Splitmix.int rng 100, Splitmix.int rng 600)
-  in
-  let op () =
-    match Splitmix.int rng 7 with
-    | 0 | 1 -> Sp_start (Splitmix.int rng 8 - 3, gen_string rng)
-    | 2 | 3 -> Sp_step (Splitmix.int rng 1000)
-    | 4 -> Sp_remote (Splitmix.int rng 64)
-    | _ ->
-      Sp_finish
-        ( Splitmix.int rng 64,
-          (if Splitmix.bool rng then "ok" else gen_string rng),
-          Splitmix.int rng 1000 )
-  in
-  (keep, List.init n (fun _ -> op ()))
-
-let show_span_ops (keep, ops) =
-  Printf.sprintf "keep %d: %s" keep
-    (String.concat "; "
-       (List.map
-          (function
-            | Sp_start (p, op) -> Printf.sprintf "start(%d,%S)" p op
-            | Sp_step dt -> Printf.sprintf "step(+%d)" dt
-            | Sp_remote i -> Printf.sprintf "remote(%d)" i
-            | Sp_finish (i, o, dt) -> Printf.sprintf "finish(%d,%S,+%d)" i o dt)
-          ops))
-
-type live_span = {
-  ls_span : Span.t;
-  ls_parent : int option;
-  ls_op : string;
-  ls_origin : int;
-  ls_start : int;
-  mutable ls_remote : bool;
-  mutable ls_done : bool;
-}
-
-let span_ring_matches_model =
-  Prop.case ~name:"Span ring equals a FIFO of info records" ~base:0xA110_0014L
-    ~gen:gen_span_ops ~show:show_span_ops
-    ~shrink:(fun (keep, ops) ->
-      List.mapi (fun i _ -> (keep, List.filteri (fun j _ -> j <> i) ops)) ops)
-    (fun (keep, ops) ->
-      let col = Span.create ~keep () in
-      let now = ref 0 and live = ref [||] and model = ref [] in
-      let pick i = !live.(i mod Array.length !live) in
-      List.iter
-        (fun o ->
-          match o with
-          | Sp_start (p, op) ->
-            let parent =
-              if p < 0 || Array.length !live = 0 then None
-              else Some (Span.id (pick p).ls_span)
-            in
-            let origin = p land 7 in
-            let sp =
-              Span.start col ?parent ~op ~target:("t" ^ op) ~origin
-                ~at:(Time.ns !now) ()
-            in
-            let ls =
-              {
-                ls_span = sp;
-                ls_parent = parent;
-                ls_op = op;
-                ls_origin = origin;
-                ls_start = !now;
-                ls_remote = false;
-                ls_done = false;
-              }
-            in
-            live := Array.append !live [| ls |]
-          | Sp_step dt -> now := !now + dt
-          | _ when Array.length !live = 0 -> ()
-          | Sp_remote i ->
-            let ls = pick i in
-            Span.note_remote ls.ls_span;
-            if not ls.ls_done then ls.ls_remote <- true
-          | Sp_finish (i, outcome, dt) ->
-            now := !now + dt;
-            let ls = pick i in
-            Span.finish ls.ls_span ~outcome ~at:(Time.ns !now);
-            if not ls.ls_done then begin
-              ls.ls_done <- true;
-              let info =
-                {
-                  Span.i_id = Span.id ls.ls_span;
-                  i_parent = ls.ls_parent;
-                  i_op = ls.ls_op;
-                  i_target = "t" ^ ls.ls_op;
-                  i_origin = ls.ls_origin;
-                  i_remote = ls.ls_remote;
-                  i_outcome = outcome;
-                  i_start = Time.ns ls.ls_start;
-                  i_finish = Time.ns !now;
-                }
-              in
-              model := !model @ [ info ];
-              if List.length !model > keep then model := List.tl !model
-            end)
-        ops;
-      let want = !model and got = Span.finished col in
-      let show l = String.concat "; " (List.map show_span_info l) in
-      if got <> want then
-        Error (Printf.sprintf "finished [%s], model [%s]" (show got) (show want))
-      else if Span.last_finished col <> List.nth_opt (List.rev want) 0 then
-        Error "last_finished differs from the model's newest"
-      else Ok ())
-
-(* Every field but [parent] is required: dropping one, or giving it
-   the wrong JSON kind, fails the parse and names the field. *)
-let test_span_json_required_fields () =
-  let i =
-    {
-      Span.i_id = 1;
-      i_parent = Some 0;
-      i_op = "get";
-      i_target = "obj#1";
-      i_origin = 0;
-      i_remote = false;
-      i_outcome = "ok";
-      i_start = Time.zero;
-      i_finish = Time.us 3;
-    }
-  in
-  let fields =
-    match Span.info_to_json i with
-    | Json.Obj fields -> fields
-    | _ -> Alcotest.fail "span is not a JSON object"
-  in
-  List.iter
-    (fun (k, _) ->
-      let want = Printf.sprintf "span: missing or bad field %S" k in
-      let parse fs =
-        match Span.info_of_json (Json.Obj fs) with
-        | Error e -> e
-        | Ok _ -> "accepted"
-      in
-      if k = "parent" then
-        Alcotest.(check bool)
-          "no parent is a root span" true
-          (Span.info_of_json
-             (Json.Obj (List.filter (fun (k', _) -> k' <> k) fields))
-          = Ok { i with i_parent = None })
-      else begin
-        Alcotest.(check string)
-          ("missing " ^ k) want
-          (parse (List.filter (fun (k', _) -> k' <> k) fields));
-        Alcotest.(check string)
-          ("bad " ^ k) want
-          (parse
-             (List.map
-                (fun (k', v) -> if k' = k then (k', Json.List []) else (k', v))
-                fields))
-      end)
-    fields
 
 let gen_plan_params rng =
   let seed = Splitmix.next64 rng in
@@ -1330,7 +1129,7 @@ module Oracle = struct
         walk window;
         let op, target =
           match b.Journal.ev_kind with
-          | Journal.Inv_begin { op; target } -> (op, target)
+          | Journal.Inv_begin { op; target; _ } -> (op, target)
           | _ -> assert false
         in
         let outcome =
@@ -1718,7 +1517,12 @@ let gen_analysis_event ~n rng : Journal.event =
     match Splitmix.int rng 22 with
     | 0 | 1 -> Journal.Send { msg = msg (); dst = pick [ None; Some 1; Some 2 ] }
     | 2 | 3 -> Journal.Recv { msg = msg (); src = Splitmix.int rng 4 }
-    | 4 | 5 -> Journal.Inv_begin { op = pick [ "get"; "put" ]; target = pick [ "o1"; "o2" ] }
+    | 4 | 5 -> Journal.Inv_begin
+        {
+          op = pick [ "get"; "put" ];
+          target = pick [ "o1"; "o2" ];
+          caller = -1;
+        }
     | 6 | 7 -> Journal.Inv_end { op = "get"; outcome = pick [ "ok"; "timeout" ] }
     | 8 -> Journal.Retry { op = "get"; attempt = 1 + Splitmix.int rng 3 }
     | 9 -> Journal.Hedge { op = "get"; dst = 2 }
@@ -2271,13 +2075,6 @@ let () =
             test_size_bytes_pinned;
         ] );
       ("delta", [ delta_apply_roundtrip; delta_never_larger ]);
-      ( "span_json",
-        [
-          span_info_roundtrip;
-          span_ring_matches_model;
-          Alcotest.test_case "required fields rejected" `Quick
-            test_span_json_required_fields;
-        ] );
       ("fault_plan", [ plan_roundtrip ]);
       ("metrics", [ registry_matches_model ]);
       ("health", [ topk_error_bounds ]);

@@ -34,7 +34,7 @@ let rec files dir ext acc =
     acc
     (try Sys.readdir dir with Sys_error _ -> [||])
 
-(* [Eden_obs__Span] is [Span] to a reader. *)
+(* [Eden_obs__Journal] is [Journal] to a reader. *)
 let short modname =
   let rec last i =
     if i < 1 then modname
