@@ -116,7 +116,8 @@ REJECTED = "demo --nodes 0" "demo --nodes=-2" "stats --nodes 0" \
 # through metrics-check (so the snapshot writer and parser agree on
 # the schema), check that the export gets the same file mode as a
 # trace export in the same directory (both follow the umask), check
-# that --trace prints the journal (a send event among its lines),
+# that --trace prints the journal (a send event among its lines) with
+# the kinds the profiler reads on default options (a work start line),
 # then check that bad input is refused.
 smoke:
 	dune exec bin/edenctl.exe -- info
@@ -139,6 +140,9 @@ smoke:
 	./_build/default/bin/edenctl.exe demo --nodes 4 --trace | \
 	  grep -Eq '^\[[^]]*\] n[0-9]+ #[0-9]+ trace=[0-9]+( parent=[0-9]+)? send ' \
 	  || { echo "smoke: demo --trace printed no journal send line"; exit 1; }
+	./_build/default/bin/edenctl.exe demo --nodes 4 --trace | \
+	  grep -q ' work start ' \
+	  || { echo "smoke: demo --trace printed no work start line"; exit 1; }
 	@for args in $(REJECTED); do \
 	  err=$$(./_build/default/bin/edenctl.exe $$args 2>&1 >/dev/null); rc=$$?; \
 	  if [ $$rc -eq 0 ] || [ $$rc -eq 125 ] || [ -z "$$err" ]; then \
@@ -236,13 +240,12 @@ reconfig-check:
 
 # The critical-path profiler: the E25 smoke (three injected
 # bottlenecks — slow node, saturated wire, hot directory shard — each
-# attributed to the right category, virtual time unchanged by
-# profiling — asserted inside the experiment), then the profile
-# subcommand twice with the same seed — report, flame stacks and JSON
-# must all be byte-identical — and once more under a chaotic fault
-# plan with the checker armed, so the attribution-complete invariant
-# (every request's categories sum exactly to its end-to-end latency)
-# gates the run.
+# attributed to the right category — asserted inside the experiment),
+# then the profile subcommand twice with the same seed — report, flame
+# stacks and JSON must all be byte-identical — and once more under a
+# chaotic fault plan with the checker armed, so the
+# attribution-complete invariant (every request's categories sum
+# exactly to its end-to-end latency) gates the run.
 profile-check:
 	dune exec bench/main.exe -- E25 --smoke
 	$(call twice,profile --nodes 5 --seed 11 \

@@ -203,11 +203,11 @@ let mean_over cl ~warmup ~iters thunk =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Paired host-time overhead (E20, E21, E25).
+(* Paired host-time overhead (E20, E21).
 
-   A feature that only observes — the journal, the health plane, the
-   profiler — must leave the virtual-time schedule untouched, so what
-   it costs is host time.  The same seeded invocation stream runs with
+   A feature that only observes — the journal, the health plane — must
+   leave the virtual-time schedule untouched, so what it costs is host
+   time.  The same seeded invocation stream runs with
    the feature off and on.  Off/on runs are interleaved in pairs, each
    run starts from a compacted heap, and the reported overhead is the
    *median of the per-pair ratios*.  On a shared machine absolute run

@@ -23,17 +23,11 @@
      hash to the *same* shard, which the whole cluster then hammers
      concurrently — [directory] must dominate.
 
-   Two more properties ride along:
-
-   - determinism: the profile is a pure function of the trace, so two
-     same-seed runs must render byte-identical reports (asserted on
-     part A).
-   - overhead: profiling adds journal kinds on the invocation path
-     and a per-payload wire tap.  Re-run E20's paired-ratio
-     methodology (compacted heap, off/on interleaved, median of
-     per-pair ratios) on E18's locality-free invocation stream with
-     [use_profiling] toggled, check that virtual end times match, and
-     print the host-time overhead against E20's 5% bar (not gated).
+   Determinism rides along: the profile is a pure function of the
+   trace, so two same-seed runs must render byte-identical reports
+   (asserted on part A).  The journal kinds the attribution reads are
+   always recorded; what they cost is part of the journal overhead E20
+   measures.
 
    `make profile-check` runs the smoke variant: shorter streams, the
    same three dominance assertions. *)
@@ -76,10 +70,8 @@ let a_home = 3
 let a_slow_by = Time.ms 25
 let read_gap = Time.ms 5
 
-let profiled = { Cluster.default_options with Cluster.use_profiling = true }
-
 let slow_node_run ~seed ~reads =
-  let cl = fresh_cluster ~seed ~options:profiled ~n:a_nodes () in
+  let cl = fresh_cluster ~seed ~n:a_nodes () in
   let cap =
     drive cl (fun () ->
         must "create"
@@ -127,7 +119,7 @@ let part_a ~reads =
 let b_nodes = 6
 
 let saturated_run ~reads =
-  let cl = fresh_cluster ~seed:25L ~options:profiled ~n:b_nodes () in
+  let cl = fresh_cluster ~seed:25L ~n:b_nodes () in
   let cap, noise =
     drive cl (fun () ->
         let cap =
@@ -185,7 +177,6 @@ let c_options =
     Cluster.use_hint_cache = false;
     use_forwarding = false;
     use_directory = true;
-    use_profiling = true;
   }
 
 (* Create candidate objects round-robin across the cluster and keep
@@ -268,36 +259,13 @@ let part_c ~touches =
   report "hot directory shard" pf;
   assert_dominant "part C" pf [ Critical.Directory ]
 
-(* ------------------------------------------------------------------ *)
-(* Overhead: E20's paired-ratio methodology on E18's stream *)
-
-let o_nodes = 4
-let o_repeats = 7
-
-let overhead ~iters =
-  let ov =
-    paired_overhead ~id:"E25 overhead" ~feature:"profiling" ~iters
-      ~repeats:o_repeats
-      ~off:(fun () -> fresh_cluster ~n:o_nodes ())
-      ~on:(fun () -> fresh_cluster ~options:profiled ~n:o_nodes ())
-  in
-  let pct = 100.0 *. (ov.ov_ratio -. 1.0) in
-  note
-    "profiling overhead: %.1f%% host time (median of %d paired off/on \
-     ratios over %d invocations), measured against E20's 5%% bar and not \
-     gated; virtual time is identical (checked: holds and flushes are \
-     journaled, never rescheduled)."
-    pct o_repeats iters
-
 let run () =
   heading "E25" "critical-path profiler: attribution under injected \
                  bottlenecks";
   let reads = if !smoke then 60 else 150 in
   let touches = if !smoke then 24 else 48 in
-  let iters = if !smoke then 6_000 else 24_000 in
   part_a ~reads;
   part_b ~reads;
   part_c ~touches;
-  overhead ~iters;
   note "E25 acceptance holds: three injected bottlenecks, three correct \
         attributions"

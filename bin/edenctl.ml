@@ -521,7 +521,7 @@ let availability label ~ok ~failed ctl =
    mirrored counters under a deterministic fault plan, driven entirely
    by the virtual clock and the seed.  Returns the finished cluster for
    post-run inspection. *)
-let chaos_workload ?health ?(profiling = false) w =
+let chaos_workload ?health w =
   let { common = { nodes; seed }; requests; features = f } = w in
   if nodes < 2 then die "chaos needs --nodes >= 2\n";
   (* Two bridged segments once the cluster is big enough, so partition
@@ -535,7 +535,7 @@ let chaos_workload ?health ?(profiling = false) w =
   in
   let cl =
     Cluster.create ~seed:(Int64.of_int seed) ~segments ~spares:f.spares
-      ~options:{ f.options with Cluster.use_profiling = profiling }
+      ~options:f.options
       ?coalesce:f.coalesce ?health ~configs ()
   in
   Cluster.register_type cl (chaos_type ~async:f.ckpt_async);
@@ -833,13 +833,12 @@ let run_top w k json_out =
   summary cl
 
 (* ------------------------------------------------------------------ *)
-(* profile: run the chaos workload with critical-path profiling armed
-   and attribute every request's end-to-end latency over its causal
-   trace.  The whole report is a function of the seed, so `make
+(* profile: run the chaos workload and attribute every request's
+   end-to-end latency over its causal trace.  The whole report is a function of the seed, so `make
    profile-check` can cmp two same-seed runs byte for byte. *)
 
 let run_profile w out json_out folded chrome check =
-  let cl = chaos_workload ~profiling:true w in
+  let cl = chaos_workload w in
   let tl = Cluster.timeline cl in
   let dropped = Cluster.journal_dropped cl in
   let pf = Eden_obs.Profile.of_timeline tl in
@@ -1240,8 +1239,8 @@ let commands =
              (matched send/recv, causal time order, retry termination, cache \
              install epochs); exit non-zero on any violation.") );
     ( "profile",
-      "Run the chaos workload with critical-path profiling and attribute \
-       each request's latency across \
+      "Run the chaos workload and attribute each request's latency, \
+       along its causal trace in the journal, across \
        service/queue/wire/directory/backoff categories.",
       Term.(
         const run_profile $ chaos_args all_features

@@ -29,9 +29,9 @@ type work = {
          anything else this work causes) extends the same causal chain.
          Its trace is the requester's [Inv_begin], so it also names the
          caller of every invocation the handler makes.
-         Mutable only for profiling: Work_start / Drain_stall journal
-         events re-parent the chain through themselves so queue and
-         drain residency are visible as gaps on the causal path. *)
+         Mutable because Work_start / Drain_stall journal events
+         re-parent the chain through themselves so queue and drain
+         residency are visible as gaps on the causal path. *)
 }
 
 type obj_status = Running | Draining | Dead
@@ -227,7 +227,6 @@ type options = {
   use_ckpt_delta : bool;
   speculate : Api.speculate;
   use_directory : bool;
-  use_profiling : bool;
 }
 
 let default_options =
@@ -239,7 +238,6 @@ let default_options =
     use_ckpt_delta = false;
     speculate = Api.no_speculation;
     use_directory = false;
-    use_profiling = false;
   }
 
 (* Owned per-node counters on the invocation hot path (the sampled
@@ -838,16 +836,15 @@ let work_retracted node w =
 
 (* The body of an invocation process, serving [w] as process [id]. *)
 let serve_work cl obj node op w id =
-  (* Profiling: mark the instant execution actually begins — the gap
-     back to the triggering receive (or stall) is queue residency — and
-     re-parent the work's causal chain through the mark so the reply
-     extends it. *)
-  (if cl.opts.use_profiling then
-     match w.w_ctx with
-     | Some c ->
-       let ws = jrecord cl node ~ctx:c (Journal.Work_start { op = w.w_op }) in
-       w.w_ctx <- Some (Tracectx.with_parent c ~parent:ws)
-     | None -> ());
+  (* Mark the instant execution actually begins — the gap back to the
+     triggering receive (or stall) is queue residency — and re-parent
+     the work's causal chain through the mark so the reply extends
+     it. *)
+  (match w.w_ctx with
+  | Some c ->
+    let ws = jrecord cl node ~ctx:c (Journal.Work_start { op = w.w_op }) in
+    w.w_ctx <- Some (Tracectx.with_parent c ~parent:ws)
+  | None -> ());
   Itbl.replace obj.ob_inflight id w;
   let result =
     try op.Typemgr.op_handler (obj_ctx cl obj) w.w_args with
@@ -914,18 +911,16 @@ let coordinator_admit cl obj w =
   match obj.ob_status with
   | Dead -> fail_work cl obj w Error.Object_crashed
   | Draining ->
-    (* Profiling: the request is about to sit behind a draining
-       object; mark the stall (and re-parent through it) so the wait
-       until reactivation is attributed to drain, not plain queueing. *)
-    (if cl.opts.use_profiling then
-       match w.w_ctx with
-       | Some c ->
-         let ds =
-           jrecord cl node ~ctx:c
-             (Journal.Drain_stall { target = obj.ob_label })
-         in
-         w.w_ctx <- Some (Tracectx.with_parent c ~parent:ds)
-       | None -> ());
+    (* The request is about to sit behind a draining object; mark the
+       stall (and re-parent through it) so the wait until reactivation
+       is attributed to drain, not plain queueing. *)
+    (match w.w_ctx with
+    | Some c ->
+      let ds =
+        jrecord cl node ~ctx:c (Journal.Drain_stall { target = obj.ob_label })
+      in
+      w.w_ctx <- Some (Tracectx.with_parent c ~parent:ds)
+    | None -> ());
     Fifo.push_exn obj.ob_stash w
   | Running -> (
     match Typemgr.resolve obj.ob_type w.w_op with
@@ -3186,49 +3181,35 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
       Transport.on_message node.nd_tp (fun ~src msg ->
           on_message cl node ~src msg))
     nodes;
-  (* Wire-level verdicts (drops, duplicates, delays, coalesced
-     batches) are journalled at the sending node.  They root their own
-     trace: the injector fires below the layer that knows contexts. *)
+  (* Wire-level verdicts (drops, duplicates, delays, departures) are
+     journalled at the sending node.  The counts root their own trace:
+     the injector fires below the layer that knows contexts.  A hold or
+     a departure is also journalled once per payload, against that
+     payload's trace, so the attribution walk can split coalescer hold
+     and injected hold out of a request's wire time. *)
+  let record src ?ctx kind =
+    if src >= 0 && src < Array.length nodes then
+      ignore (jrecord cl nodes.(src) ?ctx kind)
+  in
+  let each src items kind =
+    List.iter
+      (fun (m : Message.traced) -> record src ?ctx:m.Message.tr_ctx kind)
+      items
+  in
   Transport.set_event_hook lan
     (Some
        (fun ev ->
-         let record src kind =
-           if src >= 0 && src < Array.length nodes then
-             ignore (jrecord cl nodes.(src) kind)
-         in
          match ev with
          | Transport.Ev_drop { src; dst; msgs } ->
            record src (Journal.Drop { dst; msgs })
          | Transport.Ev_duplicate { src; dst; msgs } ->
            record src (Journal.Duplicate { dst; msgs })
-         | Transport.Ev_delay { src; dst; msgs; by = _ } ->
-           record src (Journal.Delay { dst; msgs })
-         | Transport.Ev_coalesce { src; dst; msgs } ->
-           record src (Journal.Coalesce { dst; msgs })));
-  (* Per-payload wire journaling for the profiler.  Unlike the hook
-     above these events carry each payload's trace context, so the
-     attribution walk can split coalescer hold and injected hold out
-     of a request's wire time.  Strictly profiling-gated: unarmed, the
-     net layer's only overhead is a [None] test. *)
-  if options.use_profiling then
-    Transport.set_wire_hook lan
-      (Some
-         (fun ev ->
-           let record src ctx kind =
-             if src >= 0 && src < Array.length nodes then
-               ignore (jrecord cl nodes.(src) ?ctx kind)
-           in
-           match ev with
-           | Transport.Wv_depart { src; dst; msgs; items } ->
-             List.iter
-               (fun (m : Message.traced) ->
-                 record src m.Message.tr_ctx (Journal.Net_flush { dst; msgs }))
-               items
-           | Transport.Wv_hold { src; dst; by; items } ->
-             List.iter
-               (fun (m : Message.traced) ->
-                 record src m.Message.tr_ctx (Journal.Net_hold { dst; by }))
-               items));
+         | Transport.Ev_delay { src; dst; msgs; by; items } ->
+           record src (Journal.Delay { dst; msgs });
+           each src items (Journal.Net_hold { dst; by })
+         | Transport.Ev_depart { src; dst; msgs; items } ->
+           if msgs > 1 then record src (Journal.Coalesce { dst; msgs });
+           each src items (Journal.Net_flush { dst; msgs })));
   Hashtbl.replace cl.types "eden_node" (node_type_for cl);
   cl.c_node_objects <-
     Array.map

@@ -74,16 +74,6 @@ type options = {
           journal kinds [Dir_hit]/[Dir_miss]/[Dir_fallback]/
           [Dir_publish]; checker rule 6 pins the
           resolve-or-fall-back discipline. *)
-  use_profiling : bool;
-      (** critical-path profiling (default false).  Arms the
-          per-payload wire tap and the extra journal kinds the
-          attribution walk sharpens its categories with —
-          [Work_start] (queue residency), [Net_flush] (coalescer
-          hold), [Net_hold] (injected sender-side hold),
-          [Drain_stall] (parked behind a draining object).  Off, the
-          journal stream and cost profile are exactly those of
-          earlier releases; {!Eden_obs.Critical} still attributes
-          exactly, just with coarser categories. *)
 }
 
 val default_options : options

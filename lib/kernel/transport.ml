@@ -32,24 +32,19 @@ let segment_counters = Internet.segment_counters
 let set_partitioned = Internet.set_partitioned
 let set_fault_injector = Internet.set_fault_injector
 
-type event = Internet.event =
+type 'a event = 'a Internet.event =
   | Ev_drop of { src : int; dst : int option; msgs : int }
   | Ev_duplicate of { src : int; dst : int option; msgs : int }
-  | Ev_delay of { src : int; dst : int option; msgs : int; by : Eden_util.Time.t }
-  | Ev_coalesce of { src : int; dst : int; msgs : int }
-
-let set_event_hook = Internet.set_event_hook
-
-type 'a wire_event = 'a Internet.wire_event =
-  | Wv_depart of { src : int; dst : int; msgs : int; items : 'a list }
-  | Wv_hold of {
+  | Ev_delay of {
       src : int;
       dst : int option;
+      msgs : int;
       by : Eden_util.Time.t;
       items : 'a list;
     }
+  | Ev_depart of { src : int; dst : int; msgs : int; items : 'a list }
 
-let set_wire_hook = Internet.set_wire_hook
+let set_event_hook = Internet.set_event_hook
 let attach net ~segment ~name = Internet.attach net ~segment ~name
 let address = Internet.address
 let segment = Internet.segment_of_endpoint

@@ -58,32 +58,23 @@ val set_fault_injector :
     every unicast ([dst = Some addr]) and broadcast ([dst = None]).
     Must be deterministic given the virtual clock. *)
 
-type event = Eden_net.Internet.event =
+type 'a event = 'a Eden_net.Internet.event =
   | Ev_drop of { src : int; dst : int option; msgs : int }
   | Ev_duplicate of { src : int; dst : int option; msgs : int }
-  | Ev_delay of { src : int; dst : int option; msgs : int; by : Eden_util.Time.t }
-  | Ev_coalesce of { src : int; dst : int; msgs : int }
-
-val set_event_hook : net -> (event -> unit) option -> unit
-(** Wire-level observability tap; see
-    {!Eden_net.Internet.set_event_hook}.  The cluster installs one to
-    journal fault verdicts and coalesced flushes at the sending node. *)
-
-type 'a wire_event = 'a Eden_net.Internet.wire_event =
-  | Wv_depart of { src : int; dst : int; msgs : int; items : 'a list }
-  | Wv_hold of {
+  | Ev_delay of {
       src : int;
       dst : int option;
+      msgs : int;
       by : Eden_util.Time.t;
       items : 'a list;
     }
+  | Ev_depart of { src : int; dst : int; msgs : int; items : 'a list }
 
-val set_wire_hook :
-  net -> (Message.traced wire_event -> unit) option -> unit
-(** Per-payload wire tap for the critical-path profiler; see
-    {!Eden_net.Internet.set_wire_hook}.  The cluster installs one
-    (only with profiling on) to journal coalescer departures and
-    injected holds against each payload's trace. *)
+val set_event_hook : net -> (Message.traced event -> unit) option -> unit
+(** Wire-level observability tap; see
+    {!Eden_net.Internet.set_event_hook}.  The cluster installs one to
+    journal fault verdicts and coalesced flushes at the sending node,
+    and the holds and departures against each payload's trace. *)
 
 type t
 (** A node's transport endpoint. *)

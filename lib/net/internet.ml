@@ -19,25 +19,24 @@ type 'a envelope = {
 type fault = Pass | Drop | Duplicate | Delay of Time.t
 
 (* Wire-level happenings an observability layer cannot see from the
-   endpoints: fault-injector verdicts that actually bit, and coalesced
-   batches leaving a queue.  Reported through an optional hook so the
-   net layer needs no dependency on the observability library. *)
-type event =
+   endpoints: fault-injector verdicts that actually bit, and batches
+   leaving a send queue.  Reported through an optional hook so the
+   net layer needs no dependency on the observability library.  A
+   delay and a departure carry the payloads they affected, since each
+   payload carries its own trace context. *)
+type 'a event =
   | Ev_drop of { src : int; dst : int option; msgs : int }
   | Ev_duplicate of { src : int; dst : int option; msgs : int }
-  | Ev_delay of { src : int; dst : int option; msgs : int; by : Time.t }
-  | Ev_coalesce of { src : int; dst : int; msgs : int }
-
-(* Per-payload wire happenings for the critical-path profiler.  The
-   [event] hook above reports counts only; attribution needs the
-   payloads themselves (each carries its trace context) so a held or
-   flushed span can be charged to the requests it delayed.  A separate
-   parametric hook keeps that cost strictly opt-in. *)
-type 'a wire_event =
-  | Wv_depart of { src : int; dst : int; msgs : int; items : 'a list }
-      (* a queued batch (possibly of one) left the coalescing queue *)
-  | Wv_hold of { src : int; dst : int option; by : Time.t; items : 'a list }
-      (* a Delay verdict held these payloads at the sender for [by] *)
+  | Ev_delay of {
+      src : int;
+      dst : int option;
+      msgs : int;
+      by : Time.t;
+      items : 'a list;
+    }
+  | Ev_depart of { src : int; dst : int; msgs : int; items : 'a list }
+      (* every flush, batch or not: a lone message released by the
+         delay timer spent the full budget queued *)
 
 type coalesce = {
   co_max_bytes : int;
@@ -75,8 +74,7 @@ type 'a t = {
   (* segments currently cut off from the bridge *)
   partitioned : bool array;
   mutable injector : (src:int -> dst:int option -> fault) option;
-  mutable event_hook : (event -> unit) option;
-  mutable wire_hook : ('a wire_event -> unit) option;
+  mutable event_hook : ('a event -> unit) option;
 }
 
 type 'a endpoint = {
@@ -167,7 +165,6 @@ let create ?params ?coalesce eng ~segments ~size =
       partitioned = Array.make segments false;
       injector = None;
       event_hook = None;
-      wire_hook = None;
     }
   in
   if segments > 1 then begin
@@ -233,10 +230,7 @@ let on_message ep f = ep.ep_handler <- Some f
 let emit net ev =
   match net.event_hook with None -> () | Some f -> f ev
 
-let emit_wire net ev =
-  match net.wire_hook with None -> () | Some f -> f ev
-
-let apply_fault net ~src ~dst ~msgs ?(items = []) transmit =
+let apply_fault net ~src ~dst ~msgs ~items transmit =
   match net.injector with
   | None -> transmit ()
   | Some f -> (
@@ -248,8 +242,7 @@ let apply_fault net ~src ~dst ~msgs ?(items = []) transmit =
       transmit ();
       transmit ()
     | Delay d ->
-      emit net (Ev_delay { src; dst; msgs; by = d });
-      emit_wire net (Wv_hold { src; dst; by = d; items });
+      emit net (Ev_delay { src; dst; msgs; by = d; items });
       Engine.schedule net.eng ~after:d transmit)
 
 let transmit_unicast ep ~dst cargo =
@@ -285,14 +278,9 @@ let flush_to ep dst =
         let net = ep.ep_net in
         if count > 1 then begin
           net.n_coalesced_batches <- net.n_coalesced_batches + 1;
-          net.n_coalesced_messages <- net.n_coalesced_messages + count;
-          emit net (Ev_coalesce { src = ep.ep_global; dst; msgs = count })
+          net.n_coalesced_messages <- net.n_coalesced_messages + count
         end;
-        (* Reported for every flush, batch or not: a lone message
-           released by the delay timer spent the full budget queued,
-           and the profiler charges that span to the coalescer. *)
-        emit_wire net
-          (Wv_depart { src = ep.ep_global; dst; msgs = count; items });
+        emit net (Ev_depart { src = ep.ep_global; dst; msgs = count; items });
         let cargo = match items with [ p ] -> One p | ps -> Batch ps in
         apply_fault net ~src:ep.ep_global ~dst:(Some dst) ~msgs:count ~items
           (fun () -> transmit_unicast ep ~dst cargo)
@@ -428,4 +416,3 @@ let set_partitioned net seg cut =
 
 let set_fault_injector net f = net.injector <- f
 let set_event_hook net f = net.event_hook <- f
-let set_wire_hook net f = net.wire_hook <- f

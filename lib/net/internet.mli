@@ -138,38 +138,31 @@ val set_fault_injector :
 
 (** {2 Wire event hook}
 
-    Observability taps for things only this layer can see: injector
-    verdicts that actually perturbed a transfer, and coalesced batches
-    leaving a send queue.  [msgs] is the number of messages in the
-    affected transfer; [dst = None] means broadcast. *)
+    Observability tap for things only this layer can see: injector
+    verdicts that actually perturbed a transfer, and batches leaving a
+    send queue.  [msgs] is the number of messages in the affected
+    transfer; [dst = None] means broadcast.  A delay and a departure
+    also carry the payloads themselves, since each carries its own
+    trace context. *)
 
-type event =
+type 'a event =
   | Ev_drop of { src : int; dst : int option; msgs : int }
   | Ev_duplicate of { src : int; dst : int option; msgs : int }
-  | Ev_delay of { src : int; dst : int option; msgs : int; by : Eden_util.Time.t }
-  | Ev_coalesce of { src : int; dst : int; msgs : int }
+  | Ev_delay of {
+      src : int;
+      dst : int option;
+      msgs : int;
+      by : Eden_util.Time.t;
+      items : 'a list;
+    }
+      (** a [Delay] verdict held [items] at the sender for [by] before
+          transmitting *)
+  | Ev_depart of { src : int; dst : int; msgs : int; items : 'a list }
+      (** [items], in send order, left a per-destination coalescing
+          queue as one transfer; reported for {e every} flush, even of
+          a single message (that message spent the delay budget
+          queued) *)
 
-val set_event_hook : 'a t -> (event -> unit) option -> unit
+val set_event_hook : 'a t -> ('a event -> unit) option -> unit
 (** At most one hook; [None] removes it.  Called synchronously at the
-    decision point, before any transmission it describes. *)
-
-(** {2 Per-payload wire hook}
-
-    The critical-path profiler needs to know {e which} payloads a
-    coalescing hold or an injected delay affected — each payload
-    carries its own trace context — so a second, parametric hook
-    reports the payload lists.  Strictly opt-in: unset, the only cost
-    is one [None] test per flush and per injector verdict. *)
-
-type 'a wire_event =
-  | Wv_depart of { src : int; dst : int; msgs : int; items : 'a list }
-      (** a batch left a per-destination coalescing queue; reported
-          for {e every} flush, even of a single message (that message
-          spent the delay budget queued) *)
-  | Wv_hold of { src : int; dst : int option; by : Eden_util.Time.t; items : 'a list }
-      (** a [Delay] verdict held [items] at the sender for [by]
-          before transmitting; [dst = None] means broadcast *)
-
-val set_wire_hook : 'a t -> ('a wire_event -> unit) option -> unit
-(** At most one hook; [None] removes it.  Called synchronously at the
-    flush or verdict point, before the transmission it describes. *)
+    flush or verdict point, before any transmission it describes. *)

@@ -18,11 +18,11 @@
     branch that produces the {e next} event of the trace — a
     deterministic tie-break that keeps the sums exact.
 
-    The profiling-gated kinds ({!Journal.Work_start},
-    {!Journal.Net_flush}, {!Journal.Net_hold}, {!Journal.Drain_stall})
-    sharpen the split — queue vs service, coalescer vs wire, injected
-    hold vs transit; without them the attribution is coarser but still
-    exact. *)
+    The kinds {!Journal.Work_start}, {!Journal.Net_flush},
+    {!Journal.Net_hold} and {!Journal.Drain_stall} sharpen the split —
+    queue vs service, coalescer vs wire, injected hold vs transit; a
+    trace without them (a hand-built one, or one whose marks were lost
+    to a wrapped ring) attributes more coarsely but still exactly. *)
 
 open Eden_util
 

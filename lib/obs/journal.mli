@@ -73,21 +73,21 @@ type kind =
   | Work_start of { op : string }
       (** the invocation process for [op] began executing at the
           target; the gap from the triggering receive to this event is
-          queue residency.  Only recorded with
-          [Cluster.options.use_profiling] on. *)
+          queue residency. *)
   | Net_flush of { dst : int; msgs : int }
       (** this message left the per-destination coalescing queue in a
           batch of [msgs]; the gap from its send to this event is
-          coalescer hold.  Profiling-gated like {!Work_start}. *)
+          coalescer hold.  Recorded for every flush, after the
+          batch's {!Coalesce} when [msgs > 1]. *)
   | Net_hold of { dst : int option; by : Time.t }
       (** fault injection held this message at the sender for [by]
           before transmitting; the profiler attributes the held span
           to the service category (a slow endpoint, not a slow wire).
-          Profiling-gated. *)
+          Recorded after the transfer's {!Delay}. *)
   | Drain_stall of { target : string }
       (** the work item arrived while [target] was draining and was
           stashed until reactivation elsewhere; subsequent queue time
-          is attributed to the drain category.  Profiling-gated. *)
+          is attributed to the drain category. *)
   | Log of { target : string; text : string }
       (** an object's free-text note ([Api.ctx.log]), recorded at its
           home node; each roots its own trace *)

@@ -396,7 +396,7 @@ let test_protocol_digest () =
          ^ Snapshot.to_string (Cluster.metrics_snapshot cl)))
   in
   Alcotest.(check string) "protocol digest"
-    "5314980788e22d34823f5f587bd8c441" digest
+    "5afcc4cbac9654df2180b4525e15fb90" digest
 
 (* A type that reads other objects from inside its handlers: [relay]
    through one nested [ctx.invoke], [gather] through one
@@ -543,7 +543,7 @@ let test_speculation_digest () =
          ^ Snapshot.to_string (Cluster.metrics_snapshot cl)))
   in
   Alcotest.(check string) "speculation digest"
-    "6a52f69262d2a5bb44e76f66da680db8" digest
+    "efd914712428273832d84554ba64c12f" digest
 
 let () =
   Alcotest.run "eden_ckpt"

@@ -797,6 +797,77 @@ let test_co_injector_drops_whole_batch () =
   check_int "all members lost" 0 !got;
   check_int "one verdict for the whole batch" 1 !decisions
 
+(* The one wire hook on a coalescing net: every flush reports its
+   payloads in send order, a verdict that bit reports its count (a
+   delay its payloads too), and each event fires before the transfer
+   it describes reaches anyone. *)
+let test_co_event_hook () =
+  let eng = Engine.create () in
+  let inet, eps = make_inet_co ~coalesce:(co ~msgs:3 ()) eng in
+  let show = function
+    | Internet.Ev_depart { src; dst; msgs; items } ->
+      Printf.sprintf "depart %d->%d msgs=%d [%s]" src dst msgs
+        (String.concat ";" items)
+    | Internet.Ev_delay { src; dst = Some dst; msgs; by; items } ->
+      Printf.sprintf "delay %d->%d msgs=%d by=%dns [%s]" src dst msgs
+        (Time.to_ns by) (String.concat ";" items)
+    | Internet.Ev_drop { src; dst = Some dst; msgs } ->
+      Printf.sprintf "drop %d->%d msgs=%d" src dst msgs
+    | Internet.Ev_duplicate { src; dst = Some dst; msgs } ->
+      Printf.sprintf "duplicate %d->%d msgs=%d" src dst msgs
+    | _ -> Alcotest.fail "broadcast event on a unicast run"
+  in
+  (* Each event is logged with the frames the LAN had accepted by
+     then: an event that fires before its transfer does not count it. *)
+  let events = ref [] and arrivals = ref [] in
+  Internet.set_event_hook inet
+    (Some
+       (fun ev ->
+         let sent = (Internet.segment_counters inet).(0).Lan.frames_sent in
+         events :=
+           Printf.sprintf "%d sent=%d %s"
+             (Time.to_ns (Engine.now eng))
+             sent (show ev)
+           :: !events));
+  Internet.on_message eps.(1) (fun ~src:_ msg ->
+      arrivals := (msg, Time.to_ns (Engine.now eng)) :: !arrivals);
+  let verdict = ref Internet.Pass in
+  Internet.set_fault_injector inet (Some (fun ~src:_ ~dst:_ -> !verdict));
+  let phase at v msgs =
+    Engine.schedule eng ~after:at (fun () ->
+        verdict := v;
+        List.iter (fun m -> Internet.send eps.(0) ~dst:1 m) msgs)
+  in
+  phase Time.zero Internet.Pass [ "a"; "b"; "c" ];
+  phase (Time.ms 1) Internet.Pass [ "d" ];
+  phase (Time.ms 2) (Internet.Delay (Time.ms 5)) [ "e"; "f"; "g" ];
+  phase (Time.ms 20) Internet.Drop [ "h"; "i"; "j" ];
+  phase (Time.ms 30) Internet.Duplicate [ "k" ];
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "one event per flush and per verdict, each before its transfer"
+    [
+      "0 sent=0 depart 0->1 msgs=3 [a;b;c]";
+      "1300000 sent=1 depart 0->1 msgs=1 [d]";
+      "2000000 sent=2 depart 0->1 msgs=3 [e;f;g]";
+      "2000000 sent=2 delay 0->1 msgs=3 by=5000000ns [e;f;g]";
+      "20000000 sent=3 depart 0->1 msgs=3 [h;i;j]";
+      "20000000 sent=3 drop 0->1 msgs=3";
+      "30300000 sent=3 depart 0->1 msgs=1 [k]";
+      "30300000 sent=3 duplicate 0->1 msgs=1";
+    ]
+    (List.rev !events);
+  let arrivals = List.rev !arrivals in
+  Alcotest.(check (list string))
+    "the drop lost its batch, the duplicate doubled its message"
+    [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "k"; "k" ]
+    (List.map fst arrivals);
+  List.iter
+    (fun m ->
+      check_bool (m ^ " held for the delay") true
+        (List.assoc m arrivals >= 7_000_000))
+    [ "e"; "f"; "g" ]
+
 let test_co_down_sender_discards_queue () =
   let eng = Engine.create () in
   let inet, eps = make_inet_co ~coalesce:(co ~delay:(Time.ms 1) ()) eng in
@@ -910,5 +981,6 @@ let () =
             test_co_injector_drops_whole_batch;
           Alcotest.test_case "down sender discards queue" `Quick
             test_co_down_sender_discards_queue;
+          Alcotest.test_case "one event hook" `Quick test_co_event_hook;
         ] );
     ]

@@ -1032,12 +1032,15 @@ let test_profile_unit () =
   check_string "rendering is deterministic" (Profile.to_text pf)
     (Profile.to_text (Profile.of_timeline (Journal.events j)))
 
-(* A profiled cluster run: the gated kinds appear in the journals, the
-   profiler attributes real requests, and all eight invariants —
-   attribution-complete included — hold over the kernel's own trace. *)
-let test_profiled_cluster_invariants () =
-  let options = { Cluster.default_options with Cluster.use_profiling = true } in
-  let cl = Cluster.default ~seed:7L ~options ~n_nodes:3 () in
+(* A cluster on default options journals the kinds the attribution
+   walk sharpens its categories with, the profiler attributes real
+   requests, and all eight invariants — attribution-complete included
+   — hold over the kernel's own trace.  On a coalescing net, each
+   journalled [Coalesce {msgs = k}] is followed at once on its node by
+   the batch's [k] [Net_flush] records, and a [Net_flush] of a batch
+   appears nowhere else. *)
+let attribution_run ?coalesce ~burst () =
+  let cl = Cluster.default ~seed:7L ?coalesce ~n_nodes:3 () in
   Cluster.register_type cl relay_type;
   let _ =
     Cluster.in_process cl (fun () ->
@@ -1050,21 +1053,66 @@ let test_profiled_cluster_invariants () =
           ignore
             (ok_or_fail "get"
                (Cluster.invoke cl ~from:(i mod 3) cap ~op:"get" []))
-        done)
+        done;
+        (* Requests issued together from one node share its queue to
+           the home. *)
+        let pending =
+          List.init burst (fun _ ->
+              Cluster.invoke_async cl ~from:0 cap ~op:"get" [])
+        in
+        List.iter
+          (fun p ->
+            match Promise.await p with
+            | Some r -> ignore (ok_or_fail "burst get" r)
+            | None -> Alcotest.fail "burst get unanswered")
+          pending)
   in
   Cluster.run cl;
-  let tl = Cluster.timeline cl in
   check_int "nothing dropped" 0 (Cluster.journal_dropped cl);
-  check_bool "profiling kinds recorded" true
+  let tl = Cluster.timeline cl in
+  check_bool "attribution kinds recorded" true
     (List.exists
        (fun e ->
          match e.Journal.ev_kind with
-         | Journal.Work_start _ | Journal.Net_flush _ -> true
+         | Journal.Work_start _ -> true
          | _ -> false)
        (Timeline.events tl));
   let bds = Critical.breakdowns (Timeline.events tl) in
   check_bool "requests attributed" true (bds <> []);
-  check_int "all eight invariants hold" 0 (List.length (Check.run tl))
+  check_int "all eight invariants hold" 0 (List.length (Check.run tl));
+  cl
+
+let test_default_cluster_attribution () =
+  ignore (attribution_run ~burst:0 ());
+  let cl = attribution_run ~coalesce:Transport.default_coalesce ~burst:6 () in
+  let batches = ref 0 in
+  List.iter
+    (fun j ->
+      (* [left] flushes of the batch whose Coalesce came last are still
+         owed, each with that batch's destination and size. *)
+      let left, _ =
+        List.fold_left
+          (fun (left, batch) e ->
+            match e.Journal.ev_kind, batch with
+            | Journal.Coalesce { dst; msgs }, _ ->
+              check_int "previous batch flushed in full" 0 left;
+              incr batches;
+              (msgs, Some (dst, msgs))
+            | Journal.Net_flush { dst; msgs }, Some b when left > 0 ->
+              check_bool "flush of the batch just announced" true
+                (b = (dst, msgs));
+              (left - 1, batch)
+            | Journal.Net_flush { msgs; _ }, _ ->
+              check_int "unannounced flushes are lone messages" 1 msgs;
+              (0, None)
+            | _ ->
+              check_int "batch flushes follow their Coalesce at once" 0 left;
+              (0, None))
+          (0, None) (Journal.events j)
+      in
+      check_int "last batch flushed in full" 0 left)
+    (Cluster.journals cl);
+  check_bool "batches coalesced" true (!batches > 0)
 
 (* Cap pressure: wrap the ring mid-run and the machinery degrades
    honestly — completeness gating skips the dependent rules (so
@@ -1072,10 +1120,7 @@ let test_profiled_cluster_invariants () =
    are skipped rather than misattributed, and whatever survives whole
    still attributes exactly. *)
 let test_journal_cap_pressure () =
-  let options = { Cluster.default_options with Cluster.use_profiling = true } in
-  let cl =
-    Cluster.default ~seed:11L ~options ~journal_cap:24 ~n_nodes:3 ()
-  in
+  let cl = Cluster.default ~seed:11L ~journal_cap:24 ~n_nodes:3 () in
   Cluster.register_type cl relay_type;
   let _ =
     Cluster.in_process cl (fun () ->
@@ -1110,8 +1155,7 @@ let test_journal_cap_pressure () =
    the journals that changes any byte of any export fails here, not
    only a same-build comparison of two runs. *)
 let analysis_exports_digest () =
-  let options = { Cluster.default_options with Cluster.use_profiling = true } in
-  let cl = Cluster.default ~seed:23L ~options ~journal_cap:40 ~n_nodes:4 () in
+  let cl = Cluster.default ~seed:23L ~journal_cap:40 ~n_nodes:4 () in
   Cluster.register_type cl relay_type;
   let _ =
     Cluster.in_process cl (fun () ->
@@ -1167,8 +1211,7 @@ let test_analysis_exports_pinned () =
    Pinned, so a rewrite of the analyses' read path must leave every
    byte of every export as it was. *)
 let closed_loop_exports_digest () =
-  let options = { Cluster.default_options with Cluster.use_profiling = true } in
-  let cl = Cluster.default ~seed:31L ~options ~n_nodes:8 () in
+  let cl = Cluster.default ~seed:31L ~n_nodes:8 () in
   Cluster.register_type cl relay_type;
   let rng = Splitmix.create 31L in
   let caps = ref [||] in
@@ -1464,8 +1507,8 @@ let () =
           Alcotest.test_case "category classification" `Quick
             test_attribution_categories;
           Alcotest.test_case "profile aggregation" `Quick test_profile_unit;
-          Alcotest.test_case "profiled cluster invariants" `Quick
-            test_profiled_cluster_invariants;
+          Alcotest.test_case "default cluster attribution" `Quick
+            test_default_cluster_attribution;
           Alcotest.test_case "cap pressure degrades honestly" `Quick
             test_journal_cap_pressure;
           Alcotest.test_case "analysis exports pinned" `Quick
