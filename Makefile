@@ -14,7 +14,7 @@ help:
 	@echo "make test-props   - seeded property tests only (facts, deltas, plans, analyses)"
 	@echo "make fuzz-sweep   - the kernel lifecycle fuzz on every input 0-4999"
 	@echo "make check        - build + tests + metrics smoke + chaos determinism"
-	@echo "make ci           - the full gate: build, export gate, tests, fuzz sweep, CLI and example smokes, cmp checks, props x3 seeds"
+	@echo "make ci           - the full gate: build, export gate, tests, fuzz sweep, CLI and example smokes, E13b claim, cmp checks, props x3 seeds"
 	@echo "make bench        - run the full experiment suite (E1..E25, M)"
 	@echo "make examples     - run the example programs"
 	@echo "make smoke        - exercise the edenctl CLI end to end, bad input refused"
@@ -25,7 +25,7 @@ help:
 	@echo "make dir-check    - directory smoke: E23 scaling + dir trace invariant"
 	@echo "make reconfig-check - membership smoke: E24 join/drain/leave + reconfig chaos cmp"
 	@echo "make profile-check - profiler smoke: E25 attribution + same-seed profile cmp"
-	@echo "make host-smoke   - one round per stream of each benchmark workload, gates checked"
+	@echo "make host-smoke   - one round per stream of each benchmark workload and locate_scale, gates checked"
 	@echo "make hostprof     - sampling profile of hot_invoke's request phases (host time)"
 	@echo "make hostprof-smoke - a few phases of each hostprof mode, so the profiler keeps working"
 	@echo "make exports      - every lib/ export has a caller outside tests, or an entry"
@@ -69,9 +69,11 @@ check:
 
 # The full local gate, mirroring what a hosted pipeline would run:
 # build, the export gate, every unit suite, the fixed lifecycle-fuzz
-# sweep, the CLI and example-program smokes, the chaos determinism comparison, and the property suites
-# under three distinct seed universes (the offset shifts every
-# property's base stream; see test/prop.ml).
+# sweep, the CLI and example-program smokes, E13b's locate-storm claim
+# (coalesced locates lose no invocation, independent ones lose some;
+# the experiment fails otherwise), the chaos determinism comparison,
+# and the property suites under three distinct seed universes (the
+# offset shifts every property's base stream; see test/prop.ml).
 ci:
 	dune build @all
 	$(MAKE) exports
@@ -79,6 +81,7 @@ ci:
 	$(MAKE) fuzz-sweep
 	$(MAKE) smoke
 	$(MAKE) examples
+	dune exec bench/main.exe -- E13 --smoke
 	$(MAKE) chaos
 	$(MAKE) trace-check
 	$(MAKE) health-check
@@ -262,10 +265,13 @@ profile-check:
 # (work echo, chunk provenance and final values, one active incarnation
 # per object, zero trace-invariant violations).  Streams repeat, and so
 # have their virtual-time results compared, only in longer runs.  The
-# host figures of a single round are not meant to be read.
+# host figures of a single round are not meant to be read.  Beside the
+# two benchmark workloads it runs locate_scale (128 nodes, 8,192
+# objects), the workload that leans hardest on the broadcast locate.
 host-smoke:
 	python3 hostbench/run.py --workload hot_invoke --seed 1 --seconds 0
 	python3 hostbench/run.py --workload ckpt_local --seed 1 --seconds 0
+	python3 hostbench/run.py --workload locate_scale --seed 1 --seconds 0
 	@echo "host-smoke: OK (benchmark gates hold)"
 
 # Where the simulator's host time goes: a SIGPROF sampling profile of

@@ -49,7 +49,7 @@ let run_one (id, title, run) =
   Common.write_summary ~id ~title ()
 
 (* Pull [--trace-out FILE] and [--smoke] out of the argument list
-   (they modify how E18 / E22 run rather than selecting an
+   (they modify how E13, E18 and E22-E25 run rather than selecting an
    experiment). *)
 let rec extract_trace_out = function
   | [] -> []
@@ -60,6 +60,7 @@ let rec extract_trace_out = function
     Printf.eprintf "--trace-out needs a file argument\n";
     exit 1
   | "--smoke" :: rest ->
+    Exp_ablation.smoke := true;
     Exp_tail.smoke := true;
     Exp_directory.smoke := true;
     Exp_reconfig.smoke := true;

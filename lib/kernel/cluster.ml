@@ -186,6 +186,14 @@ type node = {
       (* coalesces concurrent locate broadcasts for one name *)
   nd_pending : pending Itbl.t;
   nd_seq : Idgen.t;
+  mutable nd_rtt : Rtt.t;
+      (* how long active answers to this node's locate broadcasts take:
+         opens each locate's reply window (volatile; reset on crash) *)
+  nd_located_at : int array;
+      (* the send times of this node's recent locate broadcasts, so an
+         answer that outlives its window still feeds [nd_rtt]: slot
+         [seq land (locate_slots - 1)] holds the pair (seq, send ns) at
+         [2i] and [2i + 1], seq -1 when the slot is free *)
   nd_clone_sites : node_id list Name.Table.t;
       (* replica sites learned from locate answers and frozen-hinted
          replies: the clone set for speculative reads.  Hints in
@@ -358,8 +366,12 @@ type t = {
          objects *)
 }
 
+(* The floor of a locate's first reply window: what a node opens with
+   before any answer has been measured, and whenever answers come back
+   faster than this. *)
 let locate_window = Time.ms 3
 let locate_retries = 3
+let locate_slots = 64
 
 (* Per-node journal ring size.  Generous enough that the chaos suite
    never wraps (wrapping only degrades trace completeness, it is not
@@ -624,8 +636,8 @@ let hedge_threshold cl =
    repairs the registry as a side effect. *)
 
 (* How long a requester waits for the shard's answer before falling
-   back to broadcast; matches the broadcast locate's first window, so
-   a dead shard costs one window, not a retry ladder. *)
+   back to broadcast; the broadcast locate's floor window, so a dead
+   shard costs one window, not a retry ladder. *)
 let dir_window = Time.ms 3
 
 (* An entry this much older than its last publish is dropped rather
@@ -1827,6 +1839,27 @@ let passive_at node name =
   | Some snap -> snap.ss_passive
   | None -> false
 
+(* The reply window a locate opens with: [locate_window], or longer
+   once this node has measured slower answers. *)
+let first_window node = Rtt.window ~floor:locate_window node.nd_rtt
+
+(* Remember when the locate broadcast [seq] left, for {!locate_answered}. *)
+let locate_sent cl node seq =
+  let i = 2 * (seq land (locate_slots - 1)) in
+  node.nd_located_at.(i) <- seq;
+  node.nd_located_at.(i + 1) <- Time.to_ns (Engine.now cl.eng)
+
+(* An active answer to this node's locate broadcast [seq] arrived, in
+   its window or after it: the first one per broadcast is a sample of
+   the answer latency.  A broadcast whose slot was reused is not. *)
+let locate_answered cl node seq =
+  let i = 2 * (seq land (locate_slots - 1)) in
+  if node.nd_located_at.(i) = seq then begin
+    node.nd_located_at.(i) <- -1;
+    let sent = Time.ns node.nd_located_at.(i + 1) in
+    node.nd_rtt <- Rtt.observe node.nd_rtt (Time.diff (Engine.now cl.eng) sent)
+  end
+
 (* Broadcast locate; prefer an actively-hosting node, else a replica,
    else a passive checksite. *)
 let locate_once ?ctx cl node name ~window =
@@ -1835,6 +1868,7 @@ let locate_once ?ctx cl node name ~window =
     { loc_candidates = []; loc_active = Promise.create cl.eng }
   in
   add_pending node req_id.Message.seq (P_locate st);
+  locate_sent cl node req_id.Message.seq;
   Metrics.incr (nm cl node).m_locates;
   (* Locates count toward object heat too: an object that is hard to
      find generates locate traffic even when invocations stall. *)
@@ -1904,7 +1938,7 @@ let rec locate_backoff ?ctx cl node name ~attempts ~window ~deadline =
 let locate ?ctx cl node name ~deadline =
   if not cl.opts.coalesce_locates then
     locate_backoff ?ctx cl node name ~attempts:locate_retries
-      ~window:locate_window ~deadline
+      ~window:(first_window node) ~deadline
   else
   match Name.Table.find_opt node.nd_locating name with
   | Some pr -> (
@@ -1924,7 +1958,7 @@ let locate ?ctx cl node name ~deadline =
       (fun () ->
         match
           locate_backoff ?ctx cl node name ~attempts:locate_retries
-            ~window:locate_window ~deadline
+            ~window:(first_window node) ~deadline
         with
         | `Found hit ->
           ignore (Promise.fill pr (Some hit));
@@ -2668,9 +2702,12 @@ let on_message cl node ~src { Message.tr_ctx; tr_msg = msg } =
       (* A replica answer teaches the clone set — even when the locate
          already resolved (the home usually answers first, and
          discovery broadcasts keep no pending entry at all): this site
-         serves reads of the (frozen) name. *)
+         serves reads of the (frozen) name.  An active answer times the
+         broadcast, even one whose window has closed. *)
       if residence = Message.Res_replica then
-        learn_clone_site cl node target at_node;
+        learn_clone_site cl node target at_node
+      else if residence = Message.Res_active then
+        locate_answered cl node req_id.Message.seq;
       match Itbl.find_opt node.nd_pending req_id.Message.seq with
       | Some (P_locate st) -> (
         match residence with
@@ -3058,6 +3095,8 @@ let create ?(seed = 42L) ?net ?(options = default_options) ?segments ?coalesce
              nd_locating = Name.Table.create 8;
              nd_pending = Itbl.create 64;
              nd_seq = Idgen.create ();
+             nd_rtt = Rtt.empty;
+             nd_located_at = Array.make (2 * locate_slots) (-1);
              nd_clone_sites = Name.Table.create 8;
              nd_recent =
                Dedup.create ~ttl:dedup_ttl
@@ -3481,6 +3520,8 @@ let crash_node cl i =
        still remembered elsewhere. *)
     Dedup.reset node.nd_recent;
     Itbl.reset node.nd_pending;
+    node.nd_rtt <- Rtt.empty;
+    Array.fill node.nd_located_at 0 (2 * locate_slots) (-1);
     Hashtbl.reset node.nd_types_loaded;
     node.nd_mem <-
       Memory.create

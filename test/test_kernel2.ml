@@ -262,6 +262,69 @@ let test_stats_monotone () =
         (Cluster.stats_remote_invocations cl <= Cluster.stats_invocations cl))
 
 (* ------------------------------------------------------------------ *)
+(* The locate reply window *)
+
+let outcome = function
+  | Ok [ Value.Int n ] -> Printf.sprintf "Ok %d" n
+  | Ok _ -> "Ok ?"
+  | Error e -> Error.to_string e
+
+let test_locate_window_learns_slow_answers () =
+  (* Node 3 holds every unicast it sends or receives for 30 ms, so its
+     locate answers arrive long after the 3, 9 and 27 ms windows of a
+     cold locate close.  Node 0 invokes four objects there in turn: a
+     window that never adapts answers No_such_object to every one,
+     after 39.45 ms each.  The late answers to the first locate teach
+     node 0 how slow they are, so the next three locates wait long
+     enough to be served. *)
+  with_cluster ~n:5 (fun cl ->
+      let caps = List.init 4 (fun i -> new_counter cl ~node:3 i) in
+      let _ctl =
+        Eden_fault.Controller.arm cl
+          (Eden_fault.Plan.make
+             [
+               {
+                 Eden_fault.Plan.at = Time.zero;
+                 action =
+                   Eden_fault.Plan.Slow_node { node = 3; by = Time.ms 30 };
+               };
+             ])
+      in
+      let eng = Cluster.engine cl in
+      let timed f =
+        let t0 = Engine.now eng in
+        let r = f () in
+        (outcome r, Time.to_ns (Time.diff (Engine.now eng) t0))
+      in
+      let invoke ~from cap =
+        timed (fun () -> Cluster.invoke cl ~from cap ~op:"get" [])
+      in
+      let served = List.mapi (fun i cap -> (i, invoke ~from:0 cap)) caps in
+      List.iter
+        (fun (i, (r, _)) ->
+          if i > 0 then
+            Alcotest.(check string)
+              (Printf.sprintf "object %d served after the first" i)
+              (Printf.sprintf "Ok %d" i) r)
+        served;
+      (* A node that has heard no slow answer still opens at the floor:
+         a ghost name costs it the three floor windows, as before. *)
+      let ghost =
+        Capability.make (Name.make ~birth_node:1 ~serial:123_456) Rights.all
+      in
+      let floor_verdict = ("no such object", 39_450_000) in
+      Alcotest.(check (pair string int))
+        "ghost from a node with no samples" floor_verdict
+        (invoke ~from:1 ghost);
+      (* The estimate is volatile: after a crash node 0 opens at the
+         floor again, and a slow object is once more out of reach. *)
+      Cluster.crash_node cl 0;
+      Cluster.restart_node cl 0;
+      Alcotest.(check (pair string int))
+        "slow object from node 0 after its crash" floor_verdict
+        (invoke ~from:0 (List.nth caps 1)))
+
+(* ------------------------------------------------------------------ *)
 (* Node objects (paper sec. 4.3: "a node is an object") *)
 
 let test_timeout_bounds_locate () =
@@ -670,6 +733,11 @@ let () =
           Alcotest.test_case "population" `Quick
             test_node_object_reflects_population;
           Alcotest.test_case "heartbeat" `Quick test_node_object_heartbeat;
+        ] );
+      ( "locate window",
+        [
+          Alcotest.test_case "learns slow answers" `Quick
+            test_locate_window_learns_slow_answers;
         ] );
       ( "replica cache",
         [

@@ -165,6 +165,46 @@ let test_reliability_checksites () =
     (Reliability.checksites (Reliability.Mirrored [ 1; 3 ]) ~home:2)
 
 (* ------------------------------------------------------------------ *)
+(* Rtt: the locate reply window *)
+
+module Time = Eden_util.Time
+
+let rtt_floor = Time.ms 3
+let rtt_of samples =
+  List.fold_left (fun t s -> Rtt.observe t (Time.ns s)) Rtt.empty samples
+let rtt_window samples =
+  Time.to_ns (Rtt.window ~floor:rtt_floor (rtt_of samples))
+
+let test_rtt_integer_estimates () =
+  check_int "no samples: the floor" 3_000_000 (rtt_window []);
+  (* srtt 30 ms, rttvar 15 ms *)
+  check_int "first sample" 90_000_000 (rtt_window [ 30_000_000 ]);
+  (* srtt 10_000_001, rttvar 5_000_000 (truncated); then
+     rttvar += (9_999_999 - 5_000_000)/4 = 1_249_999 and
+     srtt += 9_999_999/8 = 1_249_999; then a fast answer:
+     rttvar += (10_250_000 - 6_249_999)/4 = 1_000_000 and
+     srtt += -10_250_000/8 = -1_281_250. *)
+  check_int "two samples" (11_250_000 + (4 * 6_249_999))
+    (rtt_window [ 10_000_001; 20_000_000 ]);
+  check_int "a faster third" (9_968_750 + (4 * 7_249_999))
+    (rtt_window [ 10_000_001; 20_000_000; 1_000_000 ]);
+  check_int "same samples, same window"
+    (rtt_window [ 10_000_001; 20_000_000; 1_000_000 ])
+    (rtt_window [ 10_000_001; 20_000_000; 1_000_000 ])
+
+let test_rtt_fast_answers_keep_the_floor () =
+  (* A 176.4 us answer (a quiet LAN's locate round trip) opens at
+     three times that, below the floor; so does any run of them. *)
+  check_int "one fast answer" 3_000_000 (rtt_window [ 176_400 ]);
+  check_int "many fast answers" 3_000_000
+    (rtt_window (List.init 50 (fun i -> 150_000 + (i * 1_000))));
+  (* Slow answers lift the window; fast ones bring it back down. *)
+  let slow = List.init 4 (fun _ -> 30_000_000) in
+  check_bool "slow answers lift it" true (rtt_window slow > 30_000_000);
+  check_int "fast answers bring it back" 3_000_000
+    (rtt_window (slow @ List.init 40 (fun _ -> 200_000)))
+
+(* ------------------------------------------------------------------ *)
 (* Property tests, on the shared {!Prop} harness: 500 seeds per
    property (one structured draw each), fixed bases so failures replay
    exactly, with shrinking for the mirrored-site lists. *)
@@ -172,6 +212,22 @@ let test_reliability_checksites () =
 module Splitmix = Eden_util.Splitmix
 
 let iters = 500
+
+let prop_rtt_window_bounds =
+  Prop.case ~seeds:iters ~base:0xBEEF05L ~name:"rtt window bounds"
+    ~gen:(Prop.Gen.list ~max_len:20 (Prop.Gen.int 0 200_000_000))
+    ~shrink:(fun samples ->
+      List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) samples) samples)
+    ~show:(fun samples -> String.concat " " (List.map string_of_int samples))
+    (fun samples ->
+      (* Never below the floor, and never beyond five times the
+         slowest answer seen: srtt and rttvar each stay within it. *)
+      let w = rtt_window samples in
+      let slowest = List.fold_left max 0 samples in
+      if w < 3_000_000 then Error (Printf.sprintf "window %d below the floor" w)
+      else if w > max 3_000_000 (5 * slowest) then
+        Error (Printf.sprintf "window %d beyond 5 x %d" w slowest)
+      else Ok ())
 
 let rand_right rng =
   match Splitmix.int rng 17 with
@@ -656,10 +712,18 @@ let () =
           Alcotest.test_case "validate" `Quick test_reliability_validate;
           Alcotest.test_case "checksites" `Quick test_reliability_checksites;
         ] );
+      ( "rtt",
+        [
+          Alcotest.test_case "integer estimates" `Quick
+            test_rtt_integer_estimates;
+          Alcotest.test_case "fast answers keep the floor" `Quick
+            test_rtt_fast_answers_keep_the_floor;
+        ] );
       ( "properties",
         [
           prop_reliability_validate;
           prop_reliability_checksites;
+          prop_rtt_window_bounds;
           prop_capability_restrict;
           prop_dedup_exactly_once;
         ] );
